@@ -1,11 +1,16 @@
-"""Pure-Python cyclic-Jacobi sweep kernel.
+"""Pure-Python cyclic-Jacobi sweep kernels.
 
-Reference implementation of the hot loop; psombor._kernels is the compiled
-twin with identical operation order, so both backends produce the same
-floating-point results.
+jacobi_sweeps is the reference implementation of the hot loop;
+psombor._kernels is its compiled twin with identical operation order, so both
+backends produce the same floating-point results. jacobi_sweeps_batch runs the
+same iteration on a stack of same-size matrices with NumPy, one rotation for
+the whole stack at a time, and matches jacobi_sweeps bit for bit on every
+member.
 """
 
 from math import sqrt
+
+import numpy as np
 
 
 def off_diagonal_norm(a) -> float:
@@ -92,3 +97,92 @@ def _off_from_rows(rows, n: int) -> float:
         for q in range(p + 1, n):
             total += 2.0 * row[q] * row[q]
     return sqrt(total)
+
+
+def jacobi_sweeps_batch(stack, thresholds, max_sweeps: int):
+    """Run cyclic Jacobi sweeps in place on every matrix of a (B, n, n) stack.
+
+    Each member goes through exactly the iteration jacobi_sweeps(member, None,
+    thresholds[i], max_sweeps) would: the same rotations in the same order
+    with the same formulas, so the results agree bit for bit. Rotation (p, q)
+    is applied to all still-active members at once; the scalar kernel's
+    branches (skip when apq == 0, the |theta| > 1e150 form of t) become
+    per-member selections. A member leaves the active set after the sweep at
+    which its off-diagonal norm reaches its threshold. Returns
+    (sweeps_used, final_off_diagonal_norm) as two length-B arrays.
+    """
+    count, n = stack.shape[0], stack.shape[1]
+    thresholds = np.asarray(thresholds, dtype=float)
+    sweeps = np.zeros(count, dtype=np.int64)
+    offs = _off_batch(stack)
+    active = np.flatnonzero(offs > thresholds)
+    work = stack[active]
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    done = 0
+    # Lanes whose branch is not taken divide by zero or overflow; their
+    # values are computed but never selected.
+    with np.errstate(all="ignore"):
+        while active.size and done < max_sweeps:
+            for p, q in pairs:
+                _rotate_batch(work, p, q)
+            done += 1
+            off = _off_batch(work)
+            sweeps[active] = done
+            offs[active] = off
+            keep = off > thresholds[active]
+            stack[active[~keep]] = work[~keep]
+            active, work = active[keep], work[keep]
+    stack[active] = work
+    return sweeps, offs
+
+
+def _rotate_batch(work, p: int, q: int) -> None:
+    apq = work[:, p, q]
+    n_live = np.count_nonzero(apq)
+    if not n_live:
+        return
+    app = work[:, p, p]
+    aqq = work[:, q, q]
+    theta = (aqq - app) / (2.0 * apq)
+    abs_theta = np.abs(theta)
+    # 1/(theta + r) for theta >= 0 and -1/(-theta + r) otherwise, with
+    # r = sqrt(theta^2 + 1): both are +-1/(|theta| + r), rounded alike.
+    t = 1.0 / (abs_theta + np.sqrt(theta * theta + 1.0))
+    t = np.where(theta >= 0.0, t, -t)
+    big = abs_theta > 1e150
+    if big.any():
+        t = np.where(big, 1.0 / (2.0 * theta), t)
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    s = t * c
+    tau = (s / (1.0 + c))[:, None]
+    s = s[:, None]
+    t_apq = t * apq
+    colp = work[:, :, p]
+    colq = work[:, :, q]
+    newp = colp - s * (colq + tau * colp)
+    newq = colq + s * (colp - tau * colq)
+    newp[:, p] = app - t_apq
+    newq[:, q] = aqq + t_apq
+    newp[:, q] = 0.0
+    newq[:, p] = 0.0
+    if n_live < len(work):
+        # Members with apq == 0 keep their columns bit for bit (signed zeros
+        # included), as the scalar kernel skips them.
+        keep = (apq != 0.0)[:, None]
+        newp = np.where(keep, newp, colp)
+        newq = np.where(keep, newq, colq)
+    work[:, :, p] = newp
+    work[:, p, :] = newp
+    work[:, :, q] = newq
+    work[:, q, :] = newq
+
+
+def _off_batch(stack) -> np.ndarray:
+    # Same terms as _off_from_rows, summed left to right in row-major order:
+    # cumsum accumulates sequentially, unlike sum.
+    n = stack.shape[1]
+    rows, cols = np.triu_indices(n, 1)
+    if not rows.size:
+        return np.zeros(stack.shape[0])
+    upper = stack[:, rows, cols]
+    return np.sqrt(np.cumsum(2.0 * upper * upper, axis=1)[:, -1])

@@ -45,7 +45,11 @@ from .invariants import (
 )
 from .spectral import (
     adjacency_decomposition,
+    adjacency_matrix,
+    build_p_laplacian,
+    build_sombor_matrix,
     edge_weight,
+    eigen_decompose_many,
     laplacian_decomposition,
     moments_closed_form,
     sombor_decomposition,
@@ -105,6 +109,15 @@ class CheckContext:
         self.p = p
         self.graph_id = graph_id
         self.holds_tol = config.default_holds_tol() if holds_tol is None else holds_tol
+
+    def prefill(self, **values) -> "CheckContext":
+        """Fill cached properties (sdec, complement_ctx, ...) with values
+        computed elsewhere, e.g. by one batched eigensolve for many graphs."""
+        for name in values:
+            if not isinstance(getattr(type(self), name, None), cached_property):
+                raise AttributeError(f"{name!r} is not a cached CheckContext property")
+        self.__dict__.update(values)
+        return self
 
     @cached_property
     def stats(self):
@@ -886,15 +899,37 @@ def _violation_payload(report: BoundReport, g: Graph) -> dict:
     }
 
 
-def _tally_graph(args):
-    graph_id, n, edges, p_values, holds_tol = args
-    g = Graph(n, [tuple(e) for e in edges])
+def _prefilled_contexts(graphs, p_values, holds_tol) -> list[list[CheckContext]]:
+    """One CheckContext per (graph, p), with the spectra the checks always
+    need solved in one batched call: S_p and L_p at each p, the adjacency
+    spectrum once per graph and S_p of the complement, built once per graph."""
+    out = []
+    pending = []   # (contexts to seed, property name, (matrix, kind, p))
+    for graph_id, g in graphs:
+        cg = complement(g)
+        ctxs = []
+        for p in p_values:
+            cctx = CheckContext(cg, p, graph_id + "~", holds_tol)
+            ctx = CheckContext(g, p, graph_id, holds_tol).prefill(complement_ctx=cctx)
+            ctxs.append(ctx)
+            pending += [([ctx], "sdec", (build_sombor_matrix(g, p), "p_sombor", p)),
+                        ([ctx], "ldec", (build_p_laplacian(g, p), "p_laplacian", p)),
+                        ([cctx], "sdec", (build_sombor_matrix(cg, p), "p_sombor", p))]
+        pending.append((ctxs, "adec", (adjacency_matrix(g), "adjacency", None)))
+        out.append(ctxs)
+    decs = eigen_decompose_many([spec for _, _, spec in pending])
+    for (targets, name, _), dec in zip(pending, decs):
+        for ctx in targets:
+            ctx.prefill(**{name: dec})
+    return out
+
+
+def _tally_graph(g: Graph, contexts: list[CheckContext]):
     counts: dict = {}
     violations = []
     eq_mismatches = []
-    for p in p_values:
-        ctx = CheckContext(g, p, graph_id, holds_tol)
-        for rep in all_checks(g, p, ctx):
+    for ctx in contexts:
+        for rep in all_checks(g, ctx.p, ctx):
             per = counts.setdefault(rep.check_id, {"pass": 0, "fail": 0, "na": 0,
                                                    "observe_pass": 0, "observe_fail": 0})
             if not rep.applicable:
@@ -916,17 +951,33 @@ def _tally_graph(args):
     return counts, violations, eq_mismatches
 
 
+def _tally_chunk(args):
+    entries, p_values, holds_tol = args
+    graphs = [(graph_id, Graph(n, [tuple(e) for e in edges]))
+              for graph_id, n, edges in entries]
+    contexts = _prefilled_contexts(graphs, p_values, holds_tol)
+    return [_tally_graph(g, ctxs) for (_, g), ctxs in zip(graphs, contexts)]
+
+
 def run_suite(graphs, p_values=(1.0, 2.0, 3.0), holds_tol: float | None = None,
               jobs: int = 1, corpus_name: str = "custom",
               corpus_errors: list | None = None) -> SuiteReport:
-    """Run every check for each (graph, p); deterministic merge order."""
-    tasks = [(gid, g.n, [list(e) for e in g.edges()], tuple(p_values), holds_tol)
-             for gid, g in graphs]
+    """Run every check for each (graph, p); deterministic merge order.
+
+    Graphs go in chunks of config.SUITE_CHUNK_GRAPHS, each with its spectra
+    solved in one batched call; with jobs > 1, worker processes take whole
+    chunks.
+    """
+    entries = [(gid, g.n, [list(e) for e in g.edges()]) for gid, g in graphs]
+    size = config.SUITE_CHUNK_GRAPHS
+    tasks = [(entries[i:i + size], tuple(p_values), holds_tol)
+             for i in range(0, len(entries), size)]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_tally_graph, tasks, chunksize=8))
+            chunks = list(pool.map(_tally_chunk, tasks))
     else:
-        results = [_tally_graph(t) for t in tasks]
+        chunks = [_tally_chunk(t) for t in tasks]
+    results = [per_graph for chunk in chunks for per_graph in chunk]
 
     counts: dict = {}
     violations: list[dict] = []
@@ -939,6 +990,6 @@ def run_suite(graphs, p_values=(1.0, 2.0, 3.0), holds_tol: float | None = None,
                 agg[key] += val
         violations.extend(vio)
         eq_mismatches.extend(eqm)
-    return SuiteReport(corpus_name, tuple(p_values), len(tasks),
+    return SuiteReport(corpus_name, tuple(p_values), len(entries),
                        dict(sorted(counts.items())), violations, eq_mismatches,
                        corpus_errors or [])

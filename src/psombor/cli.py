@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import config
@@ -27,7 +28,7 @@ from .chem import (
 from .extremal import enumerate_trees, rank_trees, verify_tree_extremes
 from .graphs import Graph, GraphError, parse_edge_list, structure_stats
 from .invariants import index_bundle, spectral_invariants
-from .spectral import build_sombor_matrix, sombor_decomposition
+from .spectral import EigenConvergenceError, build_sombor_matrix, sombor_decomposition
 
 SCHEMA_VERSION = 1
 
@@ -41,6 +42,8 @@ def _parse_p_list(raw: str) -> list[float]:
         p = float(tok)
         if p == 0:
             raise ValueError("p must be nonzero")
+        if not math.isfinite(p):
+            raise ValueError(f"p must be finite, got {tok}")
         values.append(p)
     if not values:
         raise ValueError("empty p list")
@@ -169,8 +172,9 @@ def _cmd_trees(args) -> int:
     if args.verify_extremes:
         ok = True
         results = []
+        catalog = enumerate_trees(args.n)
         for p in p_values:
-            rep = verify_tree_extremes(args.n, p)
+            rep = verify_tree_extremes(args.n, p, catalog)
             ok = ok and rep.ok
             results.append({
                 "n": rep.n, "p": rep.p,
@@ -353,8 +357,13 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (OSError, ValueError, GraphError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, GraphError, json.JSONDecodeError,
+            EigenConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (OverflowError, ZeroDivisionError) as exc:
+        # Values such as 2^(1/p) leave the float range when |p| is tiny.
+        print(f"error: result out of floating-point range ({exc})", file=sys.stderr)
         return 1
 
 

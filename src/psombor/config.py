@@ -11,6 +11,11 @@ import os
 # OFF_DIAG_FACTOR * max(1, ||M||_F); give up after MAX_SWEEPS sweeps.
 OFF_DIAG_FACTOR = 1e-12
 MAX_SWEEPS = 100
+# Batched eigensolves (spectral.eigen_decompose_many) stack at most this many
+# same-size matrices; run_suite prefetches the spectra of this many graphs at a
+# time. Both bound the memory held at once.
+JACOBI_BATCH_SIZE = 256
+SUITE_CHUNK_GRAPHS = 16
 
 # Eigenvalue classification.
 ZERO_TOL_FACTOR = 1e-8        # inertia: |eigenvalue| below this counts as zero

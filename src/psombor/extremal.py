@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from . import config
 from .graphs import Graph, GraphError, structure_stats
-from .spectral import sombor_decomposition
+from .spectral import build_sombor_matrix, eigen_decompose_many, sombor_decomposition
 
 MAX_TREE_N = 12
 
@@ -163,13 +164,25 @@ class TreeExtremesReport:
                 and self.min_unique and self.max_unique)
 
 
-def verify_tree_extremes(n: int, p: float) -> TreeExtremesReport:
+def verify_tree_extremes(n: int, p: float,
+                         catalog: TreeCatalog | None = None) -> TreeExtremesReport:
     """Radius of every tree on n vertices; the path should attain the unique
-    minimum and the star the unique maximum (established for p >= 1)."""
-    catalog = enumerate_trees(n)
+    minimum and the star the unique maximum (established for p >= 1).
+
+    catalog, when given, must be enumerate_trees(n) (no degree filter); pass
+    it to check several p without enumerating the trees again.
+    """
+    if catalog is None:
+        catalog = enumerate_trees(n)
+    elif catalog.n != n or catalog.max_degree is not None:
+        raise ValueError(f"catalog must hold every tree on {n} vertices")
     radii = {}
-    for key, tree in zip(catalog.canonical_keys, catalog.trees):
-        radii[key] = sombor_decomposition(tree, p).radius
+    step = config.JACOBI_BATCH_SIZE
+    for start in range(0, len(catalog.trees), step):
+        decs = eigen_decompose_many([(build_sombor_matrix(tree, p), "p_sombor", p)
+                                     for tree in catalog.trees[start:start + step]])
+        radii.update(zip(catalog.canonical_keys[start:start + step],
+                         (dec.radius for dec in decs)))
     ordered = sorted(radii.items(), key=lambda kv: kv[1])
     min_key, min_val = ordered[0]
     max_key, max_val = ordered[-1]

@@ -9,12 +9,14 @@ closed-form edge/common-neighbour sums, which cross-validate each other.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .backend import jacobi_sweeps
+from .backend import jacobi_sweeps, jacobi_sweeps_batch
 from .graphs import Graph
 
 
@@ -30,10 +32,24 @@ class EigenConvergenceError(RuntimeError):
 
 def edge_weight(di: int, dj: int, p: float) -> float:
     """Matrix entry ((d_i)^p + (d_j)^p)^(1/p) for an edge between degrees
-    d_i and d_j; p must be nonzero."""
+    d_i and d_j; p must be nonzero.
+
+    The direct form is used whenever its inner sum is a finite normal float.
+    When it overflows, underflows or divides by zero (large |p|), the scaled
+    form M (1 + (m/M)^p)^(1/p) is used instead, with M the larger degree for
+    p > 0 and the smaller for p < 0. OverflowError remains only when the
+    weight itself exceeds the float range (tiny positive p).
+    """
     if p == 0:
         raise ValueError("p must be nonzero")
-    return (di ** p + dj ** p) ** (1.0 / p)
+    try:
+        inner = di ** p + dj ** p
+        if sys.float_info.min <= inner < math.inf:
+            return inner ** (1.0 / p)
+    except (OverflowError, ZeroDivisionError):
+        pass
+    big, small = (max(di, dj), min(di, dj)) if p > 0 else (min(di, dj), max(di, dj))
+    return big * (1.0 + (small / big) ** p) ** (1.0 / p)
 
 
 def build_sombor_matrix(g: Graph, p: float) -> np.ndarray:
@@ -120,10 +136,11 @@ def _cluster_distinct(values: np.ndarray) -> tuple[tuple[float, int], ...]:
     return tuple(out)
 
 
-def eigen_decompose(matrix: np.ndarray, want_vectors: bool = False,
-                    kind: str = "p_sombor", p: float | None = None) -> SpectralDecomposition:
-    """Full spectrum of a symmetric matrix via cyclic Jacobi rotations."""
-    a = np.array(matrix, dtype=float)
+def _prepare(matrix) -> tuple[np.ndarray, float, float]:
+    """A symmetric matrix as a validated float array (not copied when it
+    already is one), its scale max(1, ||M||_F) and the Jacobi stopping
+    threshold."""
+    a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
@@ -132,14 +149,16 @@ def eigen_decompose(matrix: np.ndarray, want_vectors: bool = False,
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
     scale = max(1.0, float(np.linalg.norm(a)))
-    threshold = config.OFF_DIAG_FACTOR * scale
-    vectors = np.eye(n) if want_vectors else None
-    if n:
-        sweeps, off = jacobi_sweeps(a, vectors, threshold, config.MAX_SWEEPS)
-    else:
-        sweeps, off = 0, 0.0
+    return a, scale, config.OFF_DIAG_FACTOR * scale
+
+
+def _finish(a: np.ndarray, vectors: np.ndarray | None, sweeps: int, off: float,
+            threshold: float, scale: float, kind: str,
+            p: float | None) -> SpectralDecomposition:
+    """Decomposition from a matrix the Jacobi kernel has diagonalised."""
     if off > threshold:
         raise EigenConvergenceError(off, sweeps)
+    n = a.shape[0]
     diag = np.diag(a).copy()
     order = np.argsort(-diag, kind="stable")
     eigenvalues = diag[order]
@@ -159,6 +178,48 @@ def eigen_decompose(matrix: np.ndarray, want_vectors: bool = False,
         sweeps=int(sweeps),
         scale=scale,
     )
+
+
+def eigen_decompose(matrix: np.ndarray, want_vectors: bool = False,
+                    kind: str = "p_sombor", p: float | None = None) -> SpectralDecomposition:
+    """Full spectrum of a symmetric matrix via cyclic Jacobi rotations."""
+    a, scale, threshold = _prepare(matrix)
+    a = a.copy()
+    n = a.shape[0]
+    vectors = np.eye(n) if want_vectors else None
+    if n:
+        sweeps, off = jacobi_sweeps(a, vectors, threshold, config.MAX_SWEEPS)
+    else:
+        sweeps, off = 0, 0.0
+    return _finish(a, vectors, sweeps, off, threshold, scale, kind, p)
+
+
+def eigen_decompose_many(specs) -> list[SpectralDecomposition]:
+    """Eigenvalues of many symmetric matrices, in input order.
+
+    specs is a sequence of (matrix, kind, p) triples; entry i of the result
+    equals eigen_decompose(matrix, False, kind, p) bit for bit. Matrices of
+    one size are solved together by the batched kernel, in stacks of at most
+    config.JACOBI_BATCH_SIZE. The first matrix (in input order) that is
+    invalid or fails to converge raises as eigen_decompose would.
+    """
+    prepared = [_prepare(matrix) for matrix, _, _ in specs]
+    by_size: dict[int, list[int]] = {}
+    for i, (a, _, _) in enumerate(prepared):
+        by_size.setdefault(a.shape[0], []).append(i)
+    solved: list = [None] * len(prepared)
+    for members in by_size.values():
+        for start in range(0, len(members), config.JACOBI_BATCH_SIZE):
+            chunk = members[start:start + config.JACOBI_BATCH_SIZE]
+            stack = np.stack([prepared[i][0] for i in chunk])
+            thresholds = np.array([prepared[i][2] for i in chunk])
+            sweeps, offs = jacobi_sweeps_batch(stack, thresholds, config.MAX_SWEEPS)
+            for j, i in enumerate(chunk):
+                solved[i] = (stack[j], int(sweeps[j]), float(offs[j]))
+    out = []
+    for (_, scale, threshold), (a, sweeps, off), (_, kind, p) in zip(prepared, solved, specs):
+        out.append(_finish(a, None, sweeps, off, threshold, scale, kind, p))
+    return out
 
 
 def sombor_decomposition(g: Graph, p: float, want_vectors: bool = False) -> SpectralDecomposition:

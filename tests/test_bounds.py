@@ -318,3 +318,35 @@ def test_violation_payload_reproducible():
     payload = rep.violations[0]
     assert payload["graph"] == "K4" and payload["p"] == 2.0
     assert Graph(payload["n"], [tuple(e) for e in payload["edges"]]) == complete_graph(4)
+
+
+@pytest.mark.parametrize("corpus", ("special", "families"))
+def test_suite_jobs_two_matches_serial_on_corpus(corpus):
+    from psombor.bounds import build_corpus
+
+    graphs = build_corpus(corpus)
+    serial = run_suite(graphs, p_values=(-1.0, 2.0), corpus_name=corpus)
+    parallel = run_suite(graphs, p_values=(-1.0, 2.0), jobs=2, corpus_name=corpus)
+    assert serial.to_dict() == parallel.to_dict()
+
+
+def test_prefilled_contexts_give_the_reports_of_fresh_ones():
+    from psombor.bounds import _prefilled_contexts
+
+    graphs = corpus_families(6) + corpus_special() + corpus_trees(5, 6)
+    contexts = _prefilled_contexts(graphs, P_GRID, None)
+    for (graph_id, g), per_p in zip(graphs, contexts):
+        assert [ctx.p for ctx in per_p] == list(P_GRID)
+        assert len({id(ctx.adec) for ctx in per_p}) == 1
+        for ctx in per_p:
+            fresh = CheckContext(g, ctx.p, graph_id)
+            assert ([r.to_dict() for r in all_checks(g, ctx.p, ctx)]
+                    == [r.to_dict() for r in all_checks(g, ctx.p, fresh)])
+
+
+def test_prefill_rejects_unknown_property():
+    ctx = CheckContext(path_graph(3), 2.0)
+    with pytest.raises(AttributeError):
+        ctx.prefill(sdecc=None)
+    with pytest.raises(AttributeError):
+        ctx.prefill(g=None)

@@ -223,3 +223,48 @@ def test_subprocess_exit_codes(tmp_path):
                              "--corpus", "special", "--p", "2", "--tol", "-1"],
                             capture_output=True)
     assert forced.returncode == 2
+
+
+@pytest.mark.parametrize("p", ("1000", "-1000"))
+def test_verify_huge_abs_p_runs_clean(p, capsys):
+    assert run(["verify", "--corpus", "special", f"--p={p}"]) == 0
+    assert "pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p", ("1e-4", "-1e-4"))
+def test_verify_tiny_abs_p_is_clean_range_error(p, capsys):
+    # 2^(1/p) leaves the float range: a clean message, not a traceback
+    assert run(["verify", "--corpus", "families", f"--p={p}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: result out of floating-point range")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("p", ("inf", "-inf", "nan", "2,inf"))
+def test_non_finite_p_rejected(p, p4_file, capsys):
+    assert run(["spectrum", "--input", p4_file, f"--p={p}"]) == 1
+    assert "error: p must be finite" in capsys.readouterr().err
+
+
+def test_convergence_failure_is_clean_error(monkeypatch, p4_file, capsys):
+    from psombor import config
+
+    monkeypatch.setattr(config, "MAX_SWEEPS", 0)
+    assert run(["spectrum", "--input", p4_file]) == 1
+    assert capsys.readouterr().err.startswith("error: no convergence after 0 sweeps")
+
+
+def test_trees_verify_extremes_enumerates_once(monkeypatch, capsys):
+    from psombor import cli, extremal
+
+    calls = []
+    enumerate_trees = extremal.enumerate_trees
+
+    def counting(n, max_degree=None):
+        calls.append(n)
+        return enumerate_trees(n, max_degree)
+
+    monkeypatch.setattr(cli, "enumerate_trees", counting)
+    monkeypatch.setattr(extremal, "enumerate_trees", counting)
+    assert run(["trees", "--n", "7", "--verify-extremes", "--p", "1,2,3"]) == 0
+    assert calls == [7]

@@ -148,3 +148,14 @@ def test_repeated_shifts_reach_star():
         u, v = report.outcomes[0].edge
         g = shift_transform(g, u, v)
     assert sorted(g.degrees) == [1] * 5 + [5]
+
+
+def test_tree_extremes_reuses_a_given_catalog():
+    catalog = enumerate_trees(8)
+    for p in (1.0, 2.0):
+        given = verify_tree_extremes(8, p, catalog)
+        assert given == verify_tree_extremes(8, p)
+    with pytest.raises(ValueError):
+        verify_tree_extremes(9, 2.0, catalog)
+    with pytest.raises(ValueError):
+        verify_tree_extremes(8, 2.0, enumerate_trees(8, max_degree=3))

@@ -270,3 +270,71 @@ def test_decomposition_serializes():
     d = dec.to_dict()
     assert d["kind"] == "p_sombor" and len(d["eigenvalues"]) == 4
     assert sum(m for _, m in d["distinct"]) == 4
+
+
+def test_decompose_many_equals_one_at_a_time():
+    from psombor.spectral import adjacency_matrix, eigen_decompose_many
+
+    specs = []
+    for g in (path_graph(5), cycle_graph(5), star_graph(7), complete_graph(4),
+              random_gnm(7, 10, 3), Graph(0), Graph(1)):
+        specs.append((adjacency_matrix(g), "adjacency", None))
+        for p in (-1.0, 2.0):
+            specs.append((build_sombor_matrix(g, p), "p_sombor", p))
+            specs.append((build_p_laplacian(g, p), "p_laplacian", p))
+    many = eigen_decompose_many(specs)
+    assert len(many) == len(specs)
+    for (matrix, kind, p), dec in zip(specs, many):
+        one = eigen_decompose(matrix, False, kind, p)
+        assert dec.to_dict() == one.to_dict()
+        assert np.array_equal(dec.eigenvalues, one.eigenvalues)
+        assert (dec.scale, dec.eigenvectors) == (one.scale, None)
+
+
+def test_decompose_many_validates_like_eigen_decompose():
+    from psombor.spectral import eigen_decompose_many
+
+    good = (build_sombor_matrix(path_graph(3), 2.0), "p_sombor", 2.0)
+    with pytest.raises(ValueError, match="symmetric"):
+        eigen_decompose_many([good, (np.array([[0.0, 1.0], [2.0, 0.0]]), "p_sombor", 2.0)])
+    with pytest.raises(ValueError, match="finite"):
+        eigen_decompose_many([(np.array([[0.0, math.nan], [math.nan, 0.0]]), "p_sombor", 2.0)])
+
+
+def test_decompose_many_raises_the_scalar_convergence_error(monkeypatch):
+    from psombor import config
+    from psombor.spectral import eigen_decompose_many
+
+    monkeypatch.setattr(config, "MAX_SWEEPS", 1)
+    mats = [build_sombor_matrix(g, 2.0) for g in (complete_graph(3), random_gnm(8, 14, 5))]
+    eigen_decompose(mats[0])           # converges within the one sweep
+    with pytest.raises(EigenConvergenceError) as scalar:
+        eigen_decompose(mats[1])
+    with pytest.raises(EigenConvergenceError) as batched:
+        eigen_decompose_many([(m, "p_sombor", 2.0) for m in mats])
+    assert (batched.value.residual, batched.value.sweeps) == (scalar.value.residual, 1)
+    assert str(batched.value) == str(scalar.value)
+
+
+def test_edge_weight_direct_form_bits_for_ordinary_p():
+    for p in (-3.0, -1.0, 0.5, 1.0, 2.0, 3.0):
+        for di in range(1, 12):
+            for dj in range(1, 12):
+                assert edge_weight(di, dj, p) == (di ** p + dj ** p) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("p", (1000.0, -1000.0, 1e5, -1e5, 800.0))
+def test_edge_weight_large_abs_p_stays_finite_and_in_range(p):
+    for di, dj in ((4, 4), (2, 3), (1, 9), (9, 9), (600, 700)):
+        w = edge_weight(di, dj, p)
+        hi, lo = max(di, dj), min(di, dj)
+        if p > 0:
+            assert hi <= w <= 2.0 ** (1.0 / p) * hi
+        else:
+            assert 2.0 ** (1.0 / p) * lo <= w <= lo
+    assert edge_weight(4, 4, p) == pytest.approx(4.0 * 2.0 ** (1.0 / p), rel=1e-15)
+
+
+def test_edge_weight_overflows_only_when_the_weight_does():
+    with pytest.raises(OverflowError):
+        edge_weight(1, 1, 1e-4)        # 2^10000
