@@ -15,14 +15,7 @@ import numpy as np
 
 def off_diagonal_norm(a) -> float:
     """Frobenius norm of the off-diagonal part of a symmetric matrix."""
-    n = a.shape[0]
-    rows = a.tolist()
-    total = 0.0
-    for p in range(n - 1):
-        row = rows[p]
-        for q in range(p + 1, n):
-            total += 2.0 * row[q] * row[q]
-    return sqrt(total)
+    return _off_from_rows(a.tolist(), a.shape[0])
 
 
 def jacobi_sweeps(a, v, threshold: float, max_sweeps: int):

@@ -1,18 +1,21 @@
 """Machine-checkable inequality verification for graph spectra and indices.
 
-Every theorem-shaped claim becomes a check producing a BoundReport; run_suite
-executes all checks over a corpus and a grid of p values. Checks whose
-derivations only hold for p >= 1 are hard-asserted on that domain and run
-observe-only elsewhere; two claims that fail on small graphs as printed
-(check ids thm4.3 and cor-rad.randic) are permanently observe-only.
+Every theorem-shaped claim is one entry of CHECKS: its statement, when it
+applies, how to evaluate its value and bound(s), where it is hard-asserted and
+when equality is expected. One runner turns an entry and a CheckContext into a
+BoundReport; run_suite executes the table over a corpus and a grid of p
+values. Checks whose derivations only hold for p >= 1 are hard-asserted on
+that domain and run observe-only elsewhere; two claims that fail on small
+graphs as printed (check ids thm4.3 and cor-rad.randic) are permanently
+observe-only.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from . import config
 from .graphs import (
@@ -56,6 +59,7 @@ from .spectral import (
 )
 
 EXP_LIMIT = config.ESTRADA_EXP_LIMIT
+OUTCOMES = ("pass", "fail", "na", "observe_pass", "observe_fail")
 
 
 @dataclass
@@ -98,86 +102,120 @@ class BoundReport:
         }
 
 
-class CheckContext:
-    """Caches the per-(graph, p) quantities shared by the checks."""
-
-    def __init__(self, g: Graph, p: float, graph_id: str = "g",
-                 holds_tol: float | None = None):
-        if p == 0:
-            raise ValueError("p must be nonzero")
-        self.g = g
-        self.p = p
-        self.graph_id = graph_id
-        self.holds_tol = config.default_holds_tol() if holds_tol is None else holds_tol
-
-    def prefill(self, **values) -> "CheckContext":
-        """Fill cached properties (sdec, complement_ctx, ...) with values
-        computed elsewhere, e.g. by one batched eigensolve for many graphs."""
+class _Cached:
+    def prefill(self, **values):
+        """Fill cached properties (adec of a GraphContext, sdec of a
+        CheckContext, ...) with values computed elsewhere, e.g. by one
+        batched eigensolve for many graphs."""
         for name in values:
             if not isinstance(getattr(type(self), name, None), cached_property):
-                raise AttributeError(f"{name!r} is not a cached CheckContext property")
+                raise AttributeError(
+                    f"{name!r} is not a cached {type(self).__name__} property")
         self.__dict__.update(values)
         return self
 
-    @cached_property
-    def stats(self):
-        return structure_stats(self.g)
 
-    @cached_property
-    def so(self) -> float:
-        return sombor_index(self.g, self.p)
+class GraphContext(_Cached):
+    """The p-independent quantities of one graph, each computed once on first
+    use and shared by the CheckContext of every p."""
 
-    @cached_property
-    def moments(self):
-        return moments_closed_form(self.g, self.p)
+    def __init__(self, g: Graph):
+        self.g = g
 
-    @cached_property
-    def sdec(self):
-        return sombor_decomposition(self.g, self.p)
-
-    @cached_property
-    def adec(self):
-        return adjacency_decomposition(self.g)
-
-    @cached_property
-    def ldec(self):
-        return laplacian_decomposition(self.g, self.p)
-
-    @cached_property
-    def energy(self) -> float:
-        return graph_energy(self.sdec)
-
-    @cached_property
-    def estrada(self) -> float:
-        return estrada_index(self.sdec)
-
-    @cached_property
-    def complement_ctx(self) -> "CheckContext":
-        return CheckContext(complement(self.g), self.p,
-                            self.graph_id + "~", self.holds_tol)
-
-    @cached_property
-    def complement_component_ctxs(self) -> list["CheckContext"]:
-        cg = self.complement_ctx.g
-        out = []
-        for idx, comp in enumerate(connected_components(cg)):
-            out.append(CheckContext(induced_subgraph(cg, comp), self.p,
-                                    f"{self.graph_id}~c{idx}", self.holds_tol))
-        return out
+    stats = cached_property(lambda self: structure_stats(self.g))
+    adec = cached_property(lambda self: adjacency_decomposition(self.g))
+    complement = cached_property(lambda self: GraphContext(complement(self.g)))
+    complement_components = cached_property(lambda self: [
+        GraphContext(induced_subgraph(self.complement.g, comp))
+        for comp in connected_components(self.complement.g)])
+    n_components = cached_property(lambda self: len(connected_components(self.g)))
+    m1 = cached_property(lambda self: first_zagreb(self.g))
+    randic = cached_property(lambda self: randic_index(self.g))
+    isi = cached_property(lambda self: isi_index(self.g))
+    is_complete = cached_property(lambda self: is_complete(self.g))
+    is_complete_bipartite = cached_property(lambda self: is_complete_bipartite(self.g))
+    is_balanced_complete_bipartite = cached_property(
+        lambda self: is_balanced_complete_bipartite(self.g))
+    is_complete_multipartite = cached_property(lambda self: is_complete_multipartite(self.g))
+    is_c4_free = cached_property(lambda self: is_c4_free(self.g))
+    subdivision = cached_property(lambda self: subdivision(self.g))
 
 
-def _make_report(ctx: CheckContext, check_id: str, statement: str,
-                 value: float, lower: float | None = None,
-                 upper: float | None = None, *, applicable: bool = True,
-                 reason: str | None = None, hard: bool = True,
-                 eq_expected: bool = False, tol: float | None = None,
-                 scale: float | None = None, extra: dict | None = None) -> BoundReport:
-    if not applicable:
-        return BoundReport(check_id, statement, ctx.graph_id, ctx.p,
-                           value, None, None, None, None, False, reason,
-                           hard, False, None, extra or {})
-    tol = ctx.holds_tol if tol is None else tol
-    scale = max(1.0, abs(value)) if scale is None else scale
+class CheckContext(_Cached):
+    """The per-(graph, p) view the checks read: the p-dependent quantities,
+    over the GraphContext that holds the p-independent ones."""
+
+    def __init__(self, g: Graph, p: float, graph_id: str = "g",
+                 holds_tol: float | None = None, graph: GraphContext | None = None):
+        if p == 0:
+            raise ValueError("p must be nonzero")
+        self.graph = GraphContext(g) if graph is None else graph
+        self.g = self.graph.g
+        self.n, self.m = self.g.n, self.g.m
+        self.p = p
+        self.graph_id = graph_id
+        self.holds_tol = config.HOLDS_REL_TOL if holds_tol is None else holds_tol
+
+    root = cached_property(lambda self: 2.0 ** (1.0 / self.p))
+    so = cached_property(lambda self: sombor_index(self.g, self.p))
+    moments = cached_property(lambda self: moments_closed_form(self.g, self.p))
+    sdec = cached_property(lambda self: sombor_decomposition(self.g, self.p))
+    ldec = cached_property(lambda self: laplacian_decomposition(self.g, self.p))
+    energy = cached_property(lambda self: graph_energy(self.sdec))
+    estrada = cached_property(lambda self: estrada_index(self.sdec))
+    complement_ctx = cached_property(lambda self: CheckContext(
+        self.graph.complement.g, self.p, self.graph_id + "~", self.holds_tol,
+        self.graph.complement))
+    complement_component_ctxs = cached_property(lambda self: [
+        CheckContext(gc.g, self.p, f"{self.graph_id}~c{idx}", self.holds_tol, gc)
+        for idx, gc in enumerate(self.graph.complement_components)])
+
+    # shorthands for the check table
+    stats = property(lambda self: self.graph.stats)
+    adec = property(lambda self: self.graph.adec)
+    dmax = property(lambda self: self.graph.stats.max_degree)
+    dmin = property(lambda self: self.graph.stats.min_degree)
+    xi1 = property(lambda self: self.sdec.radius)
+    etas = property(lambda self: self.ldec.eigenvalues)
+    n2 = property(lambda self: self.moments.n2)
+    n3 = property(lambda self: self.moments.n3)
+    n4 = property(lambda self: self.moments.n4)
+
+
+# ---------------------------------------------------------------------------
+# the check table
+
+@dataclass(frozen=True)
+class Check:
+    """One inequality: bounds(c) gives (value, lower, upper) on the
+    CheckContext c, and runs only where applies(c) holds (the report is
+    otherwise not applicable, with reason na). hard is a bool or a predicate
+    of c; where it is false the report is observe-only, with reason observe.
+    note(c) may annotate a hard report (e.g. a radicand clamped at 0)."""
+
+    id: str
+    family: str
+    statement: str
+    bounds: Callable
+    applies: Callable | None = None
+    na: str | None = None
+    hard: bool | Callable = True
+    observe: str | None = None
+    equality: bool | Callable = False
+    tol: float | None = None
+    scale: Callable | None = None
+    extra: Callable | None = None
+    note: Callable | None = None
+
+
+def _report(check: Check, c: CheckContext) -> BoundReport:
+    hard = check.hard(c) if callable(check.hard) else check.hard
+    if check.applies is not None and not check.applies(c):
+        return BoundReport(check.id, check.statement, c.graph_id, c.p, 0.0, None, None,
+                           None, None, False, check.na, hard, False, None)
+    value, lower, upper = check.bounds(c)
+    tol = c.holds_tol if check.tol is None else check.tol
+    scale = max(1.0, abs(value)) if check.scale is None else check.scale(c)
     slacks = []
     if lower is not None:
         slacks.append(value - lower)
@@ -186,569 +224,410 @@ def _make_report(ctx: CheckContext, check_id: str, statement: str,
     slack = min(slacks) if slacks else None
     holds = None if slack is None else slack >= -tol * scale
     eq_observed = None if slack is None else abs(slack) <= config.EQUALITY_REL_TOL * scale
-    return BoundReport(check_id, statement, ctx.graph_id, ctx.p, value,
-                       lower, upper, slack, holds, True, reason, hard,
-                       eq_expected, eq_observed, extra or {})
+    reason = (check.note(c) if check.note else None) if hard else check.observe
+    return BoundReport(check.id, check.statement, c.graph_id, c.p, value, lower, upper,
+                       slack, holds, True, reason, hard,
+                       check.equality(c) if callable(check.equality) else check.equality,
+                       eq_observed,
+                       check.extra(c) if check.extra else {})
 
 
-# ---------------------------------------------------------------------------
-# moment / index checks
+def _has_edge(c):
+    return c.m >= 1
+
+
+def _connected(c):
+    return c.stats.is_connected
+
+
+def _connected2(c):
+    return c.stats.is_connected and c.n >= 2
+
+
+def _regular(c):
+    return c.stats.is_regular
+
+
+def _complete(c):
+    return c.graph.is_complete
+
+
+def _p_at_least_1(c):
+    return c.p >= 1
+
+
+def _min_degree_positive(c):
+    return c.dmin >= 1
+
+
+def _clamp_note(inner):
+    return lambda c: "inner radicand clamped at 0" if inner(c) < 0 else None
+
+
+def _thm2_2(c, d):
+    return math.sqrt(max(0.0, 0.5 * c.n2 + 2.0 ** (2.0 / c.p) * d ** 2 * c.m * (c.m - 1)))
+
+
+def _thm2_5(c, d, d_power):
+    # (N4 - 2^(4/p) d^d_power (M1 - 2m)) / (2^(1+3/p) d^4)
+    return ((c.n4 - 2.0 ** (4.0 / c.p) * d ** d_power * (c.graph.m1 - 2 * c.m))
+            / (2.0 ** (1 + 3.0 / c.p) * d ** 4))
+
+
+def _thm2_8(c):
+    ident = math.sqrt(max(0.0, 0.5 * c.m * c.n2 - c.m * c.m * weight_variance(c.g, c.p)))
+    return c.so, ident, ident
+
+
+def _thm3_10_2(c):
+    n1, n2 = c.stats.bipartition_sizes
+    coeff = n1 * n2 / c.n
+    return c.so, coeff * float(c.etas[-2]), coeff * float(c.etas[0])
+
+
+def _lem3_11_2(c):
+    return c.n ** (1.0 / c.p) * c.dmax ** (1 + 1.0 / c.p) * c.m ** (1 - 1.0 / c.p)
+
+
+def _cor3_12_cap(c):
+    return min(2.0 ** (1 + 1.0 / c.p) * c.dmax * c.m, 2.0 * _lem3_11_2(c))
+
+
+def _energy_lower(bound):
+    """Energy lower bound from N2, n and the largest and smallest |eigenvalue|."""
+    def evaluate(c):
+        abs_eigs = abs(c.sdec.eigenvalues)
+        return c.energy, bound(c.n, c.n2, float(abs_eigs.max()), float(abs_eigs.min())), None
+    return evaluate
+
+
+def _cmp4_2_4_3(c):
+    ratio = c.n3 / math.sqrt(c.n2 * c.n4)
+    better = "thm4.2" if ratio > 1 else ("thm4.3" if ratio < 1 else "tie")
+    return {"moment_ratio": ratio, "bound_thm4.2": math.sqrt(c.n2 ** 3 / c.n4),
+            "bound_thm4.3": c.n2 ** 2 / c.n3, "better": better}
+
+
+def _cmp4_2_4_3_value(c):
+    x = _cmp4_2_4_3(c)
+    return (x["bound_thm4.3"] - x["bound_thm4.2"]) * (1.0 - x["moment_ratio"]), 0.0, None
+
+
+def _thm4_10_4(c):
+    n, q = c.n, c.n4 ** 0.25
+    return (c.estrada, None,
+            n - 1 + 0.5 * c.n2 + c.n3 / 6.0 - q - 0.5 * q * q - q ** 3 / 6.0 + math.exp(q))
+
+
+def _thm4_11_2(c):
+    n_pos, n_zero, n_neg = c.sdec.inertia
+    xi1, energy = c.xi1, c.energy
+    lower = (math.exp(xi1) + n_zero
+             + (n_pos - 1) * math.exp((energy - 2 * xi1) / (2.0 * (n_pos - 1)))
+             + n_neg * math.exp(-energy / (2.0 * n_neg)))
+    return c.estrada, lower, None
+
+
+def _thm5_5_inner(c):
+    return 2 * c.m - c.dmin * (c.n - 1) + (c.dmin - 1) * c.dmax
+
+
+def _thm5_7_parts(c):
+    n, m, p, dd = c.n, c.m, c.p, c.dmax
+    cap = 2.0 ** (1 + 2.0 / p) * m * dd ** 2
+    a = max(2.0 ** (1 + 1.0 / p) * c.dmin * m / n, dd * math.sqrt(2.0 ** (1 + 2.0 / p) * m / n))
+    return a, (n - 1) * (cap - a * a)
+
+
+def _thm5_7(c):
+    a, inner = _thm5_7_parts(c)
+    return c.energy, None, a + math.sqrt(max(0.0, inner))
+
+
+def _ng_radius_sum(c):
+    return c.xi1 + c.complement_ctx.xi1
+
+
+def _thm5_9_1(c):
+    n, root = c.n, c.root
+    first = root * (n - 1) * math.sqrt(max(0.0, 2 * c.m - n + 1))
+    second = 0.0
+    edged = [k for k in c.complement_component_ctxs if k.m >= 1]
+    if edged:
+        c1 = max(edged, key=lambda k: k.xi1)
+        inner = 2 * c1.m - c1.dmin * (c1.n - 1 - c1.dmax) - c1.dmax
+        second = root * c1.dmax * math.sqrt(max(0.0, inner))
+    return _ng_radius_sum(c), None, first + second
+
+
+def _thm5_9_2(c):
+    n, m, dd, dmin = c.n, c.m, c.dmax, c.dmin
+    inner2 = n * (n - 1) - 2 * m - (dmin + 1) * (n - 1) + dmin * (dd + 1)
+    return (_ng_radius_sum(c), None, c.root * dd * math.sqrt(max(0.0, _thm5_5_inner(c)))
+            + c.root * (n - 1 - dmin) * math.sqrt(max(0.0, inner2)))
+
+
+def _thm5_10(c):
+    comp_term = 0.0
+    for gc in c.graph.complement_components:
+        cn, cm = gc.g.n, gc.g.m
+        if cm == 0:
+            continue
+        comp_term += cm * (cn - 1 - gc.stats.max_degree) / cn
+    return (c.energy + c.complement_ctx.energy,
+            2.0 ** (2 + 1.0 / c.p) * (c.m * c.dmin / c.n + comp_term), None)
+
+
+CHECKS = (
+    # -- the index against spectral moments and other indices -------------
+    Check("thm2.2", "moment",
+          "sqrt(N2/2 + 2^(2/p) deg_min^2 m(m-1)) <= SO_p <= sqrt(N2/2 + 2^(2/p) deg_max^2 m(m-1))",
+          lambda c: (c.so, _thm2_2(c, c.dmin), _thm2_2(c, c.dmax)),
+          _has_edge, "no edges", equality=_regular),
+    Check("thm2.3", "moment", "N2 / (2^(1+1/p) deg_max) <= SO_p <= N2 / (2^(1+1/p) deg_min)",
+          lambda c: (c.so, c.n2 / (2.0 ** (1 + 1.0 / c.p) * c.dmax),
+                     c.n2 / (2.0 ** (1 + 1.0 / c.p) * c.dmin) if c.dmin >= 1 else None),
+          _has_edge, "no edges", equality=_regular),
+    Check("thm2.4", "moment",
+          "N3 / (2^(1+2/p) deg_max^2 t_max) <= SO_p <= N3 / (2^(1+2/p) deg_min^2 t_min)",
+          lambda c: (c.so, c.n3 / (2.0 ** (1 + 2.0 / c.p) * c.dmax ** 2 * c.stats.t_max),
+                     c.n3 / (2.0 ** (1 + 2.0 / c.p) * c.dmin ** 2 * c.stats.t_min)
+                     if c.dmin >= 1 else None),
+          lambda c: c.m >= 1 and c.stats.t_min is not None and c.stats.t_min >= 1,
+          "needs t_min >= 1",
+          equality=lambda c: c.stats.is_regular and c.stats.t_max == c.stats.t_min),
+    Check("thm2.5.lo", "moment",
+          "(N4 - 2^(4/p) deg_max^5 (M1-2m)) / (2^(1+3/p) deg_max^4) <= SO_p",
+          lambda c: (c.so, _thm2_5(c, c.dmax, 5), None),
+          _has_edge, "no edges", equality=lambda c: c.graph.is_balanced_complete_bipartite),
+    Check("thm2.5.up", "moment",
+          "SO_p <= (N4 - 2^(4/p) deg_min^4 (M1-2m)) / (2^(1+3/p) deg_min^4)",
+          lambda c: (c.so, None, _thm2_5(c, c.dmin, 4)), _min_degree_positive,
+          "isolated vertex", equality=lambda c: c.stats.is_regular and c.graph.is_c4_free),
+    Check("lem2.6", "moment", "SO_p <= 2^(1/p - 1) n (n-1)^2  [connected]",
+          lambda c: (c.so, None, 2.0 ** (1.0 / c.p - 1) * c.n * (c.n - 1) ** 2),
+          _connected, "disconnected", equality=_complete),
+    Check("thm2.7.lo", "moment", "n xi1^2 / (2^(1+1/p) deg_max (n-1)) <= SO_p",
+          lambda c: (c.so, c.n * c.xi1 ** 2 / (2.0 ** (1 + 1.0 / c.p) * c.dmax * (c.n - 1)),
+                     None),
+          lambda c: c.m >= 1 and c.n >= 2, "needs m >= 1 and n >= 2", equality=_complete),
+    Check("thm2.7.up", "moment", "SO_p <= n xi1 / 2",
+          lambda c: (c.so, None, c.n * c.xi1 / 2.0), equality=_regular),
+    Check("thm2.8", "moment", "SO_p == sqrt(m N2 / 2 - m^2 sigma^2)",
+          _thm2_8, _has_edge, "no edges", tol=1e-10, equality=True),
+    Check("thm-isi", "moment", "SO_p >= 2^(1/p + 1) ISI  [proved for p >= 1]",
+          lambda c: (c.so, 2.0 ** (1.0 / c.p + 1) * c.graph.isi, None),
+          _has_edge, "no edges", hard=_p_at_least_1, equality=_regular),
+
+    # -- the p-Laplacian spectrum ----------------------------------------
+    Check("lap-trace", "laplacian", "SO_p == (1/2) sum of Laplacian eigenvalues",
+          lambda c: (c.so, 0.5 * float(c.etas.sum()), 0.5 * float(c.etas.sum())),
+          tol=1e-10, equality=True),
+    Check("lem3.8.psd", "laplacian", "smallest Laplacian eigenvalue is 0 (and none negative)",
+          lambda c: (float(c.etas[-1]), 0.0, 0.0), scale=lambda c: c.ldec.scale),
+    Check("lem3.8.mult", "laplacian",
+          "zero Laplacian eigenvalue multiplicity == component count",
+          lambda c: (float(c.ldec.inertia[1]), float(c.graph.n_components),
+                     float(c.graph.n_components))),
+    Check("thm3.10.1", "laplacian",
+          "(n-1)/2 eta_second_smallest <= SO_p <= (n-1)/2 eta_max  [connected]",
+          lambda c: (c.so, (c.n - 1) / 2.0 * float(c.etas[-2]),
+                     (c.n - 1) / 2.0 * float(c.etas[0])),
+          _connected2, "needs connected, n >= 2", equality=_complete),
+    Check("thm3.10.2", "laplacian",
+          "n1 n2 / n * eta_second_smallest <= SO_p <= n1 n2 / n * eta_max  [connected bipartite]",
+          _thm3_10_2, lambda c: _connected2(c) and c.stats.is_bipartite,
+          "needs connected bipartite", equality=lambda c: c.graph.is_complete_bipartite),
+    Check("lem3.11.1", "laplacian", "SO_p <= 2^(1/p) deg_max m  [proved for p >= 1]",
+          lambda c: (c.so, None, c.root * c.dmax * c.m),
+          _has_edge, "no edges", hard=_p_at_least_1, equality=_regular),
+    Check("lem3.11.2", "laplacian",
+          "SO_p <= n^(1/p) deg_max^(1+1/p) m^(1-1/p)  [proved for p >= 1]",
+          lambda c: (c.so, None, _lem3_11_2(c)),
+          _has_edge, "no edges", hard=_p_at_least_1, equality=_regular),
+    Check("cor3.12.1", "laplacian",
+          "sum of Laplacian eigenvalues <= min(2^(1+1/p) deg_max m, 2 n^(1/p) deg_max^(1+1/p) m^(1-1/p))",
+          lambda c: (float(c.etas.sum()), None, _cor3_12_cap(c)),
+          _has_edge, "no edges", hard=_p_at_least_1, equality=_regular),
+    Check("cor3.12.2", "laplacian", "eta_second_smallest <= the same cap / (n-1)  [connected]",
+          lambda c: (float(c.etas[-2]), None, _cor3_12_cap(c) / (c.n - 1)),
+          _connected2, "needs connected, n >= 2", hard=_p_at_least_1, equality=_complete),
+    Check("cor3.13.1", "laplacian", "eta_max >= N2 / (2^(1/p) deg_max (n-1))  [connected]",
+          lambda c: (float(c.etas[0]), c.n2 / (c.root * c.dmax * (c.n - 1)), None),
+          _connected2, "needs connected, m >= 1", equality=_complete),
+    Check("cor3.13.2", "laplacian",
+          "eta_second_smallest <= N2 / (2^(1/p) deg_min (n-1))  [connected]",
+          lambda c: (float(c.etas[-2]), None, c.n2 / (c.root * c.dmin * (c.n - 1))),
+          _connected2, "needs connected, m >= 1", equality=_complete),
+
+    # -- spectral radius and spread ----------------------------------------
+    Check("thm-rad.mu", "radius", "2^(1/p) deg_min mu1 <= xi1 <= 2^(1/p) deg_max mu1",
+          lambda c: (c.xi1, c.root * c.dmin * c.adec.radius, c.root * c.dmax * c.adec.radius),
+          equality=_regular),
+    Check("cor-rad1.lo", "radius", "xi1 >= 2^(1+1/p) m deg_min / n",
+          lambda c: (c.xi1, 2.0 ** (1 + 1.0 / c.p) * c.m * c.dmin / c.n, None),
+          equality=_regular),
+    Check("cor-rad1.up", "radius", "xi1 <= 2^(1/p) deg_max sqrt(2m - n + 1)  [connected]",
+          lambda c: (c.xi1, None, c.root * c.dmax * math.sqrt(max(0.0, 2 * c.m - c.n + 1))),
+          _connected, "disconnected", equality=_complete),
+    Check("cor-rad2", "radius", "2^(1/p) deg_min sqrt(M1/n) <= xi1 <= 2^(1/p) deg_max^2",
+          lambda c: (c.xi1, c.root * c.dmin * math.sqrt(c.graph.m1 / c.n),
+                     c.root * c.dmax ** 2),
+          equality=_regular),
+    Check("cor-rad3", "radius", "xi1 >= 2^(1/p) deg_min (2m/n)",
+          lambda c: (c.xi1, c.root * c.dmin * c.stats.average_degree, None),
+          equality=_regular),
+    Check("cor-rad.randic", "radius", "xi1 >= 2^(1/p) (deg_min / m) R  [observe-only]",
+          lambda c: (c.xi1, c.root * (c.dmin / c.m) * c.graph.randic, None),
+          _has_edge, "no edges", hard=False, observe="observe-only: cited source ambiguous"),
+    Check("thm-rad.n2", "radius", "xi1 <= sqrt((n-1) N2 / n)",
+          lambda c: (c.xi1, None, math.sqrt((c.n - 1) * c.n2 / c.n)),
+          equality=lambda c: c.m == 0 or c.graph.is_complete),
+    Check("lem-diam", "radius", "distinct eigenvalue count >= diameter + 1  [connected]",
+          lambda c: (float(len(c.sdec.distinct)), c.stats.diameter + 1.0, None),
+          _connected, "disconnected"),
+    Check("thm-spread", "radius", "xi1 - xi_n <= sqrt(2 N2)  [stated for connected]",
+          lambda c: (c.xi1 - c.sdec.smallest, None, math.sqrt(2.0 * c.n2)),
+          hard=_connected, observe="observe-only: disconnected",
+          equality=lambda c: c.m == 0 or c.graph.is_complete_bipartite),
+
+    # -- energy and the Estrada index --------------------------------------
+    Check("thm4.1.1", "energy", "sqrt(2 N2) <= energy <= sqrt(n N2)",
+          lambda c: (c.energy, math.sqrt(2.0 * c.n2), math.sqrt(c.n * c.n2))),
+    Check("thm4.1.2", "energy", "energy >= sqrt(n(n-1) |det|^(2/n) + N2)",
+          lambda c: (c.energy, math.sqrt(c.n * (c.n - 1) * abs_determinant(c.sdec) ** (2.0 / c.n)
+                                         + c.n2), None)),
+    Check("thm4.1.3", "energy", "energy >= (N2 + n max|xi| min|xi|) / (max|xi| + min|xi|)",
+          _energy_lower(lambda n, n2, big, small: (n2 + n * big * small) / (big + small)),
+          _has_edge, "no edges"),
+    Check("thm4.1.4", "energy", "energy >= sqrt(4 n N2 - n^2 (max|xi| - min|xi|)^2) / 2",
+          _energy_lower(lambda n, n2, big, small:
+                        0.5 * math.sqrt(max(0.0, 4 * n * n2 - n * n * (big - small) ** 2))),
+          _has_edge, "no edges"),
+    Check("thm4.1.5", "energy",
+          "energy >= sqrt(n N2 - n floor(n/2)(1 - floor(n/2)/n)(max|xi| - min|xi|)^2)",
+          _energy_lower(lambda n, n2, big, small: math.sqrt(max(
+              0.0, n * n2 - n * math.floor(n / 2) * (1 - math.floor(n / 2) / n)
+              * (big - small) ** 2))),
+          _has_edge, "no edges"),
+    Check("thm4.2", "energy", "energy >= sqrt(N2^3 / N4)",
+          lambda c: (c.energy, math.sqrt(c.n2 ** 3 / c.n4), None), _has_edge, "no edges"),
+    Check("thm4.3", "energy", "energy >= N2^2 / N3  [observe-only]",
+          lambda c: (c.energy, c.n2 ** 2 / c.n3, None),
+          lambda c: c.n3 > 0, "needs N3 > 0", hard=False,
+          observe="observe-only: can exceed the energy (needs sum |xi|^3, not N3)"),
+    Check("cmp4.2-4.3", "energy", "larger lower bound matches the sign of N3/sqrt(N2 N4) - 1",
+          _cmp4_2_4_3_value, lambda c: c.n3 > 0 and c.m >= 1, "needs N3 > 0",
+          extra=_cmp4_2_4_3),
+    Check("thm4.10.1", "energy",
+          "estrada - energy <= n - 1 + e^sqrt(N2) - sqrt(N2) - sqrt(2 N2)",
+          lambda c: (c.estrada - c.energy, None, c.n - 1 + math.exp(math.sqrt(c.n2))
+                     - math.sqrt(c.n2) - math.sqrt(2 * c.n2)),
+          lambda c: math.sqrt(c.n2) < EXP_LIMIT, "exp overflow guard",
+          equality=lambda c: c.m == 0),
+    Check("thm4.10.2", "energy", "estrada + energy <= n - 1 + e^energy",
+          lambda c: (c.estrada + c.energy, None, c.n - 1 + math.exp(c.energy)),
+          lambda c: c.energy < EXP_LIMIT, "exp overflow guard", equality=lambda c: c.m == 0),
+    Check("thm4.10.3", "energy", "energy <= sqrt((3n-1)/3 N2)  [asserted for connected, n >= 3]",
+          lambda c: (c.energy, None, math.sqrt((3 * c.n - 1) / 3.0 * c.n2)),
+          hard=lambda c: c.stats.is_connected and c.n >= 3,
+          observe="observe-only: fails on a single weighted edge as printed",
+          equality=lambda c: c.m == 0),
+    Check("thm4.10.4", "energy",
+          "estrada <= n - 1 + N2/2 + N3/6 - q - q^2/2 - q^3/6 + e^q, q = N4^(1/4)",
+          _thm4_10_4, lambda c: c.n4 ** 0.25 < EXP_LIMIT, "exp overflow guard"),
+    Check("thm4.10.5", "energy", "estrada >= sqrt(n^2 + (N2/2)^2 + n N2 + n N3/3 + n N4/12)",
+          lambda c: (c.estrada, math.sqrt(c.n * c.n + (0.5 * c.n2) ** 2 + c.n * c.n2
+                                          + c.n * c.n3 / 3.0 + c.n * c.n4 / 12.0), None)),
+    Check("thm4.11.1", "energy", "(e-1)/2 energy + n - n_pos <= estrada <= n - 1 + e^(energy/2)",
+          lambda c: (c.estrada, 0.5 * (math.e - 1) * c.energy + c.n - c.sdec.inertia[0],
+                     c.n - 1 + math.exp(c.energy / 2.0)),
+          lambda c: c.energy / 2.0 < EXP_LIMIT, "exp overflow guard",
+          equality=lambda c: c.m == 0),
+    Check("thm4.11.2", "energy",
+          "estrada >= e^xi1 + n_zero + (n_pos-1) e^((energy-2 xi1)/(2(n_pos-1))) + n_neg e^(-energy/(2 n_neg))",
+          _thm4_11_2,
+          lambda c: (c.sdec.inertia[0] >= 2 and c.sdec.inertia[2] >= 1
+                     and c.xi1 < EXP_LIMIT),
+          "needs n_pos >= 2 and n_neg >= 1"),
+    Check("thm4.12", "energy",
+          "energy(subdivision) <= 2 sqrt(2) sqrt(m n) (2^p + k^p)^(1/p)  [k-regular]",
+          lambda c: (graph_energy(sombor_decomposition(c.graph.subdivision, c.p)), None,
+                     2.0 * math.sqrt(2.0) * math.sqrt(c.m * c.n) * edge_weight(2, c.dmax, c.p)),
+          lambda c: c.stats.is_regular and c.m >= 1, "needs a regular graph with edges"),
+
+    # -- Nordhaus-Gaddum ---------------------------------------------------
+    Check("lem5.4", "nordhaus_gaddum", "xi1 >= 2^(1+1/p) deg_min m / n",
+          lambda c: (c.xi1, 2.0 ** (1 + 1.0 / c.p) * c.dmin * c.m / c.n, None),
+          equality=_regular),
+    Check("thm5.5", "nordhaus_gaddum",
+          "xi1 <= 2^(1/p) deg_max sqrt(2m - deg_min(n-1) + (deg_min-1) deg_max)",
+          lambda c: (c.xi1, None, c.root * c.dmax * math.sqrt(max(0.0, _thm5_5_inner(c)))),
+          _min_degree_positive, "needs deg_min >= 1", equality=_regular,
+          note=_clamp_note(_thm5_5_inner)),
+    Check("thm5.6", "nordhaus_gaddum", "energy >= 2^(2+1/p) deg_min m / n",
+          lambda c: (c.energy, 2.0 ** (2 + 1.0 / c.p) * c.dmin * c.m / c.n, None),
+          equality=lambda c: c.m == 0 or (c.stats.is_regular
+                                          and c.graph.is_complete_multipartite)),
+    Check("thm5.7", "nordhaus_gaddum", "energy <= a + sqrt((n-1)(2^(1+2/p) m deg_max^2 - a^2))",
+          _thm5_7, _min_degree_positive, "needs deg_min >= 1",
+          note=_clamp_note(lambda c: _thm5_7_parts(c)[1])),
+    Check("thm5.8", "nordhaus_gaddum",
+          "xi1 + xi1(complement) >= 2^(1+1/p)/n (m deg_min + (n-1-deg_max)(C(n,2) - m))",
+          lambda c: (_ng_radius_sum(c), 2.0 ** (1 + 1.0 / c.p) / c.n
+                     * (c.m * c.dmin + (c.n - 1 - c.dmax) * (c.n * (c.n - 1) / 2.0 - c.m)),
+                     None),
+          equality=_regular),
+    Check("thm5.9.1", "nordhaus_gaddum",
+          "xi1 + xi1(complement) <= 2^(1/p)(n-1) sqrt(2m-n+1) + component term  [deg_max = n-1]",
+          _thm5_9_1, lambda c: c.stats.is_connected and c.dmax == c.n - 1,
+          "needs connected, deg_max = n-1"),
+    Check("thm5.9.2", "nordhaus_gaddum",
+          "xi1 + xi1(complement) <= 2^(1/p) deg_max sqrt(...) + 2^(1/p)(n-1-deg_min) sqrt(...)  [deg_max, deg_min <= n-2]",
+          _thm5_9_2, lambda c: c.stats.is_connected and c.dmax != c.n - 1,
+          "needs connected, deg_max <= n-2"),
+    Check("thm5.10", "nordhaus_gaddum",
+          "energy + energy(complement) >= 2^(2+1/p) (m deg_min / n + sum over complement components)",
+          _thm5_10, _connected, "disconnected", equality=_complete),
+)
+
+_BY_FAMILY: dict[str, list[Check]] = {}
+for _check in CHECKS:
+    _BY_FAMILY.setdefault(_check.family, []).append(_check)
+
+
+def _run_family(family: str, g: Graph, p: float, ctx: CheckContext | None) -> list[BoundReport]:
+    ctx = ctx or CheckContext(g, p)
+    if g.n == 0:
+        return []
+    return [_report(check, ctx) for check in _BY_FAMILY[family]]
+
 
 def check_moment_index_bounds(g: Graph, p: float, ctx: CheckContext | None = None) -> list[BoundReport]:
-    ctx = ctx or CheckContext(g, p)
-    st = ctx.stats
-    n, m = g.n, g.m
-    dd, dmin = st.max_degree, st.min_degree
-    reports = []
-    if n == 0:
-        return reports
-    mom = ctx.moments
-    so = ctx.so
-    has_edge = m >= 1
+    return _run_family("moment", g, p, ctx)
 
-    lo = math.sqrt(max(0.0, 0.5 * mom.n2 + 2.0 ** (2.0 / p) * dmin ** 2 * m * (m - 1)))
-    up = math.sqrt(max(0.0, 0.5 * mom.n2 + 2.0 ** (2.0 / p) * dd ** 2 * m * (m - 1)))
-    reports.append(_make_report(
-        ctx, "thm2.2",
-        "sqrt(N2/2 + 2^(2/p) deg_min^2 m(m-1)) <= SO_p <= sqrt(N2/2 + 2^(2/p) deg_max^2 m(m-1))",
-        so, lo if has_edge else None, up if has_edge else None,
-        applicable=has_edge, reason=None if has_edge else "no edges",
-        eq_expected=st.is_regular and has_edge))
-
-    reports.append(_make_report(
-        ctx, "thm2.3",
-        "N2 / (2^(1+1/p) deg_max) <= SO_p <= N2 / (2^(1+1/p) deg_min)",
-        so,
-        mom.n2 / (2.0 ** (1 + 1.0 / p) * dd) if has_edge else None,
-        mom.n2 / (2.0 ** (1 + 1.0 / p) * dmin) if has_edge and dmin >= 1 else None,
-        applicable=has_edge, reason=None if has_edge else "no edges",
-        eq_expected=st.is_regular and has_edge))
-
-    t_ok = has_edge and st.t_min is not None and st.t_min >= 1
-    reports.append(_make_report(
-        ctx, "thm2.4",
-        "N3 / (2^(1+2/p) deg_max^2 t_max) <= SO_p <= N3 / (2^(1+2/p) deg_min^2 t_min)",
-        so,
-        mom.n3 / (2.0 ** (1 + 2.0 / p) * dd ** 2 * st.t_max) if t_ok else None,
-        mom.n3 / (2.0 ** (1 + 2.0 / p) * dmin ** 2 * st.t_min) if t_ok and dmin >= 1 else None,
-        applicable=t_ok, reason=None if t_ok else "needs t_min >= 1",
-        eq_expected=t_ok and st.is_regular and st.t_max == st.t_min))
-
-    if has_edge:
-        m1 = first_zagreb(g)
-        paths2 = m1 - 2 * m
-        lo25 = (mom.n4 - 2.0 ** (4.0 / p) * dd ** 5 * paths2) / (2.0 ** (1 + 3.0 / p) * dd ** 4)
-        reports.append(_make_report(
-            ctx, "thm2.5.lo",
-            "(N4 - 2^(4/p) deg_max^5 (M1-2m)) / (2^(1+3/p) deg_max^4) <= SO_p",
-            so, lo25, None, eq_expected=is_balanced_complete_bipartite(g)))
-        up_ok = dmin >= 1
-        up25 = ((mom.n4 - 2.0 ** (4.0 / p) * dmin ** 4 * paths2)
-                / (2.0 ** (1 + 3.0 / p) * dmin ** 4)) if up_ok else None
-        reports.append(_make_report(
-            ctx, "thm2.5.up",
-            "SO_p <= (N4 - 2^(4/p) deg_min^4 (M1-2m)) / (2^(1+3/p) deg_min^4)",
-            so, None, up25, applicable=up_ok,
-            reason=None if up_ok else "isolated vertex",
-            eq_expected=st.is_regular and is_c4_free(g)))
-    else:
-        reports.append(_make_report(ctx, "thm2.5.lo", "", so, applicable=False, reason="no edges"))
-        reports.append(_make_report(ctx, "thm2.5.up", "", so, applicable=False, reason="no edges"))
-
-    reports.append(_make_report(
-        ctx, "lem2.6", "SO_p <= 2^(1/p - 1) n (n-1)^2  [connected]",
-        so, None, 2.0 ** (1.0 / p - 1) * n * (n - 1) ** 2,
-        applicable=st.is_connected,
-        reason=None if st.is_connected else "disconnected",
-        eq_expected=is_complete(g) and st.is_connected))
-
-    xi1 = ctx.sdec.radius
-    lo_ok = has_edge and n >= 2
-    reports.append(_make_report(
-        ctx, "thm2.7.lo", "n xi1^2 / (2^(1+1/p) deg_max (n-1)) <= SO_p",
-        so, n * xi1 ** 2 / (2.0 ** (1 + 1.0 / p) * dd * (n - 1)) if lo_ok else None,
-        None, applicable=lo_ok, reason=None if lo_ok else "needs m >= 1 and n >= 2",
-        eq_expected=is_complete(g) and lo_ok))
-    reports.append(_make_report(
-        ctx, "thm2.7.up", "SO_p <= n xi1 / 2",
-        so, None, n * xi1 / 2.0, eq_expected=st.is_regular))
-
-    if has_edge:
-        sigma_sq = weight_variance(g, p)
-        ident = math.sqrt(max(0.0, 0.5 * m * mom.n2 - m * m * sigma_sq))
-        reports.append(_make_report(
-            ctx, "thm2.8", "SO_p == sqrt(m N2 / 2 - m^2 sigma^2)",
-            so, ident, ident, tol=1e-10, eq_expected=True))
-    else:
-        reports.append(_make_report(ctx, "thm2.8", "", so, applicable=False, reason="no edges"))
-
-    reports.append(_make_report(
-        ctx, "thm-isi", "SO_p >= 2^(1/p + 1) ISI  [proved for p >= 1]",
-        so, 2.0 ** (1.0 / p + 1) * isi_index(g) if has_edge else None, None,
-        applicable=has_edge, reason=None if has_edge else "no edges",
-        hard=p >= 1, eq_expected=st.is_regular and has_edge))
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# Laplacian checks
 
 def check_laplacian_bounds(g: Graph, p: float, ctx: CheckContext | None = None) -> list[BoundReport]:
-    ctx = ctx or CheckContext(g, p)
-    st = ctx.stats
-    n, m = g.n, g.m
-    dd, dmin = st.max_degree, st.min_degree
-    reports = []
-    if n == 0:
-        return reports
-    ldec = ctx.ldec
-    etas = ldec.eigenvalues
-    so = ctx.so
-    half_trace = 0.5 * float(etas.sum())
-    reports.append(_make_report(
-        ctx, "lap-trace", "SO_p == (1/2) sum of Laplacian eigenvalues",
-        so, half_trace, half_trace, tol=1e-10, eq_expected=True))
+    return _run_family("laplacian", g, p, ctx)
 
-    reports.append(_make_report(
-        ctx, "lem3.8.psd", "smallest Laplacian eigenvalue is 0 (and none negative)",
-        float(etas[-1]), 0.0, 0.0, scale=ldec.scale))
-    n_components = len(connected_components(g))
-    reports.append(_make_report(
-        ctx, "lem3.8.mult", "zero Laplacian eigenvalue multiplicity == component count",
-        float(ldec.inertia[1]), float(n_components), float(n_components)))
-
-    conn2 = st.is_connected and n >= 2
-    eta1 = float(etas[0])
-    eta_second_smallest = float(etas[-2]) if n >= 2 else 0.0
-    if conn2:
-        reports.append(_make_report(
-            ctx, "thm3.10.1",
-            "(n-1)/2 eta_second_smallest <= SO_p <= (n-1)/2 eta_max  [connected]",
-            so, (n - 1) / 2.0 * eta_second_smallest, (n - 1) / 2.0 * eta1,
-            eq_expected=is_complete(g)))
-    else:
-        reports.append(_make_report(ctx, "thm3.10.1", "", so, applicable=False,
-                                     reason="needs connected, n >= 2"))
-
-    if conn2 and st.is_bipartite:
-        n1, n2_ = st.bipartition_sizes
-        coeff = n1 * n2_ / n
-        reports.append(_make_report(
-            ctx, "thm3.10.2",
-            "n1 n2 / n * eta_second_smallest <= SO_p <= n1 n2 / n * eta_max  [connected bipartite]",
-            so, coeff * eta_second_smallest, coeff * eta1,
-            eq_expected=is_complete_bipartite(g)))
-    else:
-        reports.append(_make_report(ctx, "thm3.10.2", "", so, applicable=False,
-                                     reason="needs connected bipartite"))
-
-    has_edge = m >= 1
-    hard_holder = p >= 1
-    reports.append(_make_report(
-        ctx, "lem3.11.1", "SO_p <= 2^(1/p) deg_max m  [proved for p >= 1]",
-        so, None, 2.0 ** (1.0 / p) * dd * m if has_edge else None,
-        applicable=has_edge, reason=None if has_edge else "no edges",
-        hard=hard_holder, eq_expected=st.is_regular and has_edge))
-    bound_b = (n ** (1.0 / p) * dd ** (1 + 1.0 / p) * m ** (1 - 1.0 / p)) if has_edge else None
-    reports.append(_make_report(
-        ctx, "lem3.11.2", "SO_p <= n^(1/p) deg_max^(1+1/p) m^(1-1/p)  [proved for p >= 1]",
-        so, None, bound_b, applicable=has_edge,
-        reason=None if has_edge else "no edges",
-        hard=hard_holder, eq_expected=st.is_regular and has_edge))
-
-    if has_edge:
-        cap = min(2.0 ** (1 + 1.0 / p) * dd * m, 2.0 * bound_b)
-        reports.append(_make_report(
-            ctx, "cor3.12.1",
-            "sum of Laplacian eigenvalues <= min(2^(1+1/p) deg_max m, 2 n^(1/p) deg_max^(1+1/p) m^(1-1/p))",
-            float(etas.sum()), None, cap, hard=hard_holder,
-            eq_expected=st.is_regular))
-        if conn2:
-            reports.append(_make_report(
-                ctx, "cor3.12.2",
-                "eta_second_smallest <= the same cap / (n-1)  [connected]",
-                eta_second_smallest, None, cap / (n - 1), hard=hard_holder,
-                eq_expected=is_complete(g)))
-        else:
-            reports.append(_make_report(ctx, "cor3.12.2", "", 0.0, applicable=False,
-                                         reason="needs connected, n >= 2"))
-    else:
-        reports.append(_make_report(ctx, "cor3.12.1", "", 0.0, applicable=False, reason="no edges"))
-        reports.append(_make_report(ctx, "cor3.12.2", "", 0.0, applicable=False, reason="no edges"))
-
-    n2m = ctx.moments.n2
-    ok13 = conn2 and has_edge
-    reports.append(_make_report(
-        ctx, "cor3.13.1", "eta_max >= N2 / (2^(1/p) deg_max (n-1))  [connected]",
-        eta1, n2m / (2.0 ** (1.0 / p) * dd * (n - 1)) if ok13 else None, None,
-        applicable=ok13, reason=None if ok13 else "needs connected, m >= 1",
-        eq_expected=is_complete(g) and ok13))
-    reports.append(_make_report(
-        ctx, "cor3.13.2", "eta_second_smallest <= N2 / (2^(1/p) deg_min (n-1))  [connected]",
-        eta_second_smallest,
-        None, n2m / (2.0 ** (1.0 / p) * dmin * (n - 1)) if ok13 else None,
-        applicable=ok13, reason=None if ok13 else "needs connected, m >= 1",
-        eq_expected=is_complete(g) and ok13))
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# spectral radius / spread checks
 
 def check_radius_bounds(g: Graph, p: float, ctx: CheckContext | None = None) -> list[BoundReport]:
-    ctx = ctx or CheckContext(g, p)
-    st = ctx.stats
-    n, m = g.n, g.m
-    dd, dmin = st.max_degree, st.min_degree
-    reports = []
-    if n == 0:
-        return reports
-    xi1 = ctx.sdec.radius
-    mu1 = ctx.adec.radius
-    root = 2.0 ** (1.0 / p)
+    return _run_family("radius", g, p, ctx)
 
-    reports.append(_make_report(
-        ctx, "thm-rad.mu",
-        "2^(1/p) deg_min mu1 <= xi1 <= 2^(1/p) deg_max mu1",
-        xi1, root * dmin * mu1, root * dd * mu1, eq_expected=st.is_regular))
-
-    reports.append(_make_report(
-        ctx, "cor-rad1.lo", "xi1 >= 2^(1+1/p) m deg_min / n",
-        xi1, 2.0 ** (1 + 1.0 / p) * m * dmin / n, None,
-        eq_expected=st.is_regular))
-    reports.append(_make_report(
-        ctx, "cor-rad1.up", "xi1 <= 2^(1/p) deg_max sqrt(2m - n + 1)  [connected]",
-        xi1, None,
-        root * dd * math.sqrt(max(0.0, 2 * m - n + 1)) if st.is_connected else None,
-        applicable=st.is_connected,
-        reason=None if st.is_connected else "disconnected",
-        eq_expected=is_complete(g) and st.is_connected))
-
-    m1 = first_zagreb(g)
-    reports.append(_make_report(
-        ctx, "cor-rad2", "2^(1/p) deg_min sqrt(M1/n) <= xi1 <= 2^(1/p) deg_max^2",
-        xi1, root * dmin * math.sqrt(m1 / n), root * dd ** 2,
-        eq_expected=st.is_regular))
-
-    reports.append(_make_report(
-        ctx, "cor-rad3", "xi1 >= 2^(1/p) deg_min (2m/n)",
-        xi1, root * dmin * st.average_degree, None,
-        eq_expected=st.is_regular))
-
-    has_edge = m >= 1
-    reports.append(_make_report(
-        ctx, "cor-rad.randic", "xi1 >= 2^(1/p) (deg_min / m) R  [observe-only]",
-        xi1, root * (dmin / m) * randic_index(g) if has_edge else None, None,
-        applicable=has_edge, reason="observe-only: cited source ambiguous",
-        hard=False))
-
-    reports.append(_make_report(
-        ctx, "thm-rad.n2", "xi1 <= sqrt((n-1) N2 / n)",
-        xi1, None, math.sqrt((n - 1) * ctx.moments.n2 / n),
-        eq_expected=(m == 0 or is_complete(g))))
-
-    if st.is_connected:
-        k_distinct = len(ctx.sdec.distinct)
-        reports.append(_make_report(
-            ctx, "lem-diam", "distinct eigenvalue count >= diameter + 1  [connected]",
-            float(k_distinct), st.diameter + 1.0, None))
-    else:
-        reports.append(_make_report(ctx, "lem-diam", "", 0.0, applicable=False,
-                                     reason="disconnected"))
-
-    spread = ctx.sdec.radius - ctx.sdec.smallest
-    reports.append(_make_report(
-        ctx, "thm-spread", "xi1 - xi_n <= sqrt(2 N2)  [stated for connected]",
-        spread, None, math.sqrt(2.0 * ctx.moments.n2),
-        hard=st.is_connected,
-        reason=None if st.is_connected else "observe-only: disconnected",
-        eq_expected=(m == 0 or is_complete_bipartite(g))))
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# energy / Estrada checks
 
 def check_energy_estrada_bounds(g: Graph, p: float, ctx: CheckContext | None = None) -> list[BoundReport]:
-    ctx = ctx or CheckContext(g, p)
-    st = ctx.stats
-    n, m = g.n, g.m
-    reports = []
-    if n == 0:
-        return reports
-    dec = ctx.sdec
-    mom = ctx.moments
-    energy = ctx.energy
-    n2, n3, n4 = mom.n2, mom.n3, mom.n4
-    has_edge = m >= 1
-    abs_eigs = abs(dec.eigenvalues)
-    big = float(abs_eigs.max()) if n else 0.0   # largest |eigenvalue|
-    small = float(abs_eigs.min()) if n else 0.0  # smallest |eigenvalue|
+    return _run_family("energy", g, p, ctx)
 
-    reports.append(_make_report(
-        ctx, "thm4.1.1", "sqrt(2 N2) <= energy <= sqrt(n N2)",
-        energy, math.sqrt(2.0 * n2), math.sqrt(n * n2)))
-
-    det = abs_determinant(dec)
-    reports.append(_make_report(
-        ctx, "thm4.1.2", "energy >= sqrt(n(n-1) |det|^(2/n) + N2)",
-        energy, math.sqrt(n * (n - 1) * det ** (2.0 / n) + n2), None))
-
-    reports.append(_make_report(
-        ctx, "thm4.1.3",
-        "energy >= (N2 + n max|xi| min|xi|) / (max|xi| + min|xi|)",
-        energy, (n2 + n * big * small) / (big + small) if has_edge else None, None,
-        applicable=has_edge, reason=None if has_edge else "no edges"))
-
-    reports.append(_make_report(
-        ctx, "thm4.1.4",
-        "energy >= sqrt(4 n N2 - n^2 (max|xi| - min|xi|)^2) / 2",
-        energy,
-        0.5 * math.sqrt(max(0.0, 4 * n * n2 - n * n * (big - small) ** 2)) if has_edge else None,
-        None, applicable=has_edge, reason=None if has_edge else "no edges"))
-
-    half = math.floor(n / 2)
-    reports.append(_make_report(
-        ctx, "thm4.1.5",
-        "energy >= sqrt(n N2 - n floor(n/2)(1 - floor(n/2)/n)(max|xi| - min|xi|)^2)",
-        energy,
-        math.sqrt(max(0.0, n * n2 - n * half * (1 - half / n) * (big - small) ** 2)) if has_edge else None,
-        None, applicable=has_edge, reason=None if has_edge else "no edges"))
-
-    reports.append(_make_report(
-        ctx, "thm4.2", "energy >= sqrt(N2^3 / N4)",
-        energy, math.sqrt(n2 ** 3 / n4) if has_edge else None, None,
-        applicable=has_edge, reason=None if has_edge else "no edges"))
-
-    triangles = n3 > 0
-    bound43 = n2 ** 2 / n3 if triangles else None
-    reports.append(_make_report(
-        ctx, "thm4.3", "energy >= N2^2 / N3  [observe-only]",
-        energy, bound43, None, applicable=triangles,
-        reason="observe-only: can exceed the energy (needs sum |xi|^3, not N3)"
-        if triangles else "needs N3 > 0",
-        hard=False))
-
-    if triangles and has_edge:
-        bound42 = math.sqrt(n2 ** 3 / n4)
-        ratio = n3 / math.sqrt(n2 * n4)
-        product = (bound43 - bound42) * (1.0 - ratio)
-        better = "thm4.2" if ratio > 1 else ("thm4.3" if ratio < 1 else "tie")
-        reports.append(_make_report(
-            ctx, "cmp4.2-4.3",
-            "larger lower bound matches the sign of N3/sqrt(N2 N4) - 1",
-            product, 0.0, None,
-            extra={"moment_ratio": ratio, "bound_thm4.2": bound42,
-                   "bound_thm4.3": bound43, "better": better}))
-    else:
-        reports.append(_make_report(ctx, "cmp4.2-4.3", "", 0.0, applicable=False,
-                                     reason="needs N3 > 0"))
-
-    estrada = ctx.estrada
-    sqrt_n2 = math.sqrt(n2)
-    if sqrt_n2 < EXP_LIMIT:
-        reports.append(_make_report(
-            ctx, "thm4.10.1",
-            "estrada - energy <= n - 1 + e^sqrt(N2) - sqrt(N2) - sqrt(2 N2)",
-            estrada - energy, None,
-            n - 1 + math.exp(sqrt_n2) - sqrt_n2 - math.sqrt(2 * n2),
-            eq_expected=(m == 0)))
-    else:
-        reports.append(_make_report(ctx, "thm4.10.1", "", 0.0, applicable=False,
-                                     reason="exp overflow guard"))
-    if energy < EXP_LIMIT:
-        reports.append(_make_report(
-            ctx, "thm4.10.2", "estrada + energy <= n - 1 + e^energy",
-            estrada + energy, None, n - 1 + math.exp(energy),
-            eq_expected=(m == 0)))
-    else:
-        reports.append(_make_report(ctx, "thm4.10.2", "", 0.0, applicable=False,
-                                     reason="exp overflow guard"))
-
-    hard_4103 = st.is_connected and n >= 3
-    reports.append(_make_report(
-        ctx, "thm4.10.3", "energy <= sqrt((3n-1)/3 N2)  [asserted for connected, n >= 3]",
-        energy, None, math.sqrt((3 * n - 1) / 3.0 * n2),
-        hard=hard_4103,
-        reason=None if hard_4103 else
-        "observe-only: fails on a single weighted edge as printed",
-        eq_expected=(m == 0)))
-
-    q = n4 ** 0.25
-    if q < EXP_LIMIT:
-        reports.append(_make_report(
-            ctx, "thm4.10.4",
-            "estrada <= n - 1 + N2/2 + N3/6 - q - q^2/2 - q^3/6 + e^q, q = N4^(1/4)",
-            estrada, None,
-            n - 1 + 0.5 * n2 + n3 / 6.0 - q - 0.5 * q * q - q ** 3 / 6.0 + math.exp(q)))
-    else:
-        reports.append(_make_report(ctx, "thm4.10.4", "", 0.0, applicable=False,
-                                     reason="exp overflow guard"))
-
-    reports.append(_make_report(
-        ctx, "thm4.10.5",
-        "estrada >= sqrt(n^2 + (N2/2)^2 + n N2 + n N3/3 + n N4/12)",
-        estrada,
-        math.sqrt(n * n + (0.5 * n2) ** 2 + n * n2 + n * n3 / 3.0 + n * n4 / 12.0),
-        None))
-
-    n_pos, n_zero, n_neg = dec.inertia
-    if energy / 2.0 < EXP_LIMIT:
-        reports.append(_make_report(
-            ctx, "thm4.11.1",
-            "(e-1)/2 energy + n - n_pos <= estrada <= n - 1 + e^(energy/2)",
-            estrada, 0.5 * (math.e - 1) * energy + n - n_pos,
-            n - 1 + math.exp(energy / 2.0),
-            eq_expected=(m == 0)))
-    else:
-        reports.append(_make_report(ctx, "thm4.11.1", "", 0.0, applicable=False,
-                                     reason="exp overflow guard"))
-
-    if n_pos >= 2 and n_neg >= 1 and dec.radius < EXP_LIMIT:
-        xi1 = dec.radius
-        lower = (math.exp(xi1) + n_zero
-                 + (n_pos - 1) * math.exp((energy - 2 * xi1) / (2.0 * (n_pos - 1)))
-                 + n_neg * math.exp(-energy / (2.0 * n_neg)))
-        reports.append(_make_report(
-            ctx, "thm4.11.2",
-            "estrada >= e^xi1 + n_zero + (n_pos-1) e^((energy-2 xi1)/(2(n_pos-1))) + n_neg e^(-energy/(2 n_neg))",
-            estrada, lower, None))
-    else:
-        reports.append(_make_report(ctx, "thm4.11.2", "", 0.0, applicable=False,
-                                     reason="needs n_pos >= 2 and n_neg >= 1"))
-
-    if st.is_regular and has_edge:
-        k = st.max_degree
-        sub = subdivision(g)
-        sub_energy = graph_energy(sombor_decomposition(sub, p))
-        reports.append(_make_report(
-            ctx, "thm4.12",
-            "energy(subdivision) <= 2 sqrt(2) sqrt(m n) (2^p + k^p)^(1/p)  [k-regular]",
-            sub_energy, None,
-            2.0 * math.sqrt(2.0) * math.sqrt(m * n) * edge_weight(2, k, p)))
-    else:
-        reports.append(_make_report(ctx, "thm4.12", "", 0.0, applicable=False,
-                                     reason="needs a regular graph with edges"))
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# Nordhaus-Gaddum checks
 
 def check_nordhaus_gaddum(g: Graph, p: float, ctx: CheckContext | None = None) -> list[BoundReport]:
-    ctx = ctx or CheckContext(g, p)
-    st = ctx.stats
-    n, m = g.n, g.m
-    dd, dmin = st.max_degree, st.min_degree
-    reports = []
-    if n == 0:
-        return reports
-    xi1 = ctx.sdec.radius
-    root = 2.0 ** (1.0 / p)
-
-    reports.append(_make_report(
-        ctx, "lem5.4", "xi1 >= 2^(1+1/p) deg_min m / n",
-        xi1, 2.0 ** (1 + 1.0 / p) * dmin * m / n, None,
-        eq_expected=st.is_regular))
-
-    if dmin >= 1:
-        inner = 2 * m - dmin * (n - 1) + (dmin - 1) * dd
-        reports.append(_make_report(
-            ctx, "thm5.5", "xi1 <= 2^(1/p) deg_max sqrt(2m - deg_min(n-1) + (deg_min-1) deg_max)",
-            xi1, None, root * dd * math.sqrt(max(0.0, inner)),
-            eq_expected=st.is_regular,
-            reason="inner radicand clamped at 0" if inner < 0 else None))
-    else:
-        reports.append(_make_report(ctx, "thm5.5", "", xi1, applicable=False,
-                                     reason="needs deg_min >= 1"))
-
-    energy = ctx.energy
-    reports.append(_make_report(
-        ctx, "thm5.6", "energy >= 2^(2+1/p) deg_min m / n",
-        energy, 2.0 ** (2 + 1.0 / p) * dmin * m / n, None,
-        eq_expected=(m == 0 or (st.is_regular and is_complete_multipartite(g)))))
-
-    if dmin >= 1:
-        cap = 2.0 ** (1 + 2.0 / p) * m * dd ** 2
-        a = max(2.0 ** (1 + 1.0 / p) * dmin * m / n,
-                dd * math.sqrt(2.0 ** (1 + 2.0 / p) * m / n))
-        inner = (n - 1) * (cap - a * a)
-        reports.append(_make_report(
-            ctx, "thm5.7", "energy <= a + sqrt((n-1)(2^(1+2/p) m deg_max^2 - a^2))",
-            energy, None, a + math.sqrt(max(0.0, inner)),
-            reason="inner radicand clamped at 0" if inner < 0 else None))
-    else:
-        reports.append(_make_report(ctx, "thm5.7", "", energy, applicable=False,
-                                     reason="needs deg_min >= 1"))
-
-    cctx = ctx.complement_ctx
-    xi1_bar = cctx.sdec.radius
-    reports.append(_make_report(
-        ctx, "thm5.8",
-        "xi1 + xi1(complement) >= 2^(1+1/p)/n (m deg_min + (n-1-deg_max)(C(n,2) - m))",
-        xi1 + xi1_bar,
-        2.0 ** (1 + 1.0 / p) / n * (m * dmin + (n - 1 - dd) * (n * (n - 1) / 2.0 - m)),
-        None, eq_expected=st.is_regular))
-
-    if st.is_connected:
-        comp_ctxs = ctx.complement_component_ctxs
-        if dd == n - 1:
-            first = root * (n - 1) * math.sqrt(max(0.0, 2 * m - n + 1))
-            second = 0.0
-            edged = [c for c in comp_ctxs if c.g.m >= 1]
-            if edged:
-                c1 = max(edged, key=lambda c: c.sdec.radius)
-                cst = c1.stats
-                cn, cm = c1.g.n, c1.g.m
-                inner = 2 * cm - cst.min_degree * (cn - 1 - cst.max_degree) - cst.max_degree
-                second = root * cst.max_degree * math.sqrt(max(0.0, inner))
-            reports.append(_make_report(
-                ctx, "thm5.9.1",
-                "xi1 + xi1(complement) <= 2^(1/p)(n-1) sqrt(2m-n+1) + component term  [deg_max = n-1]",
-                xi1 + xi1_bar, None, first + second))
-            reports.append(_make_report(ctx, "thm5.9.2", "", 0.0, applicable=False,
-                                         reason="deg_max = n-1 branch applies"))
-        else:
-            inner1 = 2 * m - dmin * (n - 1) + (dmin - 1) * dd
-            inner2 = n * (n - 1) - 2 * m - (dmin + 1) * (n - 1) + dmin * (dd + 1)
-            up = (root * dd * math.sqrt(max(0.0, inner1))
-                  + root * (n - 1 - dmin) * math.sqrt(max(0.0, inner2)))
-            reports.append(_make_report(
-                ctx, "thm5.9.2",
-                "xi1 + xi1(complement) <= 2^(1/p) deg_max sqrt(...) + 2^(1/p)(n-1-deg_min) sqrt(...)  [deg_max, deg_min <= n-2]",
-                xi1 + xi1_bar, None, up))
-            reports.append(_make_report(ctx, "thm5.9.1", "", 0.0, applicable=False,
-                                         reason="deg_max <= n-2 branch applies"))
-
-        comp_term = 0.0
-        for c in comp_ctxs:
-            cn, cm = c.g.n, c.g.m
-            if cm == 0:
-                continue
-            comp_term += cm * (cn - 1 - c.stats.max_degree) / cn
-        energy_bar = cctx.energy
-        reports.append(_make_report(
-            ctx, "thm5.10",
-            "energy + energy(complement) >= 2^(2+1/p) (m deg_min / n + sum over complement components)",
-            energy + energy_bar,
-            2.0 ** (2 + 1.0 / p) * (m * dmin / n + comp_term), None,
-            eq_expected=is_complete(g)))
-    else:
-        for cid in ("thm5.9.1", "thm5.9.2", "thm5.10"):
-            reports.append(_make_report(ctx, cid, "", 0.0, applicable=False,
-                                         reason="disconnected"))
-    return reports
+    return _run_family("nordhaus_gaddum", g, p, ctx)
 
 
 def all_checks(g: Graph, p: float, ctx: CheckContext | None = None) -> list[BoundReport]:
     ctx = ctx or CheckContext(g, p)
-    reports = []
-    reports += check_moment_index_bounds(g, p, ctx)
-    reports += check_laplacian_bounds(g, p, ctx)
-    reports += check_radius_bounds(g, p, ctx)
-    reports += check_energy_estrada_bounds(g, p, ctx)
-    reports += check_nordhaus_gaddum(g, p, ctx)
-    return reports
+    return (check_moment_index_bounds(g, p, ctx) + check_laplacian_bounds(g, p, ctx)
+            + check_radius_bounds(g, p, ctx) + check_energy_estrada_bounds(g, p, ctx)
+            + check_nordhaus_gaddum(g, p, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +744,7 @@ class SuiteReport:
         return not self.violations and not self.equality_mismatches
 
     def totals(self) -> dict:
-        agg = {"pass": 0, "fail": 0, "na": 0, "observe_pass": 0, "observe_fail": 0}
+        agg = dict.fromkeys(OUTCOMES, 0)
         for per in self.counts.values():
             for key, cnt in per.items():
                 agg[key] += cnt
@@ -900,28 +779,34 @@ def _violation_payload(report: BoundReport, g: Graph) -> dict:
 
 
 def _prefilled_contexts(graphs, p_values, holds_tol) -> list[list[CheckContext]]:
-    """One CheckContext per (graph, p), with the spectra the checks always
-    need solved in one batched call: S_p and L_p at each p, the adjacency
-    spectrum once per graph and S_p of the complement, built once per graph."""
+    """One CheckContext per (graph, p), all over one GraphContext per graph,
+    with the spectra the checks always need solved in one batched call: S_p
+    and L_p of the graph and S_p of its complement at each p, and the
+    adjacency spectrum once per graph."""
     out = []
-    pending = []   # (contexts to seed, property name, (matrix, kind, p))
+    pending = []   # (context to seed, property name, (matrix, kind, p))
     for graph_id, g in graphs:
-        cg = complement(g)
-        ctxs = []
-        for p in p_values:
-            cctx = CheckContext(cg, p, graph_id + "~", holds_tol)
-            ctx = CheckContext(g, p, graph_id, holds_tol).prefill(complement_ctx=cctx)
-            ctxs.append(ctx)
-            pending += [([ctx], "sdec", (build_sombor_matrix(g, p), "p_sombor", p)),
-                        ([ctx], "ldec", (build_p_laplacian(g, p), "p_laplacian", p)),
-                        ([cctx], "sdec", (build_sombor_matrix(cg, p), "p_sombor", p))]
-        pending.append((ctxs, "adec", (adjacency_matrix(g), "adjacency", None)))
+        gc = GraphContext(g)
+        cg = gc.complement.g
+        ctxs = [CheckContext(g, p, graph_id, holds_tol, gc) for p in p_values]
+        for ctx in ctxs:
+            p = ctx.p
+            pending += [(ctx, "sdec", (build_sombor_matrix(g, p), "p_sombor", p)),
+                        (ctx, "ldec", (build_p_laplacian(g, p), "p_laplacian", p)),
+                        (ctx.complement_ctx, "sdec", (build_sombor_matrix(cg, p), "p_sombor", p))]
+        pending.append((gc, "adec", (adjacency_matrix(g), "adjacency", None)))
         out.append(ctxs)
     decs = eigen_decompose_many([spec for _, _, spec in pending])
-    for (targets, name, _), dec in zip(pending, decs):
-        for ctx in targets:
-            ctx.prefill(**{name: dec})
+    for (target, name, _), dec in zip(pending, decs):
+        target.prefill(**{name: dec})
     return out
+
+
+def _outcome(rep: BoundReport) -> str:
+    if not rep.applicable:
+        return "na"
+    held = rep.holds is None or rep.holds
+    return ("" if rep.hard else "observe_") + ("pass" if held else "fail")
 
 
 def _tally_graph(g: Graph, contexts: list[CheckContext]):
@@ -930,22 +815,10 @@ def _tally_graph(g: Graph, contexts: list[CheckContext]):
     eq_mismatches = []
     for ctx in contexts:
         for rep in all_checks(g, ctx.p, ctx):
-            per = counts.setdefault(rep.check_id, {"pass": 0, "fail": 0, "na": 0,
-                                                   "observe_pass": 0, "observe_fail": 0})
-            if not rep.applicable:
-                per["na"] += 1
-                continue
-            if rep.hard:
-                if rep.holds is None or rep.holds:
-                    per["pass"] += 1
-                else:
-                    per["fail"] += 1
-                    violations.append(_violation_payload(rep, g))
-            else:
-                if rep.holds is None or rep.holds:
-                    per["observe_pass"] += 1
-                else:
-                    per["observe_fail"] += 1
+            outcome = _outcome(rep)
+            counts.setdefault(rep.check_id, dict.fromkeys(OUTCOMES, 0))[outcome] += 1
+            if outcome == "fail":
+                violations.append(_violation_payload(rep, g))
             if rep.hard and rep.equality_expected and rep.equality_observed is False:
                 eq_mismatches.append(_violation_payload(rep, g))
     return counts, violations, eq_mismatches
@@ -968,24 +841,29 @@ def run_suite(graphs, p_values=(1.0, 2.0, 3.0), holds_tol: float | None = None,
     solved in one batched call; with jobs > 1, worker processes take whole
     chunks.
     """
+    if holds_tol is not None and not math.isfinite(holds_tol):
+        raise ValueError(f"tolerance must be finite, got {holds_tol}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     entries = [(gid, g.n, [list(e) for e in g.edges()]) for gid, g in graphs]
     size = config.SUITE_CHUNK_GRAPHS
     tasks = [(entries[i:i + size], tuple(p_values), holds_tol)
              for i in range(0, len(entries), size)]
     if jobs > 1 and len(tasks) > 1:
+        # Imported here: the process-pool machinery costs ~20 ms of import.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_tally_chunk, tasks))
     else:
         chunks = [_tally_chunk(t) for t in tasks]
-    results = [per_graph for chunk in chunks for per_graph in chunk]
 
     counts: dict = {}
     violations: list[dict] = []
     eq_mismatches: list[dict] = []
-    for cnt, vio, eqm in results:
+    for cnt, vio, eqm in (per_graph for chunk in chunks for per_graph in chunk):
         for cid, per in cnt.items():
-            agg = counts.setdefault(cid, {"pass": 0, "fail": 0, "na": 0,
-                                          "observe_pass": 0, "observe_fail": 0})
+            agg = counts.setdefault(cid, dict.fromkeys(OUTCOMES, 0))
             for key, val in per.items():
                 agg[key] += val
         violations.extend(vio)

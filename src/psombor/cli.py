@@ -142,6 +142,8 @@ def _cmd_verify(args) -> int:
         graphs, corpus_errors = corpus_from_directory(args.corpus)
     elif args.corpus == "trees" and args.n:
         lo, hi = (int(x) for x in args.n.split(".."))
+        if lo > hi:
+            raise ValueError(f"empty tree size range {args.n}")
         from .bounds import corpus_trees
         graphs = corpus_trees(lo, hi)
     else:
@@ -294,10 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", help="tree size range lo..hi (trees corpus only)")
     sp.add_argument("--p", default="2", help="comma-separated nonzero p values")
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1)")
     sp.add_argument("--tol", type=float, default=None,
-                    help=f"slack tolerance (default {config.default_holds_tol()}, "
-                         "or PSOMBOR_TOL)")
+                    help=f"finite slack tolerance (default {config.HOLDS_REL_TOL})")
     common(sp)
     sp.set_defaults(func=_cmd_verify)
 

@@ -5,8 +5,6 @@ Frobenius norm of the matrix (eigensolver) or the magnitude of the compared
 value (bound checks).
 """
 
-import os
-
 # Jacobi eigensolver: sweep until off-diagonal Frobenius norm falls below
 # OFF_DIAG_FACTOR * max(1, ||M||_F); give up after MAX_SWEEPS sweeps.
 OFF_DIAG_FACTOR = 1e-12
@@ -34,13 +32,3 @@ OCTANE_MATCH_ATOL = 1e-3      # per-component (radius, energy) match
 # Estrada index overflow guard: exp() of a larger radius overflows float64.
 ESTRADA_EXP_LIMIT = 700.0
 
-
-def default_holds_tol() -> float:
-    """Bound-check tolerance, overridable through PSOMBOR_TOL."""
-    raw = os.environ.get("PSOMBOR_TOL", "")
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            pass
-    return HOLDS_REL_TOL

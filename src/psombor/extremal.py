@@ -8,11 +8,12 @@ enumerator is kept as an independent oracle for small n (used by the tests).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import product
 
 from . import config
-from .graphs import Graph, GraphError, structure_stats
+from .graphs import Graph, GraphError, path_graph, star_graph, structure_stats
 from .spectral import build_sombor_matrix, eigen_decompose_many, sombor_decomposition
 
 MAX_TREE_N = 12
@@ -112,33 +113,25 @@ def enumerate_trees(n: int, max_degree: int | None = None) -> TreeCatalog:
 def prufer_tree_keys(n: int) -> set[str]:
     """Canonical keys of all trees on n vertices via exhaustive Pruefer
     sequences; independent oracle for enumerate_trees (practical for n <= 8)."""
-    if n == 2:
-        return {tree_canonical_key(Graph(2, [(0, 1)]))}
-    keys = set()
-    for seq in product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for x in seq:
-            degree[x] += 1
-        edges = []
-        seq_list = list(seq)
-        leaves = sorted(v for v in range(n) if degree[v] == 1)
-        for x in seq_list:
-            leaf = leaves.pop(0)
-            edges.append((leaf, x))
-            degree[x] -= 1
-            if degree[x] == 1:
-                # re-insert keeping the leaf pool ordered
-                lo, hi = 0, len(leaves)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if leaves[mid] < x:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                leaves.insert(lo, x)
-        edges.append((leaves[0], leaves[1]))
-        keys.add(tree_canonical_key(Graph(n, edges)))
-    return keys
+    return {tree_canonical_key(Graph(n, _prufer_edges(n, seq)))
+            for seq in product(range(n), repeat=n - 2)}
+
+
+def _prufer_edges(n: int, seq) -> list[tuple[int, int]]:
+    """Edges of the labeled tree on n >= 2 vertices with Pruefer sequence seq."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        edges.append((heapq.heappop(leaves), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append(tuple(sorted(leaves)))
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +179,8 @@ def verify_tree_extremes(n: int, p: float,
     ordered = sorted(radii.items(), key=lambda kv: kv[1])
     min_key, min_val = ordered[0]
     max_key, max_val = ordered[-1]
-    path_key = tree_canonical_key(Graph(n, [(i, i + 1) for i in range(n - 1)]))
-    star_key = tree_canonical_key(Graph(n, [(0, i) for i in range(1, n)]))
+    path_key = tree_canonical_key(path_graph(n))
+    star_key = tree_canonical_key(star_graph(n))
     gap = 1e-9 * max(1.0, max_val)
     min_unique = len(ordered) < 2 or ordered[1][1] - min_val > gap
     max_unique = len(ordered) < 2 or max_val - ordered[-2][1] > gap
@@ -272,30 +265,9 @@ def random_tree(n: int, seed: int) -> Graph:
 
     if n < 2:
         return Graph(max(n, 0))
-    if n == 2:
-        return Graph(2, [(0, 1)])
     state = seed & ((1 << 64) - 1)
     seq = []
     for _ in range(n - 2):
         state, z = _splitmix64(state)
         seq.append(z % n)
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    edges = []
-    leaves = sorted(v for v in range(n) if degree[v] == 1)
-    for x in seq:
-        leaf = leaves.pop(0)
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            lo, hi = 0, len(leaves)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if leaves[mid] < x:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            leaves.insert(lo, x)
-    edges.append((leaves[0], leaves[1]))
-    return Graph(n, edges)
+    return Graph(n, _prufer_edges(n, seq))

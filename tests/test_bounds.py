@@ -1,8 +1,11 @@
+import hashlib
+import json
 import math
 
 import pytest
 
 from psombor.bounds import (
+    CHECKS,
     CheckContext,
     all_checks,
     check_energy_estrada_bounds,
@@ -350,3 +353,35 @@ def test_prefill_rejects_unknown_property():
         ctx.prefill(sdecc=None)
     with pytest.raises(AttributeError):
         ctx.prefill(g=None)
+
+
+# sha256 of run_suite(...).to_dict() (JSON, sorted keys) at p = -1, 2: a change
+# to any bound's bits, statement or verdict on these corpora changes it.
+SUITE_DIGESTS = {
+    "families": "a2cd56bfa80882dd14978c04b77029bb908e628667b597b4055791512dbf8287",
+    "special": "d5354b73165c01c2e1d6a42f080cfbaf725ec35cd7ccd92ce004ef30abbee194",
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(SUITE_DIGESTS))
+def test_suite_output_digest_is_pinned(corpus):
+    from psombor.bounds import build_corpus
+
+    rep = run_suite(build_corpus(corpus), p_values=(-1.0, 2.0), corpus_name=corpus)
+    text = json.dumps(rep.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGESTS[corpus]
+
+
+@pytest.mark.parametrize("name, g", [
+    ("K1", complete_graph(1)), ("5K1", Graph(5)), ("P4", path_graph(4)),
+    ("C5", cycle_graph(5)), ("K4", complete_graph(4)), ("K1,3", star_graph(4)),
+    ("K2,2", complete_bipartite_graph(2, 2)),
+])
+def test_every_table_entry_reports_once(name, g):
+    ids = [check.id for check in CHECKS]
+    assert len(set(ids)) == len(ids)
+    for p in (-1.0, 2.0):
+        reports = all_checks(g, p)
+        assert len(reports) == len(CHECKS)
+        assert sorted(r.check_id for r in reports) == sorted(ids)
+        assert all(r.statement for r in reports)

@@ -177,14 +177,37 @@ def test_spectrum_json_byte_identical(p4_file, tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_tolerance_env_var(monkeypatch):
+def test_default_tolerance_is_the_config_constant(monkeypatch):
     from psombor import config
-    monkeypatch.setenv("PSOMBOR_TOL", "1e-5")
-    assert config.default_holds_tol() == 1e-5
-    monkeypatch.setenv("PSOMBOR_TOL", "garbage")
-    assert config.default_holds_tol() == config.HOLDS_REL_TOL
-    monkeypatch.delenv("PSOMBOR_TOL")
-    assert config.default_holds_tol() == config.HOLDS_REL_TOL
+    from psombor.bounds import CheckContext
+    from psombor.graphs import path_graph
+
+    monkeypatch.setenv("PSOMBOR_TOL", "1e-5")  # the environment is not read
+    assert CheckContext(path_graph(3), 2.0).holds_tol == config.HOLDS_REL_TOL
+    assert not hasattr(config, "default_holds_tol")
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--tol", "nan"], "tolerance must be finite"),
+    (["--tol", "inf"], "tolerance must be finite"),
+    (["--jobs", "0"], "jobs must be at least 1"),
+    (["--jobs=-3"], "jobs must be at least 1"),
+    (["--corpus", "trees", "--n", "9..4"], "empty tree size range"),
+])
+def test_verify_rejects_arguments_that_would_give_a_wrong_verdict(extra, message, capsys):
+    args = ["verify", "--corpus", "special", "--p", "2"] + extra
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_import_does_not_load_the_process_pool():
+    code = ("import sys, psombor; "
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_spectrum_csv_format(p4_file, capsys):
