@@ -15,7 +15,6 @@ import math
 import sys
 
 from . import config
-from .backend import backend_name
 from .bounds import build_corpus, run_suite
 from .chem import (
     comparison_markdown,
@@ -136,10 +135,14 @@ def _cmd_verify(args) -> int:
     import os
 
     p_values = _parse_p_list(args.p)
+    if args.n and args.corpus != "trees":
+        raise ValueError("--n applies only to --corpus trees")
     corpus_errors = []
     if os.path.isdir(args.corpus):
         from .bounds import corpus_from_directory
         graphs, corpus_errors = corpus_from_directory(args.corpus)
+        if not graphs:
+            raise ValueError(f"corpus {args.corpus} has no readable graphs")
     elif args.corpus == "trees" and args.n:
         lo, hi = (int(x) for x in args.n.split(".."))
         if lo > hi:
@@ -272,8 +275,7 @@ def _cmd_reproduce(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psombor",
-        description="p-Sombor spectra, indices, bound verification and regressions "
-                    f"(kernel backend: {backend_name()})")
+        description="p-Sombor spectra, indices, bound verification and regressions")
     parser.add_argument("--version", action="version", version="psombor 0.1.0")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -12,7 +12,6 @@ import heapq
 from dataclasses import dataclass
 from itertools import product
 
-from . import config
 from .graphs import Graph, GraphError, path_graph, star_graph, structure_stats
 from .spectral import build_sombor_matrix, eigen_decompose_many, sombor_decomposition
 
@@ -169,13 +168,9 @@ def verify_tree_extremes(n: int, p: float,
         catalog = enumerate_trees(n)
     elif catalog.n != n or catalog.max_degree is not None:
         raise ValueError(f"catalog must hold every tree on {n} vertices")
-    radii = {}
-    step = config.JACOBI_BATCH_SIZE
-    for start in range(0, len(catalog.trees), step):
-        decs = eigen_decompose_many([(build_sombor_matrix(tree, p), "p_sombor", p)
-                                     for tree in catalog.trees[start:start + step]])
-        radii.update(zip(catalog.canonical_keys[start:start + step],
-                         (dec.radius for dec in decs)))
+    decs = eigen_decompose_many([(build_sombor_matrix(tree, p), "p_sombor", p)
+                                 for tree in catalog.trees])
+    radii = dict(zip(catalog.canonical_keys, (dec.radius for dec in decs)))
     ordered = sorted(radii.items(), key=lambda kv: kv[1])
     min_key, min_val = ordered[0]
     max_key, max_val = ordered[-1]

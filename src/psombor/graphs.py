@@ -50,9 +50,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def neighbor_set(self, u: int) -> frozenset:
-        return frozenset(self.adj[u])
-
     def to_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges()]}
 
@@ -147,10 +144,6 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -204,26 +197,6 @@ def random_connected_gnm(n: int, m: int, seed: int, max_tries: int = 1000) -> Gr
         if structure_stats(g).is_connected:
             return g
     raise GraphError(f"no connected G({n},{m}) found in {max_tries} tries")
-
-
-def generate(kind: str, **params) -> Graph:
-    """Dispatch by family name; used by the CLI and corpus builders."""
-    kind = kind.lower()
-    if kind == "path":
-        return path_graph(int(params["n"]))
-    if kind == "cycle":
-        return cycle_graph(int(params["n"]))
-    if kind == "star":
-        return star_graph(int(params["n"]))
-    if kind == "complete":
-        return complete_graph(int(params["n"]))
-    if kind == "complete_bipartite":
-        return complete_bipartite_graph(int(params["a"]), int(params["b"]))
-    if kind == "empty":
-        return empty_graph(int(params["n"]))
-    if kind == "random_gnm":
-        return random_gnm(int(params["n"]), int(params["m"]), int(params.get("seed", 0)))
-    raise GraphError(f"unknown graph kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +406,6 @@ def is_complete_bipartite(g: Graph) -> bool:
     return g.m == n1 * n2
 
 
-def is_complete_bipartite_plus_isolated(g: Graph) -> bool:
-    """All edges form one complete bipartite block; other vertices isolated."""
-    if g.m == 0:
-        return False
-    support = [v for v in range(g.n) if g.degrees[v] > 0]
-    return is_complete_bipartite(induced_subgraph(g, support))
-
-
 def is_balanced_complete_bipartite(g: Graph) -> bool:
     if not is_complete_bipartite(g):
         return False
@@ -467,21 +432,3 @@ def is_c4_free(g: Graph) -> bool:
         if common_neighbor_count(g, u, v) >= 2:
             return False
     return True
-
-
-def is_path_graph(g: Graph) -> bool:
-    stats = structure_stats(g)
-    if not stats.is_connected or g.m != g.n - 1:
-        return False
-    if g.n <= 2:
-        return True
-    return stats.max_degree == 2
-
-
-def is_star_graph(g: Graph) -> bool:
-    stats = structure_stats(g)
-    if not stats.is_connected or g.m != g.n - 1:
-        return False
-    if g.n <= 2:
-        return True
-    return stats.max_degree == g.n - 1

@@ -1,10 +1,10 @@
 """Dense symmetric matrices attached to a graph and their spectra.
 
-The eigensolver is a self-contained cyclic Jacobi iteration (see the kernel
-backends) with a fixed sweep order, so results are reproducible bit for bit
-across runs and platforms. Spectral moments N_0..N_4 are available through
-two independent routes: power sums of the computed eigenvalues, and the
-closed-form edge/common-neighbour sums, which cross-validate each other.
+The eigensolver is a self-contained cyclic Jacobi iteration (psombor.backend)
+with a fixed sweep order, so results are reproducible bit for bit across runs
+and platforms. Spectral moments N_0..N_4 are available through two independent
+routes: power sums of the computed eigenvalues, and the closed-form
+edge/common-neighbour sums, which cross-validate each other.
 """
 
 from __future__ import annotations

@@ -86,6 +86,14 @@ def test_verify_directory_corpus(tmp_path, capsys):
     assert payload["corpus_errors"][0]["file"] == "broken.edges"
 
 
+def test_verify_rejects_a_directory_without_readable_graphs(tmp_path, capsys):
+    assert run(["verify", "--corpus", str(tmp_path), "--p", "2"]) == 1
+    (tmp_path / "broken.edges").write_text("0 0\n")
+    assert run(["verify", "--corpus", str(tmp_path), "--p", "2"]) == 1
+    message = f"error: corpus {tmp_path} has no readable graphs"
+    assert capsys.readouterr().err.splitlines() == [message, message]
+
+
 def test_verify_unknown_corpus_is_usage_error(capsys):
     assert run(["verify", "--corpus", "bogus"]) == 1
 
@@ -193,6 +201,7 @@ def test_default_tolerance_is_the_config_constant(monkeypatch):
     (["--jobs", "0"], "jobs must be at least 1"),
     (["--jobs=-3"], "jobs must be at least 1"),
     (["--corpus", "trees", "--n", "9..4"], "empty tree size range"),
+    (["--n", "4..5"], "--n applies only to --corpus trees"),
 ])
 def test_verify_rejects_arguments_that_would_give_a_wrong_verdict(extra, message, capsys):
     args = ["verify", "--corpus", "special", "--p", "2"] + extra

@@ -10,7 +10,6 @@ from psombor.graphs import (
     complete_graph,
     connected_components,
     cycle_graph,
-    generate,
     induced_subgraph,
     is_c4_free,
     is_complete,
@@ -64,12 +63,12 @@ def test_json_round_trip():
 
 
 def test_generate_complete():
-    g = generate("complete", n=3)
+    g = complete_graph(3)
     assert g.degrees == (2, 2, 2)
 
 
 def test_generate_k22_is_four_cycle():
-    g = generate("complete_bipartite", a=2, b=2)
+    g = complete_bipartite_graph(2, 2)
     assert g.n == 4 and g.m == 4 and set(g.degrees) == {2}
     assert structure_stats(g).diameter == 2
 

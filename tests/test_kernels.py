@@ -1,110 +1,36 @@
-"""Backend selection and compiled-vs-pure kernel agreement."""
+"""The cyclic-Jacobi kernel: batched-vs-scalar bit parity, and property tests
+of the eigensolver built on it against LAPACK as an oracle."""
 
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from psombor import _kernels_py
-from psombor.backend import backend_name
-
-
-@pytest.fixture
-def compiled():
-    return pytest.importorskip("psombor._kernels",
-                               reason="compiled kernel not built")
+from psombor import backend, config
+from psombor.spectral import eigen_decompose, eigen_decompose_many
 
 
-def _run_both(compiled, a, with_vectors=True):
-    thr = 1e-12 * max(1.0, float(np.linalg.norm(a)))
-    a1, a2 = a.copy(), a.copy()
-    v1 = np.eye(a.shape[0]) if with_vectors else None
-    v2 = np.eye(a.shape[0]) if with_vectors else None
-    s1, off1 = compiled.jacobi_sweeps(a1, v1, thr, 100)
-    s2, off2 = _kernels_py.jacobi_sweeps(a2, v2, thr, 100)
-    return (a1, v1, s1, off1), (a2, v2, s2, off2)
-
-
-def test_backends_bit_identical(compiled):
-    rng = np.random.default_rng(99)
-    for _ in range(30):
-        n = int(rng.integers(2, 24))
-        a = rng.standard_normal((n, n))
-        a = a + a.T
-        (a1, v1, s1, off1), (a2, v2, s2, off2) = _run_both(compiled, a)
-        assert s1 == s2 and off1 == off2
-        assert np.array_equal(a1, a2)
-        assert np.array_equal(v1, v2)
-
-
-def test_backends_without_vectors(compiled):
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((12, 12))
-    a = a + a.T
-    (a1, _, _, _), (a2, _, _, _) = _run_both(compiled, a, with_vectors=False)
-    assert np.array_equal(a1, a2)
-
-
-def test_off_diagonal_norm_agrees(compiled):
-    rng = np.random.default_rng(17)
-    a = rng.standard_normal((9, 9))
-    a = a + a.T
-    assert compiled.off_diagonal_norm(a) == _kernels_py.off_diagonal_norm(a)
-
-
-def test_env_var_forces_pure_backend():
-    code = "import psombor; print(psombor.backend_name())"
-    env = dict(os.environ, PSOMBOR_PURE="1")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
-    assert out.stdout.strip() == "pure"
-
-
-def test_default_backend_is_compiled_when_available(compiled):
-    assert backend_name() == "compiled"
-
-
-def test_pure_backend_produces_same_spectra():
-    # full pipeline parity through a subprocess with the pure kernel
-    code = (
-        "import psombor, json\n"
-        "from psombor.graphs import random_gnm\n"
-        "dec = psombor.sombor_decomposition(random_gnm(8, 12, 7), 2.0)\n"
-        "print(json.dumps([float(x) for x in dec.eigenvalues]))\n"
-    )
-    env = dict(os.environ, PSOMBOR_PURE="1")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
-    import json
-
-    import psombor
-    from psombor.graphs import random_gnm
-    here = [float(x) for x in psombor.sombor_decomposition(random_gnm(8, 12, 7), 2.0).eigenvalues]
-    assert json.loads(out.stdout) == here
-
-
-# --- batched kernel: bit parity with the scalar pure kernel ---
+# --- batched kernel: bit parity with the scalar kernel ---
 
 def _thresholds(mats):
     return np.array([1e-12 * max(1.0, float(np.linalg.norm(m))) for m in mats])
 
 
-def _assert_batch_matches_scalar(mats, max_sweeps=100, batch=None):
-    """Run the batched kernel on a stack of mats and the scalar pure kernel on
+def _assert_batch_matches_scalar(mats, max_sweeps=100):
+    """Run the batched kernel on a stack of mats and the scalar kernel on
     each member; every output must agree bit for bit. Returns the sweeps."""
-    batch = batch or _kernels_py.jacobi_sweeps_batch
     thr = _thresholds(mats)
     stack = np.stack(mats)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sweeps, offs = batch(stack, thr, max_sweeps)
+        sweeps, offs = backend.jacobi_sweeps_batch(stack, thr, max_sweeps)
     assert sweeps.shape == offs.shape == (len(mats),)
     for i, m in enumerate(mats):
         a = m.copy()
-        s, off = _kernels_py.jacobi_sweeps(a, None, float(thr[i]), max_sweeps)
+        s, off = backend.jacobi_sweeps(a, None, float(thr[i]), max_sweeps)
         assert (s, off) == (sweeps[i], offs[i])
         assert np.array_equal(a, stack[i])
         assert np.array_equal(np.signbit(a), np.signbit(stack[i]))
@@ -185,9 +111,63 @@ def test_batch_stops_at_max_sweeps_like_scalar():
     assert (sweeps == 2).all()
 
 
-def test_per_slice_batch_matches_vectorised_batch():
-    from psombor.backend import jacobi_sweeps_per_slice
 
-    rng = np.random.default_rng(12)
-    mats = [_random_symmetric(rng, 7) for _ in range(6)]
-    _assert_batch_matches_scalar(mats, batch=jacobi_sweeps_per_slice)
+# --- property tests: the eigensolver against LAPACK as an oracle ---
+
+# Entries mix exact zeros and a few repeated values (sparse and degenerate
+# spectra) with arbitrary floats of moderate size.
+_ENTRIES = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1.0, -1.0, 2.0, 0.5]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def symmetric_matrices(draw, sizes=st.integers(1, 12)):
+    n = draw(sizes)
+    a = np.zeros((n, n))
+    a[np.triu_indices(n)] = draw(arrays(np.float64, n * (n + 1) // 2, elements=_ENTRIES))
+    return a + np.triu(a, 1).T
+
+
+def _settings(max_examples):
+    return settings(derandomize=True, deadline=None, database=None,
+                    max_examples=max_examples)
+
+
+@_settings(100)
+@given(symmetric_matrices())
+def test_eigenvalues_match_lapack(m):
+    dec = eigen_decompose(m)
+    oracle = np.linalg.eigvalsh(m)[::-1]
+    assert np.abs(dec.eigenvalues - oracle).max() <= 1e-12 * dec.scale
+
+
+@_settings(100)
+@given(symmetric_matrices())
+def test_eigenvectors_have_small_residuals(m):
+    dec = eigen_decompose(m, want_vectors=True)
+    residuals = np.linalg.norm(m @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues,
+                               axis=0)
+    assert residuals.max() <= config.VECTOR_RESIDUAL_FACTOR * dec.scale
+
+
+@st.composite
+def mixed_size_stacks(draw):
+    # A few sizes shared by up to eight matrices, so that the batched kernel
+    # gets stacks of several members next to singletons.
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    return draw(st.lists(symmetric_matrices(st.sampled_from(sizes)),
+                         min_size=1, max_size=8))
+
+
+@_settings(60)
+@given(mixed_size_stacks())
+def test_batched_decompositions_equal_scalar_ones(mats):
+    specs = [(m, "p_sombor", 2.0) for m in mats]
+    for m, many in zip(mats, eigen_decompose_many(specs)):
+        one = eigen_decompose(m, False, "p_sombor", 2.0)
+        assert many.to_dict() == one.to_dict()
+        assert np.array_equal(many.eigenvalues, one.eigenvalues)
+        assert np.array_equal(np.signbit(many.eigenvalues), np.signbit(one.eigenvalues))
