@@ -138,7 +138,10 @@ class GraphContext(_Cached):
         lambda self: is_balanced_complete_bipartite(self.g))
     is_complete_multipartite = cached_property(lambda self: is_complete_multipartite(self.g))
     is_c4_free = cached_property(lambda self: is_c4_free(self.g))
-    subdivision = cached_property(lambda self: subdivision(self.g))
+    # For a k-regular graph every subdivision edge joins degrees 2 and k, so
+    # S_p(S(G)) = edge_weight(2, k, p) A(S(G)) and one solve serves every p.
+    subdivision_energy = cached_property(
+        lambda self: graph_energy(adjacency_decomposition(subdivision(self.g))))
 
 
 class CheckContext(_Cached):
@@ -552,7 +555,7 @@ CHECKS = (
           "needs n_pos >= 2 and n_neg >= 1"),
     Check("thm4.12", "energy",
           "energy(subdivision) <= 2 sqrt(2) sqrt(m n) (2^p + k^p)^(1/p)  [k-regular]",
-          lambda c: (graph_energy(sombor_decomposition(c.graph.subdivision, c.p)), None,
+          lambda c: (edge_weight(2, c.dmax, c.p) * c.graph.subdivision_energy, None,
                      2.0 * math.sqrt(2.0) * math.sqrt(c.m * c.n) * edge_weight(2, c.dmax, c.p)),
           lambda c: c.stats.is_regular and c.m >= 1, "needs a regular graph with edges"),
 
@@ -704,12 +707,8 @@ def corpus_from_directory(path):
 
 
 def build_corpus(name: str, seed: int = 42):
-    """Named corpus, or every graph file from a directory path."""
-    import os
-
-    if os.path.isdir(name):
-        graphs, _ = corpus_from_directory(name)
-        return graphs
+    """Named corpus; graph directories go through corpus_from_directory,
+    which also returns the entries it could not read."""
     key = name.lower()
     if key == "trees":
         return corpus_trees()
@@ -723,7 +722,7 @@ def build_corpus(name: str, seed: int = 42):
         return (corpus_trees() + corpus_families()
                 + corpus_random_connected(seed=seed) + corpus_special())
     raise ValueError(f"unknown corpus {name!r} "
-                     "(trees|families|random|special|all, or a directory)")
+                     "(trees|families|random|special|all)")
 
 
 # ---------------------------------------------------------------------------

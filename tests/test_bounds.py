@@ -1,13 +1,17 @@
 import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 
 from psombor.bounds import (
     CHECKS,
     CheckContext,
+    GraphContext,
+    _report,
     all_checks,
+    build_corpus,
     check_energy_estrada_bounds,
     check_laplacian_bounds,
     check_moment_index_bounds,
@@ -26,7 +30,11 @@ from psombor.graphs import (
     cycle_graph,
     path_graph,
     star_graph,
+    structure_stats,
+    subdivision,
 )
+from psombor.invariants import graph_energy
+from psombor.spectral import sombor_decomposition
 
 P_GRID = (-1.0, 0.5, 1.0, 2.0, 3.0)
 
@@ -219,6 +227,64 @@ def test_thm4_12_subdivision_of_c3():
     assert rep.holds
 
 
+THM4_12 = next(check for check in CHECKS if check.id == "thm4.12")
+
+
+@pytest.fixture(scope="module")
+def regular_all():
+    """The regular graphs with edges of the `all` corpus."""
+    return [(gid, g) for gid, g in build_corpus("all")
+            if g.m >= 1 and structure_stats(g).is_regular]
+
+
+def test_thm4_12_scaled_adjacency_energy_matches_per_p_solve(regular_all):
+    # +-1000 take edge_weight's overflow fallback; n + m <= 36 keeps the
+    # reference solves of S_p(S(G)) small (up to the K8 subdivision).
+    graphs = [(gid, g) for gid, g in regular_all if g.n + g.m <= 36]
+    assert "K5" in {gid for gid, _ in graphs}
+    for gid, g in graphs:
+        gc = GraphContext(g)
+        for p in (-1000.0, -1.0, 0.05, 0.5, 2.0, 1000.0):
+            rep = _report(THM4_12, CheckContext(g, p, gid, graph=gc))
+            expected = graph_energy(sombor_decomposition(subdivision(g), p))
+            assert rep.value == pytest.approx(expected, rel=1e-14, abs=0), (gid, p)
+
+
+def test_subdivision_energy_matches_closed_form(regular_all):
+    # Oracle only: where k + lambda is a rounded zero (bipartite G), its sqrt
+    # is ~1e-8, an error the Jacobi solve of A(S(G)) does not make.
+    assert len(regular_all) == 23
+    for gid, g in regular_all:
+        gc = GraphContext(g)
+        k = structure_stats(g).max_degree
+        closed = 2.0 * sum(math.sqrt(max(0.0, k + lam)) for lam in gc.adec.eigenvalues)
+        assert gc.subdivision_energy == pytest.approx(closed, rel=1e-7), gid
+
+
+def test_suite_solves_each_subdivision_once_per_graph(monkeypatch):
+    import psombor.spectral as spectral
+
+    sizes = Counter()
+    scalar, batch = spectral.jacobi_sweeps, spectral.jacobi_sweeps_batch
+
+    def counting_scalar(a, *args):
+        sizes[a.shape[0]] += 1
+        return scalar(a, *args)
+
+    def counting_batch(stack, *args):
+        sizes[stack.shape[1]] += stack.shape[0]
+        return batch(stack, *args)
+
+    monkeypatch.setattr(spectral, "jacobi_sweeps", counting_scalar)
+    monkeypatch.setattr(spectral, "jacobi_sweeps_batch", counting_batch)
+    graphs = [("C5", cycle_graph(5)), ("K4", complete_graph(4)),
+              ("K3,3", complete_bipartite_graph(3, 3))]
+    run_suite(graphs, p_values=P_GRID, corpus_name="x")
+    # no graph or complement here has n + m vertices of any subdivision
+    expected = Counter(g.n + g.m for _, g in graphs)
+    assert {size: sizes[size] for size in expected} == expected
+
+
 def test_lem5_4_equality_on_c4():
     rep = by_id(check_nordhaus_gaddum(cycle_graph(4), 2.0), "lem5.4")
     assert rep.value == pytest.approx(4 * math.sqrt(2), rel=1e-10)
@@ -325,8 +391,6 @@ def test_violation_payload_reproducible():
 
 @pytest.mark.parametrize("corpus", ("special", "families"))
 def test_suite_jobs_two_matches_serial_on_corpus(corpus):
-    from psombor.bounds import build_corpus
-
     graphs = build_corpus(corpus)
     serial = run_suite(graphs, p_values=(-1.0, 2.0), corpus_name=corpus)
     parallel = run_suite(graphs, p_values=(-1.0, 2.0), jobs=2, corpus_name=corpus)
@@ -347,6 +411,11 @@ def test_prefilled_contexts_give_the_reports_of_fresh_ones():
                     == [r.to_dict() for r in all_checks(g, ctx.p, fresh)])
 
 
+def test_build_corpus_rejects_a_directory(tmp_path):
+    with pytest.raises(ValueError):
+        build_corpus(str(tmp_path))
+
+
 def test_prefill_rejects_unknown_property():
     ctx = CheckContext(path_graph(3), 2.0)
     with pytest.raises(AttributeError):
@@ -365,8 +434,6 @@ SUITE_DIGESTS = {
 
 @pytest.mark.parametrize("corpus", sorted(SUITE_DIGESTS))
 def test_suite_output_digest_is_pinned(corpus):
-    from psombor.bounds import build_corpus
-
     rep = run_suite(build_corpus(corpus), p_values=(-1.0, 2.0), corpus_name=corpus)
     text = json.dumps(rep.to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGESTS[corpus]
