@@ -1,9 +1,9 @@
 """The cyclic-Jacobi sweep kernel: psombor's one eigensolver backend.
 
 jacobi_sweeps is the scalar kernel, run on one matrix in pure Python.
-jacobi_sweeps_batch runs the same iteration on a stack of same-size matrices
-with NumPy, one rotation for the whole stack at a time, and matches
-jacobi_sweeps bit for bit on every member.
+jacobi_sweeps_batch runs the same iteration on a member-last (n, n, B) stack
+of same-size matrices with NumPy, one rotation for the whole stack at a time,
+and matches jacobi_sweeps bit for bit on every member.
 """
 
 from math import sqrt
@@ -91,23 +91,28 @@ def _off_from_rows(rows, n: int) -> float:
 
 
 def jacobi_sweeps_batch(stack, thresholds, max_sweeps: int):
-    """Run cyclic Jacobi sweeps in place on every matrix of a (B, n, n) stack.
+    """Run cyclic Jacobi sweeps in place on every matrix of an (n, n, B) stack.
 
-    Each member goes through exactly the iteration jacobi_sweeps(member, None,
-    thresholds[i], max_sweeps) would: the same rotations in the same order
-    with the same formulas, so the results agree bit for bit. Rotation (p, q)
-    is applied to all still-active members at once; the scalar kernel's
-    branches (skip when apq == 0, the |theta| > 1e150 form of t) become
-    per-member selections. A member leaves the active set after the sweep at
-    which its off-diagonal norm reaches its threshold. Returns
-    (sweeps used, final off-diagonal norm) as two length-B arrays.
+    The stack is member-last: member i is stack[:, :, i], so row p of every
+    member is one contiguous (n, B) block. Each member goes through exactly
+    the iteration jacobi_sweeps(member, None, thresholds[i], max_sweeps)
+    would: the same rotations in the same order with the same formulas, so
+    the results agree bit for bit for members equal to their transpose bit
+    for bit (signed zeros included; the kernel reads row p where the scalar
+    kernel reads column p). Rotation (p, q) is applied to all still-active
+    members at once; the scalar kernel's branches (skip when apq == 0, the
+    |theta| > 1e150 form of t) become per-member selections. A member leaves
+    the active set after the sweep at which its off-diagonal norm reaches its
+    threshold. Returns (sweeps used, final off-diagonal norm) as two
+    length-B arrays.
     """
-    count, n = stack.shape[0], stack.shape[1]
+    n, count = stack.shape[0], stack.shape[2]
     thresholds = np.asarray(thresholds, dtype=float)
     sweeps = np.zeros(count, dtype=np.int64)
     offs = _off_batch(stack)
     active = np.flatnonzero(offs > thresholds)
-    work = stack[active]
+    # Solve in place; take a sub-stack only when some member needs no sweep.
+    work = stack if active.size == count else stack[:, :, active]
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     done = 0
     # Lanes whose branch is not taken divide by zero or overflow; their
@@ -121,19 +126,22 @@ def jacobi_sweeps_batch(stack, thresholds, max_sweeps: int):
             sweeps[active] = done
             offs[active] = off
             keep = off > thresholds[active]
-            stack[active[~keep]] = work[~keep]
-            active, work = active[keep], work[keep]
-    stack[active] = work
+            if not keep.all():
+                if work is not stack:
+                    stack[:, :, active[~keep]] = work[:, :, ~keep]
+                active, work = active[keep], work[:, :, keep]
+    if work is not stack:
+        stack[:, :, active] = work
     return sweeps, offs
 
 
 def _rotate_batch(work, p: int, q: int) -> None:
-    apq = work[:, p, q]
+    apq = work[p, q]
     n_live = np.count_nonzero(apq)
     if not n_live:
         return
-    app = work[:, p, p]
-    aqq = work[:, q, q]
+    app = work[p, p]
+    aqq = work[q, q]
     theta = (aqq - app) / (2.0 * apq)
     abs_theta = np.abs(theta)
     # 1/(theta + r) for theta >= 0 and -1/(-theta + r) otherwise, with
@@ -145,35 +153,35 @@ def _rotate_batch(work, p: int, q: int) -> None:
         t = np.where(big, 1.0 / (2.0 * theta), t)
     c = 1.0 / np.sqrt(t * t + 1.0)
     s = t * c
-    tau = (s / (1.0 + c))[:, None]
-    s = s[:, None]
+    tau = s / (1.0 + c)
     t_apq = t * apq
-    colp = work[:, :, p]
-    colq = work[:, :, q]
-    newp = colp - s * (colq + tau * colp)
-    newq = colq + s * (colp - tau * colq)
-    newp[:, p] = app - t_apq
-    newq[:, q] = aqq + t_apq
-    newp[:, q] = 0.0
-    newq[:, p] = 0.0
-    if n_live < len(work):
-        # Members with apq == 0 keep their columns bit for bit (signed zeros
+    # Every member is symmetric, so its contiguous row p is its column p.
+    rowp = work[p]
+    rowq = work[q]
+    newp = rowp - s * (rowq + tau * rowp)
+    newq = rowq + s * (rowp - tau * rowq)
+    newp[p] = app - t_apq
+    newq[q] = aqq + t_apq
+    newp[q] = 0.0
+    newq[p] = 0.0
+    if n_live < apq.size:
+        # Members with apq == 0 keep their rows bit for bit (signed zeros
         # included), as the scalar kernel skips them.
-        keep = (apq != 0.0)[:, None]
-        newp = np.where(keep, newp, colp)
-        newq = np.where(keep, newq, colq)
-    work[:, :, p] = newp
-    work[:, p, :] = newp
-    work[:, :, q] = newq
-    work[:, q, :] = newq
+        keep = apq != 0.0
+        newp = np.where(keep, newp, rowp)
+        newq = np.where(keep, newq, rowq)
+    work[:, p] = newp
+    work[p] = newp
+    work[:, q] = newq
+    work[q] = newq
 
 
 def _off_batch(stack) -> np.ndarray:
     # Same terms as _off_from_rows, summed left to right in row-major order:
     # cumsum accumulates sequentially, unlike sum.
-    n = stack.shape[1]
+    n = stack.shape[0]
     rows, cols = np.triu_indices(n, 1)
     if not rows.size:
-        return np.zeros(stack.shape[0])
-    upper = stack[:, rows, cols]
-    return np.sqrt(np.cumsum(2.0 * upper * upper, axis=1)[:, -1])
+        return np.zeros(stack.shape[2])
+    upper = stack[rows, cols]
+    return np.sqrt(np.cumsum(2.0 * upper * upper, axis=0)[-1])

@@ -681,11 +681,12 @@ def corpus_special():
 
 def corpus_from_directory(path):
     """Graphs from every .edges/.json file in a directory; unreadable entries
-    are recorded and skipped so the suite still runs."""
+    are recorded and skipped so the suite still runs. A graph above the input
+    size limit raises GraphTooLargeError for the whole corpus."""
     import json
     import os
 
-    from .graphs import parse_edge_list
+    from .graphs import GraphTooLargeError, parse_edge_list
 
     graphs = []
     errors = []
@@ -701,6 +702,8 @@ def corpus_from_directory(path):
             else:
                 g = parse_edge_list(text)
             graphs.append((name, g))
+        except GraphTooLargeError as exc:
+            raise GraphTooLargeError(f"{name}: {exc}") from exc
         except Exception as exc:
             errors.append({"file": name, "error": str(exc)})
     return graphs, errors

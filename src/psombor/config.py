@@ -9,10 +9,15 @@ value (bound checks).
 # OFF_DIAG_FACTOR * max(1, ||M||_F); give up after MAX_SWEEPS sweeps.
 OFF_DIAG_FACTOR = 1e-12
 MAX_SWEEPS = 100
-# Batched eigensolves (spectral.eigen_decompose_many) stack at most this many
-# same-size matrices; run_suite prefetches the spectra of this many graphs at a
-# time. Both bound the memory held at once.
-JACOBI_BATCH_SIZE = 256
+# Input guard: spectrum and verify read graph files of at most this many
+# vertices. Every solve holds dense n x n matrices and the pure-Python kernel
+# costs O(n^3) per sweep (one dense n = 128 solve with eigenvectors takes
+# about 4 s), so a larger graph would run for hours, or, for a header such as
+# n=10000000000, exhaust memory building the graph.
+MAX_INPUT_VERTICES = 500
+
+# run_suite prefetches the spectra of this many graphs at a time, which bounds
+# the matrices and decompositions held at once.
 SUITE_CHUNK_GRAPHS = 16
 
 # Eigenvalue classification.

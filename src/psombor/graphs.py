@@ -13,9 +13,23 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
+from . import config
+
 
 class GraphError(ValueError):
     """Raised for invalid graph input (self-loops, bad tokens, bad params)."""
+
+
+class GraphTooLargeError(GraphError):
+    """Raised when graph input declares more than config.MAX_INPUT_VERTICES
+    vertices."""
+
+
+def _check_input_size(n: int) -> None:
+    # Runs before Graph(n), which allocates n adjacency sets.
+    if n > config.MAX_INPUT_VERTICES:
+        raise GraphTooLargeError(f"graph has {n} vertices, more than the input "
+                                 f"limit of {config.MAX_INPUT_VERTICES}")
 
 
 class Graph:
@@ -55,7 +69,11 @@ class Graph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Graph":
-        return cls(int(data["n"]), [tuple(e) for e in data.get("edges", [])])
+        """Graph from its JSON form; at most config.MAX_INPUT_VERTICES
+        vertices."""
+        n = int(data["n"])
+        _check_input_size(n)
+        return cls(n, [tuple(e) for e in data.get("edges", [])])
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -86,7 +104,8 @@ class StructureStats:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format: optional 'n=<int>' header, '#' comments,
-    one 'u v' pair per line (0-based ids)."""
+    one 'u v' pair per line (0-based ids); at most config.MAX_INPUT_VERTICES
+    vertices."""
     n_declared = None
     edges = []
     max_seen = -1
@@ -114,6 +133,7 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
         max_seen = max(max_seen, u, v)
     n = n_declared if n_declared is not None else max_seen + 1
+    _check_input_size(n)
     return Graph(max(n, 0), edges)
 
 

@@ -198,10 +198,10 @@ def eigen_decompose_many(specs) -> list[SpectralDecomposition]:
     """Eigenvalues of many symmetric matrices, in input order.
 
     specs is a sequence of (matrix, kind, p) triples; entry i of the result
-    equals eigen_decompose(matrix, False, kind, p) bit for bit. Matrices of
-    one size are solved together by the batched kernel, in stacks of at most
-    config.JACOBI_BATCH_SIZE. The first matrix (in input order) that is
-    invalid or fails to converge raises as eigen_decompose would.
+    equals eigen_decompose(matrix, False, kind, p) bit for bit. All matrices
+    of one size are solved in one call of the batched kernel, on a
+    member-last stack. The first matrix (in input order) that is invalid or
+    fails to converge raises as eigen_decompose would.
     """
     prepared = [_prepare(matrix) for matrix, _, _ in specs]
     by_size: dict[int, list[int]] = {}
@@ -209,13 +209,11 @@ def eigen_decompose_many(specs) -> list[SpectralDecomposition]:
         by_size.setdefault(a.shape[0], []).append(i)
     solved: list = [None] * len(prepared)
     for members in by_size.values():
-        for start in range(0, len(members), config.JACOBI_BATCH_SIZE):
-            chunk = members[start:start + config.JACOBI_BATCH_SIZE]
-            stack = np.stack([prepared[i][0] for i in chunk])
-            thresholds = np.array([prepared[i][2] for i in chunk])
-            sweeps, offs = jacobi_sweeps_batch(stack, thresholds, config.MAX_SWEEPS)
-            for j, i in enumerate(chunk):
-                solved[i] = (stack[j], int(sweeps[j]), float(offs[j]))
+        stack = np.stack([prepared[i][0] for i in members], axis=-1)
+        thresholds = np.array([prepared[i][2] for i in members])
+        sweeps, offs = jacobi_sweeps_batch(stack, thresholds, config.MAX_SWEEPS)
+        for j, i in enumerate(members):
+            solved[i] = (stack[:, :, j], int(sweeps[j]), float(offs[j]))
     out = []
     for (_, scale, threshold), (a, sweeps, off), (_, kind, p) in zip(prepared, solved, specs):
         out.append(_finish(a, None, sweeps, off, threshold, scale, kind, p))

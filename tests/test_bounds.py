@@ -272,7 +272,7 @@ def test_suite_solves_each_subdivision_once_per_graph(monkeypatch):
         return scalar(a, *args)
 
     def counting_batch(stack, *args):
-        sizes[stack.shape[1]] += stack.shape[0]
+        sizes[stack.shape[0]] += stack.shape[2]
         return batch(stack, *args)
 
     monkeypatch.setattr(spectral, "jacobi_sweeps", counting_scalar)

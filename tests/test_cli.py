@@ -94,6 +94,50 @@ def test_verify_rejects_a_directory_without_readable_graphs(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [message, message]
 
 
+@pytest.fixture
+def no_large_graphs(monkeypatch):
+    """Make building a graph above the input limit fail the test at once, so
+    that an unguarded input path never allocates it."""
+    from psombor import config, graphs
+
+    init = graphs.Graph.__init__
+
+    def guarded_init(self, n, edges=()):
+        assert n <= config.MAX_INPUT_VERTICES, f"Graph({n}) built past the input guard"
+        init(self, n, edges)
+
+    monkeypatch.setattr(graphs.Graph, "__init__", guarded_init)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("header.edges", "n=10000000000\n0 1\n"),
+    ("vertex_id.edges", "0 1\n1 10000000000\n"),
+    ("one_past.edges", "n=501\n"),
+    ("field.json", '{"n": 10000000000, "edges": [[0, 1]]}'),
+], ids=["header", "vertex_id", "one_past", "json_field"])
+def test_oversized_graph_input_is_rejected(name, text, tmp_path, capsys, no_large_graphs):
+    from psombor import config
+
+    assert config.MAX_INPUT_VERTICES == 500
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(["spectrum", "--input", str(path), "--p", "2"]) == 1
+    # A directory corpus rejects the whole run, not just the oversized entry.
+    (tmp_path / "a.edges").write_text("0 1\n1 2\n")
+    assert run(["verify", "--corpus", str(tmp_path), "--p", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("error: graph has ") and "more than the input limit of 500" in err[0]
+    assert err[1] == f"error: {name}: " + err[0][len("error: "):]
+
+
+def test_graph_input_at_the_size_limit_is_accepted(tmp_path, capsys, no_large_graphs):
+    path = tmp_path / "at_limit.edges"
+    path.write_text("n=500\n0 499\n")
+    assert run(["spectrum", "--input", str(path), "--p", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["graph"]["n"] == 500
+
+
 def test_verify_unknown_corpus_is_usage_error(capsys):
     assert run(["verify", "--corpus", "bogus"]) == 1
 

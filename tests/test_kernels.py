@@ -20,10 +20,11 @@ def _thresholds(mats):
 
 
 def _assert_batch_matches_scalar(mats, max_sweeps=100):
-    """Run the batched kernel on a stack of mats and the scalar kernel on
-    each member; every output must agree bit for bit. Returns the sweeps."""
+    """Run the batched kernel on a member-last stack of mats and the scalar
+    kernel on each member; every output must agree bit for bit. Returns the
+    sweeps."""
     thr = _thresholds(mats)
-    stack = np.stack(mats)
+    stack = np.stack(mats, axis=-1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sweeps, offs = backend.jacobi_sweeps_batch(stack, thr, max_sweeps)
@@ -32,8 +33,8 @@ def _assert_batch_matches_scalar(mats, max_sweeps=100):
         a = m.copy()
         s, off = backend.jacobi_sweeps(a, None, float(thr[i]), max_sweeps)
         assert (s, off) == (sweeps[i], offs[i])
-        assert np.array_equal(a, stack[i])
-        assert np.array_equal(np.signbit(a), np.signbit(stack[i]))
+        assert np.array_equal(a, stack[:, :, i])
+        assert np.array_equal(np.signbit(a), np.signbit(stack[:, :, i]))
     return sweeps
 
 
@@ -53,15 +54,19 @@ def test_batch_matches_scalar_on_sparse_tree_matrices():
     from psombor.spectral import build_sombor_matrix
 
     rng = np.random.default_rng(9)
-    trees = enumerate_trees(9).trees
-    for p in (-1.0, 0.5, 2.0):
-        mats = [build_sombor_matrix(t, p) for t in trees]
-        # Relabelled copies: at each (p, q) some members have an edge and
-        # others not, while the zero diagonal makes a skipped theta 0/0.
-        for m in mats[:20]:
-            perm = rng.permutation(9)
-            mats.append(m[np.ix_(perm, perm)])
-        _assert_batch_matches_scalar(mats)
+    for n in (9, 11):
+        trees = enumerate_trees(n).trees
+        for p in (-1.0, 0.5, 2.0):
+            mats = [build_sombor_matrix(t, p) for t in trees]
+            # Relabelled copies: at each (p, q) some members have an edge and
+            # others not, while the zero diagonal makes a skipped theta 0/0.
+            for m in mats[:40]:
+                perm = rng.permutation(n)
+                mats.append(m[np.ix_(perm, perm)])
+            sweeps = _assert_batch_matches_scalar(mats)
+            assert len(set(sweeps.tolist())) > 1
+    # n = 11 gives 275 members, more than one stack used to hold.
+    assert len(mats) > 256
 
 
 def test_batch_keeps_signed_zeros_of_skipped_rotations():
@@ -109,7 +114,34 @@ def test_batch_stops_at_max_sweeps_like_scalar():
     mats = [_random_symmetric(rng, 8) for _ in range(5)]
     sweeps = _assert_batch_matches_scalar(mats, max_sweeps=2)
     assert (sweeps == 2).all()
+    # A member converged from the start makes the kernel solve a sub-stack,
+    # which must still be written back when the others run out of sweeps.
+    sweeps = _assert_batch_matches_scalar(mats + [np.diag(np.arange(8.0))], max_sweeps=2)
+    assert sweeps.tolist() == [2, 2, 2, 2, 2, 0]
 
+
+def test_many_solves_each_size_in_one_batch_call(monkeypatch):
+    import psombor.spectral as spectral
+
+    calls = []
+    batch = spectral.jacobi_sweeps_batch
+
+    def counting_batch(stack, *args):
+        calls.append(stack.shape)
+        return batch(stack, *args)
+
+    monkeypatch.setattr(spectral, "jacobi_sweeps_batch", counting_batch)
+    rng = np.random.default_rng(12)
+    mats = [_random_symmetric(rng, 6) for _ in range(600)]
+    for at in (0, 300, 600):
+        mats.insert(at, _random_symmetric(rng, 4))
+    specs = [(m, "p_sombor", 2.0) for m in mats]
+    decs = eigen_decompose_many(specs)
+    assert sorted(calls) == [(4, 4, 3), (6, 6, 600)]
+    for m, many in zip(mats, decs):
+        one = eigen_decompose(m, False, "p_sombor", 2.0)
+        assert many.to_dict() == one.to_dict()
+        assert np.array_equal(np.signbit(many.eigenvalues), np.signbit(one.eigenvalues))
 
 
 # --- property tests: the eigensolver against LAPACK as an oracle ---

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psombor.graphs import (
     Graph,
@@ -333,6 +336,33 @@ def test_edge_weight_large_abs_p_stays_finite_and_in_range(p):
         else:
             assert 2.0 ** (1.0 / p) * lo <= w <= lo
     assert edge_weight(4, 4, p) == pytest.approx(4.0 * 2.0 ** (1.0 / p), rel=1e-15)
+
+
+_DEGREES = st.integers(1, 50)
+# |p| from 1e-3, where 2^(1/p) * 50 is still a finite float, to 1e4, where
+# d^p overflows and the scaled form takes over.
+_ABS_P = st.floats(1e-3, 1e4)
+
+
+def _rounding_slack(p):
+    # Equal degrees attain the bounds exactly, so only rounding separates
+    # the two sides: a few ulps in the inner sum, raised to the power 1/p.
+    return 4.0 * sys.float_info.epsilon * (1.0 + 1.0 / abs(p))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_DEGREES, _DEGREES, _ABS_P, _ABS_P, st.sampled_from([1.0, -1.0]))
+def test_edge_weight_is_monotone_and_bracketed_in_p(di, dj, a, b, sign):
+    p1, p2 = sorted((sign * a, sign * b))
+    w1, w2 = edge_weight(di, dj, p1), edge_weight(di, dj, p2)
+    assert w1 >= w2 * (1.0 - _rounding_slack(min(a, b)))
+    hi, lo = max(di, dj), min(di, dj)
+    for p, w in ((p1, w1), (p2, w2)):
+        slack = 1.0 + _rounding_slack(p)
+        if p > 0:
+            assert hi / slack <= w <= 2.0 ** (1.0 / p) * hi * slack
+        else:
+            assert 2.0 ** (1.0 / p) * lo / slack <= w <= lo * slack
 
 
 def test_edge_weight_overflows_only_when_the_weight_does():
