@@ -111,8 +111,10 @@ def jacobi_sweeps_batch(stack, thresholds, max_sweeps: int):
     sweeps = np.zeros(count, dtype=np.int64)
     offs = _off_batch(stack)
     active = np.flatnonzero(offs > thresholds)
-    # Solve in place; take a sub-stack only when some member needs no sweep.
-    work = stack if active.size == count else stack[:, :, active]
+    # np.take and compress keep the sub-stack member-last in memory; indexing
+    # the last axis with an array (stack[:, :, active]) would lay it out
+    # member-first and lose the contiguous rows.
+    work = np.take(stack, active, axis=2)
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     done = 0
     # Lanes whose branch is not taken divide by zero or overflow; their
@@ -127,11 +129,9 @@ def jacobi_sweeps_batch(stack, thresholds, max_sweeps: int):
             offs[active] = off
             keep = off > thresholds[active]
             if not keep.all():
-                if work is not stack:
-                    stack[:, :, active[~keep]] = work[:, :, ~keep]
-                active, work = active[keep], work[:, :, keep]
-    if work is not stack:
-        stack[:, :, active] = work
+                stack[:, :, active[~keep]] = work[:, :, ~keep]
+                active, work = active[keep], work.compress(keep, axis=2)
+    stack[:, :, active] = work
     return sweeps, offs
 
 

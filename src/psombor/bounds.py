@@ -683,10 +683,9 @@ def corpus_from_directory(path):
     """Graphs from every .edges/.json file in a directory; unreadable entries
     are recorded and skipped so the suite still runs. A graph above the input
     size limit raises GraphTooLargeError for the whole corpus."""
-    import json
     import os
 
-    from .graphs import GraphTooLargeError, parse_edge_list
+    from .graphs import GraphTooLargeError, read_graph_text
 
     graphs = []
     errors = []
@@ -697,11 +696,7 @@ def corpus_from_directory(path):
         try:
             with open(full, encoding="utf-8") as fh:
                 text = fh.read()
-            if name.endswith(".json"):
-                g = Graph.from_dict(json.loads(text))
-            else:
-                g = parse_edge_list(text)
-            graphs.append((name, g))
+            graphs.append((name, read_graph_text(text, json_form=name.endswith(".json"))))
         except GraphTooLargeError as exc:
             raise GraphTooLargeError(f"{name}: {exc}") from exc
         except Exception as exc:

@@ -25,7 +25,7 @@ from .chem import (
     scatter_csv,
 )
 from .extremal import enumerate_trees, rank_trees, verify_tree_extremes
-from .graphs import Graph, GraphError, parse_edge_list, structure_stats
+from .graphs import Graph, GraphError, read_graph_text, structure_stats
 from .invariants import index_bundle, spectral_invariants
 from .spectral import EigenConvergenceError, build_sombor_matrix, sombor_decomposition
 
@@ -52,10 +52,7 @@ def _parse_p_list(raw: str) -> list[float]:
 def _load_graph(path: str) -> Graph:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return Graph.from_dict(json.loads(text))
-    return parse_edge_list(text)
+    return read_graph_text(text, json_form=text.lstrip().startswith("{"))
 
 
 def _emit(payload: dict, fmt: str, out_path: str | None, table_text: str,

@@ -9,11 +9,13 @@ value (bound checks).
 # OFF_DIAG_FACTOR * max(1, ||M||_F); give up after MAX_SWEEPS sweeps.
 OFF_DIAG_FACTOR = 1e-12
 MAX_SWEEPS = 100
-# Input guard: spectrum and verify read graph files of at most this many
-# vertices. Every solve holds dense n x n matrices and the pure-Python kernel
-# costs O(n^3) per sweep (one dense n = 128 solve with eigenvectors takes
-# about 4 s), so a larger graph would run for hours, or, for a header such as
-# n=10000000000, exhaust memory building the graph.
+# Input guard: spectrum and verify refuse a graph file with more than this many
+# vertices before the graph is built, so that a header such as n=10000000000
+# fails at once instead of allocating an adjacency set per vertex. 500 is a
+# chosen cap, not a runtime bound: the pure-Python kernel costs O(n^3) per
+# sweep on dense n x n matrices (one dense n = 128 solve with eigenvectors
+# took about 4 s), so graphs below the cap can still run long. Graphs built in
+# code are not limited.
 MAX_INPUT_VERTICES = 500
 
 # run_suite prefetches the spectra of this many graphs at a time, which bounds

@@ -8,6 +8,7 @@ computed here.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -21,15 +22,14 @@ class GraphError(ValueError):
 
 
 class GraphTooLargeError(GraphError):
-    """Raised when graph input declares more than config.MAX_INPUT_VERTICES
-    vertices."""
+    """Raised when a graph file has more vertices than its reader allows."""
 
 
-def _check_input_size(n: int) -> None:
+def _check_vertex_count(n: int, max_vertices: int | None) -> None:
     # Runs before Graph(n), which allocates n adjacency sets.
-    if n > config.MAX_INPUT_VERTICES:
+    if max_vertices is not None and n > max_vertices:
         raise GraphTooLargeError(f"graph has {n} vertices, more than the input "
-                                 f"limit of {config.MAX_INPUT_VERTICES}")
+                                 f"limit of {max_vertices}")
 
 
 class Graph:
@@ -69,11 +69,7 @@ class Graph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Graph":
-        """Graph from its JSON form; at most config.MAX_INPUT_VERTICES
-        vertices."""
-        n = int(data["n"])
-        _check_input_size(n)
-        return cls(n, [tuple(e) for e in data.get("edges", [])])
+        return cls(int(data["n"]), [tuple(e) for e in data.get("edges", [])])
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -102,10 +98,10 @@ class StructureStats:
     cut_edges: tuple[tuple[int, int, bool], ...]  # (u, v, is_pendant)
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, max_vertices: int | None = None) -> Graph:
     """Parse the edge-list text format: optional 'n=<int>' header, '#' comments,
-    one 'u v' pair per line (0-based ids); at most config.MAX_INPUT_VERTICES
-    vertices."""
+    one 'u v' pair per line (0-based ids). With max_vertices, a larger vertex
+    count raises GraphTooLargeError before the graph is built."""
     n_declared = None
     edges = []
     max_seen = -1
@@ -133,8 +129,20 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
         max_seen = max(max_seen, u, v)
     n = n_declared if n_declared is not None else max_seen + 1
-    _check_input_size(n)
+    _check_vertex_count(n, max_vertices)
     return Graph(max(n, 0), edges)
+
+
+def read_graph_text(text: str, json_form: bool) -> Graph:
+    """Graph from the text of a graph file: the JSON form of Graph.to_dict or
+    the edge-list format. A file with more than config.MAX_INPUT_VERTICES
+    vertices raises GraphTooLargeError before the graph is built."""
+    limit = config.MAX_INPUT_VERTICES
+    if json_form:
+        data = json.loads(text)
+        _check_vertex_count(int(data["n"]), limit)
+        return Graph.from_dict(data)
+    return parse_edge_list(text, max_vertices=limit)
 
 
 # ---------------------------------------------------------------------------

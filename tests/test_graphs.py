@@ -1,10 +1,13 @@
+import json
 import math
 
 import pytest
 
+from psombor import config
 from psombor.graphs import (
     Graph,
     GraphError,
+    GraphTooLargeError,
     complement,
     complete_bipartite_graph,
     complete_graph,
@@ -19,6 +22,7 @@ from psombor.graphs import (
     path_graph,
     random_connected_gnm,
     random_gnm,
+    read_graph_text,
     shift_transform,
     star_graph,
     structure_stats,
@@ -60,6 +64,17 @@ def test_parse_rejects_negative_id():
 def test_json_round_trip():
     g = cycle_graph(5)
     assert Graph.from_dict(g.to_dict()) == g
+
+
+def test_graphs_above_the_file_limit_round_trip_in_code():
+    # The vertex cap applies to graph files only (read_graph_text).
+    g = path_graph(config.MAX_INPUT_VERTICES + 1)
+    assert Graph.from_dict(g.to_dict()) == g
+    header = f"n={g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+    assert parse_edge_list(header) == g
+    for text, json_form in ((header, False), (json.dumps(g.to_dict()), True)):
+        with pytest.raises(GraphTooLargeError, match="more than the input limit"):
+            read_graph_text(text, json_form)
 
 
 def test_generate_complete():

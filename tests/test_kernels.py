@@ -109,13 +109,34 @@ def test_batch_members_stop_at_their_own_sweep():
     assert len(set(sweeps.tolist())) >= 3
 
 
+def test_batch_rotates_contiguous_member_last_stacks(monkeypatch):
+    # Every rotation sees a C-contiguous (n, n, B) sub-stack, also after
+    # members leave it, so row p of all members stays one contiguous block.
+    contiguous = []
+    rotate = backend._rotate_batch
+
+    def recording_rotate(work, p, q):
+        contiguous.append(work.flags.c_contiguous)
+        rotate(work, p, q)
+
+    monkeypatch.setattr(backend, "_rotate_batch", recording_rotate)
+    nearly_diagonal = np.diag([4.0, 3.0, 2.0, 1.0, 0.0])
+    nearly_diagonal[0, 1] = nearly_diagonal[1, 0] = 1e-3
+    rng = np.random.default_rng(4)
+    mats = [np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), nearly_diagonal]
+    mats += [_random_symmetric(rng, 5) for _ in range(6)]
+    sweeps = _assert_batch_matches_scalar(mats)
+    assert sweeps[0] == 0 and len(set(sweeps.tolist())) >= 3
+    assert contiguous and all(contiguous)
+
+
 def test_batch_stops_at_max_sweeps_like_scalar():
     rng = np.random.default_rng(11)
     mats = [_random_symmetric(rng, 8) for _ in range(5)]
     sweeps = _assert_batch_matches_scalar(mats, max_sweeps=2)
     assert (sweeps == 2).all()
-    # A member converged from the start makes the kernel solve a sub-stack,
-    # which must still be written back when the others run out of sweeps.
+    # A member converged from the start stays out of the sub-stack the kernel
+    # solves; the others must still be written back when they run out of sweeps.
     sweeps = _assert_batch_matches_scalar(mats + [np.diag(np.arange(8.0))], max_sweeps=2)
     assert sweeps.tolist() == [2, 2, 2, 2, 2, 0]
 
