@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import warnings
 
 from . import config
 from .bounds import build_corpus, run_suite
@@ -30,6 +32,7 @@ from .invariants import index_bundle, spectral_invariants
 from .spectral import EigenConvergenceError, build_sombor_matrix, sombor_decomposition
 
 SCHEMA_VERSION = 1
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 def _parse_p_list(raw: str) -> list[float]:
@@ -129,8 +132,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    import os
-
     p_values = _parse_p_list(args.p)
     if args.n and args.corpus != "trees":
         raise ValueError("--n applies only to --corpus trees")
@@ -171,6 +172,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_trees(args) -> int:
     p_values = _parse_p_list(args.p)
+    if args.rank is not None and args.rank < 1:
+        raise ValueError(f"--rank must be at least 1, got {args.rank}")
+    if args.rank is not None and args.verify_extremes:
+        raise ValueError("--rank and --verify-extremes cannot be combined")
+    if args.max_degree is not None and (args.verify_extremes or args.rank is not None):
+        raise ValueError("--max-degree applies only to the tree listing")
     if args.verify_extremes:
         ok = True
         results = []
@@ -197,7 +204,7 @@ def _cmd_trees(args) -> int:
         _emit({"extremes": results}, args.format, args.out,
               "\n".join(lines) + "\n", csv_rows)
         return 0 if ok else 2
-    if args.rank:
+    if args.rank is not None:
         ranked = rank_trees(args.n, p_values[0], args.rank)
         payload = {"n": args.n, "p": p_values[0],
                    "ranked": [{"key": k, "radius": r} for k, r in ranked]}
@@ -307,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", default="2")
     sp.add_argument("--verify-extremes", action="store_true",
                     help="check the path/star radius extremality")
-    sp.add_argument("--rank", type=int, default=0, metavar="K",
+    sp.add_argument("--rank", type=int, default=None, metavar="K",
                     help="list the K smallest and largest radii (exploratory)")
     common(sp)
     sp.set_defaults(func=_cmd_trees)
@@ -368,7 +375,20 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    default_show = warnings.showwarning
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        # psombor's own warnings as one "warning: <message>" line, without
+        # the install path and source line of the default format.
+        if os.path.dirname(os.path.abspath(filename)) == _PACKAGE_DIR:
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            default_show(message, category, filename, lineno, file, line)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        code = run()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 """Tree enumeration and the spectral-radius extremality experiments.
 
-Unlabeled trees are generated from canonical rooted level sequences
-(Beyer-Hedetniemi successor rule) and deduplicated by a centre-rooted AHU
-string, which doubles as the catalog's canonical key. A Pruefer-sequence
-enumerator is kept as an independent oracle for small n (used by the tests).
+Unlabeled trees come from the free-tree generator of Wright, Richmond,
+Odlyzko & McKay (SIAM J. Comput. 15(2), 1986), which yields one centre-rooted
+canonical level sequence per tree, so no tree is built twice. Each catalog
+tree is labelled by the lexicographically largest canonical level sequence
+over all its rootings, and keyed by a centre-rooted AHU string. A
+Pruefer-sequence enumerator is kept as an independent oracle for small n
+(used by the tests).
 """
 
 from __future__ import annotations
@@ -29,21 +32,62 @@ class TreeCatalog:
     canonical_keys: list[str]
 
 
-def _rooted_level_sequences(n: int):
-    # Successor rule over canonical level sequences, path first, star last.
-    levels = list(range(1, n + 1))
+def _first_subtree_end(levels) -> int:
+    # Index just past the root's first principal subtree, levels[1:end].
+    end = 2
+    while end < len(levels) and levels[end] != 2:
+        end += 1
+    return end
+
+
+def _refill(levels, p: int) -> list[int]:
+    # Beyer-Hedetniemi successor taken at index p: from p on, repeat the
+    # block that starts at p's parent.
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = levels[:p]
+    for i in range(p, len(levels)):
+        out.append(out[i - (p - q)])
+    return out
+
+
+def _free_tree_level_sequences(n: int):
+    """One centre-rooted canonical level sequence per unlabeled tree on n >= 2
+    vertices (Wright, Richmond, Odlyzko & McKay).
+
+    Canonical sequences are visited in the decreasing lexicographic order of
+    the Beyer-Hedetniemi walk over rooted trees, but a sequence is yielded
+    only when its root is a centre. With T1 the root's first (deepest)
+    subtree and R the rest of the tree, that is depth(T1) <= depth(R) + 1; in
+    the bicentral case (equality) the rooting with (|T1|, T1) <= (|R|, R) is
+    the one kept. Every sequence sharing a rejected one's T1 is rejected too,
+    so the walk jumps past them all at once.
+    """
+    # The path, rooted at a centre.
+    levels = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
     while True:
-        yield tuple(levels)
-        p = None
-        for i in range(n - 1, -1, -1):
-            if levels[i] > 2:
-                p = i
-                break
-        if p is None:
-            return
-        q = next(i for i in range(p - 1, -1, -1) if levels[i] == levels[p] - 1)
-        for i in range(p, n):
-            levels[i] = levels[i - (p - q)]
+        end = _first_subtree_end(levels)
+        t1 = [x - 1 for x in levels[1:end]]
+        rest = [1] + levels[end:]
+        excess = max(t1) - max(rest)
+        if excess < 0 or (excess == 0 and (len(t1), t1) <= (len(rest), rest)):
+            yield levels
+            p = n - 1
+            while levels[p] == 2:
+                p -= 1
+            if p == 0:
+                return
+            levels = _refill(levels, p)
+        else:
+            p = end - 1
+            deep = levels[p] > 3
+            levels = _refill(levels, p)
+            if deep:
+                # T1 took in every later vertex; the next centre-rooted
+                # sequence ends in a second chain as deep as T1.
+                depth = max(levels[:_first_subtree_end(levels)]) - 1
+                levels[n - depth:] = range(2, depth + 2)
 
 
 def _level_sequence_edges(levels) -> list[tuple[int, int]]:
@@ -91,17 +135,49 @@ def tree_canonical_key(g: Graph) -> str:
     return "|".join(sorted([_ahu(g, a, b), _ahu(g, b, a)]))
 
 
+def _rooted_canonical_levels(adj, root: int) -> list[int]:
+    def walk(v, parent, level):
+        out = [level]
+        for sub in sorted((walk(c, v, level + 1) for c in adj[v] if c != parent),
+                          reverse=True):
+            out += sub
+        return out
+    return walk(root, -1, 1)
+
+
+def _catalog_levels(levels) -> list[int]:
+    """The lexicographically largest canonical level sequence of the tree
+    over all its rootings, given a centre-rooted one.
+
+    A sequence rooted at v starts 1, 2, ..., ecc(v) + 1, so only peripheral
+    vertices can attain the maximum: the deepest vertices of the first
+    subtree and of the rest of the tree.
+    """
+    n = len(levels)
+    adj = [[] for _ in range(n)]
+    for u, v in _level_sequence_edges(levels):
+        adj[u].append(v)
+        adj[v].append(u)
+    end = _first_subtree_end(levels)
+    rest = [0, *range(end, n)]
+    t1_depth = max(levels[1:end])
+    rest_depth = max(levels[v] for v in rest)
+    ends = ([v for v in range(1, end) if levels[v] == t1_depth]
+            + [v for v in rest if levels[v] == rest_depth])
+    return max(_rooted_canonical_levels(adj, v) for v in ends)
+
+
 def enumerate_trees(n: int, max_degree: int | None = None) -> TreeCatalog:
     """All unlabeled trees on n vertices, optionally filtered by max degree."""
     if not 2 <= n <= MAX_TREE_N:
         raise GraphError(f"tree enumeration supports 2 <= n <= {MAX_TREE_N}, got {n}")
-    seen: dict[str, Graph] = {}
-    for levels in _rooted_level_sequences(n):
-        g = Graph(n, _level_sequence_edges(levels))
-        key = tree_canonical_key(g)
-        if key not in seen:
-            seen[key] = g
-    items = sorted(seen.items())
+    if max_degree is not None and max_degree < 1:
+        raise GraphError(f"max degree must be at least 1, got {max_degree}")
+    items = []
+    for levels in _free_tree_level_sequences(n):
+        g = Graph(n, _level_sequence_edges(_catalog_levels(levels)))
+        items.append((tree_canonical_key(g), g))
+    items.sort(key=lambda kv: kv[0])
     if max_degree is not None:
         items = [(k, t) for k, t in items if max(t.degrees) <= max_degree]
     return TreeCatalog(n=n, max_degree=max_degree,
@@ -187,7 +263,10 @@ def verify_tree_extremes(n: int, p: float,
 
 
 def rank_trees(n: int, p: float, count: int = 3) -> list[tuple[str, float]]:
-    """Exploratory ranking: (canonical key, radius) sorted by radius."""
+    """Exploratory ranking: (canonical key, radius) sorted by radius, the
+    count smallest and the count largest (every tree when they overlap)."""
+    if count < 1:
+        raise ValueError(f"rank count must be at least 1, got {count}")
     report = verify_tree_extremes(n, p)
     ordered = sorted(report.radii.items(), key=lambda kv: kv[1])
     if count * 2 >= len(ordered):

@@ -344,3 +344,29 @@ def test_trees_verify_extremes_enumerates_once(monkeypatch, capsys):
     monkeypatch.setattr(extremal, "enumerate_trees", counting)
     assert run(["trees", "--n", "7", "--verify-extremes", "--p", "1,2,3"]) == 0
     assert calls == [7]
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--rank", "-1"], "--rank must be at least 1"),
+    (["--rank", "-2"], "--rank must be at least 1"),
+    (["--rank", "0"], "--rank must be at least 1"),
+    (["--max-degree", "-3"], "max degree must be at least 1"),
+    (["--max-degree", "3", "--verify-extremes"], "--max-degree applies only to"),
+    (["--max-degree", "3", "--rank", "2"], "--max-degree applies only to"),
+    (["--rank", "2", "--verify-extremes"], "cannot be combined"),
+])
+def test_trees_rejects_arguments_that_would_give_wrong_output(extra, message, capsys):
+    assert run(["trees", "--n", "6"] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_warnings_are_one_line_without_a_path():
+    out = subprocess.run([sys.executable, "-m", "psombor", "verify",
+                          "--corpus", "families", "--p", "0.3"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.startswith("warning: spectral radius")
+    assert ".py:" not in out.stderr
+    assert all(line.startswith("warning: ") for line in out.stderr.splitlines())

@@ -1,7 +1,10 @@
+import hashlib
+import json
 import math
 
 import pytest
 
+from psombor import extremal
 from psombor.extremal import (
     FREE_TREE_COUNTS,
     enumerate_trees,
@@ -17,12 +20,55 @@ from psombor.spectral import sombor_decomposition
 
 
 @pytest.mark.parametrize("n,count", [(2, 1), (3, 1), (4, 2), (5, 3), (6, 6),
-                                     (7, 11), (8, 23), (9, 47), (10, 106)])
+                                     (7, 11), (8, 23), (9, 47), (10, 106),
+                                     (11, 235), (12, 551)])
 def test_catalog_counts(n, count):
     catalog = enumerate_trees(n)
     assert len(catalog.trees) == count
     assert FREE_TREE_COUNTS[n - 1] == count
     assert len(set(catalog.canonical_keys)) == count
+
+
+# sha256 of json.dumps([canonical_keys, [list(t.edges()) for t in trees]]),
+# recorded from the earlier rooted-walk-and-dedup enumeration: the catalog's
+# keys, order and vertex labels reach the CLI output, so they must not move.
+CATALOG_DIGESTS = {
+    (2, None): "6c504bb975260ae8886e03e85b782851e1b5f0ad2a9b407fb922c28a4c10f253",
+    (3, None): "fb5834a1a5accac4f66b4c90b3a3d48764f811dbd6a38f8ccb5a246bd5a75788",
+    (4, None): "302f898c3679f37756eb083315ae801d63f426a9f1c39a6340ec4166660bedc4",
+    (5, None): "419392accc377a17bbf5714e516c8ff730331e3b2b055255dce4b45e3c9a9753",
+    (6, None): "72ee7aac7efa1c2d676d99d8ed6a07af033bdce9dcee39b133afd605a9c2852a",
+    (7, None): "92dd281e658b8d032e47707410d742d078d6121c255adfc3f5a4f52f4e09af8b",
+    (8, None): "709cf8e4dff8f2764728f64f920cddfea1fbcdba63c900b11f64a7aee82d93a3",
+    (9, None): "036f5782c9113b03475ad33e2ccf7fcb46e648ddfd6dfcdde0c35864161af23e",
+    (10, None): "8c9a2865a6be0555dafbca4907a95127aa1b5ed20a1948b7f4be4d8f2bff5e48",
+    (11, None): "f61e38a81e46e43429ec6156ce288a258fc41157381be9b3a31c39912fc7a4e7",
+    (12, None): "2733b2731ebb8e1a03a4aa6932a0d46f80cb8fd5fd10d62fcc99ef8b32c7d2ae",
+    (8, 4): "e251dbd21271dc6615d8b5a7b4e2b67a58df4e606e5ef93fe35bc04c8a5bbfb8",
+}
+
+
+@pytest.mark.parametrize("n,max_degree", sorted(CATALOG_DIGESTS, key=str))
+def test_catalog_digest_is_pinned(n, max_degree):
+    catalog = enumerate_trees(n, max_degree)
+    text = json.dumps([catalog.canonical_keys,
+                       [list(t.edges()) for t in catalog.trees]])
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGESTS[n, max_degree]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_each_tree_is_keyed_once(n, monkeypatch):
+    # one key per catalog tree: the generator yields no duplicate to drop
+    calls = []
+    key = extremal.tree_canonical_key
+
+    def counting(g):
+        calls.append(g)
+        return key(g)
+
+    monkeypatch.setattr(extremal, "tree_canonical_key", counting)
+    enumerate_trees(n)
+    assert len(calls) == FREE_TREE_COUNTS[n - 1]
 
 
 def test_catalog_entries_are_trees():
@@ -52,6 +98,9 @@ def test_enumeration_range_check():
         enumerate_trees(1)
     with pytest.raises(GraphError):
         enumerate_trees(13)
+    for max_degree in (0, -3):
+        with pytest.raises(GraphError, match="max degree must be at least 1"):
+            enumerate_trees(6, max_degree=max_degree)
 
 
 def test_canonical_key_isomorphism_invariant():
@@ -83,6 +132,10 @@ def test_rank_trees_sorted():
     radii = [r for _, r in ranked]
     assert radii == sorted(radii)
     assert len(ranked) == 6
+    assert len(rank_trees(6, 2.0, count=3)) == 6  # all six trees, none twice
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="rank count must be at least 1"):
+            rank_trees(6, 2.0, count=count)
 
 
 def test_shift_p4_matches_star():

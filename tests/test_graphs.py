@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from strategies import graphs
 
 from psombor import config
 from psombor.graphs import (
@@ -250,3 +252,11 @@ def test_structural_predicates():
     assert is_complete_multipartite(complete_graph(4))
     assert not is_complete_multipartite(cycle_graph(5))
     assert is_c4_free(cycle_graph(5)) and not is_c4_free(complete_bipartite_graph(2, 2))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(graphs())
+def test_edge_list_and_json_round_trips_preserve_the_graph(g):
+    text = f"n={g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+    assert read_graph_text(text, json_form=False) == g
+    assert read_graph_text(json.dumps(g.to_dict()), json_form=True) == g

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import graphs, nonzero_p
 
 from psombor.graphs import (
     Graph,
@@ -84,6 +85,13 @@ def test_laplacian_rows_sum_to_zero():
         for p in P_GRID:
             lap = build_p_laplacian(g, p)
             assert np.abs(lap.sum(axis=1)).max() < 1e-10
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(graphs(), nonzero_p)
+def test_laplacian_rows_sum_to_zero_on_random_graphs(g, p):
+    lap = build_p_laplacian(g, p)
+    assert np.abs(lap.sum(axis=1)).max() <= 1e-12 * (1.0 + np.abs(lap).max())
 
 
 # --- eigensolver ---
@@ -261,6 +269,16 @@ def test_moment_routes_agree():
             for k in range(5):
                 spectral = moments_from_spectrum(dec, k)
                 assert abs(spectral - mom[k]) <= 1e-8 * max(1.0, abs(mom[k]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(graphs(), nonzero_p)
+def test_moment_routes_agree_on_random_graphs(g, p):
+    mom = moments_closed_form(g, p)
+    dec = sombor_decomposition(g, p)
+    for k in range(5):
+        scale = max(1.0, float((np.abs(dec.eigenvalues) ** k).sum()))
+        assert abs(moments_from_spectrum(dec, k) - mom[k]) <= 1e-9 * scale
 
 
 def test_moment_k0_is_n():
