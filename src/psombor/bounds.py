@@ -2,12 +2,13 @@
 
 Every theorem-shaped claim is one entry of CHECKS: its statement, when it
 applies, how to evaluate its value and bound(s), where it is hard-asserted and
-when equality is expected. One runner turns an entry and a CheckContext into a
-BoundReport; run_suite executes the table over a corpus and a grid of p
-values. Checks whose derivations only hold for p >= 1 are hard-asserted on
-that domain and run observe-only elsewhere; two claims that fail on small
-graphs as printed (check ids thm4.3 and cor-rad.randic) are permanently
-observe-only.
+when equality is expected. One judging step applies an entry to a
+CheckContext and gives its outcome; _report builds a full BoundReport from
+it, and run_suite counts the outcomes over a corpus and a grid of p values,
+building a report only for a violation or an equality mismatch. Checks whose
+derivations only hold for p >= 1 are hard-asserted on that domain and run
+observe-only elsewhere; two claims that fail on small graphs as printed
+(check ids thm4.3 and cor-rad.randic) are permanently observe-only.
 """
 
 from __future__ import annotations
@@ -211,28 +212,60 @@ class Check:
     note: Callable | None = None
 
 
-def _report(check: Check, c: CheckContext) -> BoundReport:
-    hard = check.hard(c) if callable(check.hard) else check.hard
+_NA = OUTCOMES.index("na")
+_FAIL = OUTCOMES.index("fail")
+
+
+def _flag(field, c):
+    """A Check field that is a bool or a predicate of c, at c."""
+    return field(c) if callable(field) else field
+
+
+def _verdict(hard, holds) -> int:
+    """Index into OUTCOMES of an applicable report; holds None passes."""
+    return (0 if holds is None or holds else 1) + (0 if hard else 3)
+
+
+def _judge(check: Check, c: CheckContext):
+    """Apply check to c: (outcome, mismatch, hard, evaluation).
+
+    outcome indexes OUTCOMES; mismatch is true for a hard report whose
+    expected equality is not observed. evaluation is None where the check
+    does not apply, else (value, lower, upper, slack, holds,
+    equality_observed). A NaN slack neither holds nor shows equality.
+    """
+    hard = _flag(check.hard, c)
     if check.applies is not None and not check.applies(c):
+        return _NA, False, hard, None
+    value, lower, upper = check.bounds(c)
+    if lower is None:
+        slack = None if upper is None else upper - value
+    elif upper is None:
+        slack = value - lower
+    else:
+        slack = min(value - lower, upper - value)
+    if slack is None:
+        holds = eq_observed = None
+    else:
+        tol = c.holds_tol if check.tol is None else check.tol
+        scale = max(1.0, abs(value)) if check.scale is None else check.scale(c)
+        holds = slack >= -tol * scale
+        eq_observed = abs(slack) <= config.EQUALITY_REL_TOL * scale
+    mismatch = eq_observed is False and hard and _flag(check.equality, c)
+    return (_verdict(hard, holds), mismatch, hard,
+            (value, lower, upper, slack, holds, eq_observed))
+
+
+def _report(check: Check, c: CheckContext) -> BoundReport:
+    _, _, hard, evaluation = _judge(check, c)
+    if evaluation is None:
         return BoundReport(check.id, check.statement, c.graph_id, c.p, 0.0, None, None,
                            None, None, False, check.na, hard, False, None)
-    value, lower, upper = check.bounds(c)
-    tol = c.holds_tol if check.tol is None else check.tol
-    scale = max(1.0, abs(value)) if check.scale is None else check.scale(c)
-    slacks = []
-    if lower is not None:
-        slacks.append(value - lower)
-    if upper is not None:
-        slacks.append(upper - value)
-    slack = min(slacks) if slacks else None
-    holds = None if slack is None else slack >= -tol * scale
-    eq_observed = None if slack is None else abs(slack) <= config.EQUALITY_REL_TOL * scale
+    value, lower, upper, slack, holds, eq_observed = evaluation
     reason = (check.note(c) if check.note else None) if hard else check.observe
     return BoundReport(check.id, check.statement, c.graph_id, c.p, value, lower, upper,
-                       slack, holds, True, reason, hard,
-                       check.equality(c) if callable(check.equality) else check.equality,
-                       eq_observed,
-                       check.extra(c) if check.extra else {})
+                       slack, holds, True, reason, hard, _flag(check.equality, c),
+                       eq_observed, check.extra(c) if check.extra else {})
 
 
 def _has_edge(c):
@@ -800,25 +833,30 @@ def _prefilled_contexts(graphs, p_values, holds_tol) -> list[list[CheckContext]]
 
 
 def _outcome(rep: BoundReport) -> str:
-    if not rep.applicable:
-        return "na"
-    held = rep.holds is None or rep.holds
-    return ("" if rep.hard else "observe_") + ("pass" if held else "fail")
+    return OUTCOMES[_verdict(rep.hard, rep.holds) if rep.applicable else _NA]
 
 
-def _tally_graph(g: Graph, contexts: list[CheckContext]):
-    counts: dict = {}
-    violations = []
-    eq_mismatches = []
+def _new_tally():
+    """Outcome counts per check (in CHECKS order, indexed like OUTCOMES),
+    violations and equality mismatches."""
+    return [[0] * len(OUTCOMES) for _ in CHECKS], [], []
+
+
+def _tally_graph(g: Graph, contexts: list[CheckContext], tally) -> None:
+    """Add every check on g at each context's p to tally; only a violation
+    or an equality mismatch builds a BoundReport, for its payload."""
+    if g.n == 0:
+        return
+    counts, violations, eq_mismatches = tally
     for ctx in contexts:
-        for rep in all_checks(g, ctx.p, ctx):
-            outcome = _outcome(rep)
-            counts.setdefault(rep.check_id, dict.fromkeys(OUTCOMES, 0))[outcome] += 1
-            if outcome == "fail":
-                violations.append(_violation_payload(rep, g))
-            if rep.hard and rep.equality_expected and rep.equality_observed is False:
-                eq_mismatches.append(_violation_payload(rep, g))
-    return counts, violations, eq_mismatches
+        # CHECKS lists the families in all_checks order.
+        for check, per in zip(CHECKS, counts):
+            outcome, mismatch, _, _ = _judge(check, ctx)
+            per[outcome] += 1
+            if outcome == _FAIL:
+                violations.append(_violation_payload(_report(check, ctx), g))
+            if mismatch:
+                eq_mismatches.append(_violation_payload(_report(check, ctx), g))
 
 
 def _tally_chunk(args):
@@ -826,7 +864,10 @@ def _tally_chunk(args):
     graphs = [(graph_id, Graph(n, [tuple(e) for e in edges]))
               for graph_id, n, edges in entries]
     contexts = _prefilled_contexts(graphs, p_values, holds_tol)
-    return [_tally_graph(g, ctxs) for (_, g), ctxs in zip(graphs, contexts)]
+    tally = _new_tally()
+    for (_, g), ctxs in zip(graphs, contexts):
+        _tally_graph(g, ctxs, tally)
+    return tally
 
 
 def run_suite(graphs, p_values=(1.0, 2.0, 3.0), holds_tol: float | None = None,
@@ -855,16 +896,16 @@ def run_suite(graphs, p_values=(1.0, 2.0, 3.0), holds_tol: float | None = None,
     else:
         chunks = [_tally_chunk(t) for t in tasks]
 
-    counts: dict = {}
-    violations: list[dict] = []
-    eq_mismatches: list[dict] = []
-    for cnt, vio, eqm in (per_graph for chunk in chunks for per_graph in chunk):
-        for cid, per in cnt.items():
-            agg = counts.setdefault(cid, dict.fromkeys(OUTCOMES, 0))
-            for key, val in per.items():
-                agg[key] += val
+    counts, violations, eq_mismatches = _new_tally()
+    for chunk_counts, vio, eqm in chunks:
+        for per, add in zip(counts, chunk_counts):
+            for k, val in enumerate(add):
+                per[k] += val
         violations.extend(vio)
         eq_mismatches.extend(eqm)
+    # A check appears once it was run on some graph: every run adds one count.
+    by_id = {check.id: dict(zip(OUTCOMES, per))
+             for check, per in zip(CHECKS, counts) if any(per)}
     return SuiteReport(corpus_name, tuple(p_values), len(entries),
-                       dict(sorted(counts.items())), violations, eq_mismatches,
+                       dict(sorted(by_id.items())), violations, eq_mismatches,
                        corpus_errors or [])

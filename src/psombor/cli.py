@@ -171,7 +171,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trees(args) -> int:
-    p_values = _parse_p_list(args.p)
+    if args.p is not None and not (args.verify_extremes or args.rank is not None):
+        raise ValueError("--p applies only to --verify-extremes and --rank")
+    p_values = _parse_p_list("2" if args.p is None else args.p)
     if args.rank is not None and args.rank < 1:
         raise ValueError(f"--rank must be at least 1, got {args.rank}")
     if args.rank is not None and args.verify_extremes:
@@ -311,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("trees", help="enumerate trees; verify or rank extremes")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--max-degree", type=int, default=None)
-    sp.add_argument("--p", default="2")
+    sp.add_argument("--p", default=None,
+                    help="comma-separated nonzero p values (default 2; "
+                         "--verify-extremes and --rank only)")
     sp.add_argument("--verify-extremes", action="store_true",
                     help="check the path/star radius extremality")
     sp.add_argument("--rank", type=int, default=None, metavar="K",

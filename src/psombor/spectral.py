@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,7 +93,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     inertia: tuple[int, int, int]         # (positive, zero, negative) counts
-    distinct: tuple[tuple[float, int], ...]  # (value, multiplicity), descending
     residual: float
     sweeps: int
     scale: float                          # max(1, Frobenius norm of the input)
@@ -108,6 +108,11 @@ class SpectralDecomposition:
     @property
     def smallest(self) -> float:
         return float(self.eigenvalues[-1]) if self.n else 0.0
+
+    @cached_property
+    def distinct(self) -> tuple[tuple[float, int], ...]:
+        """(value, multiplicity) clusters, descending; computed on first read."""
+        return _cluster_distinct(self.eigenvalues)
 
     def moment(self, k: int) -> float:
         return moments_from_spectrum(self, k)
@@ -173,7 +178,6 @@ def _finish(a: np.ndarray, vectors: np.ndarray | None, sweeps: int, off: float,
         eigenvalues=eigenvalues,
         eigenvectors=vectors,
         inertia=(n_pos, n - n_pos - n_neg, n_neg),
-        distinct=_cluster_distinct(eigenvalues),
         residual=float(off),
         sweeps=int(sweeps),
         scale=scale,

@@ -17,3 +17,12 @@ def graphs(draw, max_n: int = 10) -> Graph:
 # Finite nonzero p from both sides of 0.
 nonzero_p = st.builds(lambda a, sign: sign * a, st.floats(0.1, 10.0),
                       st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def circulants(draw, max_n: int = 12) -> Graph:
+    """A circulant C_n(S): i ~ i +- s (mod n) for each jump s in a nonempty
+    S within 1..n/2; regular of degree 2|S|, or one less when n/2 is in S."""
+    n = draw(st.integers(2, max_n))
+    jumps = draw(st.sets(st.integers(1, n // 2), min_size=1))
+    return Graph(n, [(i, (i + s) % n) for i in range(n) for s in jumps])

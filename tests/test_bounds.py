@@ -4,12 +4,21 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from strategies import circulants, nonzero_p
 
+from psombor import bounds
 from psombor.bounds import (
     CHECKS,
+    OUTCOMES,
+    BoundReport,
+    Check,
     CheckContext,
     GraphContext,
+    _judge,
+    _outcome,
     _report,
+    _violation_payload,
     all_checks,
     build_corpus,
     check_energy_estrada_bounds,
@@ -34,7 +43,7 @@ from psombor.graphs import (
     subdivision,
 )
 from psombor.invariants import graph_energy
-from psombor.spectral import sombor_decomposition
+from psombor.spectral import edge_weight, sombor_decomposition
 
 P_GRID = (-1.0, 0.5, 1.0, 2.0, 3.0)
 
@@ -285,6 +294,22 @@ def test_suite_solves_each_subdivision_once_per_graph(monkeypatch):
     assert {size: sizes[size] for size in expected} == expected
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(circulants(), nonzero_p)
+def test_thm4_12_identity_on_regular_circulants(g, p):
+    # energy(S_p(S(G))) = edge_weight(2, k, p) energy(A(S(G))) for k-regular G,
+    # and energy(A(S(G))) = 2 sum sqrt(k + lambda_i) over the spectrum of A(G).
+    stats = structure_stats(g)
+    assert stats.is_regular and g.m >= 1
+    k = stats.max_degree
+    gc = GraphContext(g)
+    direct = graph_energy(sombor_decomposition(subdivision(g), p))
+    assert direct == pytest.approx(edge_weight(2, k, p) * gc.subdivision_energy,
+                                   rel=1e-12, abs=0)
+    closed = 2.0 * sum(math.sqrt(max(0.0, k + lam)) for lam in gc.adec.eigenvalues)
+    assert gc.subdivision_energy == pytest.approx(closed, rel=1e-7)
+
+
 def test_lem5_4_equality_on_c4():
     rep = by_id(check_nordhaus_gaddum(cycle_graph(4), 2.0), "lem5.4")
     assert rep.value == pytest.approx(4 * math.sqrt(2), rel=1e-10)
@@ -389,6 +414,130 @@ def test_violation_payload_reproducible():
     assert Graph(payload["n"], [tuple(e) for e in payload["edges"]]) == complete_graph(4)
 
 
+def _tally_from_reports(graphs, p_values, holds_tol=None):
+    """run_suite's counts, violations and equality mismatches, rebuilt from
+    the full report of every (check, graph, p)."""
+    counts, violations, mismatches = {}, [], []
+    for graph_id, g in graphs:
+        for p in p_values:
+            for rep in all_checks(g, p, CheckContext(g, p, graph_id, holds_tol)):
+                outcome = _outcome(rep)
+                counts.setdefault(rep.check_id, dict.fromkeys(OUTCOMES, 0))[outcome] += 1
+                if outcome == "fail":
+                    violations.append(_violation_payload(rep, g))
+                if rep.hard and rep.equality_expected and rep.equality_observed is False:
+                    mismatches.append(_violation_payload(rep, g))
+    return dict(sorted(counts.items())), violations, mismatches
+
+
+def _suite_tally(graphs, p_values, holds_tol=None):
+    rep = run_suite(graphs, p_values=p_values, holds_tol=holds_tol, corpus_name="x")
+    return rep.counts, rep.violations, rep.equality_mismatches
+
+
+@pytest.mark.parametrize("holds_tol", (None, -1.0))
+def test_judgement_matches_the_full_report(holds_tol):
+    # holds_tol = -1 turns most hard checks into violations.
+    graphs = corpus_families(6) + corpus_special() + corpus_trees(4, 7)
+    seen = Counter()
+    for graph_id, g in graphs:
+        gc = GraphContext(g)
+        for p in P_GRID:
+            ctx = CheckContext(g, p, graph_id, holds_tol, gc)
+            for check in CHECKS:
+                outcome, mismatch, _, _ = _judge(check, ctx)
+                rep = _report(check, ctx)
+                assert OUTCOMES[outcome] == _outcome(rep), (check.id, graph_id, p)
+                assert bool(mismatch) == bool(rep.hard and rep.equality_expected
+                                              and rep.equality_observed is False)
+                seen[OUTCOMES[outcome], bool(mismatch)] += 1
+    outcomes = {outcome for outcome, _ in seen}
+    assert outcomes == set(OUTCOMES) - ({"fail"} if holds_tol is None else set())
+    # Every expected equality shows here; SYNTHETIC below covers mismatches.
+    assert not any(mismatch for _, mismatch in seen)
+
+
+def test_forced_violations_match_the_report_tally():
+    graphs = corpus_families(6) + corpus_special()
+    tally = _suite_tally(graphs, P_GRID, holds_tol=-1.0)
+    assert tally[1]
+    assert tally == _tally_from_reports(graphs, P_GRID, holds_tol=-1.0)
+
+
+NAN, INF = math.nan, math.inf
+# Appended to the last family, so that all_checks runs them in table order.
+_SYN = "nordhaus_gaddum"
+SYNTHETIC = (
+    Check("syn.nan", _SYN, "NaN value", lambda c: (NAN, 0.0, None), equality=True),
+    Check("syn.nan.observe", _SYN, "NaN value, observe-only", lambda c: (NAN, 0.0, 1.0),
+          hard=False, observe="observe-only: synthetic", equality=True),
+    Check("syn.inf.over", _SYN, "+inf value over a finite cap", lambda c: (INF, None, 0.0),
+          equality=True),
+    Check("syn.-inf.under", _SYN, "-inf value under a finite floor",
+          lambda c: (-INF, 0.0, None), equality=True),
+    Check("syn.inf.cap", _SYN, "finite value under an infinite cap",
+          lambda c: (1.0, None, INF), equality=True),
+    Check("syn.inf.floor", _SYN, "finite value over an infinite floor",
+          lambda c: (1.0, INF, None)),
+    Check("syn.inf-inf", _SYN, "+inf value and floor", lambda c: (INF, INF, None)),
+    Check("syn.fail", _SYN, "1 in [2, 3]", lambda c: (1.0, 2.0, 3.0),
+          equality=lambda c: c.p > 0),
+    Check("syn.unbounded", _SYN, "no bound at all", lambda c: (1.0, None, None),
+          equality=True),
+    Check("syn.na", _SYN, "NaN value, p > 0 only", lambda c: (NAN, 0.0, None),
+          lambda c: c.p > 0, "needs p > 0"),
+)
+# Outcome counts on K3 and P3 at p = -1, 2. A NaN slack neither holds nor
+# shows equality; an infinite value scales its own tolerance to inf, so
+# +-inf against a finite bound passes and shows equality.
+SYNTHETIC_COUNTS = {
+    "syn.nan": {"fail": 4}, "syn.nan.observe": {"observe_fail": 4},
+    "syn.inf.over": {"pass": 4}, "syn.-inf.under": {"pass": 4},
+    "syn.inf.cap": {"pass": 4}, "syn.inf.floor": {"fail": 4},
+    "syn.inf-inf": {"fail": 4}, "syn.fail": {"fail": 4},
+    "syn.unbounded": {"pass": 4}, "syn.na": {"fail": 2, "na": 2},
+}
+# sha256 of the suite's to_dict (JSON, sorted keys) with SYNTHETIC appended,
+# as the runner gave it when it built a BoundReport for every check.
+SYNTHETIC_DIGEST = "d0f4801a1a7301d0b9d76e9adc3dc23fc1516d35cbbda7e19cb64de8d10c9609"
+
+
+def test_non_finite_and_failing_checks_tally_as_their_reports(monkeypatch):
+    monkeypatch.setattr(bounds, "CHECKS", CHECKS + SYNTHETIC)
+    monkeypatch.setitem(bounds._BY_FAMILY, _SYN, bounds._BY_FAMILY[_SYN] + list(SYNTHETIC))
+    graphs = [("K3", complete_graph(3)), ("P3", path_graph(3))]
+    p_values = (-1.0, 2.0)
+    rep = run_suite(graphs, p_values=p_values, corpus_name="synthetic")
+    for check in SYNTHETIC:
+        got = {key: cnt for key, cnt in rep.counts[check.id].items() if cnt}
+        assert got == SYNTHETIC_COUNTS[check.id], check.id
+    assert [(v["check_id"], v["graph"], v["p"]) for v in rep.equality_mismatches] == [
+        (cid, gid, p) for gid in ("K3", "P3") for p in p_values
+        for cid in ("syn.nan", "syn.inf.cap") + (("syn.fail",) if p > 0 else ())]
+    # json.dumps writes NaN as NaN, so equal text means equal payloads.
+    assert (json.dumps(_suite_tally(graphs, p_values))
+            == json.dumps(_tally_from_reports(graphs, p_values)))
+    text = json.dumps(rep.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SYNTHETIC_DIGEST
+
+
+def test_suite_builds_reports_only_for_violations_and_mismatches(monkeypatch):
+    built = Counter()
+
+    class CountingReport(BoundReport):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built[self.check_id] += 1
+
+    monkeypatch.setattr(bounds, "BoundReport", CountingReport)
+    rep = run_suite(build_corpus("families"), p_values=(2.0,), corpus_name="families")
+    assert rep.ok and rep.totals()["pass"] > 0
+    assert not built
+    rep = run_suite([("K4", complete_graph(4))], p_values=(2.0,), holds_tol=-1.0,
+                    corpus_name="x")
+    assert sum(built.values()) == len(rep.violations) + len(rep.equality_mismatches) > 0
+
+
 @pytest.mark.parametrize("corpus", ("special", "families"))
 def test_suite_jobs_two_matches_serial_on_corpus(corpus):
     graphs = build_corpus(corpus)
@@ -429,6 +578,8 @@ def test_prefill_rejects_unknown_property():
 SUITE_DIGESTS = {
     "families": "a2cd56bfa80882dd14978c04b77029bb908e628667b597b4055791512dbf8287",
     "special": "d5354b73165c01c2e1d6a42f080cfbaf725ec35cd7ccd92ce004ef30abbee194",
+    "trees": "a831e7a7dff2ee71af39f28186593ce4d3f9082b67a96bd8864a0a5a14ded38a",
+    "random": "50b47968b813b56a9e54e2132cc35bbc3ad66fcba326a4978abf0c2dbac82676",
 }
 
 

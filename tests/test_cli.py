@@ -354,6 +354,8 @@ def test_trees_verify_extremes_enumerates_once(monkeypatch, capsys):
     (["--max-degree", "3", "--verify-extremes"], "--max-degree applies only to"),
     (["--max-degree", "3", "--rank", "2"], "--max-degree applies only to"),
     (["--rank", "2", "--verify-extremes"], "cannot be combined"),
+    (["--p", "3"], "--p applies only to"),
+    (["--p", "2", "--max-degree", "3"], "--p applies only to"),
 ])
 def test_trees_rejects_arguments_that_would_give_wrong_output(extra, message, capsys):
     assert run(["trees", "--n", "6"] + extra) == 1

@@ -16,6 +16,7 @@ from psombor.graphs import (
     star_graph,
     structure_stats,
 )
+from psombor.invariants import sombor_index
 from psombor.spectral import (
     EigenConvergenceError,
     adjacency_decomposition,
@@ -92,6 +93,15 @@ def test_laplacian_rows_sum_to_zero():
 def test_laplacian_rows_sum_to_zero_on_random_graphs(g, p):
     lap = build_p_laplacian(g, p)
     assert np.abs(lap.sum(axis=1)).max() <= 1e-12 * (1.0 + np.abs(lap).max())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(graphs(), nonzero_p)
+def test_trace_identity_on_random_graphs(g, p):
+    # SO_p = (1/2) sum of the p-Laplacian eigenvalues (its trace is 2 SO_p).
+    so = sombor_index(g, p)
+    half_trace = 0.5 * float(laplacian_decomposition(g, p).eigenvalues.sum())
+    assert abs(so - half_trace) <= 1e-12 * max(1.0, so)
 
 
 # --- eigensolver ---
