@@ -21,6 +21,7 @@ from typing import Callable
 from . import config
 from .graphs import (
     Graph,
+    bipartite_component_count,
     complement,
     complete_bipartite_graph,
     complete_graph,
@@ -35,7 +36,6 @@ from .graphs import (
     path_graph,
     random_connected_gnm,
     structure_stats,
-    subdivision,
 )
 from .invariants import (
     abs_determinant,
@@ -139,10 +139,24 @@ class GraphContext(_Cached):
         lambda self: is_balanced_complete_bipartite(self.g))
     is_complete_multipartite = cached_property(lambda self: is_complete_multipartite(self.g))
     is_c4_free = cached_property(lambda self: is_c4_free(self.g))
-    # For a k-regular graph every subdivision edge joins degrees 2 and k, so
-    # S_p(S(G)) = edge_weight(2, k, p) A(S(G)) and one solve serves every p.
-    subdivision_energy = cached_property(
-        lambda self: graph_energy(adjacency_decomposition(subdivision(self.g))))
+
+    @cached_property
+    def subdivision_energy(self) -> float:
+        """Energy of A(S(G)) for a k-regular G, from the spectrum of A(G).
+
+        Every subdivision edge joins degrees 2 and k, so S_p(S(G)) =
+        edge_weight(2, k, p) A(S(G)) and this one value serves every p. By
+        P_S(G)(x) = x^(m-n) P_G(x^2 - k) (Cvetkovic, Doob & Sachs, Spectra of
+        Graphs) the energy is 2 sum sqrt(k + lambda_i). Each bipartite
+        component gives one lambda_i = -k exactly, the smallest: those last b
+        values add exact zeros and are left out, as the sqrt of their rounded
+        value would be ~1e-8.
+        """
+        if not self.stats.is_regular:
+            raise ValueError("subdivision_energy needs a regular graph")
+        k = self.stats.max_degree
+        lams = self.adec.eigenvalues[:self.g.n - bipartite_component_count(self.g)]
+        return 2.0 * sum(math.sqrt(k + lam) for lam in lams)
 
 
 class CheckContext(_Cached):
@@ -232,7 +246,8 @@ def _judge(check: Check, c: CheckContext):
     outcome indexes OUTCOMES; mismatch is true for a hard report whose
     expected equality is not observed. evaluation is None where the check
     does not apply, else (value, lower, upper, slack, holds,
-    equality_observed). A NaN slack neither holds nor shows equality.
+    equality_observed). A NaN slack neither holds nor shows equality, and
+    the tolerances scale with |value| only where it is finite.
     """
     hard = _flag(check.hard, c)
     if check.applies is not None and not check.applies(c):
@@ -248,7 +263,11 @@ def _judge(check: Check, c: CheckContext):
         holds = eq_observed = None
     else:
         tol = c.holds_tol if check.tol is None else check.tol
-        scale = max(1.0, abs(value)) if check.scale is None else check.scale(c)
+        if check.scale is not None:
+            scale = check.scale(c)
+        else:
+            # An infinite value must not scale its own tolerance to inf.
+            scale = max(1.0, abs(value)) if math.isfinite(value) else 1.0
         holds = slack >= -tol * scale
         eq_observed = abs(slack) <= config.EQUALITY_REL_TOL * scale
     mismatch = eq_observed is False and hard and _flag(check.equality, c)

@@ -374,6 +374,13 @@ def _two_coloring(g: Graph) -> tuple[bool, tuple[int, int] | None]:
     return True, (n1, n2)
 
 
+def bipartite_component_count(g: Graph) -> int:
+    """Number of connected components (isolated vertices included) that are
+    bipartite."""
+    return sum(_two_coloring(induced_subgraph(g, comp))[0]
+               for comp in connected_components(g))
+
+
 def common_neighbor_count(g: Graph, u: int, v: int) -> int:
     return len(set(g.adj[u]) & set(g.adj[v]))
 

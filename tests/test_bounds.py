@@ -34,6 +34,7 @@ from psombor.bounds import (
 )
 from psombor.graphs import (
     Graph,
+    bipartite_component_count,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -43,7 +44,7 @@ from psombor.graphs import (
     subdivision,
 )
 from psombor.invariants import graph_energy
-from psombor.spectral import edge_weight, sombor_decomposition
+from psombor.spectral import adjacency_decomposition, edge_weight, sombor_decomposition
 
 P_GRID = (-1.0, 0.5, 1.0, 2.0, 3.0)
 
@@ -260,8 +261,9 @@ def test_thm4_12_scaled_adjacency_energy_matches_per_p_solve(regular_all):
 
 
 def test_subdivision_energy_matches_closed_form(regular_all):
-    # Oracle only: where k + lambda is a rounded zero (bipartite G), its sqrt
-    # is ~1e-8, an error the Jacobi solve of A(S(G)) does not make.
+    # The reported value is this closed form with the -k eigenvalues of the
+    # bipartite components (exact zeros) dropped. Here they are kept, and the
+    # sqrt of a rounded zero is ~1e-8 on a bipartite G.
     assert len(regular_all) == 23
     for gid, g in regular_all:
         gc = GraphContext(g)
@@ -270,28 +272,71 @@ def test_subdivision_energy_matches_closed_form(regular_all):
         assert gc.subdivision_energy == pytest.approx(closed, rel=1e-7), gid
 
 
-def test_suite_solves_each_subdivision_once_per_graph(monkeypatch):
+def _union(*graphs):
+    """Disjoint union, the vertices of each graph after those of the last."""
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(u + n, v + n) for u, v in g.edges()]
+        n += g.n
+    return Graph(n, edges)
+
+
+K2, C4, K3 = complete_graph(2), cycle_graph(4), complete_graph(3)
+# Disconnected regular graphs, where the count of bipartite components matters.
+REGULAR_UNIONS = [
+    ("2K2", _union(K2, K2)), ("2C4", _union(C4, C4)), ("C4+K3", _union(C4, K3)),
+    ("2K3", _union(K3, K3)),
+    ("K3,3+K4", _union(complete_bipartite_graph(3, 3), complete_graph(4))),
+    ("C6+C5+C4", _union(cycle_graph(6), cycle_graph(5), C4)),
+]
+
+
+@pytest.mark.parametrize("g, expected", [
+    (_union(C4, C4), 2), (_union(C4, K3), 1), (_union(K3, K3), 0), (path_graph(3), 1),
+], ids=["2C4", "C4+K3", "2K3", "P3"])
+def test_bipartite_component_count(g, expected):
+    assert bipartite_component_count(g) == expected
+
+
+def test_subdivision_energy_matches_the_subdivision_solve(regular_all):
+    # The oracle is the Jacobi solve of A(S(G)) itself, up to the K10
+    # subdivision (n + m = 55).
+    assert {"K9", "K10", "K5,5"} <= {gid for gid, _ in regular_all}
+    for gid, g in regular_all + REGULAR_UNIONS:
+        expected = graph_energy(adjacency_decomposition(subdivision(g)))
+        assert GraphContext(g).subdivision_energy == pytest.approx(
+            expected, rel=1e-14, abs=0), gid
+
+
+@pytest.mark.parametrize("gid, g", REGULAR_UNIONS, ids=[gid for gid, _ in REGULAR_UNIONS])
+def test_thm4_12_on_disconnected_regular_graphs_matches_per_p_solve(gid, g):
+    gc = GraphContext(g)
+    for p in (-1000.0, -1.0, 0.05, 0.5, 2.0, 1000.0):
+        rep = _report(THM4_12, CheckContext(g, p, gid, graph=gc))
+        expected = graph_energy(sombor_decomposition(subdivision(g), p))
+        assert rep.value == pytest.approx(expected, rel=1e-14, abs=0), p
+
+
+def test_subdivision_energy_needs_a_regular_graph():
+    with pytest.raises(ValueError):
+        GraphContext(path_graph(3)).subdivision_energy
+
+
+def test_suite_reads_every_spectrum_from_the_batch(monkeypatch):
     import psombor.spectral as spectral
 
-    sizes = Counter()
-    scalar, batch = spectral.jacobi_sweeps, spectral.jacobi_sweeps_batch
+    scalar, scalar_sizes = spectral.jacobi_sweeps, []
 
     def counting_scalar(a, *args):
-        sizes[a.shape[0]] += 1
+        scalar_sizes.append(a.shape[0])
         return scalar(a, *args)
 
-    def counting_batch(stack, *args):
-        sizes[stack.shape[0]] += stack.shape[2]
-        return batch(stack, *args)
-
     monkeypatch.setattr(spectral, "jacobi_sweeps", counting_scalar)
-    monkeypatch.setattr(spectral, "jacobi_sweeps_batch", counting_batch)
     graphs = [("C5", cycle_graph(5)), ("K4", complete_graph(4)),
               ("K3,3", complete_bipartite_graph(3, 3))]
-    run_suite(graphs, p_values=P_GRID, corpus_name="x")
-    # no graph or complement here has n + m vertices of any subdivision
-    expected = Counter(g.n + g.m for _, g in graphs)
-    assert {size: sizes[size] for size in expected} == expected
+    rep = run_suite(graphs, p_values=P_GRID, corpus_name="x")
+    assert rep.counts["thm4.12"]["pass"] == len(graphs) * len(P_GRID)
+    assert scalar_sizes == []
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=20)
@@ -488,18 +533,17 @@ SYNTHETIC = (
           lambda c: c.p > 0, "needs p > 0"),
 )
 # Outcome counts on K3 and P3 at p = -1, 2. A NaN slack neither holds nor
-# shows equality; an infinite value scales its own tolerance to inf, so
-# +-inf against a finite bound passes and shows equality.
+# shows equality; an infinite value does not scale the tolerances, so +-inf
+# past a finite bound fails and shows no equality.
 SYNTHETIC_COUNTS = {
     "syn.nan": {"fail": 4}, "syn.nan.observe": {"observe_fail": 4},
-    "syn.inf.over": {"pass": 4}, "syn.-inf.under": {"pass": 4},
+    "syn.inf.over": {"fail": 4}, "syn.-inf.under": {"fail": 4},
     "syn.inf.cap": {"pass": 4}, "syn.inf.floor": {"fail": 4},
     "syn.inf-inf": {"fail": 4}, "syn.fail": {"fail": 4},
     "syn.unbounded": {"pass": 4}, "syn.na": {"fail": 2, "na": 2},
 }
-# sha256 of the suite's to_dict (JSON, sorted keys) with SYNTHETIC appended,
-# as the runner gave it when it built a BoundReport for every check.
-SYNTHETIC_DIGEST = "d0f4801a1a7301d0b9d76e9adc3dc23fc1516d35cbbda7e19cb64de8d10c9609"
+# sha256 of the suite's to_dict (JSON, sorted keys) with SYNTHETIC appended.
+SYNTHETIC_DIGEST = "58a0233126f7df26b34e14509d67fad20aa20154ddd74bc843a80034b97f1f0b"
 
 
 def test_non_finite_and_failing_checks_tally_as_their_reports(monkeypatch):
@@ -513,7 +557,8 @@ def test_non_finite_and_failing_checks_tally_as_their_reports(monkeypatch):
         assert got == SYNTHETIC_COUNTS[check.id], check.id
     assert [(v["check_id"], v["graph"], v["p"]) for v in rep.equality_mismatches] == [
         (cid, gid, p) for gid in ("K3", "P3") for p in p_values
-        for cid in ("syn.nan", "syn.inf.cap") + (("syn.fail",) if p > 0 else ())]
+        for cid in ("syn.nan", "syn.inf.over", "syn.-inf.under", "syn.inf.cap")
+        + (("syn.fail",) if p > 0 else ())]
     # json.dumps writes NaN as NaN, so equal text means equal payloads.
     assert (json.dumps(_suite_tally(graphs, p_values))
             == json.dumps(_tally_from_reports(graphs, p_values)))
