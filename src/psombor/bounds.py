@@ -356,6 +356,21 @@ def _energy_lower(bound):
     return evaluate
 
 
+def _thm4_1_2(c):
+    # |det|^(2/n); when the plain product overflows, from the product of
+    # |xi_i| / scale (each at most 1), times scale^2
+    dec = c.sdec
+    det = abs_determinant(dec)
+    if det < math.inf:
+        det_root = det ** (2.0 / c.n)
+    else:
+        scaled = 1.0
+        for x in dec.eigenvalues:
+            scaled *= abs(float(x)) / dec.scale
+        det_root = scaled ** (2.0 / c.n) * dec.scale ** 2
+    return c.energy, math.sqrt(c.n * (c.n - 1) * det_root + c.n2), None
+
+
 def _cmp4_2_4_3(c):
     ratio = c.n3 / math.sqrt(c.n2 * c.n4)
     better = "thm4.2" if ratio > 1 else ("thm4.3" if ratio < 1 else "tie")
@@ -549,9 +564,7 @@ CHECKS = (
     # -- energy and the Estrada index --------------------------------------
     Check("thm4.1.1", "energy", "sqrt(2 N2) <= energy <= sqrt(n N2)",
           lambda c: (c.energy, math.sqrt(2.0 * c.n2), math.sqrt(c.n * c.n2))),
-    Check("thm4.1.2", "energy", "energy >= sqrt(n(n-1) |det|^(2/n) + N2)",
-          lambda c: (c.energy, math.sqrt(c.n * (c.n - 1) * abs_determinant(c.sdec) ** (2.0 / c.n)
-                                         + c.n2), None)),
+    Check("thm4.1.2", "energy", "energy >= sqrt(n(n-1) |det|^(2/n) + N2)", _thm4_1_2),
     Check("thm4.1.3", "energy", "energy >= (N2 + n max|xi| min|xi|) / (max|xi| + min|xi|)",
           _energy_lower(lambda n, n2, big, small: (n2 + n * big * small) / (big + small)),
           _has_edge, "no edges"),

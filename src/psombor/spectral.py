@@ -3,8 +3,8 @@
 The eigensolver is a self-contained cyclic Jacobi iteration (psombor.backend)
 with a fixed sweep order, so results are reproducible bit for bit across runs
 and platforms. Spectral moments N_0..N_4 are available through two independent
-routes: power sums of the computed eigenvalues, and the closed-form
-edge/common-neighbour sums, which cross-validate each other.
+routes: power sums of the computed eigenvalues, and traces of powers of the
+matrix itself, N_k = tr(S_p^k), which cross-validate each other.
 """
 
 from __future__ import annotations
@@ -113,9 +113,6 @@ class SpectralDecomposition:
     def distinct(self) -> tuple[tuple[float, int], ...]:
         """(value, multiplicity) clusters, descending; computed on first read."""
         return _cluster_distinct(self.eigenvalues)
-
-    def moment(self, k: int) -> float:
-        return moments_from_spectrum(self, k)
 
     def to_dict(self) -> dict:
         return {
@@ -241,7 +238,7 @@ def adjacency_decomposition(g: Graph, want_vectors: bool = False) -> SpectralDec
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Closed-form power sums N_0..N_4 of the weighted adjacency spectrum."""
+    """Power sums N_0..N_4 of the weighted adjacency spectrum, as traces."""
 
     p: float
     n0: float
@@ -255,43 +252,20 @@ class MomentSet:
 
 
 def moments_closed_form(g: Graph, p: float) -> MomentSet:
-    """N_0..N_4 from edge weights and common-neighbour sums only.
+    """N_0..N_4 as traces of powers of W = build_sombor_matrix(g, p).
 
-    N2 = 2 sum_{ij in E} w_ij^2;
-    N3 = 2 sum_{ij in E} w_ij * sum_{k ~ i, k ~ j} w_ik w_kj;
-    N4 = sum_i (sum_{j ~ i} w_ij^2)^2
-         + sum_{i != j} (sum_{k ~ i, k ~ j} w_ik w_kj)^2.
-    No eigensolver involved, so this is an independent check on the spectrum.
+    tr(W^k) sums the weights of the closed walks of length k, so
+    N2 = sum W o W, N3 = sum (W W) o W and N4 = sum (W W) o (W W), with o the
+    entrywise product. No eigensolver involved, so this is an independent
+    check on the spectrum. OverflowError when a moment leaves the float range.
     """
-    if p == 0:
-        raise ValueError("p must be nonzero")
-    d = g.degrees
-    n = g.n
-    w = {}
-    for i, j in g.edges():
-        w[(i, j)] = w[(j, i)] = edge_weight(d[i], d[j], p)
-    nbr = [set(a) for a in g.adj]
-
-    n2 = 2.0 * sum(w[(i, j)] ** 2 for i, j in g.edges())
-
-    n3 = 0.0
-    for i, j in g.edges():
-        inner = sum(w[(i, k)] * w[(k, j)] for k in nbr[i] & nbr[j])
-        n3 += w[(i, j)] * inner
-    n3 *= 2.0
-
-    n4 = 0.0
-    for i in range(n):
-        n4 += sum(w[(i, j)] ** 2 for j in g.adj[i]) ** 2
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            common = nbr[i] & nbr[j]
-            if common:
-                n4 += sum(w[(i, k)] * w[(k, j)] for k in common) ** 2
-
-    return MomentSet(p=p, n0=float(n), n1=0.0, n2=n2, n3=n3, n4=n4)
+    w = build_sombor_matrix(g, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = w @ w
+        n2, n3, n4 = float((w * w).sum()), float((w2 * w).sum()), float((w2 * w2).sum())
+    if not (math.isfinite(n2) and math.isfinite(n3) and math.isfinite(n4)):
+        raise OverflowError("spectral moments of S_p exceed the float range")
+    return MomentSet(p=p, n0=float(g.n), n1=0.0, n2=n2, n3=n3, n4=n4)
 
 
 def moments_from_spectrum(dec: SpectralDecomposition, k: int) -> float:

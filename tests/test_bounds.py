@@ -184,6 +184,18 @@ def test_energy_bounds_k3():
     assert rep.holds
 
 
+def test_thm4_1_2_holds_when_the_determinant_overflows():
+    # at p = 0.009, |det| of K10's S_p is 9 w^10 ~ 1e310, past the float range
+    graphs = [("K9", complete_graph(9)), ("K10", complete_graph(10)),
+              ("C10", cycle_graph(10)), ("P10", path_graph(10))]
+    with pytest.warns(UserWarning, match="too large for exp"):
+        rep = run_suite(graphs, p_values=(0.009,), corpus_name="x")
+        k10 = by_id(check_energy_estrada_bounds(complete_graph(10), 0.009), "thm4.1.2")
+    assert rep.ok and rep.totals()["fail"] == 0
+    w = edge_weight(9, 9, 0.009)
+    assert k10.lower == pytest.approx(w * math.sqrt(90 * (9 ** 0.2 + 1)), rel=1e-12)
+
+
 def test_thm4_3_violated_on_k3_but_observe_only():
     rep = by_id(check_energy_estrada_bounds(complete_graph(3), 2.0), "thm4.3")
     assert not rep.hard

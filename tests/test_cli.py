@@ -307,9 +307,9 @@ def test_verify_huge_abs_p_runs_clean(p, capsys):
     assert "pass" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("p", ("1e-4", "-1e-4"))
+@pytest.mark.parametrize("p", ("0.002", "1e-4", "-1e-4"))
 def test_verify_tiny_abs_p_is_clean_range_error(p, capsys):
-    # 2^(1/p) leaves the float range: a clean message, not a traceback
+    # 2^(1/p) or the moments leave the float range: a clean message, not a traceback
     assert run(["verify", "--corpus", "families", f"--p={p}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: result out of floating-point range")

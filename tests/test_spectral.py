@@ -265,9 +265,19 @@ def test_moments_p3():
 
 
 def test_forest_has_zero_n3():
-    from psombor.extremal import enumerate_trees
-    for t in enumerate_trees(7).trees:
-        assert moments_closed_form(t, 2.0).n3 == 0.0
+    # every triangle-free graph of the trees and families corpora, not only
+    # forests: thm4.3 and cmp4.2-4.3 apply only when N3 > 0, so a
+    # rounding-positive N3 there would change the verify counts
+    from psombor.bounds import check_energy_estrada_bounds, corpus_families, corpus_trees
+    graphs = [g for _, g in corpus_trees() + corpus_families()
+              if not structure_stats(g).t_max]
+    assert any(g.n >= 4 and g.m == g.n for g in graphs)  # the cycles C4..C10
+    for g in graphs:
+        for p in P_GRID:
+            assert moments_closed_form(g, p).n3 == 0.0
+            for rep in check_energy_estrada_bounds(g, p):
+                if rep.check_id in ("thm4.3", "cmp4.2-4.3"):
+                    assert not rep.applicable, (rep.check_id, g, p)
 
 
 def test_moment_routes_agree():
