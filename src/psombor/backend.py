@@ -71,13 +71,9 @@ def jacobi_sweeps(a, v, threshold: float, max_sweeps: int):
                         vrows[k][q] = vkq + s * (vkp - tau * vkq)
         sweeps += 1
         off = _off_from_rows(rows, n)
-    for i in range(n):
-        for j in range(n):
-            a[i, j] = rows[i][j]
+    a[:] = rows
     if v is not None:
-        for i in range(n):
-            for j in range(n):
-                v[i, j] = vrows[i][j]
+        v[:] = vrows
     return sweeps, off
 
 

@@ -892,9 +892,7 @@ def _tally_graph(g: Graph, contexts: list[CheckContext], tally) -> None:
 
 
 def _tally_chunk(args):
-    entries, p_values, holds_tol = args
-    graphs = [(graph_id, Graph(n, [tuple(e) for e in edges]))
-              for graph_id, n, edges in entries]
+    graphs, p_values, holds_tol = args
     contexts = _prefilled_contexts(graphs, p_values, holds_tol)
     tally = _new_tally()
     for (_, g), ctxs in zip(graphs, contexts):
@@ -915,10 +913,10 @@ def run_suite(graphs, p_values=(1.0, 2.0, 3.0), holds_tol: float | None = None,
         raise ValueError(f"tolerance must be finite, got {holds_tol}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    entries = [(gid, g.n, [list(e) for e in g.edges()]) for gid, g in graphs]
+    graphs = list(graphs)
     size = config.SUITE_CHUNK_GRAPHS
-    tasks = [(entries[i:i + size], tuple(p_values), holds_tol)
-             for i in range(0, len(entries), size)]
+    tasks = [(graphs[i:i + size], tuple(p_values), holds_tol)
+             for i in range(0, len(graphs), size)]
     if jobs > 1 and len(tasks) > 1:
         # Imported here: the process-pool machinery costs ~20 ms of import.
         from concurrent.futures import ProcessPoolExecutor
@@ -938,6 +936,6 @@ def run_suite(graphs, p_values=(1.0, 2.0, 3.0), holds_tol: float | None = None,
     # A check appears once it was run on some graph: every run adds one count.
     by_id = {check.id: dict(zip(OUTCOMES, per))
              for check, per in zip(CHECKS, counts) if any(per)}
-    return SuiteReport(corpus_name, tuple(p_values), len(entries),
+    return SuiteReport(corpus_name, tuple(p_values), len(graphs),
                        dict(sorted(by_id.items())), violations, eq_mismatches,
                        corpus_errors or [])

@@ -3,14 +3,14 @@
 Vertices are the contiguous ids 0..n-1. Graphs are immutable after
 construction and safe to share; every structural quantity used elsewhere
 (degrees, bridges, diameter, bipartition, common-neighbour counts) is
-computed here.
+computed here. Components, distances and 2-colourings all come from one
+breadth-first search, _bfs; bridges from a depth-first low-link search.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -140,7 +140,15 @@ def read_graph_text(text: str, json_form: bool) -> Graph:
     limit = config.MAX_INPUT_VERTICES
     if json_form:
         data = json.loads(text)
-        _check_vertex_count(int(data["n"]), limit)
+        n = data.get("n") if isinstance(data, dict) else None
+        if type(n) is not int:
+            raise GraphError('a JSON graph must be an object with an integer "n"')
+        edges = data.get("edges", [])
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
+                for e in edges):
+            raise GraphError('"edges" must be a list of [u, v] integer pairs')
+        _check_vertex_count(n, limit)
         return Graph.from_dict(data)
     return parse_edge_list(text, max_vertices=limit)
 
@@ -272,24 +280,32 @@ def shift_transform(g: Graph, u: int, v: int) -> Graph:
 # ---------------------------------------------------------------------------
 # traversal and statistics
 
+def _bfs(g: Graph, start: int, depth: list[int]) -> list[int]:
+    """Breadth-first search from start through the vertices whose depth is
+    still -1. Sets depth[v] to v's distance from start for each vertex reached
+    and returns them in visiting order, so the last is one of the farthest."""
+    depth[start] = 0
+    order = [start]
+    for x in order:
+        d = depth[x] + 1
+        for y in g.adj[x]:
+            if depth[y] < 0:
+                depth[y] = d
+                order.append(y)
+    return order
+
+
+def _component_depths(g: Graph) -> tuple[list[list[int]], list[int]]:
+    """Each component's BFS visiting order from its smallest vertex, and each
+    vertex's depth in it. An edge joining equal depths closes an odd cycle; a
+    component without one is 2-coloured by depth parity."""
+    depth = [-1] * g.n
+    return [_bfs(g, s, depth) for s in range(g.n) if depth[s] < 0], depth
+
+
 def connected_components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in g.adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return comps
+    """Each component's sorted vertices, in order of smallest vertex."""
+    return [sorted(comp) for comp in _component_depths(g)[0]]
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
@@ -297,23 +313,6 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     index = {v: i for i, v in enumerate(verts)}
     edges = [(index[a], index[b]) for a, b in g.edges() if a in index and b in index]
     return Graph(len(verts), edges)
-
-
-def _bfs_eccentricity(g: Graph, start: int) -> int | None:
-    dist = [-1] * g.n
-    dist[start] = 0
-    queue = deque([start])
-    far = 0
-    reached = 1
-    while queue:
-        x = queue.popleft()
-        for y in g.adj[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                far = max(far, dist[y])
-                reached += 1
-                queue.append(y)
-    return far if reached == g.n else None
 
 
 def _bridges(g: Graph) -> list[tuple[int, int]]:
@@ -350,35 +349,12 @@ def _bridges(g: Graph) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def _two_coloring(g: Graph) -> tuple[bool, tuple[int, int] | None]:
-    color = [-1] * g.n
-    n1 = n2 = 0
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        n1 += 1
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in g.adj[x]:
-                if color[y] < 0:
-                    color[y] = 1 - color[x]
-                    if color[y] == 0:
-                        n1 += 1
-                    else:
-                        n2 += 1
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return False, None
-    return True, (n1, n2)
-
-
 def bipartite_component_count(g: Graph) -> int:
     """Number of connected components (isolated vertices included) that are
     bipartite."""
-    return sum(_two_coloring(induced_subgraph(g, comp))[0]
-               for comp in connected_components(g))
+    comps, depth = _component_depths(g)
+    return sum(all(depth[x] != depth[y] for x in comp for y in g.adj[x])
+               for comp in comps)
 
 
 def common_neighbor_count(g: Graph, u: int, v: int) -> int:
@@ -402,10 +378,15 @@ def structure_stats(g: Graph) -> StructureStats:
     if g.m >= 1:
         counts = [common_neighbor_count(g, u, v) for u, v in g.edges()]
         t_max, t_min = max(counts), min(counts)
-    eccs = [_bfs_eccentricity(g, s) for s in range(n)]
-    connected = all(e is not None for e in eccs)
-    diameter = float(max(eccs)) if connected else math.inf
-    bip, sizes = _two_coloring(g)
+    comps, depth = _component_depths(g)
+    connected = len(comps) == 1
+
+    def eccentricity(s):
+        dist = [-1] * n
+        return dist[_bfs(g, s, dist)[-1]]
+    diameter = float(max(map(eccentricity, range(n)))) if connected else math.inf
+    bip = all(depth[x] != depth[y] for x in range(n) for y in g.adj[x])
+    odd = sum(d & 1 for d in depth)
     bridges = _bridges(g)
     cut_edges = tuple((u, v, min(degs[u], degs[v]) == 1) for u, v in bridges)
     stats = StructureStats(
@@ -417,7 +398,7 @@ def structure_stats(g: Graph) -> StructureStats:
         diameter=diameter,
         is_connected=connected,
         is_bipartite=bip,
-        bipartition_sizes=sizes if bip else None,
+        bipartition_sizes=(n - odd, odd) if bip else None,
         is_regular=(max_d == min_d),
         cut_edges=cut_edges,
     )
@@ -452,13 +433,10 @@ def is_complete_multipartite(g: Graph) -> bool:
     """Complement is a disjoint union of cliques (and g is connected)."""
     if g.n < 2 or not structure_stats(g).is_connected:
         return False
+    # A complement component C is a clique iff its degrees are all |C| - 1.
     cg = complement(g)
-    for comp in connected_components(cg):
-        k = len(comp)
-        sub = induced_subgraph(cg, comp)
-        if sub.m != k * (k - 1) // 2:
-            return False
-    return True
+    return all(cg.degrees[v] == len(comp) - 1
+               for comp in connected_components(cg) for v in comp)
 
 
 def is_c4_free(g: Graph) -> bool:

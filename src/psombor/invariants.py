@@ -95,7 +95,8 @@ def graph_energy(dec: SpectralDecomposition) -> float:
 
 def estrada_index(dec: SpectralDecomposition) -> float:
     if dec.n and dec.radius > config.ESTRADA_EXP_LIMIT:
-        warnings.warn(f"spectral radius {dec.radius:.3g} too large for exp(); "
+        # Constant text, so the once-per-location filter shows it once.
+        warnings.warn("spectral radius too large for exp(); "
                       "Estrada index reported as inf")
         return math.inf
     return float(sum(math.exp(x) for x in dec.eigenvalues))

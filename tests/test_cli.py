@@ -94,6 +94,28 @@ def test_verify_rejects_a_directory_without_readable_graphs(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [message, message]
 
 
+@pytest.mark.parametrize("text", [
+    '{"edges": [[0, 1]]}',
+    '{"n": 3, "edges": [[0, "a"]]}',
+    '{"n": 3, "edges": [[0, 1.5]]}',
+    '{"n": 2.7, "edges": [[0, 1]]}',
+    '{"n": 3, "edges": 5}',
+], ids=["no_n", "string_vertex", "float_vertex", "float_n", "edges_not_a_list"])
+def test_malformed_json_graph_is_a_clean_error(text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["spectrum", "--input", str(path), "--p", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    # In a directory corpus the file is recorded and the suite runs on.
+    (tmp_path / "a.edges").write_text("0 1\n1 2\n")
+    assert run(["verify", "--corpus", str(tmp_path), "--p", "2", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["graphs_checked"] == 1
+    assert [e["file"] for e in payload["corpus_errors"]] == ["bad.json"]
+
+
 @pytest.fixture
 def no_large_graphs(monkeypatch):
     """Make building a graph above the input limit fail the test at once, so
@@ -372,3 +394,14 @@ def test_warnings_are_one_line_without_a_path():
     assert out.stderr.startswith("warning: spectral radius")
     assert ".py:" not in out.stderr
     assert all(line.startswith("warning: ") for line in out.stderr.splitlines())
+
+
+def test_estrada_overflow_warns_once_per_run():
+    out = subprocess.run([sys.executable, "-m", "psombor", "verify",
+                          "--corpus", "all", "--p", "0.009"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr
+    warned = [line for line in out.stderr.splitlines() if line.startswith("warning:")]
+    assert warned == ["warning: spectral radius too large for exp(); "
+                      "Estrada index reported as inf"]

@@ -10,6 +10,7 @@ from psombor.graphs import (
     Graph,
     GraphError,
     GraphTooLargeError,
+    bipartite_component_count,
     complement,
     complete_bipartite_graph,
     complete_graph,
@@ -260,3 +261,52 @@ def test_edge_list_and_json_round_trips_preserve_the_graph(g):
     text = f"n={g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
     assert read_graph_text(text, json_form=False) == g
     assert read_graph_text(json.dumps(g.to_dict()), json_form=True) == g
+
+
+def _floyd_warshall(g):
+    n = g.n
+    dist = [[0 if u == v else 1 if g.has_edge(u, v) else math.inf
+             for v in range(n)] for u in range(n)]
+    for k in range(n):
+        for u in range(n):
+            for v in range(n):
+                dist[u][v] = min(dist[u][v], dist[u][k] + dist[k][v])
+    return dist
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(graphs())
+def test_traversal_results_match_a_distance_matrix_oracle(g):
+    n = g.n
+    dist = _floyd_warshall(g)
+    comps = []
+    for s in range(n):
+        if not any(s in c for c in comps):
+            comps.append([v for v in range(n) if dist[s][v] < math.inf])
+    stats = structure_stats(g)
+    assert connected_components(g) == comps
+    assert stats.is_connected == (len(comps) == 1)
+    expected_diameter = max(map(max, dist)) if len(comps) == 1 else math.inf
+    assert stats.diameter == expected_diameter
+    assert isinstance(stats.diameter, float)
+
+    # Parity of the distance to the component's smallest vertex 2-colours
+    # a component exactly when no edge joins two vertices of equal parity.
+    parity = [0] * n
+    for c in comps:
+        for v in c:
+            parity[v] = dist[c[0]][v] % 2
+    bipartite = [all(parity[u] != parity[v] for u, v in g.edges() if u in c)
+                 for c in comps]
+    assert bipartite_component_count(g) == sum(bipartite)
+    assert stats.is_bipartite == all(bipartite)
+    odd = sum(parity)
+    assert stats.bipartition_sizes == ((n - odd, odd) if all(bipartite) else None)
+
+    # Complete multipartite: connected, and non-adjacency is transitive.
+    non_adjacent_transitive = all(
+        g.has_edge(u, v) or g.has_edge(v, w) or not g.has_edge(u, w)
+        for u in range(n) for v in range(n) for w in range(n)
+        if len({u, v, w}) == 3)
+    assert is_complete_multipartite(g) == (
+        n >= 2 and len(comps) == 1 and non_adjacent_transitive)
