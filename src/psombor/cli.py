@@ -178,6 +178,8 @@ def _cmd_trees(args) -> int:
         raise ValueError(f"--rank must be at least 1, got {args.rank}")
     if args.rank is not None and args.verify_extremes:
         raise ValueError("--rank and --verify-extremes cannot be combined")
+    if args.rank is not None and len(p_values) > 1:
+        raise ValueError("--rank takes a single --p value")
     if args.max_degree is not None and (args.verify_extremes or args.rank is not None):
         raise ValueError("--max-degree applies only to the tree listing")
     if args.verify_extremes:

@@ -7,6 +7,14 @@ tree is labelled by the lexicographically largest canonical level sequence
 over all its rootings, and keyed by a centre-rooted AHU string. A
 Pruefer-sequence enumerator is kept as an independent oracle for small n
 (used by the tests).
+
+Tree radii (the extremality check and the ranking) come from
+spectral.bipartite_radii: a tree is bipartite, so xi_1 is the square root of
+the largest eigenvalue of a Gram matrix of at most n/2 rows, and all Gram
+matrices of one size are solved as one stack. Its power-of-two scaling keeps
+the radii finite and relatively accurate where the full S_p would overflow
+its norm or sink below the solver's absolute threshold (tiny |p|). The path
+and the star are recognised by their maximum degree, 2 and n - 1.
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ import heapq
 from dataclasses import dataclass
 from itertools import product
 
-from .graphs import Graph, GraphError, path_graph, star_graph, structure_stats
-from .spectral import build_sombor_matrix, eigen_decompose_many, sombor_decomposition
+from .graphs import Graph, GraphError, structure_stats
+from .spectral import bipartite_radii, sombor_decomposition
 
 MAX_TREE_N = 12
 
@@ -244,21 +252,21 @@ def verify_tree_extremes(n: int, p: float,
         catalog = enumerate_trees(n)
     elif catalog.n != n or catalog.max_degree is not None:
         raise ValueError(f"catalog must hold every tree on {n} vertices")
-    decs = eigen_decompose_many([(build_sombor_matrix(tree, p), "p_sombor", p)
-                                 for tree in catalog.trees])
-    radii = dict(zip(catalog.canonical_keys, (dec.radius for dec in decs)))
-    ordered = sorted(radii.items(), key=lambda kv: kv[1])
-    min_key, min_val = ordered[0]
-    max_key, max_val = ordered[-1]
-    path_key = tree_canonical_key(path_graph(n))
-    star_key = tree_canonical_key(star_graph(n))
-    gap = 1e-9 * max(1.0, max_val)
-    min_unique = len(ordered) < 2 or ordered[1][1] - min_val > gap
-    max_unique = len(ordered) < 2 or max_val - ordered[-2][1] > gap
+    values = bipartite_radii(catalog.trees, p)
+    radii = dict(zip(catalog.canonical_keys, values))
+    order = sorted(range(len(values)), key=values.__getitem__)
+    lo, hi = order[0], order[-1]
+    min_val, max_val = values[lo], values[hi]
+    gap = 1e-9 * max_val  # the radii are accurate relative to their size
+    min_unique = len(order) < 2 or values[order[1]] - min_val > gap
+    max_unique = len(order) < 2 or max_val - values[order[-2]] > gap
+    # Among trees on n vertices the path alone has max degree <= 2 and the
+    # star alone has max degree n - 1.
     return TreeExtremesReport(
         n=n, p=p, min_radius=min_val, max_radius=max_val,
-        min_key=min_key, max_key=max_key,
-        min_is_path=(min_key == path_key), max_is_star=(max_key == star_key),
+        min_key=catalog.canonical_keys[lo], max_key=catalog.canonical_keys[hi],
+        min_is_path=max(catalog.trees[lo].degrees) <= 2,
+        max_is_star=max(catalog.trees[hi].degrees) == n - 1,
         min_unique=min_unique, max_unique=max_unique, radii=radii)
 
 

@@ -4,7 +4,9 @@ The eigensolver is a self-contained cyclic Jacobi iteration (psombor.backend)
 with a fixed sweep order, so results are reproducible bit for bit across runs
 and platforms. Spectral moments N_0..N_4 are available through two independent
 routes: power sums of the computed eigenvalues, and traces of powers of the
-matrix itself, N_k = tr(S_p^k), which cross-validate each other.
+matrix itself, N_k = tr(S_p^k), which cross-validate each other. Spectral
+radii of bipartite graphs (the tree experiments) come from the smaller Gram
+matrix B B^T of the biadjacency block instead (bipartite_radii).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import config
 from .backend import jacobi_sweeps, jacobi_sweeps_batch
-from .graphs import Graph
+from .graphs import Graph, _component_depths
 
 
 class EigenConvergenceError(RuntimeError):
@@ -141,7 +143,7 @@ def _cluster_distinct(values: np.ndarray) -> tuple[tuple[float, int], ...]:
 def _prepare(matrix) -> tuple[np.ndarray, float, float]:
     """A symmetric matrix as a validated float array (not copied when it
     already is one), its scale max(1, ||M||_F) and the Jacobi stopping
-    threshold."""
+    threshold. OverflowError when the norm leaves the float range."""
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
@@ -150,7 +152,10 @@ def _prepare(matrix) -> tuple[np.ndarray, float, float]:
         raise ValueError("matrix entries must be finite")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
-    scale = max(1.0, float(np.linalg.norm(a)))
+    with np.errstate(over="ignore"):
+        scale = max(1.0, float(np.linalg.norm(a)))
+    if not math.isfinite(scale):
+        raise OverflowError("Frobenius norm of the matrix exceeds the float range")
     return a, scale, config.OFF_DIAG_FACTOR * scale
 
 
@@ -195,6 +200,17 @@ def eigen_decompose(matrix: np.ndarray, want_vectors: bool = False,
     return _finish(a, vectors, sweeps, off, threshold, scale, kind, p)
 
 
+def _size_stacks(matrices):
+    """For each size of the square matrices, in order of first appearance:
+    the indices of the matrices of that size and their member-last
+    (n, n, B) stack, as jacobi_sweeps_batch takes it."""
+    by_size: dict[int, list[int]] = {}
+    for i, a in enumerate(matrices):
+        by_size.setdefault(a.shape[0], []).append(i)
+    for members in by_size.values():
+        yield members, np.stack([matrices[i] for i in members], axis=-1)
+
+
 def eigen_decompose_many(specs) -> list[SpectralDecomposition]:
     """Eigenvalues of many symmetric matrices, in input order.
 
@@ -205,12 +221,8 @@ def eigen_decompose_many(specs) -> list[SpectralDecomposition]:
     fails to converge raises as eigen_decompose would.
     """
     prepared = [_prepare(matrix) for matrix, _, _ in specs]
-    by_size: dict[int, list[int]] = {}
-    for i, (a, _, _) in enumerate(prepared):
-        by_size.setdefault(a.shape[0], []).append(i)
     solved: list = [None] * len(prepared)
-    for members in by_size.values():
-        stack = np.stack([prepared[i][0] for i in members], axis=-1)
+    for members, stack in _size_stacks([a for a, _, _ in prepared]):
         thresholds = np.array([prepared[i][2] for i in members])
         sweeps, offs = jacobi_sweeps_batch(stack, thresholds, config.MAX_SWEEPS)
         for j, i in enumerate(members):
@@ -219,6 +231,95 @@ def eigen_decompose_many(specs) -> list[SpectralDecomposition]:
     for (_, scale, threshold), (a, sweeps, off), (_, kind, p) in zip(prepared, solved, specs):
         out.append(_finish(a, None, sweeps, off, threshold, scale, kind, p))
     return out
+
+
+def _scaled_gram(g: Graph, p: float, weights: dict) -> tuple[np.ndarray, int]:
+    """(G, e) with G = B B^T for the biadjacency block B of S_p scaled by
+    2^-e, for a graph g with at least one edge.
+
+    The colour classes are the depth parities of g's BFS; B has the smaller
+    class (isolated vertices left out) as rows. e puts B's largest entry in
+    [1/2, 1), so G can neither overflow nor lose its largest entries to
+    underflow. G is summed over the column vertices, one star at a time, and
+    each off-diagonal sum is written to both triangles, so G equals its
+    transpose bit for bit. weights caches edge_weight by degree pair;
+    ValueError when g is not bipartite, OverflowError when an edge weight is
+    below the normal float range (tiny negative p), where it has lost its
+    relative accuracy or become 0.
+    """
+    depth = _component_depths(g)[1]
+    d = g.degrees
+    classes: tuple[list[int], list[int]] = ([], [])
+    for v in range(g.n):
+        if d[v]:
+            classes[depth[v] & 1].append(v)
+    rows, cols = sorted(classes, key=len)
+    row_index = {u: i for i, u in enumerate(rows)}
+    stars = []  # per column vertex: (row index, weight) of each of its edges
+    for v in cols:
+        star = []
+        for u in g.adj[v]:
+            i = row_index.get(u)
+            if i is None:
+                raise ValueError("graph is not bipartite")
+            key = (d[u], d[v]) if d[u] <= d[v] else (d[v], d[u])
+            w = weights.get(key)
+            if w is None:
+                w = weights[key] = edge_weight(key[0], key[1], p)
+                if w < sys.float_info.min:
+                    raise OverflowError("an edge weight of S_p underflows the float range")
+            star.append((i, w))
+        stars.append(star)
+    if sum(map(len, stars)) != g.m:
+        # an edge inside the row class closes an odd cycle
+        raise ValueError("graph is not bipartite")
+    e = math.frexp(max(w for star in stars for _, w in star))[1]
+    gram = [[0.0] * len(rows) for _ in rows]
+    for star in stars:
+        scaled = [(i, math.ldexp(w, -e)) for i, w in star]
+        for k, (i, wi) in enumerate(scaled):
+            gram[i][i] += wi * wi
+            for j, wj in scaled[k + 1:]:
+                gram[i][j] = gram[j][i] = gram[i][j] + wi * wj
+    return np.array(gram), e
+
+
+def bipartite_radii(graphs, p: float) -> list[float]:
+    """Spectral radius of S_p for each bipartite graph, in input order.
+
+    With the vertices ordered by colour class, S_p = [[0, B], [B^T, 0]], so
+    xi_1 = sqrt(lambda_max(B B^T)) and the Jacobi solve runs on a Gram
+    matrix of at most n/2 rows (see _scaled_gram). The Gram matrices of each
+    size are solved as one stack of the batched kernel, at the threshold
+    eigen_decompose would use on them, and the largest diagonal entry of
+    each solved member gives its radius. Radii only: the square root of a
+    Gram eigenvalue that rounds near 0 is no accurate |xi_i|, so energies
+    and spectra stay on the full matrices. A graph without edges has radius
+    0; ValueError for a graph that is not bipartite, EigenConvergenceError
+    as eigen_decompose.
+    """
+    if p == 0:
+        raise ValueError("p must be nonzero")
+    radii = np.zeros(len(graphs))
+    weights: dict = {}
+    owners, grams, exps = [], [], []
+    for k, g in enumerate(graphs):
+        if g.m:
+            gram, e = _scaled_gram(g, p, weights)
+            owners.append(k)
+            grams.append(gram)
+            exps.append(e)
+    owners, exps = np.array(owners, dtype=np.intp), np.array(exps)
+    for members, stack in _size_stacks(grams):
+        scale = np.maximum(1.0, np.linalg.norm(stack, axis=(0, 1)))
+        thresholds = config.OFF_DIAG_FACTOR * scale
+        sweeps, offs = jacobi_sweeps_batch(stack, thresholds, config.MAX_SWEEPS)
+        failed = np.flatnonzero(offs > thresholds)
+        if failed.size:
+            raise EigenConvergenceError(float(offs[failed[0]]), int(sweeps[failed[0]]))
+        largest = np.diagonal(stack).max(axis=1)
+        radii[owners[members]] = np.ldexp(np.sqrt(largest), exps[members])
+    return radii.tolist()
 
 
 def sombor_decomposition(g: Graph, p: float, want_vectors: bool = False) -> SpectralDecomposition:

@@ -26,3 +26,38 @@ def circulants(draw, max_n: int = 12) -> Graph:
     n = draw(st.integers(2, max_n))
     jumps = draw(st.sets(st.integers(1, n // 2), min_size=1))
     return Graph(n, [(i, (i + s) % n) for i in range(n) for s in jumps])
+
+
+@st.composite
+def bipartite_graphs(draw, max_parts: int = 4) -> Graph:
+    """A disjoint union of 1..max_parts bipartite components, vertices
+    shuffled: random trees, even cycles, complete bipartite graphs K_{a,b},
+    isolated vertices and random subgraphs of K_{a,b}."""
+    from psombor.extremal import random_tree
+    from psombor.graphs import complete_bipartite_graph, cycle_graph
+
+    parts = []
+    for _ in range(draw(st.integers(1, max_parts))):
+        kind = draw(st.sampled_from(["tree", "even_cycle", "complete", "isolated",
+                                     "sparse"]))
+        if kind == "tree":
+            parts.append(random_tree(draw(st.integers(2, 9)), draw(st.integers(0, 2**32))))
+        elif kind == "even_cycle":
+            parts.append(cycle_graph(2 * draw(st.integers(2, 5))))
+        elif kind == "complete":
+            parts.append(complete_bipartite_graph(draw(st.integers(1, 4)),
+                                                  draw(st.integers(1, 4))))
+        elif kind == "isolated":
+            parts.append(Graph(1))
+        else:
+            a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+            pairs = [(i, a + j) for i in range(a) for j in range(b)]
+            keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+            parts.append(Graph(a + b, [e for e, k in zip(pairs, keep) if k]))
+    n = sum(part.n for part in parts)
+    label = draw(st.permutations(range(n)))
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(label[offset + u], label[offset + v]) for u, v in part.edges()]
+        offset += part.n
+    return Graph(n, edges)

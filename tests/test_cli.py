@@ -378,12 +378,27 @@ def test_trees_verify_extremes_enumerates_once(monkeypatch, capsys):
     (["--rank", "2", "--verify-extremes"], "cannot be combined"),
     (["--p", "3"], "--p applies only to"),
     (["--p", "2", "--max-degree", "3"], "--p applies only to"),
+    (["--rank", "2", "--p", "1,2"], "--rank takes a single --p value"),
 ])
 def test_trees_rejects_arguments_that_would_give_wrong_output(extra, message, capsys):
     assert run(["trees", "--n", "6"] + extra) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_spectrum_norm_overflow_is_one_clean_error(p4_file):
+    # ||S_p||_F of P4 overflows at p = 0.0015 although every entry is finite:
+    # an error line, not all-zero eigenvalues after a numpy warning
+    out = subprocess.run([sys.executable, "-m", "psombor", "spectrum",
+                          "--input", p4_file, "--p", "0.0015"],
+                         capture_output=True, text=True)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == [
+        "error: result out of floating-point range "
+        "(Frobenius norm of the matrix exceeds the float range)"]
+    assert "Warning" not in out.stderr and ".py:" not in out.stderr
 
 
 def test_warnings_are_one_line_without_a_path():

@@ -71,6 +71,56 @@ def test_each_tree_is_keyed_once(n, monkeypatch):
     assert len(calls) == FREE_TREE_COUNTS[n - 1]
 
 
+def test_extremes_key_each_tree_once_over_several_p(monkeypatch, capsys):
+    # the path and the star are told by degree, not by keying fresh copies
+    from psombor.cli import run
+
+    calls = []
+    key = extremal.tree_canonical_key
+
+    def counting(g):
+        calls.append(g)
+        return key(g)
+
+    monkeypatch.setattr(extremal, "tree_canonical_key", counting)
+    assert run(["trees", "--n", "12", "--verify-extremes", "--p", "1,2,3"]) == 0
+    assert len(calls) == FREE_TREE_COUNTS[11]
+    assert capsys.readouterr().out.count("path=True") == 3
+
+
+def test_extremes_pass_solves_only_gram_stacks(monkeypatch, capsys):
+    # n = 12: every Gram matrix has at most 6 rows, the 551 trees fill the
+    # stacks once, and no full 12 x 12 S_p is decomposed
+    from psombor import spectral
+    from psombor.cli import run
+
+    shapes = []
+    kernel = spectral.jacobi_sweeps_batch
+
+    def recording(stack, thresholds, max_sweeps):
+        shapes.append(stack.shape)
+        return kernel(stack, thresholds, max_sweeps)
+
+    def forbidden(specs):
+        raise AssertionError("full S_p solve in a tree extremes pass")
+
+    monkeypatch.setattr(spectral, "jacobi_sweeps_batch", recording)
+    monkeypatch.setattr(spectral, "eigen_decompose_many", forbidden)
+    assert run(["trees", "--n", "12", "--verify-extremes", "--p", "2"]) == 0
+    assert shapes and all(rows == cols <= 6 for rows, cols, _ in shapes)
+    assert sum(count for _, _, count in shapes) == FREE_TREE_COUNTS[11]
+    assert "path=True" in capsys.readouterr().out
+
+
+def test_tree_extremes_at_tiny_abs_p():
+    # ||S_p||_F overflows at p = 0.0015 and S_p is ~1e-150 at p = -0.002;
+    # the Gram radii stay finite and the path and the star stay extreme
+    for p in (0.0015, -0.002):
+        report = verify_tree_extremes(8, p)
+        assert report.ok
+        assert 0.0 < report.min_radius < report.max_radius < math.inf
+
+
 def test_catalog_entries_are_trees():
     for tree in enumerate_trees(8).trees:
         st = structure_stats(tree)
@@ -119,6 +169,19 @@ def test_tree_extremes(n, p):
     assert report.ok
     assert report.min_is_path and report.max_is_star
     assert report.min_unique and report.max_unique
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_path_and_star_flags_match_their_keys(n):
+    # the degree test agrees with keying fresh copies of the path and the
+    # star, also at the negative p where the star is not the maximum
+    path_key = tree_canonical_key(path_graph(n))
+    star_key = tree_canonical_key(star_graph(n))
+    catalog = enumerate_trees(n)
+    for p in (-1000.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 1000.0):
+        report = verify_tree_extremes(n, p, catalog)
+        assert report.min_is_path == (report.min_key == path_key)
+        assert report.max_is_star == (report.max_key == star_key)
 
 
 def test_tree_extremes_values_n4():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import graphs, nonzero_p
+from strategies import bipartite_graphs, graphs, nonzero_p
 
 from psombor.graphs import (
     Graph,
@@ -21,9 +21,11 @@ from psombor.spectral import (
     EigenConvergenceError,
     adjacency_decomposition,
     build_p_laplacian,
+    bipartite_radii,
     build_sombor_matrix,
     edge_weight,
     eigen_decompose,
+    eigen_decompose_many,
     laplacian_decomposition,
     moments_closed_form,
     moments_from_spectrum,
@@ -169,6 +171,15 @@ def test_eigen_rejects_asymmetric():
 def test_eigen_rejects_nonfinite():
     with pytest.raises(ValueError, match="finite"):
         eigen_decompose(np.array([[0.0, math.inf], [math.inf, 0.0]]))
+
+
+def test_eigen_norm_overflow_is_an_overflow_error():
+    # ||M||_F = 2e200 * sqrt(2) leaves the float range although every entry
+    # is finite; the solver must not run against an infinite threshold
+    with pytest.raises(OverflowError, match="Frobenius norm"):
+        eigen_decompose(np.array([[0.0, 1e200], [1e200, 0.0]]))
+    with pytest.raises(OverflowError, match="Frobenius norm"):
+        sombor_decomposition(path_graph(4), 0.0015)
 
 
 def test_convergence_error_carries_residual():
@@ -406,3 +417,119 @@ def test_edge_weight_is_monotone_and_bracketed_in_p(di, dj, a, b, sign):
 def test_edge_weight_overflows_only_when_the_weight_does():
     with pytest.raises(OverflowError):
         edge_weight(1, 1, 1e-4)        # 2^10000
+
+
+# --- spectral radii of bipartite graphs from the Gram matrix ---
+
+def _full_radius(g, p):
+    return eigen_decompose_many([(build_sombor_matrix(g, p), "p_sombor", p)])[0].radius
+
+
+def _scaled_oracle_radius(g, p):
+    # eigvalsh of S_p scaled by the power of two that brings its largest entry
+    # into [1/2, 1), scaled back
+    mat = build_sombor_matrix(g, p)
+    e = math.frexp(float(np.abs(mat).max()))[1]
+    return math.ldexp(float(np.linalg.eigvalsh(np.ldexp(mat, -e))[-1]), e)
+
+
+def test_bipartite_radii_match_the_full_solve_on_every_tree():
+    from psombor.extremal import enumerate_trees
+
+    for n in range(2, 13):
+        trees = enumerate_trees(n).trees
+        for p in P_GRID:
+            full = [dec.radius for dec in eigen_decompose_many(
+                [(build_sombor_matrix(t, p), "p_sombor", p) for t in trees])]
+            gram = bipartite_radii(trees, p)
+            assert len(gram) == len(trees)
+            for a, b in zip(gram, full):
+                assert abs(a - b) <= 1e-13 * b, (n, p, a, b)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(bipartite_graphs(), nonzero_p)
+def test_bipartite_radii_match_the_full_solve_on_bipartite_graphs(g, p):
+    (radius,) = bipartite_radii([g], p)
+    if g.m == 0:
+        assert radius == 0.0
+    else:
+        full = _full_radius(g, p)
+        assert abs(radius - full) <= 1e-13 * full
+
+
+def test_bipartite_radii_reject_odd_cycles():
+    # triangle 0-1-2 with leaves 3, 4 on 1 and 5, 6 on 2: the odd edge (1, 2)
+    # lies in the smaller colour class, the row class of the Gram matrix
+    in_rows = Graph(7, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
+    for g in (cycle_graph(5), complete_graph(3), in_rows,
+              Graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3)])):
+        with pytest.raises(ValueError, match="not bipartite"):
+            bipartite_radii([path_graph(4), g], 2.0)
+
+
+def test_bipartite_radii_raise_when_a_gram_solve_does_not_converge(monkeypatch):
+    from psombor import config
+
+    monkeypatch.setattr(config, "MAX_SWEEPS", 0)
+    # a star's Gram matrix is 1 x 1 and needs no sweep; P8's is 4 x 4
+    closed = math.sqrt(5) * edge_weight(5, 1, 2.0)
+    assert bipartite_radii([star_graph(6)], 2.0) == [pytest.approx(closed, rel=1e-15)]
+    with pytest.raises(EigenConvergenceError, match="after 0 sweeps"):
+        bipartite_radii([star_graph(6), path_graph(8)], 2.0)
+
+
+def test_bipartite_radii_of_graphs_without_edges_are_zero():
+    assert bipartite_radii([Graph(0), Graph(1), Graph(5), path_graph(2), Graph(3)], 2.0) \
+        == [0.0, 0.0, 0.0, math.sqrt(2.0), 0.0]
+    assert bipartite_radii([], 2.0) == []
+    with pytest.raises(ValueError, match="nonzero"):
+        bipartite_radii([path_graph(3)], 0.0)
+
+
+@pytest.mark.parametrize("p", (0.0015, -0.002, 1000.0, -1000.0))
+def test_bipartite_radii_stay_relatively_accurate_at_extreme_p(p):
+    # At p = 0.0015 ||S_p||_F overflows, and at p = -0.002 every entry is
+    # ~1e-150, far below the full solve's absolute threshold of 1e-12; the
+    # power-of-two-scaled Gram matrix keeps every radius finite and accurate.
+    from psombor.extremal import enumerate_trees
+
+    n = 8
+    catalog = enumerate_trees(n)
+    radii = bipartite_radii(catalog.trees, p)
+    for tree, radius in zip(catalog.trees, radii):
+        oracle = _scaled_oracle_radius(tree, p)
+        assert math.isfinite(radius) and radius > 0.0
+        assert abs(radius - oracle) <= 1e-13 * oracle
+    (star,) = [r for t, r in zip(catalog.trees, radii) if max(t.degrees) == n - 1]
+    closed = math.sqrt(n - 1) * edge_weight(n - 1, 1, p)
+    assert abs(star - closed) <= 1e-13 * closed
+
+
+def test_bipartite_radii_reject_weights_that_underflow():
+    # at p = -0.0005 every weight is ~2^-2000: 0.0 or subnormal, not a radius
+    with pytest.raises(OverflowError, match="underflows"):
+        bipartite_radii([path_graph(4)], -0.0005)
+    assert bipartite_radii([Graph(3)], -0.0005) == [0.0]
+
+
+def test_gram_members_equal_their_transpose_bit_for_bit():
+    from psombor.extremal import enumerate_trees, random_tree
+    from psombor.graphs import complete_bipartite_graph
+    from psombor.spectral import _scaled_gram
+
+    graphs = enumerate_trees(10).trees + [random_tree(12, s) for s in range(20)]
+    graphs += [complete_bipartite_graph(3, 5), cycle_graph(8),
+               Graph(6, [(0, 3), (1, 3), (2, 4), (1, 5)])]
+    for p in (-1000.0, -1.0, 0.5, 3.0, 0.0015):
+        for g in graphs:
+            gram, _ = _scaled_gram(g, p, {})
+            assert gram.tobytes() == np.ascontiguousarray(gram.T).tobytes()
+            # the smaller colour class is the row class, isolated vertices left out
+            assert 2 * gram.shape[0] <= g.n - g.degrees.count(0)
+            # B's largest entry in [1/2, 1): the diagonal sums its squared rows
+            assert 0.25 <= gram.diagonal().max() < max(g.degrees)
+    # K_{1,3} plus three isolated vertices: the Gram matrix is 1 x 1, as the
+    # isolated vertices join neither colour class
+    gram, _ = _scaled_gram(Graph(7, [(0, 1), (0, 2), (0, 3)]), 2.0, {})
+    assert gram.shape == (1, 1)
