@@ -125,10 +125,11 @@ class GraphContext(_Cached):
 
     stats = cached_property(lambda self: structure_stats(self.g))
     adec = cached_property(lambda self: adjacency_decomposition(self.g))
-    complement = cached_property(lambda self: GraphContext(complement(self.g)))
-    complement_components = cached_property(lambda self: [
-        GraphContext(induced_subgraph(self.complement.g, comp))
-        for comp in connected_components(self.complement.g)])
+    complement = cached_property(lambda self: complement(self.g))
+    # the components of the complement that have edges, by smallest vertex
+    complement_parts = cached_property(lambda self: [
+        induced_subgraph(self.complement, comp)
+        for comp in connected_components(self.complement) if len(comp) > 1])
     n_components = cached_property(lambda self: len(connected_components(self.g)))
     m1 = cached_property(lambda self: first_zagreb(self.g))
     randic = cached_property(lambda self: randic_index(self.g))
@@ -181,12 +182,8 @@ class CheckContext(_Cached):
     ldec = cached_property(lambda self: laplacian_decomposition(self.g, self.p))
     energy = cached_property(lambda self: graph_energy(self.sdec))
     estrada = cached_property(lambda self: estrada_index(self.sdec))
-    complement_ctx = cached_property(lambda self: CheckContext(
-        self.graph.complement.g, self.p, self.graph_id + "~", self.holds_tol,
-        self.graph.complement))
-    complement_component_ctxs = cached_property(lambda self: [
-        CheckContext(gc.g, self.p, f"{self.graph_id}~c{idx}", self.holds_tol, gc)
-        for idx, gc in enumerate(self.graph.complement_components)])
+    complement_sdec = cached_property(
+        lambda self: sombor_decomposition(self.graph.complement, self.p))
 
     # shorthands for the check table
     stats = property(lambda self: self.graph.stats)
@@ -415,18 +412,22 @@ def _thm5_7(c):
 
 
 def _ng_radius_sum(c):
-    return c.xi1 + c.complement_ctx.xi1
+    return c.xi1 + c.complement_sdec.radius
 
 
 def _thm5_9_1(c):
     n, root = c.n, c.root
     first = root * (n - 1) * math.sqrt(max(0.0, 2 * c.m - n + 1))
     second = 0.0
-    edged = [k for k in c.complement_component_ctxs if k.m >= 1]
-    if edged:
-        c1 = max(edged, key=lambda k: k.xi1)
-        inner = 2 * c1.m - c1.dmin * (c1.n - 1 - c1.dmax) - c1.dmax
-        second = root * c1.dmax * math.sqrt(max(0.0, inner))
+    parts = c.graph.complement_parts
+    if parts:
+        # C1, the component with the largest radius, is a choice only among
+        # two or more; max keeps the first of a tie.
+        c1 = parts[0] if len(parts) == 1 else max(
+            parts, key=lambda h: sombor_decomposition(h, c.p).radius)
+        dmin, dmax = min(c1.degrees), max(c1.degrees)
+        inner = 2 * c1.m - dmin * (c1.n - 1 - dmax) - dmax
+        second = root * dmax * math.sqrt(max(0.0, inner))
     return _ng_radius_sum(c), None, first + second
 
 
@@ -438,13 +439,8 @@ def _thm5_9_2(c):
 
 
 def _thm5_10(c):
-    comp_term = 0.0
-    for gc in c.graph.complement_components:
-        cn, cm = gc.g.n, gc.g.m
-        if cm == 0:
-            continue
-        comp_term += cm * (cn - 1 - gc.stats.max_degree) / cn
-    return (c.energy + c.complement_ctx.energy,
+    comp_term = sum(h.m * (h.n - 1 - max(h.degrees)) / h.n for h in c.graph.complement_parts)
+    return (c.energy + graph_energy(c.complement_sdec),
             2.0 ** (2 + 1.0 / c.p) * (c.m * c.dmin / c.n + comp_term), None)
 
 
@@ -745,9 +741,10 @@ def corpus_special():
 
 
 def corpus_from_directory(path):
-    """Graphs from every .edges/.json file in a directory; unreadable entries
-    are recorded and skipped so the suite still runs. A graph above the input
-    size limit raises GraphTooLargeError for the whole corpus."""
+    """Graphs from every .edges/.json/.txt file in a directory, read by
+    read_graph_text; unreadable entries are recorded and skipped so the suite
+    still runs. A graph above the input size limit raises GraphTooLargeError
+    for the whole corpus."""
     import os
 
     from .graphs import GraphTooLargeError, read_graph_text
@@ -760,8 +757,7 @@ def corpus_from_directory(path):
             continue
         try:
             with open(full, encoding="utf-8") as fh:
-                text = fh.read()
-            graphs.append((name, read_graph_text(text, json_form=name.endswith(".json"))))
+                graphs.append((name, read_graph_text(fh.read())))
         except GraphTooLargeError as exc:
             raise GraphTooLargeError(f"{name}: {exc}") from exc
         except Exception as exc:
@@ -849,13 +845,13 @@ def _prefilled_contexts(graphs, p_values, holds_tol) -> list[list[CheckContext]]
     pending = []   # (context to seed, property name, (matrix, kind, p))
     for graph_id, g in graphs:
         gc = GraphContext(g)
-        cg = gc.complement.g
+        cg = gc.complement
         ctxs = [CheckContext(g, p, graph_id, holds_tol, gc) for p in p_values]
         for ctx in ctxs:
             p = ctx.p
             pending += [(ctx, "sdec", (build_sombor_matrix(g, p), "p_sombor", p)),
                         (ctx, "ldec", (build_p_laplacian(g, p), "p_laplacian", p)),
-                        (ctx.complement_ctx, "sdec", (build_sombor_matrix(cg, p), "p_sombor", p))]
+                        (ctx, "complement_sdec", (build_sombor_matrix(cg, p), "p_sombor", p))]
         pending.append((gc, "adec", (adjacency_matrix(g), "adjacency", None)))
         out.append(ctxs)
     decs = eigen_decompose_many([spec for _, _, spec in pending])

@@ -54,8 +54,7 @@ def _parse_p_list(raw: str) -> list[float]:
 
 def _load_graph(path: str) -> Graph:
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return read_graph_text(text, json_form=text.lstrip().startswith("{"))
+        return read_graph_text(fh.read())
 
 
 def _emit(payload: dict, fmt: str, out_path: str | None, table_text: str,
@@ -302,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the inequality suite on a corpus")
     sp.add_argument("--corpus", default="all",
                     help="trees|families|random|special|all, or a directory "
-                         "of .edges/.json graph files")
+                         "of .edges/.json/.txt graph files (JSON if the first "
+                         "non-blank character is '{', else an edge list)")
     sp.add_argument("--n", help="tree size range lo..hi (trees corpus only)")
     sp.add_argument("--p", default="2", help="comma-separated nonzero p values")
     sp.add_argument("--seed", type=int, default=42)

@@ -133,12 +133,12 @@ def parse_edge_list(text: str, max_vertices: int | None = None) -> Graph:
     return Graph(max(n, 0), edges)
 
 
-def read_graph_text(text: str, json_form: bool) -> Graph:
-    """Graph from the text of a graph file: the JSON form of Graph.to_dict or
-    the edge-list format. A file with more than config.MAX_INPUT_VERTICES
+def read_graph_text(text: str) -> Graph:
+    """Graph from a graph file's text: JSON (as Graph.to_dict) if its first
+    non-blank character is "{", else an edge list. Over config.MAX_INPUT_VERTICES
     vertices raises GraphTooLargeError before the graph is built."""
     limit = config.MAX_INPUT_VERTICES
-    if json_form:
+    if text.lstrip().startswith("{"):
         data = json.loads(text)
         n = data.get("n") if isinstance(data, dict) else None
         if type(n) is not int:

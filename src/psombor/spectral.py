@@ -37,22 +37,28 @@ def edge_weight(di: int, dj: int, p: float) -> float:
     """Matrix entry ((d_i)^p + (d_j)^p)^(1/p) for an edge between degrees
     d_i and d_j; p must be nonzero.
 
-    The direct form is used whenever its inner sum is a finite normal float.
-    When it overflows, underflows or divides by zero (large |p|), the scaled
-    form M (1 + (m/M)^p)^(1/p) is used instead, with M the larger degree for
-    p > 0 and the smaller for p < 0. OverflowError remains only when the
-    weight itself exceeds the float range (tiny positive p).
+    The direct form is used whenever its inner sum and result are finite
+    normal floats. When the sum overflows, underflows or divides by zero
+    (large |p|), the scaled form M (1 + (m/M)^p)^(1/p) is used instead, with M
+    the larger degree for p > 0 and the smaller for p < 0. OverflowError
+    remains only when the weight itself leaves the normal float range: at tiny
+    positive p above it, at tiny negative p below it (inaccurate or 0).
     """
     if p == 0:
         raise ValueError("p must be nonzero")
     try:
         inner = di ** p + dj ** p
         if sys.float_info.min <= inner < math.inf:
-            return inner ** (1.0 / p)
+            w = inner ** (1.0 / p)
+            if w >= sys.float_info.min:
+                return w
     except (OverflowError, ZeroDivisionError):
         pass
     big, small = (max(di, dj), min(di, dj)) if p > 0 else (min(di, dj), max(di, dj))
-    return big * (1.0 + (small / big) ** p) ** (1.0 / p)
+    w = big * (1.0 + (small / big) ** p) ** (1.0 / p)
+    if w < sys.float_info.min:
+        raise OverflowError("an edge weight of S_p underflows the float range")
+    return w
 
 
 def build_sombor_matrix(g: Graph, p: float) -> np.ndarray:
@@ -243,9 +249,7 @@ def _scaled_gram(g: Graph, p: float, weights: dict) -> tuple[np.ndarray, int]:
     underflow. G is summed over the column vertices, one star at a time, and
     each off-diagonal sum is written to both triangles, so G equals its
     transpose bit for bit. weights caches edge_weight by degree pair;
-    ValueError when g is not bipartite, OverflowError when an edge weight is
-    below the normal float range (tiny negative p), where it has lost its
-    relative accuracy or become 0.
+    ValueError when g is not bipartite.
     """
     depth = _component_depths(g)[1]
     d = g.degrees
@@ -266,8 +270,6 @@ def _scaled_gram(g: Graph, p: float, weights: dict) -> tuple[np.ndarray, int]:
             w = weights.get(key)
             if w is None:
                 w = weights[key] = edge_weight(key[0], key[1], p)
-                if w < sys.float_info.min:
-                    raise OverflowError("an edge weight of S_p underflows the float range")
             star.append((i, w))
         stars.append(star)
     if sum(map(len, stars)) != g.m:
@@ -290,10 +292,11 @@ def bipartite_radii(graphs, p: float) -> list[float]:
     With the vertices ordered by colour class, S_p = [[0, B], [B^T, 0]], so
     xi_1 = sqrt(lambda_max(B B^T)) and the Jacobi solve runs on a Gram
     matrix of at most n/2 rows (see _scaled_gram). The Gram matrices of each
-    size are solved as one stack of the batched kernel, at the threshold
-    eigen_decompose would use on them, and the largest diagonal entry of
-    each solved member gives its radius. Radii only: the square root of a
-    Gram eigenvalue that rounds near 0 is no accurate |xi_i|, so energies
+    size are solved as one stack of the batched kernel, each at the threshold
+    OFF_DIAG_FACTOR max(1, ||G||_F) with the norm taken over the stack (it can
+    differ from eigen_decompose's in the last bit), and the largest diagonal
+    entry of each solved member gives its radius. Radii only: the square root
+    of a Gram eigenvalue that rounds near 0 is no accurate |xi_i|, so energies
     and spectra stay on the full matrices. A graph without edges has radius
     0; ValueError for a graph that is not bipartite, EigenConvergenceError
     as eigen_decompose.

@@ -334,7 +334,7 @@ def test_subdivision_energy_needs_a_regular_graph():
         GraphContext(path_graph(3)).subdivision_energy
 
 
-def test_suite_reads_every_spectrum_from_the_batch(monkeypatch):
+def test_suite_reads_every_spectrum_from_the_batch(monkeypatch, regular_all):
     import psombor.spectral as spectral
 
     scalar, scalar_sizes = spectral.jacobi_sweeps, []
@@ -343,12 +343,49 @@ def test_suite_reads_every_spectrum_from_the_batch(monkeypatch):
         scalar_sizes.append(a.shape[0])
         return scalar(a, *args)
 
+    built = Counter()
+
+    def counting_init(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+
     monkeypatch.setattr(spectral, "jacobi_sweeps", counting_scalar)
-    graphs = [("C5", cycle_graph(5)), ("K4", complete_graph(4)),
-              ("K3,3", complete_bipartite_graph(3, 3))]
-    rep = run_suite(graphs, p_values=P_GRID, corpus_name="x")
-    assert rep.counts["thm4.12"]["pass"] == len(graphs) * len(P_GRID)
+    counting_init(CheckContext)
+    counting_init(GraphContext)
+    graphs, p_values = build_corpus("all"), (-1.0, 2.0)
+    rep = run_suite(graphs, p_values=p_values, corpus_name="x")
+    assert rep.counts["thm4.12"]["pass"] == len(regular_all) * len(p_values)
+    assert sum(rep.counts["thm5.9.1"].values()) == len(graphs) * len(p_values)
     assert scalar_sizes == []
+    # One context per graph and per (graph, p); none for a complement.
+    assert built == {"GraphContext": len(graphs), "CheckContext": len(graphs) * len(p_values)}
+
+
+def _join_k1(g):
+    """K1 joined to g: a new vertex 0 adjacent to every vertex of g."""
+    return Graph(g.n + 1, [(0, v + 1) for v in range(g.n)]
+                 + [(u + 1, v + 1) for u, v in g.edges()])
+
+
+K1_JOIN_K23, WHEEL5 = _join_k1(complete_bipartite_graph(2, 3)), _join_k1(cycle_graph(4))
+
+
+@pytest.mark.parametrize("g, p, upper", [
+    # complement K1 u K2 u K3: C1 = K3 and the bound is 2^(1/p)(5 sqrt(17) + 4);
+    # taking K2 would give 2^(1/p)(5 sqrt(17) + 1)
+    (K1_JOIN_K23, 2.0, 34.811613723718885),
+    (K1_JOIN_K23, -1.0, 12.307764064044152),
+    # the wheel K1 + C4, complement K1 u 2K2: two tied candidates for C1
+    (WHEEL5, 2.0, 21.010131504638522),
+], ids=["K1+K2,3-p2", "K1+K2,3-p-1", "wheel-p2"])
+def test_thm5_9_1_takes_c1_with_the_largest_radius(g, p, upper):
+    assert len(GraphContext(g).complement_parts) == 2
+    rep = by_id(check_nordhaus_gaddum(g, p), "thm5.9.1")
+    assert rep.upper == upper and rep.holds
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=20)

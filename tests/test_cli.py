@@ -86,6 +86,19 @@ def test_verify_directory_corpus(tmp_path, capsys):
     assert payload["corpus_errors"][0]["file"] == "broken.edges"
 
 
+def test_directory_corpus_tells_the_format_from_the_content(tmp_path, capsys):
+    # The same rule as --input: JSON when the first non-blank character is
+    # "{", else an edge list, whatever the extension; other names are skipped.
+    (tmp_path / "edges.json").write_text("0 1\n1 2\n")
+    (tmp_path / "graph.txt").write_text('\n  {"n": 4, "edges": [[0, 1], [2, 3]]}')
+    (tmp_path / "graph.edges").write_text('{"n": 2, "edges": [[0, 1]]}')
+    (tmp_path / "notes.md").write_text("0 1\n")
+    code = run(["verify", "--corpus", str(tmp_path), "--p", "2", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["graphs_checked"] == 3 and payload["corpus_errors"] == []
+
+
 def test_verify_rejects_a_directory_without_readable_graphs(tmp_path, capsys):
     assert run(["verify", "--corpus", str(tmp_path), "--p", "2"]) == 1
     (tmp_path / "broken.edges").write_text("0 0\n")
@@ -399,6 +412,21 @@ def test_spectrum_norm_overflow_is_one_clean_error(p4_file):
         "error: result out of floating-point range "
         "(Frobenius norm of the matrix exceeds the float range)"]
     assert "Warning" not in out.stderr and ".py:" not in out.stderr
+
+
+@pytest.mark.parametrize("args", (["spectrum", "--input", "P4"],
+                                  ["verify", "--corpus", "special"]),
+                         ids=["spectrum", "verify"])
+def test_underflowing_edge_weight_is_one_clean_error(args, p4_file, capsys):
+    # At p = -0.0005 every weight is ~2^-2000, below the normal float range:
+    # an error line, not an all-zero spectrum or checks on zero matrices.
+    args = [p4_file if a == "P4" else a for a in args]
+    assert run(args + ["--p=-0.0005", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: result out of floating-point range "
+        "(an edge weight of S_p underflows the float range)"]
 
 
 def test_warnings_are_one_line_without_a_path():

@@ -75,9 +75,9 @@ def test_graphs_above_the_file_limit_round_trip_in_code():
     assert Graph.from_dict(g.to_dict()) == g
     header = f"n={g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
     assert parse_edge_list(header) == g
-    for text, json_form in ((header, False), (json.dumps(g.to_dict()), True)):
+    for text in (header, json.dumps(g.to_dict())):
         with pytest.raises(GraphTooLargeError, match="more than the input limit"):
-            read_graph_text(text, json_form)
+            read_graph_text(text)
 
 
 def test_generate_complete():
@@ -259,8 +259,8 @@ def test_structural_predicates():
 @given(graphs())
 def test_edge_list_and_json_round_trips_preserve_the_graph(g):
     text = f"n={g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
-    assert read_graph_text(text, json_form=False) == g
-    assert read_graph_text(json.dumps(g.to_dict()), json_form=True) == g
+    assert read_graph_text(text) == g
+    assert read_graph_text(json.dumps(g.to_dict())) == g
 
 
 def _floyd_warshall(g):

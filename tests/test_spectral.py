@@ -419,6 +419,14 @@ def test_edge_weight_overflows_only_when_the_weight_does():
         edge_weight(1, 1, 1e-4)        # 2^10000
 
 
+def test_edge_weight_below_the_normal_range_is_an_error():
+    # 2^-1000 is a normal float; 2^-2000 would read as 0.0
+    assert edge_weight(1, 1, -1e-3) == 2.0 ** -1000
+    for di, dj in ((1, 1), (3, 7)):
+        with pytest.raises(OverflowError, match="underflows"):
+            edge_weight(di, dj, -0.0005)
+
+
 # --- spectral radii of bipartite graphs from the Gram matrix ---
 
 def _full_radius(g, p):
