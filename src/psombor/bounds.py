@@ -48,15 +48,13 @@ from .invariants import (
     weight_variance,
 )
 from .spectral import (
-    adjacency_decomposition,
+    SpectralDecomposition,
     adjacency_matrix,
-    build_p_laplacian,
     build_sombor_matrix,
     edge_weight,
     eigen_decompose_many,
-    laplacian_decomposition,
+    laplacian_of,
     moments_closed_form,
-    sombor_decomposition,
 )
 
 EXP_LIMIT = config.ESTRADA_EXP_LIMIT
@@ -103,28 +101,16 @@ class BoundReport:
         }
 
 
-class _Cached:
-    def prefill(self, **values):
-        """Fill cached properties (adec of a GraphContext, sdec of a
-        CheckContext, ...) with values computed elsewhere, e.g. by one
-        batched eigensolve for many graphs."""
-        for name in values:
-            if not isinstance(getattr(type(self), name, None), cached_property):
-                raise AttributeError(
-                    f"{name!r} is not a cached {type(self).__name__} property")
-        self.__dict__.update(values)
-        return self
-
-
-class GraphContext(_Cached):
-    """The p-independent quantities of one graph, each computed once on first
-    use and shared by the CheckContext of every p."""
+class GraphContext:
+    """The p-independent quantities of one graph, shared by the CheckContext
+    of every p. adec, the adjacency spectrum, is solved by contexts(); the
+    others are computed once on first use."""
 
     def __init__(self, g: Graph):
         self.g = g
+        self.adec: SpectralDecomposition | None = None
 
     stats = cached_property(lambda self: structure_stats(self.g))
-    adec = cached_property(lambda self: adjacency_decomposition(self.g))
     complement = cached_property(lambda self: complement(self.g))
     # the components of the complement that have edges, by smallest vertex
     complement_parts = cached_property(lambda self: [
@@ -160,30 +146,27 @@ class GraphContext(_Cached):
         return 2.0 * sum(math.sqrt(k + lam) for lam in lams)
 
 
-class CheckContext(_Cached):
-    """The per-(graph, p) view the checks read: the p-dependent quantities,
-    over the GraphContext that holds the p-independent ones."""
+class CheckContext:
+    """The per-(graph, p) view the checks read: the spectra from contexts()
+    and the other p-dependent values, computed on first use, over the
+    GraphContext that holds the p-independent ones."""
 
-    def __init__(self, g: Graph, p: float, graph_id: str = "g",
-                 holds_tol: float | None = None, graph: GraphContext | None = None):
-        if p == 0:
-            raise ValueError("p must be nonzero")
-        self.graph = GraphContext(g) if graph is None else graph
-        self.g = self.graph.g
+    def __init__(self, graph: GraphContext, p: float, graph_id: str,
+                 holds_tol: float | None, sdec: SpectralDecomposition,
+                 ldec: SpectralDecomposition, complement_sdec: SpectralDecomposition):
+        self.graph = graph
+        self.g = graph.g
         self.n, self.m = self.g.n, self.g.m
         self.p = p
         self.graph_id = graph_id
         self.holds_tol = config.HOLDS_REL_TOL if holds_tol is None else holds_tol
+        self.sdec, self.ldec, self.complement_sdec = sdec, ldec, complement_sdec
 
     root = cached_property(lambda self: 2.0 ** (1.0 / self.p))
     so = cached_property(lambda self: sombor_index(self.g, self.p))
     moments = cached_property(lambda self: moments_closed_form(self.g, self.p))
-    sdec = cached_property(lambda self: sombor_decomposition(self.g, self.p))
-    ldec = cached_property(lambda self: laplacian_decomposition(self.g, self.p))
     energy = cached_property(lambda self: graph_energy(self.sdec))
     estrada = cached_property(lambda self: estrada_index(self.sdec))
-    complement_sdec = cached_property(
-        lambda self: sombor_decomposition(self.graph.complement, self.p))
 
     # shorthands for the check table
     stats = property(lambda self: self.graph.stats)
@@ -422,9 +405,12 @@ def _thm5_9_1(c):
     parts = c.graph.complement_parts
     if parts:
         # C1, the component with the largest radius, is a choice only among
-        # two or more; max keeps the first of a tie.
-        c1 = parts[0] if len(parts) == 1 else max(
-            parts, key=lambda h: sombor_decomposition(h, c.p).radius)
+        # two or more; index keeps the first of a tie.
+        c1 = parts[0]
+        if len(parts) > 1:
+            radii = [dec.radius for dec in eigen_decompose_many(
+                [(build_sombor_matrix(h, c.p), "p_sombor", c.p) for h in parts])]
+            c1 = parts[radii.index(max(radii))]
         dmin, dmax = min(c1.degrees), max(c1.degrees)
         inner = 2 * c1.m - dmin * (c1.n - 1 - dmax) - dmax
         second = root * dmax * math.sqrt(max(0.0, inner))
@@ -660,8 +646,32 @@ for _check in CHECKS:
     _BY_FAMILY.setdefault(_check.family, []).append(_check)
 
 
+def contexts(graphs, p_values, holds_tol: float | None = None) -> list[list[CheckContext]]:
+    """The CheckContexts of (graph_id, graph) pairs, a list per graph in
+    p_values order, with every spectrum the checks read solved in one
+    eigen_decompose_many call: at each p, S_p of the graph, L_p = D_p - S_p
+    from that same matrix and S_p of the complement; once per graph, the
+    adjacency spectrum."""
+    built, specs = [], []
+    for graph_id, g in graphs:
+        gc = GraphContext(g)
+        for p in p_values:
+            s = build_sombor_matrix(g, p)
+            specs += [(s, "p_sombor", p), (laplacian_of(s), "p_laplacian", p),
+                      (build_sombor_matrix(gc.complement, p), "p_sombor", p)]
+        specs.append((adjacency_matrix(g), "adjacency", None))
+        built.append((graph_id, gc))
+    decs = iter(eigen_decompose_many(specs))
+    out = []
+    for graph_id, gc in built:
+        out.append([CheckContext(gc, p, graph_id, holds_tol, next(decs), next(decs), next(decs))
+                    for p in p_values])
+        gc.adec = next(decs)
+    return out
+
+
 def _run_family(family: str, g: Graph, p: float, ctx: CheckContext | None) -> list[BoundReport]:
-    ctx = ctx or CheckContext(g, p)
+    ctx = ctx or contexts([("g", g)], (p,))[0][0]
     if g.n == 0:
         return []
     return [_report(check, ctx) for check in _BY_FAMILY[family]]
@@ -688,7 +698,7 @@ def check_nordhaus_gaddum(g: Graph, p: float, ctx: CheckContext | None = None) -
 
 
 def all_checks(g: Graph, p: float, ctx: CheckContext | None = None) -> list[BoundReport]:
-    ctx = ctx or CheckContext(g, p)
+    ctx = ctx or contexts([("g", g)], (p,))[0][0]
     return (check_moment_index_bounds(g, p, ctx) + check_laplacian_bounds(g, p, ctx)
             + check_radius_bounds(g, p, ctx) + check_energy_estrada_bounds(g, p, ctx)
             + check_nordhaus_gaddum(g, p, ctx))
@@ -836,30 +846,6 @@ def _violation_payload(report: BoundReport, g: Graph) -> dict:
     }
 
 
-def _prefilled_contexts(graphs, p_values, holds_tol) -> list[list[CheckContext]]:
-    """One CheckContext per (graph, p), all over one GraphContext per graph,
-    with the spectra the checks always need solved in one batched call: S_p
-    and L_p of the graph and S_p of its complement at each p, and the
-    adjacency spectrum once per graph."""
-    out = []
-    pending = []   # (context to seed, property name, (matrix, kind, p))
-    for graph_id, g in graphs:
-        gc = GraphContext(g)
-        cg = gc.complement
-        ctxs = [CheckContext(g, p, graph_id, holds_tol, gc) for p in p_values]
-        for ctx in ctxs:
-            p = ctx.p
-            pending += [(ctx, "sdec", (build_sombor_matrix(g, p), "p_sombor", p)),
-                        (ctx, "ldec", (build_p_laplacian(g, p), "p_laplacian", p)),
-                        (ctx, "complement_sdec", (build_sombor_matrix(cg, p), "p_sombor", p))]
-        pending.append((gc, "adec", (adjacency_matrix(g), "adjacency", None)))
-        out.append(ctxs)
-    decs = eigen_decompose_many([spec for _, _, spec in pending])
-    for (target, name, _), dec in zip(pending, decs):
-        target.prefill(**{name: dec})
-    return out
-
-
 def _outcome(rep: BoundReport) -> str:
     return OUTCOMES[_verdict(rep.hard, rep.holds) if rep.applicable else _NA]
 
@@ -870,13 +856,13 @@ def _new_tally():
     return [[0] * len(OUTCOMES) for _ in CHECKS], [], []
 
 
-def _tally_graph(g: Graph, contexts: list[CheckContext], tally) -> None:
+def _tally_graph(g: Graph, ctxs: list[CheckContext], tally) -> None:
     """Add every check on g at each context's p to tally; only a violation
     or an equality mismatch builds a BoundReport, for its payload."""
     if g.n == 0:
         return
     counts, violations, eq_mismatches = tally
-    for ctx in contexts:
+    for ctx in ctxs:
         # CHECKS lists the families in all_checks order.
         for check, per in zip(CHECKS, counts):
             outcome, mismatch, _, _ = _judge(check, ctx)
@@ -889,9 +875,8 @@ def _tally_graph(g: Graph, contexts: list[CheckContext], tally) -> None:
 
 def _tally_chunk(args):
     graphs, p_values, holds_tol = args
-    contexts = _prefilled_contexts(graphs, p_values, holds_tol)
     tally = _new_tally()
-    for (_, g), ctxs in zip(graphs, contexts):
+    for (_, g), ctxs in zip(graphs, contexts(graphs, p_values, holds_tol)):
         _tally_graph(g, ctxs, tally)
     return tally
 

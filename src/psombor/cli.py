@@ -141,7 +141,10 @@ def _cmd_verify(args) -> int:
         if not graphs:
             raise ValueError(f"corpus {args.corpus} has no readable graphs")
     elif args.corpus == "trees" and args.n:
-        lo, hi = (int(x) for x in args.n.split(".."))
+        try:
+            lo, hi = map(int, args.n.split(".."))
+        except ValueError:
+            raise ValueError(f"--n must be a tree size range lo..hi, got {args.n!r}") from None
         if lo > hi:
             raise ValueError(f"empty tree size range {args.n}")
         from .bounds import corpus_trees

@@ -114,6 +114,8 @@ def parse_edge_list(text: str, max_vertices: int | None = None) -> Graph:
                 n_declared = int(line[2:].strip())
             except ValueError:
                 raise GraphError(f"line {lineno}: bad vertex count {line!r}")
+            if n_declared < 0:
+                raise GraphError(f"line {lineno}: negative vertex count {line!r}")
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -130,13 +132,13 @@ def parse_edge_list(text: str, max_vertices: int | None = None) -> Graph:
         max_seen = max(max_seen, u, v)
     n = n_declared if n_declared is not None else max_seen + 1
     _check_vertex_count(n, max_vertices)
-    return Graph(max(n, 0), edges)
+    return Graph(n, edges)
 
 
 def read_graph_text(text: str) -> Graph:
     """Graph from a graph file's text: JSON (as Graph.to_dict) if its first
-    non-blank character is "{", else an edge list. Over config.MAX_INPUT_VERTICES
-    vertices raises GraphTooLargeError before the graph is built."""
+    non-blank character is "{", else an edge list. GraphError when it has no
+    vertices; GraphTooLargeError, before building, above MAX_INPUT_VERTICES."""
     limit = config.MAX_INPUT_VERTICES
     if text.lstrip().startswith("{"):
         data = json.loads(text)
@@ -149,8 +151,12 @@ def read_graph_text(text: str) -> Graph:
                 for e in edges):
             raise GraphError('"edges" must be a list of [u, v] integer pairs')
         _check_vertex_count(n, limit)
-        return Graph.from_dict(data)
-    return parse_edge_list(text, max_vertices=limit)
+        g = Graph.from_dict(data)
+    else:
+        g = parse_edge_list(text, max_vertices=limit)
+    if g.n == 0:
+        raise GraphError("graph has no vertices")
+    return g
 
 
 # ---------------------------------------------------------------------------

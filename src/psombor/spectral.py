@@ -74,10 +74,14 @@ def build_sombor_matrix(g: Graph, p: float) -> np.ndarray:
     return mat
 
 
-def build_p_laplacian(g: Graph, p: float) -> np.ndarray:
-    """Diagonal row-sum matrix minus the weighted adjacency; rows sum to 0."""
-    s = build_sombor_matrix(g, p)
+def laplacian_of(s: np.ndarray) -> np.ndarray:
+    """Diagonal row-sum matrix of a weighted adjacency s minus s; rows sum to 0."""
     return np.diag(s.sum(axis=1)) - s
+
+
+def build_p_laplacian(g: Graph, p: float) -> np.ndarray:
+    """The p-Laplacian L_p = D_p - S_p of g."""
+    return laplacian_of(build_sombor_matrix(g, p))
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:

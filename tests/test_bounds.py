@@ -26,6 +26,7 @@ from psombor.bounds import (
     check_moment_index_bounds,
     check_nordhaus_gaddum,
     check_radius_bounds,
+    contexts,
     corpus_families,
     corpus_random_connected,
     corpus_special,
@@ -35,6 +36,7 @@ from psombor.bounds import (
 from psombor.graphs import (
     Graph,
     bipartite_component_count,
+    complement,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -44,7 +46,12 @@ from psombor.graphs import (
     subdivision,
 )
 from psombor.invariants import graph_energy
-from psombor.spectral import adjacency_decomposition, edge_weight, sombor_decomposition
+from psombor.spectral import (
+    adjacency_decomposition,
+    edge_weight,
+    laplacian_decomposition,
+    sombor_decomposition,
+)
 
 P_GRID = (-1.0, 0.5, 1.0, 2.0, 3.0)
 
@@ -250,6 +257,12 @@ def test_thm4_12_subdivision_of_c3():
 
 
 THM4_12 = next(check for check in CHECKS if check.id == "thm4.12")
+THM4_12_P = (-1000.0, -1.0, 0.05, 0.5, 2.0, 1000.0)
+
+
+def _graph_context(g):
+    """The GraphContext of g, with its adjacency spectrum, from contexts()."""
+    return contexts([("g", g)], (1.0,))[0][0].graph
 
 
 @pytest.fixture(scope="module")
@@ -264,12 +277,11 @@ def test_thm4_12_scaled_adjacency_energy_matches_per_p_solve(regular_all):
     # reference solves of S_p(S(G)) small (up to the K8 subdivision).
     graphs = [(gid, g) for gid, g in regular_all if g.n + g.m <= 36]
     assert "K5" in {gid for gid, _ in graphs}
-    for gid, g in graphs:
-        gc = GraphContext(g)
-        for p in (-1000.0, -1.0, 0.05, 0.5, 2.0, 1000.0):
-            rep = _report(THM4_12, CheckContext(g, p, gid, graph=gc))
-            expected = graph_energy(sombor_decomposition(subdivision(g), p))
-            assert rep.value == pytest.approx(expected, rel=1e-14, abs=0), (gid, p)
+    for (gid, g), per_p in zip(graphs, contexts(graphs, THM4_12_P)):
+        for ctx in per_p:
+            rep = _report(THM4_12, ctx)
+            expected = graph_energy(sombor_decomposition(subdivision(g), ctx.p))
+            assert rep.value == pytest.approx(expected, rel=1e-14, abs=0), (gid, ctx.p)
 
 
 def test_subdivision_energy_matches_closed_form(regular_all):
@@ -278,7 +290,7 @@ def test_subdivision_energy_matches_closed_form(regular_all):
     # sqrt of a rounded zero is ~1e-8 on a bipartite G.
     assert len(regular_all) == 23
     for gid, g in regular_all:
-        gc = GraphContext(g)
+        gc = _graph_context(g)
         k = structure_stats(g).max_degree
         closed = 2.0 * sum(math.sqrt(max(0.0, k + lam)) for lam in gc.adec.eigenvalues)
         assert gc.subdivision_energy == pytest.approx(closed, rel=1e-7), gid
@@ -316,17 +328,16 @@ def test_subdivision_energy_matches_the_subdivision_solve(regular_all):
     assert {"K9", "K10", "K5,5"} <= {gid for gid, _ in regular_all}
     for gid, g in regular_all + REGULAR_UNIONS:
         expected = graph_energy(adjacency_decomposition(subdivision(g)))
-        assert GraphContext(g).subdivision_energy == pytest.approx(
+        assert _graph_context(g).subdivision_energy == pytest.approx(
             expected, rel=1e-14, abs=0), gid
 
 
 @pytest.mark.parametrize("gid, g", REGULAR_UNIONS, ids=[gid for gid, _ in REGULAR_UNIONS])
 def test_thm4_12_on_disconnected_regular_graphs_matches_per_p_solve(gid, g):
-    gc = GraphContext(g)
-    for p in (-1000.0, -1.0, 0.05, 0.5, 2.0, 1000.0):
-        rep = _report(THM4_12, CheckContext(g, p, gid, graph=gc))
-        expected = graph_energy(sombor_decomposition(subdivision(g), p))
-        assert rep.value == pytest.approx(expected, rel=1e-14, abs=0), p
+    for ctx in contexts([(gid, g)], THM4_12_P)[0]:
+        rep = _report(THM4_12, ctx)
+        expected = graph_energy(sombor_decomposition(subdivision(g), ctx.p))
+        assert rep.value == pytest.approx(expected, rel=1e-14, abs=0), ctx.p
 
 
 def test_subdivision_energy_needs_a_regular_graph():
@@ -363,6 +374,15 @@ def test_suite_reads_every_spectrum_from_the_batch(monkeypatch, regular_all):
     assert scalar_sizes == []
     # One context per graph and per (graph, p); none for a complement.
     assert built == {"GraphContext": len(graphs), "CheckContext": len(graphs) * len(p_values)}
+    # Calls without a context build their own through the same batch, also
+    # for thm5.9.1 with two complement parts to choose C1 from.
+    assert len(GraphContext(K1_JOIN_K23).complement_parts) == 2
+    for g in (K1_JOIN_K23, cycle_graph(5), Graph(1)):
+        for run in (all_checks, check_moment_index_bounds, check_laplacian_bounds,
+                    check_radius_bounds, check_energy_estrada_bounds, check_nordhaus_gaddum):
+            assert run(g, 2.0)
+    assert by_id(all_checks(K1_JOIN_K23, 2.0), "thm5.9.1").applicable
+    assert scalar_sizes == []
 
 
 def _join_k1(g):
@@ -396,7 +416,7 @@ def test_thm4_12_identity_on_regular_circulants(g, p):
     stats = structure_stats(g)
     assert stats.is_regular and g.m >= 1
     k = stats.max_degree
-    gc = GraphContext(g)
+    gc = _graph_context(g)
     direct = graph_energy(sombor_decomposition(subdivision(g), p))
     assert direct == pytest.approx(edge_weight(2, k, p) * gc.subdivision_energy,
                                    rel=1e-12, abs=0)
@@ -450,7 +470,7 @@ def test_report_serialization_round_trip():
 
 def test_context_reuses_decompositions():
     g = cycle_graph(6)
-    ctx = CheckContext(g, 2.0, "C6")
+    ctx = contexts([("C6", g)], (2.0,))[0][0]
     assert ctx.sdec is ctx.sdec
     reports = all_checks(g, 2.0, ctx)
     assert all(r.graph_id == "C6" for r in reports)
@@ -512,9 +532,9 @@ def _tally_from_reports(graphs, p_values, holds_tol=None):
     """run_suite's counts, violations and equality mismatches, rebuilt from
     the full report of every (check, graph, p)."""
     counts, violations, mismatches = {}, [], []
-    for graph_id, g in graphs:
-        for p in p_values:
-            for rep in all_checks(g, p, CheckContext(g, p, graph_id, holds_tol)):
+    for (graph_id, g), per_p in zip(graphs, contexts(graphs, p_values, holds_tol)):
+        for ctx in per_p:
+            for rep in all_checks(g, ctx.p, ctx):
                 outcome = _outcome(rep)
                 counts.setdefault(rep.check_id, dict.fromkeys(OUTCOMES, 0))[outcome] += 1
                 if outcome == "fail":
@@ -534,10 +554,9 @@ def test_judgement_matches_the_full_report(holds_tol):
     # holds_tol = -1 turns most hard checks into violations.
     graphs = corpus_families(6) + corpus_special() + corpus_trees(4, 7)
     seen = Counter()
-    for graph_id, g in graphs:
-        gc = GraphContext(g)
-        for p in P_GRID:
-            ctx = CheckContext(g, p, graph_id, holds_tol, gc)
+    for (graph_id, g), per_p in zip(graphs, contexts(graphs, P_GRID, holds_tol)):
+        for ctx in per_p:
+            p = ctx.p
             for check in CHECKS:
                 outcome, mismatch, _, _ = _judge(check, ctx)
                 rep = _report(check, ctx)
@@ -640,31 +659,59 @@ def test_suite_jobs_two_matches_serial_on_corpus(corpus):
     assert serial.to_dict() == parallel.to_dict()
 
 
-def test_prefilled_contexts_give_the_reports_of_fresh_ones():
-    from psombor.bounds import _prefilled_contexts
+def _bits(dec):
+    """Every field of a decomposition, floats by their bits."""
+    return (dec.kind, dec.p, dec.eigenvalues.tobytes(), dec.sweeps, dec.residual.hex(),
+            dec.inertia, dec.scale.hex())
 
+
+def test_contexts_match_the_scalar_decompositions():
+    # The scalar kernel is the reference for every spectrum of the batch.
     graphs = corpus_families(6) + corpus_special() + corpus_trees(5, 6)
-    contexts = _prefilled_contexts(graphs, P_GRID, None)
-    for (graph_id, g), per_p in zip(graphs, contexts):
+    for (graph_id, g), per_p in zip(graphs, contexts(graphs, P_GRID)):
         assert [ctx.p for ctx in per_p] == list(P_GRID)
+        assert {ctx.graph_id for ctx in per_p} == {graph_id}
         assert len({id(ctx.adec) for ctx in per_p}) == 1
+        assert _bits(per_p[0].adec) == _bits(adjacency_decomposition(g)), graph_id
         for ctx in per_p:
-            fresh = CheckContext(g, ctx.p, graph_id)
-            assert ([r.to_dict() for r in all_checks(g, ctx.p, ctx)]
-                    == [r.to_dict() for r in all_checks(g, ctx.p, fresh)])
+            p = ctx.p
+            assert _bits(ctx.sdec) == _bits(sombor_decomposition(g, p)), (graph_id, p)
+            assert _bits(ctx.ldec) == _bits(laplacian_decomposition(g, p)), (graph_id, p)
+            assert (_bits(ctx.complement_sdec)
+                    == _bits(sombor_decomposition(complement(g), p))), (graph_id, p)
+
+
+def test_contexts_build_each_sombor_matrix_once(monkeypatch):
+    import psombor
+    import psombor.spectral as spectral
+
+    build, calls = bounds.build_sombor_matrix, []
+    laplacian, laplacians = spectral.build_p_laplacian, []
+
+    def counting_build(g, p):
+        calls.append((g, p))
+        return build(g, p)
+
+    def counting_laplacian(g, p):
+        laplacians.append((g, p))
+        return laplacian(g, p)
+
+    monkeypatch.setattr(bounds, "build_sombor_matrix", counting_build)
+    # build_p_laplacian under every name a module may call it by
+    for module in (psombor, spectral, bounds):
+        if getattr(module, "build_p_laplacian", None) is laplacian:
+            monkeypatch.setattr(module, "build_p_laplacian", counting_laplacian)
+    graphs = corpus_families() + corpus_special()
+    rep = run_suite(graphs, p_values=P_GRID, corpus_name="x")
+    assert rep.ok
+    # S_p of the graph (L_p is taken from it) and of its complement, once each.
+    assert calls == [(h, p) for _, g in graphs for p in P_GRID for h in (g, complement(g))]
+    assert laplacians == []
 
 
 def test_build_corpus_rejects_a_directory(tmp_path):
     with pytest.raises(ValueError):
         build_corpus(str(tmp_path))
-
-
-def test_prefill_rejects_unknown_property():
-    ctx = CheckContext(path_graph(3), 2.0)
-    with pytest.raises(AttributeError):
-        ctx.prefill(sdecc=None)
-    with pytest.raises(AttributeError):
-        ctx.prefill(g=None)
 
 
 # sha256 of run_suite(...).to_dict() (JSON, sorted keys) at p = -1, 2: a change

@@ -129,6 +129,30 @@ def test_malformed_json_graph_is_a_clean_error(text, tmp_path, capsys):
     assert [e["file"] for e in payload["corpus_errors"]] == ["bad.json"]
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("empty.json", "", "graph has no vertices"),
+    ("empty.edges", "", "graph has no vertices"),
+    ("header_zero.edges", "n=0\n", "graph has no vertices"),
+    ("header_negative.edges", "# three\nn=-3\n", "line 2: negative vertex count 'n=-3'"),
+    ("no_vertices.json", '{"n": 0, "edges": []}', "graph has no vertices"),
+], ids=["empty_json", "empty_edges", "n0", "n_negative", "json_n0"])
+def test_graph_file_without_vertices_is_a_clean_error(name, text, message, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(["spectrum", "--input", str(path), "--p", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    # Alone in a directory corpus it leaves no readable graph ...
+    assert run(["verify", "--corpus", str(tmp_path), "--p", "2"]) == 1
+    assert capsys.readouterr().err == f"error: corpus {tmp_path} has no readable graphs\n"
+    # ... and next to a graph it is recorded as unreadable.
+    (tmp_path / "a.edges").write_text("0 1\n1 2\n")
+    assert run(["verify", "--corpus", str(tmp_path), "--p", "2", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["graphs_checked"] == 1
+    assert payload["corpus_errors"] == [{"file": name, "error": message}]
+
+
 @pytest.fixture
 def no_large_graphs(monkeypatch):
     """Make building a graph above the input limit fail the test at once, so
@@ -266,11 +290,11 @@ def test_spectrum_json_byte_identical(p4_file, tmp_path):
 
 def test_default_tolerance_is_the_config_constant(monkeypatch):
     from psombor import config
-    from psombor.bounds import CheckContext
+    from psombor.bounds import contexts
     from psombor.graphs import path_graph
 
     monkeypatch.setenv("PSOMBOR_TOL", "1e-5")  # the environment is not read
-    assert CheckContext(path_graph(3), 2.0).holds_tol == config.HOLDS_REL_TOL
+    assert contexts([("P3", path_graph(3))], (2.0,))[0][0].holds_tol == config.HOLDS_REL_TOL
     assert not hasattr(config, "default_holds_tol")
 
 
@@ -281,6 +305,9 @@ def test_default_tolerance_is_the_config_constant(monkeypatch):
     (["--jobs=-3"], "jobs must be at least 1"),
     (["--corpus", "trees", "--n", "9..4"], "empty tree size range"),
     (["--n", "4..5"], "--n applies only to --corpus trees"),
+    (["--corpus", "trees", "--n", "4-9"], "--n must be a tree size range lo..hi"),
+    (["--corpus", "trees", "--n", "4..9..10"], "--n must be a tree size range lo..hi"),
+    (["--corpus", "trees", "--n", "4"], "--n must be a tree size range lo..hi"),
 ])
 def test_verify_rejects_arguments_that_would_give_a_wrong_verdict(extra, message, capsys):
     args = ["verify", "--corpus", "special", "--p", "2"] + extra

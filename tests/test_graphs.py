@@ -64,6 +64,16 @@ def test_parse_rejects_negative_id():
         parse_edge_list("-1 2")
 
 
+def test_parse_rejects_negative_header():
+    with pytest.raises(GraphError, match="line 2: negative vertex count 'n=-3'"):
+        parse_edge_list("0 1\nn=-3\n")
+
+
+def test_parse_keeps_the_graph_without_vertices():
+    # Only read_graph_text, behind the graph files, rejects it.
+    assert parse_edge_list("") == parse_edge_list("n=0") == Graph(0)
+
+
 def test_json_round_trip():
     g = cycle_graph(5)
     assert Graph.from_dict(g.to_dict()) == g
