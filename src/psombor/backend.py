@@ -1,12 +1,12 @@
-"""The cyclic-Jacobi sweep kernel: psombor's one eigensolver backend.
+"""The Jacobi sweep kernel: psombor's one eigensolver backend.
 
-jacobi_sweeps is the scalar kernel, run on one matrix in pure Python.
-jacobi_sweeps_batch runs the same iteration on a member-last (n, n, B) stack
-of same-size matrices with NumPy, one rotation for the whole stack at a time,
-and matches jacobi_sweeps bit for bit on every member.
+jacobi_sweeps_batch diagonalises a stack of same-size symmetric matrices with
+NumPy in parallel (round-robin) order (Brent & Luk, SIAM J. Sci. Stat. Comput.
+6(1), 1985). jacobi_sweeps is its B = 1 call, for one matrix.
 """
 
-from math import sqrt
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,128 +17,117 @@ def backend_name() -> str:
 
 
 def jacobi_sweeps(a, v, threshold: float, max_sweeps: int):
-    """Run cyclic Jacobi sweeps in place on the symmetric matrix ``a``.
-
-    Rotations visit the upper triangle in row-major order. ``v`` (optional)
-    accumulates the rotations so its columns end up as eigenvectors. Returns
-    (sweeps used, final off-diagonal norm); the diagonal of ``a`` holds the
-    eigenvalues once the returned norm is at or below ``threshold``.
-    """
-    n = a.shape[0]
-    rows = a.tolist()
-    vrows = v.tolist() if v is not None else None
-    sweeps = 0
-    off = _off_from_rows(rows, n)
-    while off > threshold and sweeps < max_sweeps:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = rows[p][q]
-                if apq == 0.0:
-                    continue
-                app = rows[p][p]
-                aqq = rows[q][q]
-                theta = (aqq - app) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    if theta >= 0.0:
-                        t = 1.0 / (theta + sqrt(theta * theta + 1.0))
-                    else:
-                        t = -1.0 / (-theta + sqrt(theta * theta + 1.0))
-                c = 1.0 / sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                rows[p][p] = app - t * apq
-                rows[q][q] = aqq + t * apq
-                rows[p][q] = 0.0
-                rows[q][p] = 0.0
-                for k in range(n):
-                    if k == p or k == q:
-                        continue
-                    akp = rows[k][p]
-                    akq = rows[k][q]
-                    rkp = akp - s * (akq + tau * akp)
-                    rkq = akq + s * (akp - tau * akq)
-                    rows[k][p] = rkp
-                    rows[p][k] = rkp
-                    rows[k][q] = rkq
-                    rows[q][k] = rkq
-                if vrows is not None:
-                    for k in range(n):
-                        vkp = vrows[k][p]
-                        vkq = vrows[k][q]
-                        vrows[k][p] = vkp - s * (vkq + tau * vkp)
-                        vrows[k][q] = vkq + s * (vkp - tau * vkq)
-        sweeps += 1
-        off = _off_from_rows(rows, n)
-    a[:] = rows
-    if v is not None:
-        v[:] = vrows
-    return sweeps, off
+    """jacobi_sweeps_batch on the one matrix ``a`` (and, optionally, its
+    eigenvector matrix ``v``); returns (sweeps used, final off-diagonal norm)
+    as a batch member of its own would."""
+    sweeps, offs = jacobi_sweeps_batch(a[:, :, None], [threshold], max_sweeps,
+                                       None if v is None else v[:, :, None])
+    return int(sweeps[0]), float(offs[0])
 
 
-def _off_from_rows(rows, n: int) -> float:
-    total = 0.0
-    for p in range(n - 1):
-        row = rows[p]
-        for q in range(p + 1, n):
-            total += 2.0 * row[q] * row[q]
-    return sqrt(total)
+def jacobi_sweeps_batch(stack, thresholds, max_sweeps: int, vectors=None):
+    """Run Jacobi sweeps in place on every matrix of an (n, n, B) stack.
 
-
-def jacobi_sweeps_batch(stack, thresholds, max_sweeps: int):
-    """Run cyclic Jacobi sweeps in place on every matrix of an (n, n, B) stack.
-
-    The stack is member-last: member i is stack[:, :, i], so row p of every
-    member is one contiguous (n, B) block. Each member goes through exactly
-    the iteration jacobi_sweeps(member, None, thresholds[i], max_sweeps)
-    would: the same rotations in the same order with the same formulas, so
-    the results agree bit for bit for members equal to their transpose bit
-    for bit (signed zeros included; the kernel reads row p where the scalar
-    kernel reads column p). Rotation (p, q) is applied to all still-active
-    members at once; the scalar kernel's branches (skip when apq == 0, the
-    |theta| > 1e150 form of t) become per-member selections. A member leaves
-    the active set after the sweep at which its off-diagonal norm reaches its
-    threshold. Returns (sweeps used, final off-diagonal norm) as two
-    length-B arrays.
+    Member i is stack[:, :, i]. A sweep is n - 1 rounds (n for odd n) of
+    n // 2 disjoint rotations (_schedule), and a round rotates all its pairs
+    in all still-active members at once. A member leaves after the sweep at
+    which its off-diagonal norm reaches thresholds[i]; every step is
+    elementwise over the members, so its result does not depend on its
+    stack. The columns of ``vectors`` (optional, same shape) get every
+    rotation of their member. Returns (sweeps, final off-diagonal norms).
     """
     n, count = stack.shape[0], stack.shape[2]
+    schedule = _schedule(n)
     thresholds = np.asarray(thresholds, dtype=float)
     sweeps = np.zeros(count, dtype=np.int64)
-    offs = _off_batch(stack)
+    flat, gather = stack.reshape(n * n, count), schedule.gather
+    offs = _off_batch(flat, schedule.upper)
     active = np.flatnonzero(offs > thresholds)
-    # np.take and compress keep the sub-stack member-last in memory; indexing
-    # the last axis with an array (stack[:, :, active]) would lay it out
-    # member-first and lose the contiguous rows.
-    work = np.take(stack, active, axis=2)
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    if vectors is not None:
+        # The rows of the eigenvector matrices follow those of the matrices:
+        # their columns move and rotate with the matrices' columns.
+        flat = np.concatenate((flat, vectors.reshape(n * n, count)))
+        gather = np.concatenate((gather, n * n + (np.arange(n)[:, None] * n
+                                                  + schedule.perm).ravel()))
+    # The active members, flat and member-last: entry (i, j) of all of them
+    # is the contiguous row i * n + j (np.take and compress return C order).
+    work = np.take(flat, active, axis=1)
     done = 0
     # Lanes whose branch is not taken divide by zero or overflow; their
     # values are computed but never selected.
     with np.errstate(all="ignore"):
         while active.size and done < max_sweeps:
-            for p, q in pairs:
-                _rotate_batch(work, p, q)
+            for _ in range(schedule.rounds):
+                work = work.take(gather, axis=0)
+                _rotate_round(work, n, schedule)
             done += 1
-            off = _off_batch(work)
+            off = _off_batch(work, schedule.upper)
             sweeps[active] = done
             offs[active] = off
             keep = off > thresholds[active]
             if not keep.all():
-                stack[:, :, active[~keep]] = work[:, :, ~keep]
-                active, work = active[keep], work.compress(keep, axis=2)
-    stack[:, :, active] = work
+                _store(stack, vectors, active[~keep], work[:, ~keep])
+                active, work = active[keep], work.compress(keep, axis=1)
+    _store(stack, vectors, active, work)
     return sweeps, offs
 
 
-def _rotate_batch(work, p: int, q: int) -> None:
-    apq = work[p, q]
-    n_live = np.count_nonzero(apq)
-    if not n_live:
-        return
-    app = work[p, p]
-    aqq = work[q, q]
+def _store(stack, vectors, members, work) -> None:
+    n = stack.shape[0]
+    stack[:, :, members] = work[:n * n].reshape(n, n, members.size)
+    if vectors is not None:
+        vectors[:, :, members] = work[n * n:].reshape(n, n, members.size)
+
+
+class _Schedule(NamedTuple):
+    """One sweep of the round-robin order on n x n matrices, as index arrays
+    into the flat (n * n, B) work stack. Each round works on the members
+    permuted to its layout: its k = n // 2 pairs in slots (j, k + j), for odd
+    n the index left out in slot n - 1. In the circle method one index (a
+    dummy for odd n) stays put while the others turn one place, so each
+    layout is the previous one permuted by the same perm (gather: the same
+    on the flat entries), and a sweep ends in the order it started in.
+    """
+
+    rounds: int
+    gather: np.ndarray
+    perm: np.ndarray
+    pair_entries: np.ndarray  # (p, p), then (q, q), then (p, q) of each slot pair
+    cleared: np.ndarray       # (p, q) and (q, p) of each slot pair
+    upper: np.ndarray         # the upper triangle, row-major
+
+
+@cache
+def _schedule(n: int) -> _Schedule:
+    m, k = n + (n & 1), n // 2
+    order, layouts = [m - 1] + list(range(m - 1)), []
+    for _ in range(2 if n > 1 else 0):
+        pairs = [(order[i], order[m - 1 - i]) for i in range(m // 2)]
+        idle = [pairs.pop(0)[1]] if n & 1 else []
+        layouts.append([i for i, _ in pairs] + [j for _, j in pairs] + idle)
+        order = order[:1] + order[-1:] + order[1:-1]
+    perm = np.argsort(layouts[0])[layouts[1]] if layouts else np.arange(n)
+    p = np.arange(k)
+    q = p + k
+    return _Schedule(m - 1 if n > 1 else 0, (perm[:, None] * n + perm).ravel(), perm,
+                     np.concatenate((p * (n + 1), q * (n + 1), p * n + q)),
+                     np.concatenate((p * n + q, q * n + p)),
+                     np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1)))
+
+
+def _rotate_round(work, n: int, schedule: _Schedule) -> None:
+    """Rotate the round's slot pairs in every member of work: rows, columns
+    (of the eigenvector rows too), then the exact 2 x 2 result."""
+    k = n // 2
+    entries = work.take(schedule.pair_entries, axis=0)
+    app, aqq, apq = entries[:k], entries[k:2 * k], entries[2 * k:]
     theta = (aqq - app) / (2.0 * apq)
+    # A member with apq == 0 skips the rotation: theta = inf gives
+    # t = s = tau = 0, which keeps its rows and columns p and q (a zero
+    # among them may change sign).
+    skip = apq == 0.0
+    if skip.any():
+        theta[skip] = np.inf
     abs_theta = np.abs(theta)
     # 1/(theta + r) for theta >= 0 and -1/(-theta + r) otherwise, with
     # r = sqrt(theta^2 + 1): both are +-1/(|theta| + r), rounded alike.
@@ -151,33 +140,29 @@ def _rotate_batch(work, p: int, q: int) -> None:
     s = t * c
     tau = s / (1.0 + c)
     t_apq = t * apq
-    # Every member is symmetric, so its contiguous row p is its column p.
-    rowp = work[p]
-    rowq = work[q]
-    newp = rowp - s * (rowq + tau * rowp)
-    newq = rowq + s * (rowp - tau * rowq)
-    newp[p] = app - t_apq
-    newq[q] = aqq + t_apq
-    newp[q] = 0.0
-    newq[p] = 0.0
-    if n_live < apq.size:
-        # Members with apq == 0 keep their rows bit for bit (signed zeros
-        # included), as the scalar kernel skips them.
-        keep = apq != 0.0
-        newp = np.where(keep, newp, rowp)
-        newq = np.where(keep, newq, rowq)
-    work[:, p] = newp
-    work[p] = newp
-    work[:, q] = newq
-    work[q] = newq
+    rows = work.reshape(-1, n, work.shape[1])
+    _rotate_pairs(rows[:k], rows[k:2 * k], s[:, None], tau[:, None])
+    _rotate_pairs(rows[:, :k], rows[:, k:2 * k], s, tau)
+    work[schedule.pair_entries[:2 * k]] = np.concatenate((app - t_apq, aqq + t_apq))
+    work[schedule.cleared] = 0.0
 
 
-def _off_batch(stack) -> np.ndarray:
-    # Same terms as _off_from_rows, summed left to right in row-major order:
-    # cumsum accumulates sequentially, unlike sum.
-    n = stack.shape[0]
-    rows, cols = np.triu_indices(n, 1)
-    if not rows.size:
-        return np.zeros(stack.shape[2])
-    upper = stack[rows, cols]
-    return np.sqrt(np.cumsum(2.0 * upper * upper, axis=0)[-1])
+def _rotate_pairs(x, y, s, tau) -> None:
+    """x, y <- x - s (y + tau x), y + s (x - tau y), in place."""
+    u = tau * x
+    u += y
+    u *= s
+    v = tau * y
+    np.subtract(x, v, out=v)
+    v *= s
+    x -= u
+    y += v
+
+
+def _off_batch(flat, upper) -> np.ndarray:
+    # Off-diagonal Frobenius norm of each member of a flat stack, its upper
+    # triangle summed left to right (cumsum is sequential, unlike sum).
+    if not upper.size:
+        return np.zeros(flat.shape[1])
+    entries = flat.take(upper, axis=0)
+    return np.sqrt(np.cumsum(2.0 * entries * entries, axis=0)[-1])

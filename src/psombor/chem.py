@@ -20,7 +20,7 @@ from importlib import resources
 from . import config
 from .extremal import enumerate_trees
 from .invariants import graph_energy
-from .spectral import sombor_decomposition
+from .spectral import build_sombor_matrix, eigen_decompose_many
 
 KNOWN_COLUMNS = ("BP", "AcenFac", "Entropy", "SNar", "HNar", "xi1", "SE")
 
@@ -237,10 +237,10 @@ def octane_crosscheck(p: float = 2.0, atol: float | None = None) -> OctaneReport
     """
     atol = config.OCTANE_MATCH_ATOL if atol is None else atol
     catalog = enumerate_trees(8, max_degree=4)
-    computed = []
-    for key, tree in zip(catalog.canonical_keys, catalog.trees):
-        dec = sombor_decomposition(tree, p)
-        computed.append((key, dec.radius, graph_energy(dec)))
+    decs = eigen_decompose_many([(build_sombor_matrix(tree, p), "p_sombor", p)
+                                 for tree in catalog.trees])
+    computed = [(key, dec.radius, graph_energy(dec))
+                for key, dec in zip(catalog.canonical_keys, decs)]
     rows = [(r.id, r.properties["xi1"], r.properties["SE"]) for r in octane_dataset()]
 
     # Nearest-first greedy assignment; exact within-atol pairs lock in first.

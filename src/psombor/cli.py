@@ -29,7 +29,8 @@ from .chem import (
 from .extremal import enumerate_trees, rank_trees, verify_tree_extremes
 from .graphs import Graph, GraphError, read_graph_text, structure_stats
 from .invariants import index_bundle, spectral_invariants
-from .spectral import EigenConvergenceError, build_sombor_matrix, sombor_decomposition
+from .spectral import (EigenConvergenceError, EigenvectorResidualError, build_sombor_matrix,
+                       sombor_decomposition)
 
 SCHEMA_VERSION = 1
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -374,7 +375,7 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, GraphError, json.JSONDecodeError,
-            EigenConvergenceError) as exc:
+            EigenConvergenceError, EigenvectorResidualError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OverflowError, ZeroDivisionError) as exc:

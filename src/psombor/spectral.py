@@ -1,12 +1,12 @@
 """Dense symmetric matrices attached to a graph and their spectra.
 
-The eigensolver is a self-contained cyclic Jacobi iteration (psombor.backend)
-with a fixed sweep order, so results are reproducible bit for bit across runs
-and platforms. Spectral moments N_0..N_4 are available through two independent
-routes: power sums of the computed eigenvalues, and traces of powers of the
-matrix itself, N_k = tr(S_p^k), which cross-validate each other. Spectral
-radii of bipartite graphs (the tree experiments) come from the smaller Gram
-matrix B B^T of the biadjacency block instead (bipartite_radii).
+The eigensolver is a self-contained Jacobi iteration (psombor.backend) in a
+fixed round-robin order, so results are reproducible bit for bit across runs,
+platforms and batches. Spectral moments N_0..N_4 are available through two
+independent routes: power sums of the computed eigenvalues, and traces of
+powers of the matrix itself, N_k = tr(S_p^k), which cross-validate each
+other. Spectral radii of bipartite graphs (the tree experiments) come from
+the smaller Gram matrix B B^T of the biadjacency block (bipartite_radii).
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ class EigenConvergenceError(RuntimeError):
                          f"(off-diagonal norm {residual:.3e})")
         self.residual = residual
         self.sweeps = sweeps
+
+
+class EigenvectorResidualError(RuntimeError):
+    """Computed eigenvectors miss ||M v - lambda v|| <= VECTOR_RESIDUAL_FACTOR scale."""
 
 
 def edge_weight(di: int, dj: int, p: float) -> float:
@@ -150,6 +154,11 @@ def _cluster_distinct(values: np.ndarray) -> tuple[tuple[float, int], ...]:
     return tuple(out)
 
 
+def _stop_threshold(norm):
+    """Jacobi stopping threshold of a matrix of Frobenius norm ``norm``, at every scale."""
+    return config.OFF_DIAG_FACTOR * norm
+
+
 def _prepare(matrix) -> tuple[np.ndarray, float, float]:
     """A symmetric matrix as a validated float array (not copied when it
     already is one), its scale max(1, ||M||_F) and the Jacobi stopping
@@ -163,16 +172,17 @@ def _prepare(matrix) -> tuple[np.ndarray, float, float]:
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
     with np.errstate(over="ignore"):
-        scale = max(1.0, float(np.linalg.norm(a)))
-    if not math.isfinite(scale):
+        norm = float(np.linalg.norm(a))
+    if not math.isfinite(norm):
         raise OverflowError("Frobenius norm of the matrix exceeds the float range")
-    return a, scale, config.OFF_DIAG_FACTOR * scale
+    return a, max(1.0, norm), _stop_threshold(norm)
 
 
-def _finish(a: np.ndarray, vectors: np.ndarray | None, sweeps: int, off: float,
-            threshold: float, scale: float, kind: str,
-            p: float | None) -> SpectralDecomposition:
-    """Decomposition from a matrix the Jacobi kernel has diagonalised."""
+def _finish(a: np.ndarray, sweeps: int, off: float, threshold: float, scale: float,
+            kind: str, p: float | None, matrix: np.ndarray | None = None,
+            vectors: np.ndarray | None = None) -> SpectralDecomposition:
+    """Decomposition from a matrix the Jacobi kernel has diagonalised; with
+    vectors, each must have ||M v - lambda v|| <= VECTOR_RESIDUAL_FACTOR scale."""
     if off > threshold:
         raise EigenConvergenceError(off, sweeps)
     n = a.shape[0]
@@ -181,6 +191,10 @@ def _finish(a: np.ndarray, vectors: np.ndarray | None, sweeps: int, off: float,
     eigenvalues = diag[order]
     if vectors is not None:
         vectors = vectors[:, order]
+        worst = np.linalg.norm(matrix @ vectors - vectors * eigenvalues, axis=0).max(initial=0)
+        if not worst <= config.VECTOR_RESIDUAL_FACTOR * scale:
+            raise EigenvectorResidualError(f"eigenvector residual {worst:.3e} exceeds "
+                                           f"{config.VECTOR_RESIDUAL_FACTOR * scale:.3e}")
     zero_tol = config.ZERO_TOL_FACTOR * scale
     n_pos = int((eigenvalues > zero_tol).sum())
     n_neg = int((eigenvalues < -zero_tol).sum())
@@ -198,16 +212,13 @@ def _finish(a: np.ndarray, vectors: np.ndarray | None, sweeps: int, off: float,
 
 def eigen_decompose(matrix: np.ndarray, want_vectors: bool = False,
                     kind: str = "p_sombor", p: float | None = None) -> SpectralDecomposition:
-    """Full spectrum of a symmetric matrix via cyclic Jacobi rotations."""
-    a, scale, threshold = _prepare(matrix)
-    a = a.copy()
-    n = a.shape[0]
-    vectors = np.eye(n) if want_vectors else None
-    if n:
-        sweeps, off = jacobi_sweeps(a, vectors, threshold, config.MAX_SWEEPS)
-    else:
-        sweeps, off = 0, 0.0
-    return _finish(a, vectors, sweeps, off, threshold, scale, kind, p)
+    """Full spectrum of a symmetric matrix via Jacobi rotations (the kernel's
+    B = 1 call), with eigenvectors checked as in _finish if asked for."""
+    m, scale, threshold = _prepare(matrix)
+    a = m.copy()
+    vectors = np.eye(a.shape[0]) if want_vectors else None
+    sweeps, off = jacobi_sweeps(a, vectors, threshold, config.MAX_SWEEPS)
+    return _finish(a, sweeps, off, threshold, scale, kind, p, m, vectors)
 
 
 def _size_stacks(matrices):
@@ -239,7 +250,7 @@ def eigen_decompose_many(specs) -> list[SpectralDecomposition]:
             solved[i] = (stack[:, :, j], int(sweeps[j]), float(offs[j]))
     out = []
     for (_, scale, threshold), (a, sweeps, off), (_, kind, p) in zip(prepared, solved, specs):
-        out.append(_finish(a, None, sweeps, off, threshold, scale, kind, p))
+        out.append(_finish(a, sweeps, off, threshold, scale, kind, p))
     return out
 
 
@@ -297,7 +308,7 @@ def bipartite_radii(graphs, p: float) -> list[float]:
     xi_1 = sqrt(lambda_max(B B^T)) and the Jacobi solve runs on a Gram
     matrix of at most n/2 rows (see _scaled_gram). The Gram matrices of each
     size are solved as one stack of the batched kernel, each at the threshold
-    OFF_DIAG_FACTOR max(1, ||G||_F) with the norm taken over the stack (it can
+    _stop_threshold(||G||_F) with the norm taken over the stack (it can
     differ from eigen_decompose's in the last bit), and the largest diagonal
     entry of each solved member gives its radius. Radii only: the square root
     of a Gram eigenvalue that rounds near 0 is no accurate |xi_i|, so energies
@@ -318,8 +329,7 @@ def bipartite_radii(graphs, p: float) -> list[float]:
             exps.append(e)
     owners, exps = np.array(owners, dtype=np.intp), np.array(exps)
     for members, stack in _size_stacks(grams):
-        scale = np.maximum(1.0, np.linalg.norm(stack, axis=(0, 1)))
-        thresholds = config.OFF_DIAG_FACTOR * scale
+        thresholds = _stop_threshold(np.linalg.norm(stack, axis=(0, 1)))
         sweeps, offs = jacobi_sweeps_batch(stack, thresholds, config.MAX_SWEEPS)
         failed = np.flatnonzero(offs > thresholds)
         if failed.size:

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from psombor.cli import run
@@ -390,6 +391,31 @@ def test_convergence_failure_is_clean_error(monkeypatch, p4_file, capsys):
     monkeypatch.setattr(config, "MAX_SWEEPS", 0)
     assert run(["spectrum", "--input", p4_file]) == 1
     assert capsys.readouterr().err.startswith("error: no convergence after 0 sweeps")
+
+
+def test_eigenvector_residual_failure_is_clean_error(monkeypatch, p4_file, capsys):
+    from psombor import config
+
+    monkeypatch.setattr(config, "VECTOR_RESIDUAL_FACTOR", 1e-300)
+    assert run(["spectrum", "--input", p4_file, "--p", "2", "--vectors"]) == 1
+    assert capsys.readouterr().err.startswith("error: eigenvector residual ")
+    # the check runs only when eigenvectors are built
+    assert run(["spectrum", "--input", p4_file, "--p", "2"]) == 0
+
+
+@pytest.mark.parametrize("p", ("-0.002", "-0.02"))
+def test_spectrum_at_tiny_negative_p_is_solved(p, p4_file, capsys):
+    # Every entry of S_p is far below 1 (~1e-150 at p = -0.002), so an
+    # absolute stopping threshold would stop before the first sweep and print
+    # an all-zero spectrum; the relative one solves it.
+    from psombor.graphs import path_graph
+    from psombor.spectral import build_sombor_matrix
+
+    assert run(["spectrum", "--input", p4_file, f"--p={p}", "--format", "json"]) == 0
+    dec = json.loads(capsys.readouterr().out)["results"][0]["decomposition"]
+    oracle = np.linalg.eigvalsh(build_sombor_matrix(path_graph(4), float(p)))[::-1]
+    assert dec["sweeps"] > 0 and oracle[0] > 0.0
+    assert np.abs(np.array(dec["eigenvalues"]) - oracle).max() <= 1e-13 * oracle[0]
 
 
 def test_trees_verify_extremes_enumerates_once(monkeypatch, capsys):

@@ -498,8 +498,8 @@ def test_bipartite_radii_of_graphs_without_edges_are_zero():
 @pytest.mark.parametrize("p", (0.0015, -0.002, 1000.0, -1000.0))
 def test_bipartite_radii_stay_relatively_accurate_at_extreme_p(p):
     # At p = 0.0015 ||S_p||_F overflows, and at p = -0.002 every entry is
-    # ~1e-150, far below the full solve's absolute threshold of 1e-12; the
-    # power-of-two-scaled Gram matrix keeps every radius finite and accurate.
+    # ~1e-150; the power-of-two-scaled Gram matrix keeps every radius finite
+    # and accurate.
     from psombor.extremal import enumerate_trees
 
     n = 8
