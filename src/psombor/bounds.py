@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
+import numpy as np
+
 from . import config
 from .graphs import (
     Graph,
@@ -44,17 +46,15 @@ from .invariants import (
     graph_energy,
     isi_index,
     randic_index,
-    sombor_index,
-    weight_variance,
 )
 from .spectral import (
+    MomentSet,
     SpectralDecomposition,
-    adjacency_matrix,
+    _by_size,
     build_sombor_matrix,
+    decompose_stack,
     edge_weight,
     eigen_decompose_many,
-    laplacian_of,
-    moments_closed_form,
 )
 
 EXP_LIMIT = config.ESTRADA_EXP_LIMIT
@@ -103,8 +103,9 @@ class BoundReport:
 
 class GraphContext:
     """The p-independent quantities of one graph, shared by the CheckContext
-    of every p. adec, the adjacency spectrum, is solved by contexts(); the
-    others are computed once on first use."""
+    of every p. contexts() solves adec, the adjacency spectrum, with the
+    rest of its stack and reads the complement; the others are computed
+    once on first use."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -147,13 +148,18 @@ class GraphContext:
 
 
 class CheckContext:
-    """The per-(graph, p) view the checks read: the spectra from contexts()
-    and the other p-dependent values, computed on first use, over the
-    GraphContext that holds the p-independent ones."""
+    """The per-(graph, p) view the checks read, over the GraphContext that
+    holds the p-independent values. contexts() sets the spectra, SO_p, the
+    moments N0-N4 (moments; n2, n3, n4) and the edge-weight variance (None
+    without edges); the energy, the Estrada index and 2^(1/p) are computed
+    on first use. Where the moments leave the float range they are
+    left unset, and reading them raises moments_closed_form's OverflowError,
+    so a run fails at the first check that needs them."""
 
     def __init__(self, graph: GraphContext, p: float, graph_id: str,
                  holds_tol: float | None, sdec: SpectralDecomposition,
-                 ldec: SpectralDecomposition, complement_sdec: SpectralDecomposition):
+                 ldec: SpectralDecomposition, complement_sdec: SpectralDecomposition,
+                 so: float, moments: MomentSet | None, variance: float | None):
         self.graph = graph
         self.g = graph.g
         self.n, self.m = self.g.n, self.g.m
@@ -161,10 +167,18 @@ class CheckContext:
         self.graph_id = graph_id
         self.holds_tol = config.HOLDS_REL_TOL if holds_tol is None else holds_tol
         self.sdec, self.ldec, self.complement_sdec = sdec, ldec, complement_sdec
+        self.so, self.variance = so, variance
+        if moments is not None:
+            self.moments = moments
+            self.n2, self.n3, self.n4 = moments.n2, moments.n3, moments.n4
+
+    def __getattr__(self, name):
+        # Reached only for attributes not set, the moments among them.
+        if name in ("moments", "n2", "n3", "n4"):
+            raise OverflowError("spectral moments of S_p exceed the float range")
+        raise AttributeError(name)
 
     root = cached_property(lambda self: 2.0 ** (1.0 / self.p))
-    so = cached_property(lambda self: sombor_index(self.g, self.p))
-    moments = cached_property(lambda self: moments_closed_form(self.g, self.p))
     energy = cached_property(lambda self: graph_energy(self.sdec))
     estrada = cached_property(lambda self: estrada_index(self.sdec))
 
@@ -175,9 +189,6 @@ class CheckContext:
     dmin = property(lambda self: self.graph.stats.min_degree)
     xi1 = property(lambda self: self.sdec.radius)
     etas = property(lambda self: self.ldec.eigenvalues)
-    n2 = property(lambda self: self.moments.n2)
-    n3 = property(lambda self: self.moments.n3)
-    n4 = property(lambda self: self.moments.n4)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +321,7 @@ def _thm2_5(c, d, d_power):
 
 
 def _thm2_8(c):
-    ident = math.sqrt(max(0.0, 0.5 * c.m * c.n2 - c.m * c.m * weight_variance(c.g, c.p)))
+    ident = math.sqrt(max(0.0, 0.5 * c.m * c.n2 - c.m * c.m * c.variance))
     return c.so, ident, ident
 
 
@@ -648,25 +659,77 @@ for _check in CHECKS:
 
 def contexts(graphs, p_values, holds_tol: float | None = None) -> list[list[CheckContext]]:
     """The CheckContexts of (graph_id, graph) pairs, a list per graph in
-    p_values order, with every spectrum the checks read solved in one
-    eigen_decompose_many call: at each p, S_p of the graph, L_p = D_p - S_p
-    from that same matrix and S_p of the complement; once per graph, the
-    adjacency spectrum."""
-    built, specs = [], []
-    for graph_id, g in graphs:
-        gc = GraphContext(g)
-        for p in p_values:
-            s = build_sombor_matrix(g, p)
-            specs += [(s, "p_sombor", p), (laplacian_of(s), "p_laplacian", p),
-                      (build_sombor_matrix(gc.complement, p), "p_sombor", p)]
-        specs.append((adjacency_matrix(g), "adjacency", None))
-        built.append((graph_id, gc))
-    decs = iter(eigen_decompose_many(specs))
-    out = []
-    for graph_id, gc in built:
-        out.append([CheckContext(gc, p, graph_id, holds_tol, next(decs), next(decs), next(decs))
-                    for p in p_values])
-        gc.adec = next(decs)
+    p_values order.
+
+    Each graph's edges, then its complement's, become index arrays once, and
+    their weights at each p take one edge_weight call per distinct degree
+    pair. For each vertex count the weights are scattered into one
+    member-first stack: S_p of every graph and of its complement at every p,
+    L_p = diag(row sums) - S_p from the same S_p, and the adjacency
+    matrices, all solved by one decompose_stack. N2-N4 are traces of powers
+    of the stacked S_p (no eigensolver involved), SO_p and the variance are
+    sums of each graph's weights in edges() order, as sombor_index and
+    weight_variance take them.
+    """
+    graphs, p_values = list(graphs), tuple(p_values)
+    k = len(p_values)
+    gcs = [GraphContext(g) for _, g in graphs]
+    edges, weights = [], []
+    for gc in gcs:
+        g, h = gc.g, gc.complement
+        ij = np.array([*g.edges(), *h.edges()], dtype=np.intp).reshape(-1, 2)
+        d = np.concatenate((np.array(g.degrees, dtype=np.intp)[ij[:g.m]],
+                            np.array(h.degrees, dtype=np.intp)[ij[g.m:]]))
+        keys, inverse = np.unique(d.min(axis=1) * (g.n + 1) + d.max(axis=1),
+                                  return_inverse=True)
+        pairs = list(zip(*divmod(keys, g.n + 1)))
+        w = np.array([[edge_weight(int(a), int(b), p) for a, b in pairs] for p in p_values],
+                     dtype=float).reshape(k, len(pairs))
+        edges.append(ij)
+        weights.append(w[:, inverse])
+    out: list = [None] * len(graphs)
+    for n, members in _by_size(g.n for _, g in graphs).items():
+        count = len(members)
+        stack = np.zeros((count * (3 * k + 1), n, n))
+        sombor = stack[:2 * count * k].reshape(count, k, 2, n, n)  # graph, then complement
+        laplacian = stack[2 * count * k:3 * count * k].reshape(count, k, n, n)
+        adjacency = stack[3 * count * k:]
+        for a, i in enumerate(members):
+            ij, m = edges[i], gcs[i].g.m
+            which = (np.arange(len(ij)) >= m).astype(np.intp)
+            u, v = ij[:, 0], ij[:, 1]
+            sombor[a][:, which, u, v] = sombor[a][:, which, v, u] = weights[i]
+            adjacency[a, u[:m], v[:m]] = adjacency[a, v[:m], u[:m]] = 1.0
+        s = sombor[:, :, 0]
+        diagonal = np.arange(n)
+        laplacian[:, :, diagonal, diagonal] = s.sum(axis=-1)
+        laplacian -= s
+        with np.errstate(over="ignore", invalid="ignore"):
+            s2 = s @ s
+            moments = [(x * y).reshape(count * k, n * n).sum(axis=1).tolist()
+                       for x, y in ((s, s), (s2, s), (s2, s2))]
+        tags = ([("p_sombor", p) for _ in members for p in p_values for _ in (0, 1)]
+                + [("p_laplacian", p) for _ in members for p in p_values]
+                + [("adjacency", None)] * count)
+        decs = decompose_stack(stack, tags)
+        for a, i in enumerate(members):
+            gc, graph_id, m = gcs[i], graphs[i][0], gcs[i].g.m
+            gc.adec = decs[3 * count * k + a]
+            ctxs = []
+            wg = weights[i][:, :m]
+            for b, (p, row, squares) in enumerate(zip(p_values, wg.tolist(),
+                                                      (wg * wg).tolist())):
+                r = a * k + b
+                n2, n3, n4 = (moment[r] for moment in moments)
+                finite = math.isfinite(n2) and math.isfinite(n3) and math.isfinite(n4)
+                so = sum(row)
+                variance = sum(squares) / m - (so / m) * (so / m) if m else None
+                ctxs.append(CheckContext(
+                    gc, p, graph_id, holds_tol, decs[2 * r], decs[2 * count * k + r],
+                    decs[2 * r + 1], so,
+                    MomentSet(p, float(n), 0.0, n2, n3, n4) if finite else None,
+                    variance))
+            out[i] = ctxs
     return out
 
 
@@ -844,10 +907,6 @@ def _violation_payload(report: BoundReport, g: Graph) -> dict:
         "upper": report.upper,
         "slack": report.slack,
     }
-
-
-def _outcome(rep: BoundReport) -> str:
-    return OUTCOMES[_verdict(rep.hard, rep.holds) if rep.applicable else _NA]
 
 
 def _new_tally():

@@ -4,9 +4,7 @@ Unlabeled trees come from the free-tree generator of Wright, Richmond,
 Odlyzko & McKay (SIAM J. Comput. 15(2), 1986), which yields one centre-rooted
 canonical level sequence per tree, so no tree is built twice. Each catalog
 tree is labelled by the lexicographically largest canonical level sequence
-over all its rootings, and keyed by a centre-rooted AHU string. A
-Pruefer-sequence enumerator is kept as an independent oracle for small n
-(used by the tests).
+over all its rootings, and keyed by a centre-rooted AHU string.
 
 Tree radii (the extremality check and the ranking) come from
 spectral.bipartite_radii: a tree is bipartite, so xi_1 is the square root of
@@ -19,9 +17,7 @@ and the star are recognised by their maximum degree, 2 and n - 1.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from itertools import product
 
 from .graphs import Graph, GraphError, structure_stats
 from .spectral import bipartite_radii, sombor_decomposition
@@ -193,30 +189,6 @@ def enumerate_trees(n: int, max_degree: int | None = None) -> TreeCatalog:
                        canonical_keys=[k for k, _ in items])
 
 
-def prufer_tree_keys(n: int) -> set[str]:
-    """Canonical keys of all trees on n vertices via exhaustive Pruefer
-    sequences; independent oracle for enumerate_trees (practical for n <= 8)."""
-    return {tree_canonical_key(Graph(n, _prufer_edges(n, seq)))
-            for seq in product(range(n), repeat=n - 2)}
-
-
-def _prufer_edges(n: int, seq) -> list[tuple[int, int]]:
-    """Edges of the labeled tree on n >= 2 vertices with Pruefer sequence seq."""
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        edges.append((heapq.heappop(leaves), x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append(tuple(sorted(leaves)))
-    return edges
-
-
 # ---------------------------------------------------------------------------
 # extremality of the spectral radius over trees
 
@@ -339,17 +311,3 @@ def shift_experiment(g: Graph, p: float) -> ShiftReport:
         outcomes.append(ShiftOutcome((u, v), xi1, xi1_after,
                                      xi1_after - xi1 > margin))
     return ShiftReport(p, outcomes, True, None)
-
-
-def random_tree(n: int, seed: int) -> Graph:
-    """Uniform labeled tree from a SplitMix64-driven Pruefer sequence."""
-    from .graphs import _splitmix64
-
-    if n < 2:
-        return Graph(max(n, 0))
-    state = seed & ((1 << 64) - 1)
-    seq = []
-    for _ in range(n - 2):
-        state, z = _splitmix64(state)
-        seq.append(z % n)
-    return Graph(n, _prufer_edges(n, seq))

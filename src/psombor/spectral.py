@@ -2,11 +2,15 @@
 
 The eigensolver is a self-contained Jacobi iteration (psombor.backend) in a
 fixed round-robin order, so results are reproducible bit for bit across runs,
-platforms and batches. Spectral moments N_0..N_4 are available through two
-independent routes: power sums of the computed eigenvalues, and traces of
-powers of the matrix itself, N_k = tr(S_p^k), which cross-validate each
-other. Spectral radii of bipartite graphs (the tree experiments) come from
-the smaller Gram matrix B B^T of the biadjacency block (bipartite_radii).
+platforms and batches. Every full spectrum goes through decompose_stack,
+which validates a member-first stack of same-size matrices once, solves it
+scaled by a power of two per member (exact, and safe for tiny entries) and
+sorts it; eigen_decompose and eigen_decompose_many wrap it. Spectral
+moments N_0..N_4 are available through two independent routes: power sums
+of the computed eigenvalues, and traces of powers of the matrix itself,
+N_k = tr(S_p^k), which cross-validate each other. Spectral radii of
+bipartite graphs (the tree experiments) come from the smaller Gram matrix
+B B^T of the biadjacency block (bipartite_radii).
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from . import config
-from .backend import jacobi_sweeps, jacobi_sweeps_batch
+# jacobi_sweeps (the kernel's B = 1 call) stays importable from here by name.
+from .backend import jacobi_sweeps, jacobi_sweeps_batch  # noqa: F401
 from .graphs import Graph, _component_depths
 
 
@@ -159,98 +164,111 @@ def _stop_threshold(norm):
     return config.OFF_DIAG_FACTOR * norm
 
 
-def _prepare(matrix) -> tuple[np.ndarray, float, float]:
-    """A symmetric matrix as a validated float array (not copied when it
-    already is one), its scale max(1, ||M||_F) and the Jacobi stopping
-    threshold. OverflowError when the norm leaves the float range."""
+def _square(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    if n and not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    if not np.array_equal(a, a.T):
-        raise ValueError("matrix must be symmetric")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    if not math.isfinite(norm):
+    return a
+
+
+def _by_size(sizes) -> dict[int, list[int]]:
+    """The indices of each size, sizes in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(sizes):
+        groups.setdefault(n, []).append(i)
+    return groups
+
+
+def decompose_stack(stack: np.ndarray, tags, want_vectors: bool = False):
+    """Spectra of a member-first (B, n, n) stack of symmetric matrices.
+
+    tags gives (kind, p) per member; returns one SpectralDecomposition per
+    member, in stack order. The stack is validated
+    once: entries finite, members symmetric, and each member's squared
+    Frobenius norm (a dot product, as np.linalg.norm takes it) in the float
+    range; the first member that fails raises. Each member is scaled by 2^-e
+    so that its largest |entry| is in [1/2, 1): that is exact and changes no
+    result of a matrix of ordinary scale, but keeps the squares of tiny
+    entries from underflowing. Eigenvalues, residual and norm are scaled
+    back. The kernel stops each member at _stop_threshold(||M||_F); one that
+    does not converge raises EigenConvergenceError. With eigenvectors, each
+    must have ||M v - lambda v|| <= VECTOR_RESIDUAL_FACTOR * scale, where
+    scale is max(1, ||M||_F).
+    """
+    b, n = stack.shape[:2]
+    flat = stack.reshape(b, n * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(flat).all(axis=1)
+        symmetric = (stack == stack.transpose(0, 2, 1)).reshape(b, -1).all(axis=1)
+        e = np.frexp(np.abs(flat).max(axis=1, initial=0.0))[1]
+        work = np.ldexp(stack, -e[:, None, None])
+        squares = np.array([row.dot(row) for row in work.reshape(b, n * n)])
+        in_range = np.isfinite(np.ldexp(squares, 2 * e))
+    bad = ~(finite & symmetric & in_range)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not finite[i]:
+            raise ValueError("matrix entries must be finite")
+        if not symmetric[i]:
+            raise ValueError("matrix must be symmetric")
         raise OverflowError("Frobenius norm of the matrix exceeds the float range")
-    return a, max(1.0, norm), _stop_threshold(norm)
-
-
-def _finish(a: np.ndarray, sweeps: int, off: float, threshold: float, scale: float,
-            kind: str, p: float | None, matrix: np.ndarray | None = None,
-            vectors: np.ndarray | None = None) -> SpectralDecomposition:
-    """Decomposition from a matrix the Jacobi kernel has diagonalised; with
-    vectors, each must have ||M v - lambda v|| <= VECTOR_RESIDUAL_FACTOR scale."""
-    if off > threshold:
-        raise EigenConvergenceError(off, sweeps)
-    n = a.shape[0]
-    diag = np.diag(a).copy()
-    order = np.argsort(-diag, kind="stable")
-    eigenvalues = diag[order]
+    norm = np.sqrt(squares)
+    thresholds = _stop_threshold(norm)
+    vectors = np.broadcast_to(np.eye(n), (b, n, n)).copy() if want_vectors else None
+    sweeps, offs = jacobi_sweeps_batch(work.transpose(1, 2, 0), thresholds, config.MAX_SWEEPS,
+                                       None if vectors is None else vectors.transpose(1, 2, 0))
+    residual = np.ldexp(offs, e)
+    failed = np.flatnonzero(offs > thresholds)
+    if failed.size:
+        raise EigenConvergenceError(float(residual[failed[0]]), int(sweeps[failed[0]]))
+    scale = np.maximum(1.0, np.ldexp(norm, e))
+    diag = np.diagonal(work, axis1=1, axis2=2)
+    order = np.argsort(-diag, axis=1, kind="stable")
+    eigenvalues = np.ldexp(np.take_along_axis(diag, order, axis=1), e[:, None])
     if vectors is not None:
-        vectors = vectors[:, order]
-        worst = np.linalg.norm(matrix @ vectors - vectors * eigenvalues, axis=0).max(initial=0)
-        if not worst <= config.VECTOR_RESIDUAL_FACTOR * scale:
-            raise EigenvectorResidualError(f"eigenvector residual {worst:.3e} exceeds "
-                                           f"{config.VECTOR_RESIDUAL_FACTOR * scale:.3e}")
-    zero_tol = config.ZERO_TOL_FACTOR * scale
-    n_pos = int((eigenvalues > zero_tol).sum())
-    n_neg = int((eigenvalues < -zero_tol).sum())
-    return SpectralDecomposition(
-        kind=kind,
-        p=p,
-        eigenvalues=eigenvalues,
-        eigenvectors=vectors,
-        inertia=(n_pos, n - n_pos - n_neg, n_neg),
-        residual=float(off),
-        sweeps=int(sweeps),
-        scale=scale,
-    )
+        vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+        worst = np.linalg.norm(stack @ vectors - vectors * eigenvalues[:, None, :],
+                               axis=1).max(axis=1, initial=0)
+        limit = config.VECTOR_RESIDUAL_FACTOR * scale
+        over = np.flatnonzero(~(worst <= limit))
+        if over.size:
+            i = over[0]
+            raise EigenvectorResidualError(f"eigenvector residual {worst[i]:.3e} exceeds "
+                                           f"{limit[i]:.3e}")
+    zero_tol = config.ZERO_TOL_FACTOR * scale[:, None]
+    n_pos = (eigenvalues > zero_tol).sum(axis=1).tolist()
+    n_neg = (eigenvalues < -zero_tol).sum(axis=1).tolist()
+    return [SpectralDecomposition(kind, p, eigenvalues[i],
+                                  None if vectors is None else vectors[i],
+                                  (n_pos[i], n - n_pos[i] - n_neg[i], n_neg[i]),
+                                  res, int(sw), sc)
+            for i, ((kind, p), res, sw, sc) in enumerate(
+                zip(tags, residual.tolist(), sweeps, scale.tolist()))]
 
 
 def eigen_decompose(matrix: np.ndarray, want_vectors: bool = False,
                     kind: str = "p_sombor", p: float | None = None) -> SpectralDecomposition:
-    """Full spectrum of a symmetric matrix via Jacobi rotations (the kernel's
-    B = 1 call), with eigenvectors checked as in _finish if asked for."""
-    m, scale, threshold = _prepare(matrix)
-    a = m.copy()
-    vectors = np.eye(a.shape[0]) if want_vectors else None
-    sweeps, off = jacobi_sweeps(a, vectors, threshold, config.MAX_SWEEPS)
-    return _finish(a, sweeps, off, threshold, scale, kind, p, m, vectors)
-
-
-def _size_stacks(matrices):
-    """For each size of the square matrices, in order of first appearance:
-    the indices of the matrices of that size and their member-last
-    (n, n, B) stack, as jacobi_sweeps_batch takes it."""
-    by_size: dict[int, list[int]] = {}
-    for i, a in enumerate(matrices):
-        by_size.setdefault(a.shape[0], []).append(i)
-    for members in by_size.values():
-        yield members, np.stack([matrices[i] for i in members], axis=-1)
+    """Full spectrum of a symmetric matrix via Jacobi rotations: a
+    decompose_stack of one, with eigenvectors if asked for."""
+    return decompose_stack(_square(matrix)[None], [(kind, p)], want_vectors)[0]
 
 
 def eigen_decompose_many(specs) -> list[SpectralDecomposition]:
     """Eigenvalues of many symmetric matrices, in input order.
 
     specs is a sequence of (matrix, kind, p) triples; entry i of the result
-    equals eigen_decompose(matrix, False, kind, p) bit for bit. All matrices
-    of one size are solved in one call of the batched kernel, on a
-    member-last stack. The first matrix (in input order) that is invalid or
-    fails to converge raises as eigen_decompose would.
+    equals eigen_decompose(matrix, False, kind, p) bit for bit. The matrices
+    of each size are solved as one decompose_stack; a matrix that is invalid
+    or fails to converge raises as eigen_decompose would.
     """
-    prepared = [_prepare(matrix) for matrix, _, _ in specs]
-    solved: list = [None] * len(prepared)
-    for members, stack in _size_stacks([a for a, _, _ in prepared]):
-        thresholds = np.array([prepared[i][2] for i in members])
-        sweeps, offs = jacobi_sweeps_batch(stack, thresholds, config.MAX_SWEEPS)
-        for j, i in enumerate(members):
-            solved[i] = (stack[:, :, j], int(sweeps[j]), float(offs[j]))
-    out = []
-    for (_, scale, threshold), (a, sweeps, off), (_, kind, p) in zip(prepared, solved, specs):
-        out.append(_finish(a, sweeps, off, threshold, scale, kind, p))
+    matrices = [_square(matrix) for matrix, _, _ in specs]
+    out: list = [None] * len(specs)
+    for members in _by_size(len(a) for a in matrices).values():
+        decs = decompose_stack(np.stack([matrices[i] for i in members]),
+                               [specs[i][1:] for i in members])
+        for i, dec in zip(members, decs):
+            out[i] = dec
     return out
 
 
@@ -328,7 +346,8 @@ def bipartite_radii(graphs, p: float) -> list[float]:
             grams.append(gram)
             exps.append(e)
     owners, exps = np.array(owners, dtype=np.intp), np.array(exps)
-    for members, stack in _size_stacks(grams):
+    for members in _by_size(len(gram) for gram in grams).values():
+        stack = np.stack([grams[i] for i in members], axis=-1)
         thresholds = _stop_threshold(np.linalg.norm(stack, axis=(0, 1)))
         sweeps, offs = jacobi_sweeps_batch(stack, thresholds, config.MAX_SWEEPS)
         failed = np.flatnonzero(offs > thresholds)

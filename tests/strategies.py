@@ -33,7 +33,7 @@ def bipartite_graphs(draw, max_parts: int = 4) -> Graph:
     """A disjoint union of 1..max_parts bipartite components, vertices
     shuffled: random trees, even cycles, complete bipartite graphs K_{a,b},
     isolated vertices and random subgraphs of K_{a,b}."""
-    from psombor.extremal import random_tree
+    from prufer import random_tree
     from psombor.graphs import complete_bipartite_graph, cycle_graph
 
     parts = []

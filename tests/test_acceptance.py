@@ -12,10 +12,11 @@ import math
 import time
 
 import numpy as np
+from prufer import random_tree
 
 from psombor.bounds import build_corpus, run_suite
 from psombor.chem import octane_crosscheck, reproduce_regressions
-from psombor.extremal import enumerate_trees, random_tree, shift_experiment, \
+from psombor.extremal import enumerate_trees, shift_experiment, \
     tree_canonical_key, verify_tree_extremes
 from psombor.graphs import Graph, complete_graph, cycle_graph, path_graph, \
     random_gnm, star_graph

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from strategies import circulants, nonzero_p
 
-from psombor import bounds
+from psombor import bounds, config
 from psombor.bounds import (
     CHECKS,
     OUTCOMES,
@@ -16,8 +16,8 @@ from psombor.bounds import (
     CheckContext,
     GraphContext,
     _judge,
-    _outcome,
     _report,
+    _verdict,
     _violation_payload,
     all_checks,
     build_corpus,
@@ -348,11 +348,11 @@ def test_subdivision_energy_needs_a_regular_graph():
 def test_suite_reads_every_spectrum_from_the_batch(monkeypatch, regular_all):
     import psombor.spectral as spectral
 
-    scalar, scalar_sizes = spectral.jacobi_sweeps, []
+    batch, stacks = spectral.jacobi_sweeps_batch, []
 
-    def counting_scalar(a, *args):
-        scalar_sizes.append(a.shape[0])
-        return scalar(a, *args)
+    def counting_batch(stack, *args):
+        stacks.append(stack.shape)
+        return batch(stack, *args)
 
     built = Counter()
 
@@ -364,14 +364,19 @@ def test_suite_reads_every_spectrum_from_the_batch(monkeypatch, regular_all):
             init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
 
-    monkeypatch.setattr(spectral, "jacobi_sweeps", counting_scalar)
+    monkeypatch.setattr(spectral, "jacobi_sweeps_batch", counting_batch)
     counting_init(CheckContext)
     counting_init(GraphContext)
     graphs, p_values = build_corpus("all"), (-1.0, 2.0)
     rep = run_suite(graphs, p_values=p_values, corpus_name="x")
     assert rep.counts["thm4.12"]["pass"] == len(regular_all) * len(p_values)
     assert sum(rep.counts["thm5.9.1"].values()) == len(graphs) * len(p_values)
-    assert scalar_sizes == []
+    # One kernel call per vertex count of each chunk, over S_p, L_p and the
+    # complement's S_p at every p and the adjacency matrix of each graph.
+    size = config.SUITE_CHUNK_GRAPHS
+    assert stacks == [(n, n, (3 * len(p_values) + 1) * count)
+                      for i in range(0, len(graphs), size)
+                      for n, count in Counter(g.n for _, g in graphs[i:i + size]).items()]
     # One context per graph and per (graph, p); none for a complement.
     assert built == {"GraphContext": len(graphs), "CheckContext": len(graphs) * len(p_values)}
     # Calls without a context build their own through the same batch, also
@@ -382,7 +387,6 @@ def test_suite_reads_every_spectrum_from_the_batch(monkeypatch, regular_all):
                     check_radius_bounds, check_energy_estrada_bounds, check_nordhaus_gaddum):
             assert run(g, 2.0)
     assert by_id(all_checks(K1_JOIN_K23, 2.0), "thm5.9.1").applicable
-    assert scalar_sizes == []
 
 
 def _join_k1(g):
@@ -526,6 +530,11 @@ def test_violation_payload_reproducible():
     payload = rep.violations[0]
     assert payload["graph"] == "K4" and payload["p"] == 2.0
     assert Graph(payload["n"], [tuple(e) for e in payload["edges"]]) == complete_graph(4)
+
+
+def _outcome(rep: BoundReport) -> str:
+    """The OUTCOMES entry a full report stands for."""
+    return OUTCOMES[_verdict(rep.hard, rep.holds) if rep.applicable else OUTCOMES.index("na")]
 
 
 def _tally_from_reports(graphs, p_values, holds_tol=None):
@@ -681,32 +690,84 @@ def test_contexts_match_the_scalar_decompositions():
                     == _bits(sombor_decomposition(complement(g), p))), (graph_id, p)
 
 
-def test_contexts_build_each_sombor_matrix_once(monkeypatch):
+def _degree_pairs(g):
+    return {(min(g.degrees[u], g.degrees[v]), max(g.degrees[u], g.degrees[v]))
+            for u, v in g.edges()}
+
+
+def test_suite_builds_no_matrix_and_one_weight_per_degree_pair(monkeypatch):
     import psombor
+    import psombor.invariants as invariants
     import psombor.spectral as spectral
 
-    build, calls = bounds.build_sombor_matrix, []
-    laplacian, laplacians = spectral.build_p_laplacian, []
+    calls = Counter()
 
-    def counting_build(g, p):
-        calls.append((g, p))
-        return build(g, p)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
 
-    def counting_laplacian(g, p):
-        laplacians.append((g, p))
-        return laplacian(g, p)
+    # Every per-matrix builder and edge loop, under every name a module may
+    # call it by; edge_weight as bounds calls it (contexts and thm4.12).
+    for name in ("build_sombor_matrix", "build_p_laplacian", "adjacency_matrix",
+                 "laplacian_of", "moments_closed_form", "sombor_index", "weight_variance"):
+        fn = getattr(spectral, name, None) or getattr(invariants, name)
+        for module in (psombor, spectral, invariants, bounds):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    weights = Counter()
 
-    monkeypatch.setattr(bounds, "build_sombor_matrix", counting_build)
-    # build_p_laplacian under every name a module may call it by
-    for module in (psombor, spectral, bounds):
-        if getattr(module, "build_p_laplacian", None) is laplacian:
-            monkeypatch.setattr(module, "build_p_laplacian", counting_laplacian)
-    graphs = corpus_families() + corpus_special()
+    def counting_weight(di, dj, p):
+        weights[p] += 1
+        return edge_weight(di, dj, p)
+
+    monkeypatch.setattr(bounds, "edge_weight", counting_weight)
+    graphs = (corpus_families() + corpus_special() + corpus_trees(4, 7)
+              + corpus_random_connected(count=30))
     rep = run_suite(graphs, p_values=P_GRID, corpus_name="x")
-    assert rep.ok
-    # S_p of the graph (L_p is taken from it) and of its complement, once each.
-    assert calls == [(h, p) for _, g in graphs for p in P_GRID for h in (g, complement(g))]
-    assert laplacians == []
+    assert rep.graphs_checked == len(graphs)
+    assert calls == {}
+    # One call per distinct degree pair of the graph and of its complement,
+    # plus thm4.12's two on each regular graph with edges, at each p.
+    expected = sum(len(_degree_pairs(g) | _degree_pairs(complement(g)))
+                   + 2 * (structure_stats(g).is_regular and g.m >= 1) for _, g in graphs)
+    assert weights == dict.fromkeys(P_GRID, expected)
+
+
+def _same(x, y):
+    """Equal type and bits (repr round-trips every float, -0.0 and nan too)."""
+    return type(x) is type(y) and repr(x) == repr(y)
+
+
+@pytest.mark.parametrize("p", P_GRID + (-1000.0, 1000.0, 0.05))
+def test_context_values_equal_the_library_functions(p):
+    from psombor.invariants import sombor_index, weight_variance
+    from psombor.spectral import moments_closed_form
+
+    graphs = (corpus_families() + corpus_special() + corpus_trees(4, 7)
+              + corpus_random_connected(count=40))
+    for (graph_id, g), (ctx,) in zip(graphs, contexts(graphs, (p,))):
+        assert _same(ctx.so, sombor_index(g, p)), graph_id
+        assert _same(ctx.variance, weight_variance(g, p)), graph_id
+        assert repr(ctx.moments) == repr(moments_closed_form(g, p)), graph_id
+        assert _same(ctx.energy, graph_energy(sombor_decomposition(g, p))), graph_id
+
+
+def test_overflowing_moments_raise_where_a_check_reads_them():
+    # At p = 0.003 N4 of K4 (weights ~2^333) leaves the float range while
+    # ||S_p||_F does not; the error comes from the first read, as it did when
+    # the moments were computed on first use.
+    from psombor.spectral import moments_closed_form
+
+    (ctx,), = contexts([("K4", complete_graph(4))], (0.003,))
+    with pytest.raises(OverflowError, match="moments") as lazy:
+        ctx.n2
+    with pytest.raises(OverflowError) as direct:
+        moments_closed_form(complete_graph(4), 0.003)
+    assert str(lazy.value) == str(direct.value)
+    with pytest.raises(OverflowError, match="moments"):
+        run_suite([("K4", complete_graph(4))], p_values=(0.003,))
 
 
 def test_build_corpus_rejects_a_directory(tmp_path):

@@ -403,6 +403,24 @@ def test_eigenvector_residual_failure_is_clean_error(monkeypatch, p4_file, capsy
     assert run(["spectrum", "--input", p4_file, "--p", "2"]) == 0
 
 
+@pytest.mark.parametrize("p", ("-0.0018", "-0.0015", "-0.0012", "-0.001", "-0.00098"))
+def test_spectrum_solves_where_the_squared_weights_underflow(p, p4_file, capsys):
+    # The weights (~1e-160 to 1e-300) are normal floats but their squares are
+    # not: unscaled, the norm and the off-diagonal sums read 0 and no sweep
+    # runs. Each member is solved scaled by a power of two.
+    from psombor.graphs import path_graph
+    from psombor.spectral import build_sombor_matrix
+
+    assert run(["spectrum", "--input", p4_file, f"--p={p}", "--format", "json"]) == 0
+    dec = json.loads(capsys.readouterr().out)["results"][0]["decomposition"]
+    s = build_sombor_matrix(path_graph(4), float(p))
+    e = math.frexp(s.max())[1]
+    oracle = np.ldexp(np.linalg.eigvalsh(np.ldexp(s, -e))[::-1], e)
+    got = np.array(dec["eigenvalues"])
+    assert dec["sweeps"] > 0 and np.all(oracle != 0.0)
+    assert np.all(np.abs(got - oracle) <= 1e-12 * np.abs(oracle))
+
+
 @pytest.mark.parametrize("p", ("-0.002", "-0.02"))
 def test_spectrum_at_tiny_negative_p_is_solved(p, p4_file, capsys):
     # Every entry of S_p is far below 1 (~1e-150 at p = -0.002), so an

@@ -3,13 +3,12 @@ import json
 import math
 
 import pytest
+from prufer import prufer_tree_keys, random_tree
 
 from psombor import extremal
 from psombor.extremal import (
     FREE_TREE_COUNTS,
     enumerate_trees,
-    prufer_tree_keys,
-    random_tree,
     rank_trees,
     shift_experiment,
     tree_canonical_key,

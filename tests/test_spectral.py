@@ -522,7 +522,9 @@ def test_bipartite_radii_reject_weights_that_underflow():
 
 
 def test_gram_members_equal_their_transpose_bit_for_bit():
-    from psombor.extremal import enumerate_trees, random_tree
+    from prufer import random_tree
+
+    from psombor.extremal import enumerate_trees
     from psombor.graphs import complete_bipartite_graph
     from psombor.spectral import _scaled_gram
 
