@@ -1,8 +1,8 @@
 """Numerical tolerances used across the package, surfaced in one place.
 
-Spectral tolerances are relative to max(1, scale), the scale being the
-Frobenius norm of the matrix (eigensolver; the stopping threshold uses the norm
-itself) or the magnitude of the compared value (bound checks).
+Spectral tolerances are relative to the Frobenius norm ||M||_F of the matrix
+at every scale, as Jacobi's accuracy guarantee is (Demmel & Veselic, SIMAX
+13(4), 1992); bound-check tolerances are relative to max(1, |value|).
 """
 
 # Jacobi eigensolver: sweep until the off-diagonal Frobenius norm falls below
@@ -22,9 +22,12 @@ MAX_INPUT_VERTICES = 500
 # the matrices and decompositions held at once.
 SUITE_CHUNK_GRAPHS = 16
 
-# Eigenvalue classification.
-ZERO_TOL_FACTOR = 1e-8        # inertia: |eigenvalue| below this counts as zero
-CLUSTER_GAP_FACTOR = 1e-7     # distinct-eigenvalue clustering gap
+# Eigenvalue classification. At tiny |p| ||M||_F can be ~1e-49, so a floor of 1
+# would count every eigenvalue as zero and merge them all into one cluster.
+ZERO_TOL_FACTOR = 1e-8        # inertia: |eigenvalue| <= this * ||M||_F counts as zero
+# distinct eigenvalues: a value within this * max(min(1, ||M||_F), |cluster
+# value|) of the last cluster joins it
+CLUSTER_GAP_FACTOR = 1e-7
 VECTOR_RESIDUAL_FACTOR = 1e-10  # ||M v - lambda v|| acceptance when vectors built
 
 # Bound verification.

@@ -117,6 +117,7 @@ class SpectralDecomposition:
     residual: float
     sweeps: int
     scale: float                          # max(1, Frobenius norm of the input)
+    norm: float                           # Frobenius norm of the input
 
     @property
     def n(self) -> int:
@@ -133,7 +134,7 @@ class SpectralDecomposition:
     @cached_property
     def distinct(self) -> tuple[tuple[float, int], ...]:
         """(value, multiplicity) clusters, descending; computed on first read."""
-        return _cluster_distinct(self.eigenvalues)
+        return _cluster_distinct(self.eigenvalues, min(1.0, self.norm))
 
     def to_dict(self) -> dict:
         return {
@@ -147,11 +148,14 @@ class SpectralDecomposition:
         }
 
 
-def _cluster_distinct(values: np.ndarray) -> tuple[tuple[float, int], ...]:
+def _cluster_distinct(values: np.ndarray, floor: float) -> tuple[tuple[float, int], ...]:
+    """Clusters of the descending values: a value joins the last cluster
+    within CLUSTER_GAP_FACTOR * max(floor, |cluster value|) of it."""
     out: list[tuple[float, int]] = []
     for x in values:
         x = float(x)
-        if out and abs(out[-1][0] - x) <= config.CLUSTER_GAP_FACTOR * max(1.0, abs(out[-1][0])):
+        if out and (abs(out[-1][0] - x)
+                    <= config.CLUSTER_GAP_FACTOR * max(floor, abs(out[-1][0]))):
             val, mult = out[-1]
             out[-1] = (val, mult + 1)
         else:
@@ -222,7 +226,8 @@ def decompose_stack(stack: np.ndarray, tags, want_vectors: bool = False):
     failed = np.flatnonzero(offs > thresholds)
     if failed.size:
         raise EigenConvergenceError(float(residual[failed[0]]), int(sweeps[failed[0]]))
-    scale = np.maximum(1.0, np.ldexp(norm, e))
+    true_norm = np.ldexp(norm, e)
+    scale = np.maximum(1.0, true_norm)
     diag = np.diagonal(work, axis1=1, axis2=2)
     order = np.argsort(-diag, axis=1, kind="stable")
     eigenvalues = np.ldexp(np.take_along_axis(diag, order, axis=1), e[:, None])
@@ -236,15 +241,18 @@ def decompose_stack(stack: np.ndarray, tags, want_vectors: bool = False):
             i = over[0]
             raise EigenvectorResidualError(f"eigenvector residual {worst[i]:.3e} exceeds "
                                            f"{limit[i]:.3e}")
-    zero_tol = config.ZERO_TOL_FACTOR * scale[:, None]
+    # Relative to the norm itself, as the stopping threshold: at tiny |p| the
+    # whole spectrum lies far below 1. Strict comparisons keep the exact
+    # zeros of an all-zero matrix zero.
+    zero_tol = config.ZERO_TOL_FACTOR * true_norm[:, None]
     n_pos = (eigenvalues > zero_tol).sum(axis=1).tolist()
     n_neg = (eigenvalues < -zero_tol).sum(axis=1).tolist()
     return [SpectralDecomposition(kind, p, eigenvalues[i],
                                   None if vectors is None else vectors[i],
                                   (n_pos[i], n - n_pos[i] - n_neg[i], n_neg[i]),
-                                  res, int(sw), sc)
-            for i, ((kind, p), res, sw, sc) in enumerate(
-                zip(tags, residual.tolist(), sweeps, scale.tolist()))]
+                                  res, int(sw), sc, nm)
+            for i, ((kind, p), res, sw, sc, nm) in enumerate(
+                zip(tags, residual.tolist(), sweeps, scale.tolist(), true_norm.tolist()))]
 
 
 def eigen_decompose(matrix: np.ndarray, want_vectors: bool = False,

@@ -792,6 +792,30 @@ def test_suite_output_digest_is_pinned(corpus):
     assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGESTS[corpus]
 
 
+# The same digests over a wide p grid. At p = -1 and 2 few non-integer powers
+# differ from 1, but here 2^(k/p), n^(1/p), N4^(1/4) and exp() all matter,
+# and NumPy's vectorised pow and exp need not match Python's bit for bit.
+WIDE_P = (-1000.0, -0.5, 0.05, 0.5, 3.0, 1000.0)
+WIDE_P_DIGESTS = {
+    "families": "5a35f0dad0d8ac3ec515faad2e99f31c95825b71e30efb0ebe408699a621cfba",
+    "special": "0b7e7e753b786aacfeb56080efdb848834cfefa249fd65872bc3aa0a9b63dc9e",
+    "trees": "f86189375584d867f25f51ceeb3606d91c345c79cc7b14322dfe25db7e47a224",
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(WIDE_P_DIGESTS))
+def test_suite_output_digest_is_pinned_over_wide_p(corpus):
+    graphs = build_corpus(corpus)
+    if corpus == "special":
+        rep = run_suite(graphs, p_values=WIDE_P, corpus_name=corpus)
+    else:
+        # At p = 0.05 exp(xi1) overflows on the larger graphs.
+        with pytest.warns(UserWarning, match="too large for exp"):
+            rep = run_suite(graphs, p_values=WIDE_P, corpus_name=corpus)
+    text = json.dumps(rep.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == WIDE_P_DIGESTS[corpus]
+
+
 @pytest.mark.parametrize("name, g", [
     ("K1", complete_graph(1)), ("5K1", Graph(5)), ("P4", path_graph(4)),
     ("C5", cycle_graph(5)), ("K4", complete_graph(4)), ("K1,3", star_graph(4)),

@@ -379,6 +379,33 @@ def test_verify_tiny_abs_p_is_clean_range_error(p, capsys):
     assert "Traceback" not in err
 
 
+_RANGE = "error: result out of floating-point range"
+_MOMENTS = f"{_RANGE} (spectral moments of S_p exceed the float range)\n"
+_ERANGE = f"{_RANGE} ((34, 'Numerical result out of range'))\n"
+_ESTRADA = "warning: spectral radius too large for exp(); Estrada index reported as inf\n"
+
+
+@pytest.mark.parametrize("p, code, err", [
+    ("0.002", 1, _MOMENTS),
+    ("1e-4", 1, _ERANGE),
+    # thm2.5's denominator 2^(1+3/p) deg^4 underflows to 0
+    ("-0.0025", 1, f"{_RANGE} (float division by zero)\n"),
+    ("0.003", 1, _MOMENTS),
+    ("0.009", 0, _ESTRADA),
+    # the warning comes from a row before the first failing one, and only then
+    ("0.1,0.003", 1, _ESTRADA + _MOMENTS),
+    ("0.003,0.1", 1, _MOMENTS),
+    ("0.008", 1, _ESTRADA + _ERANGE),
+    ("-0.002,0.0009", 1, _ERANGE),
+])
+def test_verify_range_errors_and_warnings_are_pinned(p, code, err):
+    # Exact stderr and exit code: the first (graph, p, check) that fails in
+    # table order raises, after the warnings of the rows judged before it.
+    out = subprocess.run([sys.executable, "-m", "psombor", "verify", "--corpus", "families",
+                          f"--p={p}"], capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (code, err)
+
+
 @pytest.mark.parametrize("p", ("inf", "-inf", "nan", "2,inf"))
 def test_non_finite_p_rejected(p, p4_file, capsys):
     assert run(["spectrum", "--input", p4_file, f"--p={p}"]) == 1
@@ -419,6 +446,25 @@ def test_spectrum_solves_where_the_squared_weights_underflow(p, p4_file, capsys)
     got = np.array(dec["eigenvalues"])
     assert dec["sweeps"] > 0 and np.all(oracle != 0.0)
     assert np.all(np.abs(got - oracle) <= 1e-12 * np.abs(oracle))
+
+
+def test_spectrum_classifies_a_tiny_spectrum_relative_to_its_norm(p4_file, capsys):
+    # ||S_p||_F ~ 1e-200: a zero tolerance and cluster gap floored at 1 read
+    # inertia [0, 4, 0] and one distinct value.
+    assert run(["spectrum", "--input", p4_file, "--p=-0.0015", "--format", "json"]) == 0
+    dec = json.loads(capsys.readouterr().out)["results"][0]["decomposition"]
+    assert dec["inertia"] == [2, 0, 2]
+    assert len(dec["distinct"]) == 4
+
+
+def test_verify_tiny_negative_p_has_no_false_violation(capsys):
+    # At p = -0.006 every S_p and L_p is ~1e-49 or smaller: the Laplacian
+    # zero count (lem3.8.mult) and the distinct eigenvalue count (lem-diam)
+    # are read relative to each matrix's norm.
+    assert run(["verify", "--corpus", "families", "--p=-0.006", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert not payload["violations"] and not payload["equality_mismatches"]
+    assert payload["counts"]["lem3.8.mult"]["fail"] == payload["counts"]["lem-diam"]["fail"] == 0
 
 
 @pytest.mark.parametrize("p", ("-0.002", "-0.02"))
