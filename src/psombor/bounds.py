@@ -2,13 +2,25 @@
 
 Every theorem-shaped claim is one entry of CHECKS: its statement, when it
 applies, how to evaluate its value and bound(s), where it is hard-asserted and
-when equality is expected. One judging step applies an entry to a
-CheckContext and gives its outcome; _report builds a full BoundReport from
-it, and run_suite counts the outcomes over a corpus and a grid of p values,
-building a report only for a violation or an equality mismatch. Checks whose
-derivations only hold for p >= 1 are hard-asserted on that domain and run
-observe-only elsewhere; two claims that fail on small graphs as printed
-(check ids thm4.3 and cor-rad.randic) are permanently observe-only.
+when equality is expected. Entries read a Frame: one row per (graph, p), one
+column per quantity (n, m, p, SO_p, the moments, degrees, radii, energies,
+inertias, structural predicates ...), each a 1-D array computed on first read.
+A check is evaluated once per frame: applies, hard and equality give masks,
+bounds runs on the applicable rows only, and run_suite counts the outcomes of
+each chunk of graphs with np.bincount, building a BoundReport only for a
+violation or an equality mismatch, from the same evaluators on a frame of that
+one row. Checks whose derivations only hold for p >= 1 are hard-asserted on
+that domain and run observe-only elsewhere; two claims that fail on small
+graphs as printed (check ids thm4.3 and cor-rad.randic) are permanently
+observe-only.
+
+The columns reproduce Python's scalar arithmetic bit for bit: + - * / and
+sqrt are correctly rounded in NumPy too, but a power with a float base or a
+non-integer exponent and exp() need not match libm, so they run per row in
+Python (_each), or once per distinct p (Frame.pow2). Where Python raises
+(ZeroDivisionError, OverflowError, ValueError) and NumPy would not, the
+helpers raise too; the first (row, check) that raises in table order is the
+one reported, after the warnings of what was judged before it.
 """
 
 from __future__ import annotations
@@ -59,6 +71,8 @@ from .spectral import (
 
 EXP_LIMIT = config.ESTRADA_EXP_LIMIT
 OUTCOMES = ("pass", "fail", "na", "observe_pass", "observe_fail")
+_NA = OUTCOMES.index("na")
+_FAIL = OUTCOMES.index("fail")
 
 
 @dataclass
@@ -104,8 +118,8 @@ class BoundReport:
 class GraphContext:
     """The p-independent quantities of one graph, shared by the CheckContext
     of every p. contexts() solves adec, the adjacency spectrum, with the
-    rest of its stack and reads the complement; the others are computed
-    once on first use."""
+    rest of its stack and reads the complement; the structure stats, the
+    complement's parts and the subdivision energy are computed on first use."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -117,16 +131,6 @@ class GraphContext:
     complement_parts = cached_property(lambda self: [
         induced_subgraph(self.complement, comp)
         for comp in connected_components(self.complement) if len(comp) > 1])
-    n_components = cached_property(lambda self: len(connected_components(self.g)))
-    m1 = cached_property(lambda self: first_zagreb(self.g))
-    randic = cached_property(lambda self: randic_index(self.g))
-    isi = cached_property(lambda self: isi_index(self.g))
-    is_complete = cached_property(lambda self: is_complete(self.g))
-    is_complete_bipartite = cached_property(lambda self: is_complete_bipartite(self.g))
-    is_balanced_complete_bipartite = cached_property(
-        lambda self: is_balanced_complete_bipartite(self.g))
-    is_complete_multipartite = cached_property(lambda self: is_complete_multipartite(self.g))
-    is_c4_free = cached_property(lambda self: is_c4_free(self.g))
 
     @cached_property
     def subdivision_energy(self) -> float:
@@ -148,13 +152,13 @@ class GraphContext:
 
 
 class CheckContext:
-    """The per-(graph, p) view the checks read, over the GraphContext that
-    holds the p-independent values. contexts() sets the spectra, SO_p, the
-    moments N0-N4 (moments; n2, n3, n4) and the edge-weight variance (None
-    without edges); the energy, the Estrada index and 2^(1/p) are computed
-    on first use. Where the moments leave the float range they are
-    left unset, and reading them raises moments_closed_form's OverflowError,
-    so a run fails at the first check that needs them."""
+    """The spectra and closed-form values of one (graph, p), over the
+    GraphContext that holds the p-independent values. contexts() sets the
+    spectra, SO_p, the moments N0-N4 (moments; n2, n3, n4) and the edge-weight
+    variance (None without edges); the energy is computed on first use.
+    Where the moments leave the float range they are left unset, and reading
+    them raises moments_closed_form's OverflowError, so a run fails at the
+    first check that needs them."""
 
     def __init__(self, graph: GraphContext, p: float, graph_id: str,
                  holds_tol: float | None, sdec: SpectralDecomposition,
@@ -162,7 +166,6 @@ class CheckContext:
                  so: float, moments: MomentSet | None, variance: float | None):
         self.graph = graph
         self.g = graph.g
-        self.n, self.m = self.g.n, self.g.m
         self.p = p
         self.graph_id = graph_id
         self.holds_tol = config.HOLDS_REL_TOL if holds_tol is None else holds_tol
@@ -178,17 +181,190 @@ class CheckContext:
             raise OverflowError("spectral moments of S_p exceed the float range")
         raise AttributeError(name)
 
-    root = cached_property(lambda self: 2.0 ** (1.0 / self.p))
     energy = cached_property(lambda self: graph_energy(self.sdec))
-    estrada = cached_property(lambda self: estrada_index(self.sdec))
 
-    # shorthands for the check table
-    stats = property(lambda self: self.graph.stats)
-    adec = property(lambda self: self.graph.adec)
-    dmax = property(lambda self: self.graph.stats.max_degree)
-    dmin = property(lambda self: self.graph.stats.min_degree)
-    xi1 = property(lambda self: self.sdec.radius)
-    etas = property(lambda self: self.ldec.eigenvalues)
+
+# ---------------------------------------------------------------------------
+# the frame the check table reads
+
+# Columns read per (graph, p) row from its CheckContext ...
+_ROW = {
+    "p": lambda c: c.p,
+    "so": lambda c: c.so,
+    "variance": lambda c: math.nan if c.variance is None else c.variance,
+    "moments_missing": lambda c: "moments" not in vars(c),
+    "_n2": lambda c: vars(c).get("n2", math.nan),
+    "_n3": lambda c: vars(c).get("n3", math.nan),
+    "_n4": lambda c: vars(c).get("n4", math.nan),
+    "xi1": lambda c: c.sdec.radius,
+    "xin": lambda c: c.sdec.smallest,
+    "n_pos": lambda c: c.sdec.inertia[0],
+    "n_zero": lambda c: c.sdec.inertia[1],
+    "n_neg": lambda c: c.sdec.inertia[2],
+    "abs_max": lambda c: max(abs(c.sdec.radius), abs(c.sdec.smallest)),
+    "abs_min": lambda c: float(abs(c.sdec.eigenvalues).min()),
+    "distinct": lambda c: len(c.sdec.distinct),
+    "energy": lambda c: c.energy,
+    # estrada_index without its warning, which judging emits (_warn_estrada)
+    "_estrada": lambda c: math.inf if c.sdec.radius > EXP_LIMIT else estrada_index(c.sdec),
+    "eta_max": lambda c: float(c.ldec.eigenvalues[0]),
+    "eta_2": lambda c: float(c.ldec.eigenvalues[-2]) if c.ldec.n >= 2 else math.nan,
+    "eta_n": lambda c: float(c.ldec.eigenvalues[-1]),
+    "eta_sum": lambda c: float(c.ldec.eigenvalues.sum()),
+    "lap_zeros": lambda c: c.ldec.inertia[1],
+    "lap_scale": lambda c: c.ldec.scale,
+    "xi1_c": lambda c: c.complement_sdec.radius,
+    "energy_c": lambda c: graph_energy(c.complement_sdec),
+}
+# ... and per graph from its GraphContext.
+_GRAPH = {
+    "n": lambda gc: gc.g.n,
+    "m": lambda gc: gc.g.m,
+    "has_edge": lambda gc: gc.g.m >= 1,
+    "dmin": lambda gc: gc.stats.min_degree,
+    "dmax": lambda gc: gc.stats.max_degree,
+    "t_min": lambda gc: gc.stats.t_min or 0,
+    "t_max": lambda gc: gc.stats.t_max or 0,
+    "avg_degree": lambda gc: gc.stats.average_degree,
+    "diameter": lambda gc: gc.stats.diameter,
+    "connected": lambda gc: gc.stats.is_connected,
+    "regular": lambda gc: gc.stats.is_regular,
+    "bipartite": lambda gc: gc.stats.is_bipartite,
+    "part1": lambda gc: (gc.stats.bipartition_sizes or (0, 0))[0],
+    "part2": lambda gc: (gc.stats.bipartition_sizes or (0, 0))[1],
+    "components": lambda gc: len(connected_components(gc.g)),
+    "complete": lambda gc: is_complete(gc.g),
+    "complete_bipartite": lambda gc: is_complete_bipartite(gc.g),
+    "balanced_complete_bipartite": lambda gc: is_balanced_complete_bipartite(gc.g),
+    "complete_multipartite": lambda gc: is_complete_multipartite(gc.g),
+    "c4_free": lambda gc: is_c4_free(gc.g),
+    "m1": lambda gc: first_zagreb(gc.g),
+    "randic": lambda gc: randic_index(gc.g),
+    "isi": lambda gc: isi_index(gc.g),
+    "mu1": lambda gc: gc.adec.radius,
+    "complement_term": lambda gc: sum(h.m * (h.n - 1 - max(h.degrees)) / h.n
+                                      for h in gc.complement_parts),
+}
+
+
+class Frame:
+    """The (graph, p) rows of some CheckContexts of graphs with vertices, one
+    1-D array per quantity (_ROW, _GRAPH), computed for every row on first
+    read. take(rows) gives a frame of some rows whose columns index this
+    one's. Reading a moment raises the contexts' OverflowError if some row
+    lacks them; reads of the Estrada index are logged for its warning."""
+
+    def __init__(self, ctxs, root: Frame | None = None, rows=None):
+        if root is None:
+            self._root, self._rows, self._ctxs, self.size = self, None, ctxs, len(ctxs)
+            self.holds_tol = ctxs[0].holds_tol
+            self.p_values = list(dict.fromkeys(c.p for c in ctxs))
+            self.p_index = np.array([self.p_values.index(c.p) for c in ctxs])
+            graphs = {id(c.graph): c.graph for c in ctxs}
+            self._graphs, where = list(graphs.values()), {key: i for i, key in enumerate(graphs)}
+            self.graph_index = np.array([where[id(c.graph)] for c in ctxs])
+            self.reads: list = []     # the rows of each read of the Estrada index
+        else:
+            self._root, self._rows, self.size = root, rows, len(rows)
+            self.holds_tol = root.holds_tol
+
+    def __getattr__(self, name):
+        root = self._root
+        if root is not self:
+            column = getattr(root, name)[self._rows]
+        elif name in _ROW:
+            column = np.array([_ROW[name](c) for c in self._ctxs])
+        elif name in _GRAPH:
+            column = np.array([_GRAPH[name](gc) for gc in self._graphs])[self.graph_index]
+        else:
+            raise AttributeError(name)
+        setattr(self, name, column)
+        return column
+
+    def take(self, rows) -> Frame:
+        rows = np.flatnonzero(rows)
+        return Frame(None, self._root, rows if self._rows is None else self._rows[rows])
+
+    @property
+    def ctxs(self) -> list:
+        root = self._root
+        return root._ctxs if root is self else [root._ctxs[i] for i in self._rows.tolist()]
+
+    def where(self, mask, evaluate):
+        """evaluate(the frame of the rows in mask) as (values, mask): a bound
+        that the other rows do not have."""
+        values = np.full(self.size, math.nan)
+        if mask.any():
+            values[mask] = evaluate(self.take(mask))
+        return values, mask
+
+    def pow2(self, a: int, b: float) -> np.ndarray:
+        """2.0 ** (a + b / p) per row: one Python power per distinct p."""
+        p_values, used = self._root.p_values, np.unique(self.p_index).tolist()
+        values = np.zeros(len(p_values))
+        values[used] = [2.0 ** (a + b / p_values[j]) for j in used]
+        return values[self.p_index]
+
+    root = property(lambda self: self.pow2(0, 1.0))
+
+    def _moment(name):
+        def read(self):
+            if self.moments_missing.any():
+                getattr(self.ctxs[int(self.moments_missing.argmax())], name)
+            return getattr(self, "_" + name)
+        return property(read)
+
+    n2, n3, n4 = _moment("n2"), _moment("n3"), _moment("n4")
+    del _moment
+
+    @property
+    def estrada(self) -> np.ndarray:
+        self._root.reads.append(self._rows)
+        return self._estrada
+
+
+def _each(fn, *columns) -> np.ndarray:
+    """fn over the rows as Python scalars (lists pass as they are): Python's
+    float power and math.exp, which NumPy's need not match bit for bit, and
+    Python's exceptions."""
+    rows = zip(*(c if isinstance(c, list) else c.tolist() for c in columns))
+    return np.array([fn(*row) for row in rows], dtype=float)
+
+
+def _pow(x, y) -> np.ndarray:
+    return _each(lambda a: a ** y, x)
+
+
+def _exp(x) -> np.ndarray:
+    return _each(math.exp, x)
+
+
+def _sqrt(x) -> np.ndarray:
+    """math.sqrt per row: ValueError on a negative entry."""
+    x = np.asarray(x, dtype=float)
+    negative = x < 0
+    if negative.any():
+        math.sqrt(x[negative][0])
+    return np.sqrt(x)
+
+
+def _div(a, b) -> np.ndarray:
+    """a / b per row: ZeroDivisionError on a zero divisor, as in Python."""
+    zero = np.asarray(b) == 0
+    if zero.any():
+        i = int(zero.argmax())
+        return float(np.broadcast_to(a, zero.shape)[i]) / 0.0
+    return a / b
+
+
+def _max(a, b):
+    """Python's max(a, b) per row: b only where b > a."""
+    return np.where(b > a, b, a)
+
+
+def _min(a, b):
+    """Python's min(a, b) per row: b only where b < a."""
+    return np.where(b < a, b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +372,14 @@ class CheckContext:
 
 @dataclass(frozen=True)
 class Check:
-    """One inequality: bounds(c) gives (value, lower, upper) on the
-    CheckContext c, and runs only where applies(c) holds (the report is
-    otherwise not applicable, with reason na). hard is a bool or a predicate
-    of c; where it is false the report is observe-only, with reason observe.
-    note(c) may annotate a hard report (e.g. a radicand clamped at 0)."""
+    """One inequality on the rows of a Frame f: bounds(f) gives (value,
+    lower, upper) as columns or scalars, lower or upper None where the check
+    has none, or (values, mask) from f.where for a bound only some rows have.
+    bounds runs on the rows where applies(f) holds (the others are not
+    applicable, with reason na). hard and equality are bools or masks of f;
+    where hard is false the report is observe-only, with reason observe.
+    note(f) may annotate a hard report (e.g. a radicand clamped at 0), and
+    extra(f) gives columns reported alongside."""
 
     id: str
     family: str
@@ -217,444 +396,459 @@ class Check:
     note: Callable | None = None
 
 
-_NA = OUTCOMES.index("na")
-_FAIL = OUTCOMES.index("fail")
+def _rows_where(flag, f: Frame) -> np.ndarray:
+    """A Check field that is a bool, a column name or a mask of f, as a mask."""
+    if callable(flag):
+        return np.asarray(flag(f), dtype=bool)
+    return getattr(f, flag) if isinstance(flag, str) else np.full(f.size, flag)
 
 
-def _flag(field, c):
-    """A Check field that is a bool or a predicate of c, at c."""
-    return field(c) if callable(field) else field
+def _bound(x, size: int):
+    """A bound as (values, present) columns."""
+    if x is None:
+        return np.full(size, math.nan), np.zeros(size, dtype=bool)
+    values, present = x if isinstance(x, tuple) else (x, np.ones(size, dtype=bool))
+    return np.asarray(values, dtype=float) + np.zeros(size), present
 
 
-def _verdict(hard, holds) -> int:
-    """Index into OUTCOMES of an applicable report; holds None passes."""
-    return (0 if holds is None or holds else 1) + (0 if hard else 3)
+def _evaluate(check: Check, f: Frame):
+    """check on every row of f: (outcome, mismatch, hard, detail).
 
-
-def _judge(check: Check, c: CheckContext):
-    """Apply check to c: (outcome, mismatch, hard, evaluation).
-
-    outcome indexes OUTCOMES; mismatch is true for a hard report whose
-    expected equality is not observed. evaluation is None where the check
-    does not apply, else (value, lower, upper, slack, holds,
-    equality_observed). A NaN slack neither holds nor shows equality, and
-    the tolerances scale with |value| only where it is finite.
+    outcome indexes OUTCOMES; mismatch is true for a hard row whose expected
+    equality is not observed. detail is None where no row applies, else, over
+    the applicable rows, (frame, value as bounds gave it, lower, has_lower,
+    upper, has_upper, slack, has_slack, holds, equality_observed,
+    equality_expected). A NaN slack neither holds nor shows equality, and the
+    tolerances scale with |value| only where it is finite.
     """
-    hard = _flag(check.hard, c)
-    if check.applies is not None and not check.applies(c):
-        return _NA, False, hard, None
-    value, lower, upper = check.bounds(c)
-    if lower is None:
-        slack = None if upper is None else upper - value
-    elif upper is None:
-        slack = value - lower
+    hard = _rows_where(check.hard, f)
+    applies = _rows_where(True if check.applies is None else check.applies, f)
+    outcome, mismatch = np.full(f.size, _NA), np.zeros(f.size, dtype=bool)
+    if not applies.any():
+        return outcome, mismatch, hard, None
+    sub = f if applies.all() else f.take(applies)
+    given, lower, upper = check.bounds(sub)
+    value = np.asarray(given, dtype=float) + np.zeros(sub.size)
+    lower, has_lower = _bound(lower, sub.size)
+    upper, has_upper = _bound(upper, sub.size)
+    below, above = value - lower, upper - value
+    slack = np.where(has_lower & has_upper, _min(below, above),
+                     np.where(has_lower, below, above))
+    has_slack = has_lower | has_upper
+    tol = f.holds_tol if check.tol is None else check.tol
+    if check.scale is not None:
+        scale = check.scale(sub)
     else:
-        slack = min(value - lower, upper - value)
-    if slack is None:
-        holds = eq_observed = None
-    else:
-        tol = c.holds_tol if check.tol is None else check.tol
-        if check.scale is not None:
-            scale = check.scale(c)
-        else:
-            # An infinite value must not scale its own tolerance to inf.
-            scale = max(1.0, abs(value)) if math.isfinite(value) else 1.0
-        holds = slack >= -tol * scale
-        eq_observed = abs(slack) <= config.EQUALITY_REL_TOL * scale
-    mismatch = eq_observed is False and hard and _flag(check.equality, c)
-    return (_verdict(hard, holds), mismatch, hard,
-            (value, lower, upper, slack, holds, eq_observed))
+        # An infinite value must not scale its own tolerance to inf.
+        scale = np.where(np.isfinite(value) & (np.abs(value) > 1.0), np.abs(value), 1.0)
+    holds = ~has_slack | (slack >= -tol * scale)
+    eq_observed = has_slack & (np.abs(slack) <= config.EQUALITY_REL_TOL * scale)
+    eq_expected = _rows_where(check.equality, sub)
+    sub_hard = hard[applies]
+    outcome[applies] = ~holds + 3 * ~sub_hard
+    mismatch[applies] = has_slack & ~eq_observed & sub_hard & eq_expected
+    return outcome, mismatch, hard, (sub, given, lower, has_lower, upper, has_upper, slack,
+                                     has_slack, holds, eq_observed, eq_expected)
 
 
-def _report(check: Check, c: CheckContext) -> BoundReport:
-    _, _, hard, evaluation = _judge(check, c)
-    if evaluation is None:
+def _report(check: Check, f: Frame) -> BoundReport:
+    """The BoundReport of check on f, a frame of one row. Its columns take
+    their type from that row alone, so that SO_p of an edgeless graph is
+    reported as the int 0 that contexts() gives."""
+    _, _, hard, detail = _evaluate(check, f)
+    c, hard = f.ctxs[0], bool(hard[0])
+    if detail is None:
         return BoundReport(check.id, check.statement, c.graph_id, c.p, 0.0, None, None,
                            None, None, False, check.na, hard, False, None)
-    value, lower, upper, slack, holds, eq_observed = evaluation
-    reason = (check.note(c) if check.note else None) if hard else check.observe
-    return BoundReport(check.id, check.statement, c.graph_id, c.p, value, lower, upper,
-                       slack, holds, True, reason, hard, _flag(check.equality, c),
-                       eq_observed, check.extra(c) if check.extra else {})
+    sub, given, *columns = detail
+    lower, has_lower, upper, has_upper, slack, has_slack, holds, eq_observed, eq_expected = (
+        x.tolist()[0] for x in columns)
+    value = (given.tolist()[0] if isinstance(given, np.ndarray) else given)
+    reason = (check.note(sub)[0] if check.note else None) if hard else check.observe
+    extra = {key: x.tolist()[0] for key, x in check.extra(sub).items()} if check.extra else {}
+    return BoundReport(check.id, check.statement, c.graph_id, c.p, value,
+                       lower if has_lower else None, upper if has_upper else None,
+                       slack if has_slack else None, holds if has_slack else None, True,
+                       reason, hard, eq_expected, eq_observed if has_slack else None, extra)
 
 
-def _has_edge(c):
-    return c.m >= 1
+def _rows_read(f: Frame) -> np.ndarray:
+    """The rows of f whose Estrada index was read since f.reads was cleared."""
+    read = np.zeros(f.size, dtype=bool)
+    for rows in f.reads:
+        read[slice(None) if rows is None else rows] = True
+    return read
 
 
-def _connected(c):
-    return c.stats.is_connected
+def _warn_estrada(f: Frame, read) -> None:
+    """estrada_index's overflow warning, if a row in read has exp(xi1) overflow."""
+    hit = read & (f.xi1 > EXP_LIMIT)
+    if hit.any():
+        estrada_index(f.ctxs[int(hit.argmax())].sdec)
 
 
-def _connected2(c):
-    return c.stats.is_connected and c.n >= 2
+def _connected2(f):
+    return f.connected & (f.n >= 2)
 
 
-def _regular(c):
-    return c.stats.is_regular
+def _edgeless(f):
+    return f.m == 0
 
 
-def _complete(c):
-    return c.graph.is_complete
+def _p_at_least_1(f):
+    return f.p >= 1
 
 
-def _p_at_least_1(c):
-    return c.p >= 1
-
-
-def _min_degree_positive(c):
-    return c.dmin >= 1
+def _min_degree_positive(f):
+    return f.dmin >= 1
 
 
 def _clamp_note(inner):
-    return lambda c: "inner radicand clamped at 0" if inner(c) < 0 else None
+    return lambda f: np.where(inner(f) < 0, "inner radicand clamped at 0", None)
 
 
-def _thm2_2(c, d):
-    return math.sqrt(max(0.0, 0.5 * c.n2 + 2.0 ** (2.0 / c.p) * d ** 2 * c.m * (c.m - 1)))
+def _thm2_2(f, d):
+    return _sqrt(_max(0.0, 0.5 * f.n2 + f.pow2(0, 2.0) * d ** 2 * f.m * (f.m - 1)))
 
 
-def _thm2_5(c, d, d_power):
+def _thm2_5(f, d, d_power):
     # (N4 - 2^(4/p) d^d_power (M1 - 2m)) / (2^(1+3/p) d^4)
-    return ((c.n4 - 2.0 ** (4.0 / c.p) * d ** d_power * (c.graph.m1 - 2 * c.m))
-            / (2.0 ** (1 + 3.0 / c.p) * d ** 4))
+    return _div(f.n4 - f.pow2(0, 4.0) * d ** d_power * (f.m1 - 2 * f.m),
+                f.pow2(1, 3.0) * d ** 4)
 
 
-def _thm2_8(c):
-    ident = math.sqrt(max(0.0, 0.5 * c.m * c.n2 - c.m * c.m * c.variance))
-    return c.so, ident, ident
+def _thm2_8(f):
+    ident = _sqrt(_max(0.0, 0.5 * f.m * f.n2 - f.m * f.m * f.variance))
+    return f.so, ident, ident
 
 
-def _thm3_10_2(c):
-    n1, n2 = c.stats.bipartition_sizes
-    coeff = n1 * n2 / c.n
-    return c.so, coeff * float(c.etas[-2]), coeff * float(c.etas[0])
+def _thm3_10_2(f):
+    coeff = f.part1 * f.part2 / f.n
+    return f.so, coeff * f.eta_2, coeff * f.eta_max
 
 
-def _lem3_11_2(c):
-    return c.n ** (1.0 / c.p) * c.dmax ** (1 + 1.0 / c.p) * c.m ** (1 - 1.0 / c.p)
+def _lem3_11_2(f):
+    return _each(lambda n, d, m, p: n ** (1.0 / p) * d ** (1 + 1.0 / p) * m ** (1 - 1.0 / p),
+                 f.n, f.dmax, f.m, f.p)
 
 
-def _cor3_12_cap(c):
-    return min(2.0 ** (1 + 1.0 / c.p) * c.dmax * c.m, 2.0 * _lem3_11_2(c))
+def _cor3_12_cap(f):
+    return _min(f.pow2(1, 1.0) * f.dmax * f.m, 2.0 * _lem3_11_2(f))
 
 
 def _energy_lower(bound):
     """Energy lower bound from N2, n and the largest and smallest |eigenvalue|."""
-    def evaluate(c):
-        abs_eigs = abs(c.sdec.eigenvalues)
-        return c.energy, bound(c.n, c.n2, float(abs_eigs.max()), float(abs_eigs.min())), None
-    return evaluate
+    return lambda f: (f.energy, bound(f.n, f.n2, f.abs_max, f.abs_min), None)
 
 
-def _thm4_1_2(c):
+def _det_root(c):
     # |det|^(2/n); when the plain product overflows, from the product of
     # |xi_i| / scale (each at most 1), times scale^2
     dec = c.sdec
     det = abs_determinant(dec)
     if det < math.inf:
-        det_root = det ** (2.0 / c.n)
-    else:
-        scaled = 1.0
-        for x in dec.eigenvalues:
-            scaled *= abs(float(x)) / dec.scale
-        det_root = scaled ** (2.0 / c.n) * dec.scale ** 2
-    return c.energy, math.sqrt(c.n * (c.n - 1) * det_root + c.n2), None
+        return det ** (2.0 / dec.n)
+    scaled = 1.0
+    for x in dec.eigenvalues:
+        scaled *= abs(float(x)) / dec.scale
+    return scaled ** (2.0 / dec.n) * dec.scale ** 2
 
 
-def _cmp4_2_4_3(c):
-    ratio = c.n3 / math.sqrt(c.n2 * c.n4)
-    better = "thm4.2" if ratio > 1 else ("thm4.3" if ratio < 1 else "tie")
-    return {"moment_ratio": ratio, "bound_thm4.2": math.sqrt(c.n2 ** 3 / c.n4),
-            "bound_thm4.3": c.n2 ** 2 / c.n3, "better": better}
+def _thm4_1_2(f):
+    return f.energy, _sqrt(f.n * (f.n - 1) * _each(_det_root, f.ctxs) + f.n2), None
 
 
-def _cmp4_2_4_3_value(c):
-    x = _cmp4_2_4_3(c)
+def _cmp4_2_4_3(f):
+    ratio = _div(f.n3, _sqrt(f.n2 * f.n4))
+    better = np.where(ratio > 1, "thm4.2", np.where(ratio < 1, "thm4.3", "tie"))
+    return {"moment_ratio": ratio, "bound_thm4.2": _sqrt(_div(_pow(f.n2, 3), f.n4)),
+            "bound_thm4.3": _div(_pow(f.n2, 2), f.n3), "better": better}
+
+
+def _cmp4_2_4_3_value(f):
+    x = _cmp4_2_4_3(f)
     return (x["bound_thm4.3"] - x["bound_thm4.2"]) * (1.0 - x["moment_ratio"]), 0.0, None
 
 
-def _thm4_10_4(c):
-    n, q = c.n, c.n4 ** 0.25
-    return (c.estrada, None,
-            n - 1 + 0.5 * c.n2 + c.n3 / 6.0 - q - 0.5 * q * q - q ** 3 / 6.0 + math.exp(q))
+def _thm4_10_4(f):
+    n, q = f.n, _pow(f.n4, 0.25)
+    return (f.estrada, None,
+            n - 1 + 0.5 * f.n2 + f.n3 / 6.0 - q - 0.5 * q * q - _pow(q, 3) / 6.0 + _exp(q))
 
 
-def _thm4_11_2(c):
-    n_pos, n_zero, n_neg = c.sdec.inertia
-    xi1, energy = c.xi1, c.energy
-    lower = (math.exp(xi1) + n_zero
-             + (n_pos - 1) * math.exp((energy - 2 * xi1) / (2.0 * (n_pos - 1)))
-             + n_neg * math.exp(-energy / (2.0 * n_neg)))
-    return c.estrada, lower, None
+def _thm4_11_2(f):
+    n_pos, n_neg, xi1, energy = f.n_pos, f.n_neg, f.xi1, f.energy
+    lower = (_exp(xi1) + f.n_zero
+             + (n_pos - 1) * _exp((energy - 2 * xi1) / (2.0 * (n_pos - 1)))
+             + n_neg * _exp(-energy / (2.0 * n_neg)))
+    return f.estrada, lower, None
 
 
-def _thm5_5_inner(c):
-    return 2 * c.m - c.dmin * (c.n - 1) + (c.dmin - 1) * c.dmax
+def _thm4_12_weight(f):
+    return _each(lambda d, p: edge_weight(2, d, p), f.dmax, f.p)
 
 
-def _thm5_7_parts(c):
-    n, m, p, dd = c.n, c.m, c.p, c.dmax
-    cap = 2.0 ** (1 + 2.0 / p) * m * dd ** 2
-    a = max(2.0 ** (1 + 1.0 / p) * c.dmin * m / n, dd * math.sqrt(2.0 ** (1 + 2.0 / p) * m / n))
+def _thm5_5_inner(f):
+    return 2 * f.m - f.dmin * (f.n - 1) + (f.dmin - 1) * f.dmax
+
+
+def _thm5_7_parts(f):
+    n, m, dd = f.n, f.m, f.dmax
+    cap = f.pow2(1, 2.0) * m * dd ** 2
+    a = _max(f.pow2(1, 1.0) * f.dmin * m / n, dd * _sqrt(f.pow2(1, 2.0) * m / n))
     return a, (n - 1) * (cap - a * a)
 
 
-def _thm5_7(c):
-    a, inner = _thm5_7_parts(c)
-    return c.energy, None, a + math.sqrt(max(0.0, inner))
+def _thm5_7(f):
+    a, inner = _thm5_7_parts(f)
+    return f.energy, None, a + _sqrt(_max(0.0, inner))
 
 
-def _ng_radius_sum(c):
-    return c.xi1 + c.complement_sdec.radius
+def _ng_radius_sum(f):
+    return f.xi1 + f.xi1_c
 
 
-def _thm5_9_1(c):
-    n, root = c.n, c.root
-    first = root * (n - 1) * math.sqrt(max(0.0, 2 * c.m - n + 1))
-    second = 0.0
+def _c1_term(c, root):
+    """2^(1/p) deg_max sqrt(2 m - deg_min (n - 1 - deg_max) - deg_max) of C1,
+    the complement part with the largest radius (0 without parts)."""
     parts = c.graph.complement_parts
-    if parts:
-        # C1, the component with the largest radius, is a choice only among
-        # two or more; index keeps the first of a tie.
-        c1 = parts[0]
-        if len(parts) > 1:
-            radii = [dec.radius for dec in eigen_decompose_many(
-                [(build_sombor_matrix(h, c.p), "p_sombor", c.p) for h in parts])]
-            c1 = parts[radii.index(max(radii))]
-        dmin, dmax = min(c1.degrees), max(c1.degrees)
-        inner = 2 * c1.m - dmin * (c1.n - 1 - dmax) - dmax
-        second = root * dmax * math.sqrt(max(0.0, inner))
-    return _ng_radius_sum(c), None, first + second
+    if not parts:
+        return 0.0
+    # C1 is a choice only among two or more; index keeps the first of a tie.
+    c1 = parts[0]
+    if len(parts) > 1:
+        radii = [dec.radius for dec in eigen_decompose_many(
+            [(build_sombor_matrix(h, c.p), "p_sombor", c.p) for h in parts])]
+        c1 = parts[radii.index(max(radii))]
+    dmin, dmax = min(c1.degrees), max(c1.degrees)
+    inner = 2 * c1.m - dmin * (c1.n - 1 - dmax) - dmax
+    return root * dmax * math.sqrt(max(0.0, inner))
 
 
-def _thm5_9_2(c):
-    n, m, dd, dmin = c.n, c.m, c.dmax, c.dmin
+def _thm5_9_1(f):
+    n, root = f.n, f.root
+    first = root * (n - 1) * _sqrt(_max(0.0, 2 * f.m - n + 1))
+    return _ng_radius_sum(f), None, first + _each(_c1_term, f.ctxs, root)
+
+
+def _thm5_9_2(f):
+    n, m, dd, dmin = f.n, f.m, f.dmax, f.dmin
     inner2 = n * (n - 1) - 2 * m - (dmin + 1) * (n - 1) + dmin * (dd + 1)
-    return (_ng_radius_sum(c), None, c.root * dd * math.sqrt(max(0.0, _thm5_5_inner(c)))
-            + c.root * (n - 1 - dmin) * math.sqrt(max(0.0, inner2)))
+    return (_ng_radius_sum(f), None, f.root * dd * _sqrt(_max(0.0, _thm5_5_inner(f)))
+            + f.root * (n - 1 - dmin) * _sqrt(_max(0.0, inner2)))
 
 
-def _thm5_10(c):
-    comp_term = sum(h.m * (h.n - 1 - max(h.degrees)) / h.n for h in c.graph.complement_parts)
-    return (c.energy + graph_energy(c.complement_sdec),
-            2.0 ** (2 + 1.0 / c.p) * (c.m * c.dmin / c.n + comp_term), None)
+def _thm5_10(f):
+    return (f.energy + f.energy_c,
+            f.pow2(2, 1.0) * (f.m * f.dmin / f.n + f.complement_term), None)
 
 
 CHECKS = (
     # -- the index against spectral moments and other indices -------------
     Check("thm2.2", "moment",
           "sqrt(N2/2 + 2^(2/p) deg_min^2 m(m-1)) <= SO_p <= sqrt(N2/2 + 2^(2/p) deg_max^2 m(m-1))",
-          lambda c: (c.so, _thm2_2(c, c.dmin), _thm2_2(c, c.dmax)),
-          _has_edge, "no edges", equality=_regular),
+          lambda f: (f.so, _thm2_2(f, f.dmin), _thm2_2(f, f.dmax)),
+          "has_edge", "no edges", equality="regular"),
     Check("thm2.3", "moment", "N2 / (2^(1+1/p) deg_max) <= SO_p <= N2 / (2^(1+1/p) deg_min)",
-          lambda c: (c.so, c.n2 / (2.0 ** (1 + 1.0 / c.p) * c.dmax),
-                     c.n2 / (2.0 ** (1 + 1.0 / c.p) * c.dmin) if c.dmin >= 1 else None),
-          _has_edge, "no edges", equality=_regular),
+          lambda f: (f.so, _div(f.n2, f.pow2(1, 1.0) * f.dmax),
+                     f.where(f.dmin >= 1, lambda g: _div(g.n2, g.pow2(1, 1.0) * g.dmin))),
+          "has_edge", "no edges", equality="regular"),
     Check("thm2.4", "moment",
           "N3 / (2^(1+2/p) deg_max^2 t_max) <= SO_p <= N3 / (2^(1+2/p) deg_min^2 t_min)",
-          lambda c: (c.so, c.n3 / (2.0 ** (1 + 2.0 / c.p) * c.dmax ** 2 * c.stats.t_max),
-                     c.n3 / (2.0 ** (1 + 2.0 / c.p) * c.dmin ** 2 * c.stats.t_min)
-                     if c.dmin >= 1 else None),
-          lambda c: c.m >= 1 and c.stats.t_min is not None and c.stats.t_min >= 1,
-          "needs t_min >= 1",
-          equality=lambda c: c.stats.is_regular and c.stats.t_max == c.stats.t_min),
+          lambda f: (f.so, _div(f.n3, f.pow2(1, 2.0) * f.dmax ** 2 * f.t_max),
+                     f.where(f.dmin >= 1, lambda g: _div(
+                         g.n3, g.pow2(1, 2.0) * g.dmin ** 2 * g.t_min))),
+          lambda f: (f.m >= 1) & (f.t_min >= 1), "needs t_min >= 1",
+          equality=lambda f: f.regular & (f.t_max == f.t_min)),
     Check("thm2.5.lo", "moment",
           "(N4 - 2^(4/p) deg_max^5 (M1-2m)) / (2^(1+3/p) deg_max^4) <= SO_p",
-          lambda c: (c.so, _thm2_5(c, c.dmax, 5), None),
-          _has_edge, "no edges", equality=lambda c: c.graph.is_balanced_complete_bipartite),
+          lambda f: (f.so, _thm2_5(f, f.dmax, 5), None),
+          "has_edge", "no edges", equality=lambda f: f.balanced_complete_bipartite),
     Check("thm2.5.up", "moment",
           "SO_p <= (N4 - 2^(4/p) deg_min^4 (M1-2m)) / (2^(1+3/p) deg_min^4)",
-          lambda c: (c.so, None, _thm2_5(c, c.dmin, 4)), _min_degree_positive,
-          "isolated vertex", equality=lambda c: c.stats.is_regular and c.graph.is_c4_free),
+          lambda f: (f.so, None, _thm2_5(f, f.dmin, 4)), _min_degree_positive,
+          "isolated vertex", equality=lambda f: f.regular & f.c4_free),
     Check("lem2.6", "moment", "SO_p <= 2^(1/p - 1) n (n-1)^2  [connected]",
-          lambda c: (c.so, None, 2.0 ** (1.0 / c.p - 1) * c.n * (c.n - 1) ** 2),
-          _connected, "disconnected", equality=_complete),
+          lambda f: (f.so, None, f.pow2(-1, 1.0) * f.n * (f.n - 1) ** 2),
+          "connected", "disconnected", equality="complete"),
     Check("thm2.7.lo", "moment", "n xi1^2 / (2^(1+1/p) deg_max (n-1)) <= SO_p",
-          lambda c: (c.so, c.n * c.xi1 ** 2 / (2.0 ** (1 + 1.0 / c.p) * c.dmax * (c.n - 1)),
+          lambda f: (f.so, _div(f.n * _pow(f.xi1, 2), f.pow2(1, 1.0) * f.dmax * (f.n - 1)),
                      None),
-          lambda c: c.m >= 1 and c.n >= 2, "needs m >= 1 and n >= 2", equality=_complete),
+          lambda f: (f.m >= 1) & (f.n >= 2), "needs m >= 1 and n >= 2", equality="complete"),
     Check("thm2.7.up", "moment", "SO_p <= n xi1 / 2",
-          lambda c: (c.so, None, c.n * c.xi1 / 2.0), equality=_regular),
+          lambda f: (f.so, None, f.n * f.xi1 / 2.0), equality="regular"),
     Check("thm2.8", "moment", "SO_p == sqrt(m N2 / 2 - m^2 sigma^2)",
-          _thm2_8, _has_edge, "no edges", tol=1e-10, equality=True),
+          _thm2_8, "has_edge", "no edges", tol=1e-10, equality=True),
     Check("thm-isi", "moment", "SO_p >= 2^(1/p + 1) ISI  [proved for p >= 1]",
-          lambda c: (c.so, 2.0 ** (1.0 / c.p + 1) * c.graph.isi, None),
-          _has_edge, "no edges", hard=_p_at_least_1, equality=_regular),
+          lambda f: (f.so, f.pow2(1, 1.0) * f.isi, None),
+          "has_edge", "no edges", hard=_p_at_least_1, equality="regular"),
 
     # -- the p-Laplacian spectrum ----------------------------------------
     Check("lap-trace", "laplacian", "SO_p == (1/2) sum of Laplacian eigenvalues",
-          lambda c: (c.so, 0.5 * float(c.etas.sum()), 0.5 * float(c.etas.sum())),
-          tol=1e-10, equality=True),
+          lambda f: (f.so, 0.5 * f.eta_sum, 0.5 * f.eta_sum), tol=1e-10, equality=True),
     Check("lem3.8.psd", "laplacian", "smallest Laplacian eigenvalue is 0 (and none negative)",
-          lambda c: (float(c.etas[-1]), 0.0, 0.0), scale=lambda c: c.ldec.scale),
+          lambda f: (f.eta_n, 0.0, 0.0), scale=lambda f: f.lap_scale),
     Check("lem3.8.mult", "laplacian",
           "zero Laplacian eigenvalue multiplicity == component count",
-          lambda c: (float(c.ldec.inertia[1]), float(c.graph.n_components),
-                     float(c.graph.n_components))),
+          lambda f: (f.lap_zeros.astype(float), f.components, f.components)),
     Check("thm3.10.1", "laplacian",
           "(n-1)/2 eta_second_smallest <= SO_p <= (n-1)/2 eta_max  [connected]",
-          lambda c: (c.so, (c.n - 1) / 2.0 * float(c.etas[-2]),
-                     (c.n - 1) / 2.0 * float(c.etas[0])),
-          _connected2, "needs connected, n >= 2", equality=_complete),
+          lambda f: (f.so, (f.n - 1) / 2.0 * f.eta_2, (f.n - 1) / 2.0 * f.eta_max),
+          _connected2, "needs connected, n >= 2", equality="complete"),
     Check("thm3.10.2", "laplacian",
           "n1 n2 / n * eta_second_smallest <= SO_p <= n1 n2 / n * eta_max  [connected bipartite]",
-          _thm3_10_2, lambda c: _connected2(c) and c.stats.is_bipartite,
-          "needs connected bipartite", equality=lambda c: c.graph.is_complete_bipartite),
+          _thm3_10_2, lambda f: _connected2(f) & f.bipartite,
+          "needs connected bipartite", equality=lambda f: f.complete_bipartite),
     Check("lem3.11.1", "laplacian", "SO_p <= 2^(1/p) deg_max m  [proved for p >= 1]",
-          lambda c: (c.so, None, c.root * c.dmax * c.m),
-          _has_edge, "no edges", hard=_p_at_least_1, equality=_regular),
+          lambda f: (f.so, None, f.root * f.dmax * f.m),
+          "has_edge", "no edges", hard=_p_at_least_1, equality="regular"),
     Check("lem3.11.2", "laplacian",
           "SO_p <= n^(1/p) deg_max^(1+1/p) m^(1-1/p)  [proved for p >= 1]",
-          lambda c: (c.so, None, _lem3_11_2(c)),
-          _has_edge, "no edges", hard=_p_at_least_1, equality=_regular),
+          lambda f: (f.so, None, _lem3_11_2(f)),
+          "has_edge", "no edges", hard=_p_at_least_1, equality="regular"),
     Check("cor3.12.1", "laplacian",
           "sum of Laplacian eigenvalues <= min(2^(1+1/p) deg_max m, 2 n^(1/p) deg_max^(1+1/p) m^(1-1/p))",
-          lambda c: (float(c.etas.sum()), None, _cor3_12_cap(c)),
-          _has_edge, "no edges", hard=_p_at_least_1, equality=_regular),
+          lambda f: (f.eta_sum, None, _cor3_12_cap(f)),
+          "has_edge", "no edges", hard=_p_at_least_1, equality="regular"),
     Check("cor3.12.2", "laplacian", "eta_second_smallest <= the same cap / (n-1)  [connected]",
-          lambda c: (float(c.etas[-2]), None, _cor3_12_cap(c) / (c.n - 1)),
-          _connected2, "needs connected, n >= 2", hard=_p_at_least_1, equality=_complete),
+          lambda f: (f.eta_2, None, _cor3_12_cap(f) / (f.n - 1)),
+          _connected2, "needs connected, n >= 2", hard=_p_at_least_1, equality="complete"),
     Check("cor3.13.1", "laplacian", "eta_max >= N2 / (2^(1/p) deg_max (n-1))  [connected]",
-          lambda c: (float(c.etas[0]), c.n2 / (c.root * c.dmax * (c.n - 1)), None),
-          _connected2, "needs connected, m >= 1", equality=_complete),
+          lambda f: (f.eta_max, _div(f.n2, f.root * f.dmax * (f.n - 1)), None),
+          _connected2, "needs connected, m >= 1", equality="complete"),
     Check("cor3.13.2", "laplacian",
           "eta_second_smallest <= N2 / (2^(1/p) deg_min (n-1))  [connected]",
-          lambda c: (float(c.etas[-2]), None, c.n2 / (c.root * c.dmin * (c.n - 1))),
-          _connected2, "needs connected, m >= 1", equality=_complete),
+          lambda f: (f.eta_2, None, _div(f.n2, f.root * f.dmin * (f.n - 1))),
+          _connected2, "needs connected, m >= 1", equality="complete"),
 
     # -- spectral radius and spread ----------------------------------------
     Check("thm-rad.mu", "radius", "2^(1/p) deg_min mu1 <= xi1 <= 2^(1/p) deg_max mu1",
-          lambda c: (c.xi1, c.root * c.dmin * c.adec.radius, c.root * c.dmax * c.adec.radius),
-          equality=_regular),
+          lambda f: (f.xi1, f.root * f.dmin * f.mu1, f.root * f.dmax * f.mu1),
+          equality="regular"),
     Check("cor-rad1.lo", "radius", "xi1 >= 2^(1+1/p) m deg_min / n",
-          lambda c: (c.xi1, 2.0 ** (1 + 1.0 / c.p) * c.m * c.dmin / c.n, None),
-          equality=_regular),
+          lambda f: (f.xi1, f.pow2(1, 1.0) * f.m * f.dmin / f.n, None),
+          equality="regular"),
     Check("cor-rad1.up", "radius", "xi1 <= 2^(1/p) deg_max sqrt(2m - n + 1)  [connected]",
-          lambda c: (c.xi1, None, c.root * c.dmax * math.sqrt(max(0.0, 2 * c.m - c.n + 1))),
-          _connected, "disconnected", equality=_complete),
+          lambda f: (f.xi1, None, f.root * f.dmax * _sqrt(_max(0.0, 2 * f.m - f.n + 1))),
+          "connected", "disconnected", equality="complete"),
     Check("cor-rad2", "radius", "2^(1/p) deg_min sqrt(M1/n) <= xi1 <= 2^(1/p) deg_max^2",
-          lambda c: (c.xi1, c.root * c.dmin * math.sqrt(c.graph.m1 / c.n),
-                     c.root * c.dmax ** 2),
-          equality=_regular),
+          lambda f: (f.xi1, f.root * f.dmin * _sqrt(f.m1 / f.n), f.root * f.dmax ** 2),
+          equality="regular"),
     Check("cor-rad3", "radius", "xi1 >= 2^(1/p) deg_min (2m/n)",
-          lambda c: (c.xi1, c.root * c.dmin * c.stats.average_degree, None),
-          equality=_regular),
+          lambda f: (f.xi1, f.root * f.dmin * f.avg_degree, None),
+          equality="regular"),
     Check("cor-rad.randic", "radius", "xi1 >= 2^(1/p) (deg_min / m) R  [observe-only]",
-          lambda c: (c.xi1, c.root * (c.dmin / c.m) * c.graph.randic, None),
-          _has_edge, "no edges", hard=False, observe="observe-only: cited source ambiguous"),
+          lambda f: (f.xi1, f.root * (f.dmin / f.m) * f.randic, None),
+          "has_edge", "no edges", hard=False, observe="observe-only: cited source ambiguous"),
     Check("thm-rad.n2", "radius", "xi1 <= sqrt((n-1) N2 / n)",
-          lambda c: (c.xi1, None, math.sqrt((c.n - 1) * c.n2 / c.n)),
-          equality=lambda c: c.m == 0 or c.graph.is_complete),
+          lambda f: (f.xi1, None, _sqrt((f.n - 1) * f.n2 / f.n)),
+          equality=lambda f: _edgeless(f) | f.complete),
     Check("lem-diam", "radius", "distinct eigenvalue count >= diameter + 1  [connected]",
-          lambda c: (float(len(c.sdec.distinct)), c.stats.diameter + 1.0, None),
-          _connected, "disconnected"),
+          lambda f: (f.distinct.astype(float), f.diameter + 1.0, None),
+          "connected", "disconnected"),
     Check("thm-spread", "radius", "xi1 - xi_n <= sqrt(2 N2)  [stated for connected]",
-          lambda c: (c.xi1 - c.sdec.smallest, None, math.sqrt(2.0 * c.n2)),
-          hard=_connected, observe="observe-only: disconnected",
-          equality=lambda c: c.m == 0 or c.graph.is_complete_bipartite),
+          lambda f: (f.xi1 - f.xin, None, _sqrt(2.0 * f.n2)),
+          hard="connected", observe="observe-only: disconnected",
+          equality=lambda f: _edgeless(f) | f.complete_bipartite),
 
     # -- energy and the Estrada index --------------------------------------
     Check("thm4.1.1", "energy", "sqrt(2 N2) <= energy <= sqrt(n N2)",
-          lambda c: (c.energy, math.sqrt(2.0 * c.n2), math.sqrt(c.n * c.n2))),
+          lambda f: (f.energy, _sqrt(2.0 * f.n2), _sqrt(f.n * f.n2))),
     Check("thm4.1.2", "energy", "energy >= sqrt(n(n-1) |det|^(2/n) + N2)", _thm4_1_2),
     Check("thm4.1.3", "energy", "energy >= (N2 + n max|xi| min|xi|) / (max|xi| + min|xi|)",
-          _energy_lower(lambda n, n2, big, small: (n2 + n * big * small) / (big + small)),
-          _has_edge, "no edges"),
+          _energy_lower(lambda n, n2, big, small: _div(n2 + n * big * small, big + small)),
+          "has_edge", "no edges"),
     Check("thm4.1.4", "energy", "energy >= sqrt(4 n N2 - n^2 (max|xi| - min|xi|)^2) / 2",
           _energy_lower(lambda n, n2, big, small:
-                        0.5 * math.sqrt(max(0.0, 4 * n * n2 - n * n * (big - small) ** 2))),
-          _has_edge, "no edges"),
+                        0.5 * _sqrt(_max(0.0, 4 * n * n2 - n * n * _pow(big - small, 2)))),
+          "has_edge", "no edges"),
     Check("thm4.1.5", "energy",
           "energy >= sqrt(n N2 - n floor(n/2)(1 - floor(n/2)/n)(max|xi| - min|xi|)^2)",
-          _energy_lower(lambda n, n2, big, small: math.sqrt(max(
-              0.0, n * n2 - n * math.floor(n / 2) * (1 - math.floor(n / 2) / n)
-              * (big - small) ** 2))),
-          _has_edge, "no edges"),
+          _energy_lower(lambda n, n2, big, small: _sqrt(_max(
+              0.0, n * n2 - n * (n // 2) * (1 - (n // 2) / n) * _pow(big - small, 2)))),
+          "has_edge", "no edges"),
     Check("thm4.2", "energy", "energy >= sqrt(N2^3 / N4)",
-          lambda c: (c.energy, math.sqrt(c.n2 ** 3 / c.n4), None), _has_edge, "no edges"),
+          lambda f: (f.energy, _sqrt(_div(_pow(f.n2, 3), f.n4)), None), "has_edge", "no edges"),
     Check("thm4.3", "energy", "energy >= N2^2 / N3  [observe-only]",
-          lambda c: (c.energy, c.n2 ** 2 / c.n3, None),
-          lambda c: c.n3 > 0, "needs N3 > 0", hard=False,
+          lambda f: (f.energy, _div(_pow(f.n2, 2), f.n3), None),
+          lambda f: f.n3 > 0, "needs N3 > 0", hard=False,
           observe="observe-only: can exceed the energy (needs sum |xi|^3, not N3)"),
     Check("cmp4.2-4.3", "energy", "larger lower bound matches the sign of N3/sqrt(N2 N4) - 1",
-          _cmp4_2_4_3_value, lambda c: c.n3 > 0 and c.m >= 1, "needs N3 > 0",
+          _cmp4_2_4_3_value, lambda f: (f.n3 > 0) & (f.m >= 1), "needs N3 > 0",
           extra=_cmp4_2_4_3),
     Check("thm4.10.1", "energy",
           "estrada - energy <= n - 1 + e^sqrt(N2) - sqrt(N2) - sqrt(2 N2)",
-          lambda c: (c.estrada - c.energy, None, c.n - 1 + math.exp(math.sqrt(c.n2))
-                     - math.sqrt(c.n2) - math.sqrt(2 * c.n2)),
-          lambda c: math.sqrt(c.n2) < EXP_LIMIT, "exp overflow guard",
-          equality=lambda c: c.m == 0),
+          lambda f: (f.estrada - f.energy, None, f.n - 1 + _exp(_sqrt(f.n2))
+                     - _sqrt(f.n2) - _sqrt(2 * f.n2)),
+          lambda f: _sqrt(f.n2) < EXP_LIMIT, "exp overflow guard", equality=_edgeless),
     Check("thm4.10.2", "energy", "estrada + energy <= n - 1 + e^energy",
-          lambda c: (c.estrada + c.energy, None, c.n - 1 + math.exp(c.energy)),
-          lambda c: c.energy < EXP_LIMIT, "exp overflow guard", equality=lambda c: c.m == 0),
+          lambda f: (f.estrada + f.energy, None, f.n - 1 + _exp(f.energy)),
+          lambda f: f.energy < EXP_LIMIT, "exp overflow guard", equality=_edgeless),
     Check("thm4.10.3", "energy", "energy <= sqrt((3n-1)/3 N2)  [asserted for connected, n >= 3]",
-          lambda c: (c.energy, None, math.sqrt((3 * c.n - 1) / 3.0 * c.n2)),
-          hard=lambda c: c.stats.is_connected and c.n >= 3,
+          lambda f: (f.energy, None, _sqrt((3 * f.n - 1) / 3.0 * f.n2)),
+          hard=lambda f: f.connected & (f.n >= 3),
           observe="observe-only: fails on a single weighted edge as printed",
-          equality=lambda c: c.m == 0),
+          equality=_edgeless),
     Check("thm4.10.4", "energy",
           "estrada <= n - 1 + N2/2 + N3/6 - q - q^2/2 - q^3/6 + e^q, q = N4^(1/4)",
-          _thm4_10_4, lambda c: c.n4 ** 0.25 < EXP_LIMIT, "exp overflow guard"),
+          _thm4_10_4, lambda f: _pow(f.n4, 0.25) < EXP_LIMIT, "exp overflow guard"),
     Check("thm4.10.5", "energy", "estrada >= sqrt(n^2 + (N2/2)^2 + n N2 + n N3/3 + n N4/12)",
-          lambda c: (c.estrada, math.sqrt(c.n * c.n + (0.5 * c.n2) ** 2 + c.n * c.n2
-                                          + c.n * c.n3 / 3.0 + c.n * c.n4 / 12.0), None)),
+          lambda f: (f.estrada, _sqrt(f.n * f.n + _pow(0.5 * f.n2, 2) + f.n * f.n2
+                                      + f.n * f.n3 / 3.0 + f.n * f.n4 / 12.0), None)),
     Check("thm4.11.1", "energy", "(e-1)/2 energy + n - n_pos <= estrada <= n - 1 + e^(energy/2)",
-          lambda c: (c.estrada, 0.5 * (math.e - 1) * c.energy + c.n - c.sdec.inertia[0],
-                     c.n - 1 + math.exp(c.energy / 2.0)),
-          lambda c: c.energy / 2.0 < EXP_LIMIT, "exp overflow guard",
-          equality=lambda c: c.m == 0),
+          lambda f: (f.estrada, 0.5 * (math.e - 1) * f.energy + f.n - f.n_pos,
+                     f.n - 1 + _exp(f.energy / 2.0)),
+          lambda f: f.energy / 2.0 < EXP_LIMIT, "exp overflow guard", equality=_edgeless),
     Check("thm4.11.2", "energy",
           "estrada >= e^xi1 + n_zero + (n_pos-1) e^((energy-2 xi1)/(2(n_pos-1))) + n_neg e^(-energy/(2 n_neg))",
           _thm4_11_2,
-          lambda c: (c.sdec.inertia[0] >= 2 and c.sdec.inertia[2] >= 1
-                     and c.xi1 < EXP_LIMIT),
+          lambda f: (f.n_pos >= 2) & (f.n_neg >= 1) & (f.xi1 < EXP_LIMIT),
           "needs n_pos >= 2 and n_neg >= 1"),
     Check("thm4.12", "energy",
           "energy(subdivision) <= 2 sqrt(2) sqrt(m n) (2^p + k^p)^(1/p)  [k-regular]",
-          lambda c: (edge_weight(2, c.dmax, c.p) * c.graph.subdivision_energy, None,
-                     2.0 * math.sqrt(2.0) * math.sqrt(c.m * c.n) * edge_weight(2, c.dmax, c.p)),
-          lambda c: c.stats.is_regular and c.m >= 1, "needs a regular graph with edges"),
+          lambda f: (_thm4_12_weight(f) * _each(lambda c: c.graph.subdivision_energy, f.ctxs),
+                     None, 2.0 * math.sqrt(2.0) * _sqrt(f.m * f.n) * _thm4_12_weight(f)),
+          lambda f: f.regular & (f.m >= 1), "needs a regular graph with edges"),
 
     # -- Nordhaus-Gaddum ---------------------------------------------------
     Check("lem5.4", "nordhaus_gaddum", "xi1 >= 2^(1+1/p) deg_min m / n",
-          lambda c: (c.xi1, 2.0 ** (1 + 1.0 / c.p) * c.dmin * c.m / c.n, None),
-          equality=_regular),
+          lambda f: (f.xi1, f.pow2(1, 1.0) * f.dmin * f.m / f.n, None),
+          equality="regular"),
     Check("thm5.5", "nordhaus_gaddum",
           "xi1 <= 2^(1/p) deg_max sqrt(2m - deg_min(n-1) + (deg_min-1) deg_max)",
-          lambda c: (c.xi1, None, c.root * c.dmax * math.sqrt(max(0.0, _thm5_5_inner(c)))),
-          _min_degree_positive, "needs deg_min >= 1", equality=_regular,
+          lambda f: (f.xi1, None, f.root * f.dmax * _sqrt(_max(0.0, _thm5_5_inner(f)))),
+          _min_degree_positive, "needs deg_min >= 1", equality="regular",
           note=_clamp_note(_thm5_5_inner)),
     Check("thm5.6", "nordhaus_gaddum", "energy >= 2^(2+1/p) deg_min m / n",
-          lambda c: (c.energy, 2.0 ** (2 + 1.0 / c.p) * c.dmin * c.m / c.n, None),
-          equality=lambda c: c.m == 0 or (c.stats.is_regular
-                                          and c.graph.is_complete_multipartite)),
+          lambda f: (f.energy, f.pow2(2, 1.0) * f.dmin * f.m / f.n, None),
+          equality=lambda f: _edgeless(f) | (f.regular & f.complete_multipartite)),
     Check("thm5.7", "nordhaus_gaddum", "energy <= a + sqrt((n-1)(2^(1+2/p) m deg_max^2 - a^2))",
           _thm5_7, _min_degree_positive, "needs deg_min >= 1",
-          note=_clamp_note(lambda c: _thm5_7_parts(c)[1])),
+          note=_clamp_note(lambda f: _thm5_7_parts(f)[1])),
     Check("thm5.8", "nordhaus_gaddum",
           "xi1 + xi1(complement) >= 2^(1+1/p)/n (m deg_min + (n-1-deg_max)(C(n,2) - m))",
-          lambda c: (_ng_radius_sum(c), 2.0 ** (1 + 1.0 / c.p) / c.n
-                     * (c.m * c.dmin + (c.n - 1 - c.dmax) * (c.n * (c.n - 1) / 2.0 - c.m)),
+          lambda f: (_ng_radius_sum(f), f.pow2(1, 1.0) / f.n
+                     * (f.m * f.dmin + (f.n - 1 - f.dmax) * (f.n * (f.n - 1) / 2.0 - f.m)),
                      None),
-          equality=_regular),
+          equality="regular"),
     Check("thm5.9.1", "nordhaus_gaddum",
           "xi1 + xi1(complement) <= 2^(1/p)(n-1) sqrt(2m-n+1) + component term  [deg_max = n-1]",
-          _thm5_9_1, lambda c: c.stats.is_connected and c.dmax == c.n - 1,
+          _thm5_9_1, lambda f: f.connected & (f.dmax == f.n - 1),
           "needs connected, deg_max = n-1"),
     Check("thm5.9.2", "nordhaus_gaddum",
           "xi1 + xi1(complement) <= 2^(1/p) deg_max sqrt(...) + 2^(1/p)(n-1-deg_min) sqrt(...)  [deg_max, deg_min <= n-2]",
-          _thm5_9_2, lambda c: c.stats.is_connected and c.dmax != c.n - 1,
+          _thm5_9_2, lambda f: f.connected & (f.dmax != f.n - 1),
           "needs connected, deg_max <= n-2"),
     Check("thm5.10", "nordhaus_gaddum",
           "energy + energy(complement) >= 2^(2+1/p) (m deg_min / n + sum over complement components)",
-          _thm5_10, _connected, "disconnected", equality=_complete),
+          _thm5_10, "connected", "disconnected", equality="complete"),
 )
 
 _BY_FAMILY: dict[str, list[Check]] = {}
 for _check in CHECKS:
     _BY_FAMILY.setdefault(_check.family, []).append(_check)
+
+
 
 
 def contexts(graphs, p_values, holds_tol: float | None = None) -> list[list[CheckContext]]:
@@ -733,11 +927,17 @@ def contexts(graphs, p_values, holds_tol: float | None = None) -> list[list[Chec
     return out
 
 
+
 def _run_family(family: str, g: Graph, p: float, ctx: CheckContext | None) -> list[BoundReport]:
     ctx = ctx or contexts([("g", g)], (p,))[0][0]
     if g.n == 0:
         return []
-    return [_report(check, ctx) for check in _BY_FAMILY[family]]
+    f = Frame([ctx])
+    try:
+        with np.errstate(all="ignore"):
+            return [_report(check, f) for check in _BY_FAMILY[family]]
+    finally:
+        _warn_estrada(f, _rows_read(f))
 
 
 def check_moment_index_bounds(g: Graph, p: float, ctx: CheckContext | None = None) -> list[BoundReport]:
@@ -858,6 +1058,8 @@ def build_corpus(name: str, seed: int = 42):
 
 
 # ---------------------------------------------------------------------------
+
+# ---------------------------------------------------------------------------
 # suite runner
 
 @dataclass
@@ -910,33 +1112,70 @@ def _violation_payload(report: BoundReport, g: Graph) -> dict:
 
 
 def _new_tally():
-    """Outcome counts per check (in CHECKS order, indexed like OUTCOMES),
-    violations and equality mismatches."""
-    return [[0] * len(OUTCOMES) for _ in CHECKS], [], []
+    """Outcome counts per check (rows in CHECKS order, columns indexed like
+    OUTCOMES), violations and equality mismatches."""
+    return np.zeros((len(CHECKS), len(OUTCOMES)), dtype=np.int64), [], []
 
 
-def _tally_graph(g: Graph, ctxs: list[CheckContext], tally) -> None:
-    """Add every check on g at each context's p to tally; only a violation
-    or an equality mismatch builds a BoundReport, for its payload."""
-    if g.n == 0:
-        return
+def _first_failure(check: Check, ctxs, exc: Exception):
+    """(row, exception, rows read) of the first context on which check
+    raises, each judged on a frame of its own; exc if none does."""
+    read = np.zeros(len(ctxs), dtype=bool)
+    for r, ctx in enumerate(ctxs):
+        one = Frame([ctx])
+        try:
+            _evaluate(check, one)
+        except Exception as raised:
+            read[r] = bool(one.reads)
+            return r, raised, read
+        read[r] = bool(one.reads)
+    raise exc
+
+
+def _tally_frame(f: Frame, tally) -> None:
+    """Add every check on every row of f to tally, one evaluation per check.
+
+    Only a violation or an equality mismatch builds a BoundReport, on a frame
+    of its one row, in (row, check) order. If a check raises, the first
+    (row, check) that raises is re-raised, after the Estrada warning of any
+    row read before it.
+    """
     counts, violations, eq_mismatches = tally
-    for ctx in ctxs:
-        # CHECKS lists the families in all_checks order.
-        for check, per in zip(CHECKS, counts):
-            outcome, mismatch, _, _ = _judge(check, ctx)
-            per[outcome] += 1
-            if outcome == _FAIL:
-                violations.append(_violation_payload(_report(check, ctx), g))
-            if mismatch:
-                eq_mismatches.append(_violation_payload(_report(check, ctx), g))
+    flagged, failures, reads = [], [], []   # reads: (check index, rows read)
+    with np.errstate(all="ignore"):
+        for k, check in enumerate(CHECKS):
+            f.reads.clear()
+            try:
+                outcome, mismatch = _evaluate(check, f)[:2]
+            except Exception as exc:
+                row, raised, read = _first_failure(check, f.ctxs, exc)
+                failures.append((row, k, raised))
+                reads.append((k, read))
+                continue
+            counts[k] += np.bincount(outcome, minlength=len(OUTCOMES))
+            flagged += [(r, k, violations) for r in np.flatnonzero(outcome == _FAIL).tolist()]
+            flagged += [(r, k, eq_mismatches) for r in np.flatnonzero(mismatch).tolist()]
+            reads.append((k, _rows_read(f)))
+        if failures:
+            row, k, raised = min(failures, key=lambda x: x[:2])
+            # Judged before it: every check on the rows before row, and on row
+            # the checks up to k (k itself up to where it raised).
+            _warn_estrada(f, np.any([read & (np.arange(f.size) < row + (j <= k))
+                                     for j, read in reads], axis=0))
+            raise raised
+        _warn_estrada(f, np.any([read for _, read in reads], axis=0))
+        for r, k, out in sorted(flagged, key=lambda x: x[:2]):
+            ctx = f.ctxs[r]
+            out.append(_violation_payload(_report(CHECKS[k], Frame([ctx])), ctx.g))
 
 
 def _tally_chunk(args):
     graphs, p_values, holds_tol = args
     tally = _new_tally()
-    for (_, g), ctxs in zip(graphs, contexts(graphs, p_values, holds_tol)):
-        _tally_graph(g, ctxs, tally)
+    rows = [ctx for (_, g), ctxs in zip(graphs, contexts(graphs, p_values, holds_tol))
+            if g.n for ctx in ctxs]
+    if rows:
+        _tally_frame(Frame(rows), tally)
     return tally
 
 
@@ -946,8 +1185,8 @@ def run_suite(graphs, p_values=(1.0, 2.0, 3.0), holds_tol: float | None = None,
     """Run every check for each (graph, p); deterministic merge order.
 
     Graphs go in chunks of config.SUITE_CHUNK_GRAPHS, each with its spectra
-    solved in one batched call; with jobs > 1, worker processes take whole
-    chunks.
+    solved in one batched call and its checks judged over one Frame; with
+    jobs > 1, worker processes take whole chunks.
     """
     if holds_tol is not None and not math.isfinite(holds_tol):
         raise ValueError(f"tolerance must be finite, got {holds_tol}")
@@ -968,14 +1207,12 @@ def run_suite(graphs, p_values=(1.0, 2.0, 3.0), holds_tol: float | None = None,
 
     counts, violations, eq_mismatches = _new_tally()
     for chunk_counts, vio, eqm in chunks:
-        for per, add in zip(counts, chunk_counts):
-            for k, val in enumerate(add):
-                per[k] += val
+        counts += chunk_counts
         violations.extend(vio)
         eq_mismatches.extend(eqm)
     # A check appears once it was run on some graph: every run adds one count.
     by_id = {check.id: dict(zip(OUTCOMES, per))
-             for check, per in zip(CHECKS, counts) if any(per)}
+             for check, per in zip(CHECKS, counts.tolist()) if any(per)}
     return SuiteReport(corpus_name, tuple(p_values), len(graphs),
                        dict(sorted(by_id.items())), violations, eq_mismatches,
                        corpus_errors or [])

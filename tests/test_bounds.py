@@ -3,6 +3,7 @@ import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from strategies import circulants, nonzero_p
@@ -14,10 +15,10 @@ from psombor.bounds import (
     BoundReport,
     Check,
     CheckContext,
+    Frame,
     GraphContext,
-    _judge,
+    _evaluate,
     _report,
-    _verdict,
     _violation_payload,
     all_checks,
     build_corpus,
@@ -279,7 +280,7 @@ def test_thm4_12_scaled_adjacency_energy_matches_per_p_solve(regular_all):
     assert "K5" in {gid for gid, _ in graphs}
     for (gid, g), per_p in zip(graphs, contexts(graphs, THM4_12_P)):
         for ctx in per_p:
-            rep = _report(THM4_12, ctx)
+            rep = _report(THM4_12, Frame([ctx]))
             expected = graph_energy(sombor_decomposition(subdivision(g), ctx.p))
             assert rep.value == pytest.approx(expected, rel=1e-14, abs=0), (gid, ctx.p)
 
@@ -335,7 +336,7 @@ def test_subdivision_energy_matches_the_subdivision_solve(regular_all):
 @pytest.mark.parametrize("gid, g", REGULAR_UNIONS, ids=[gid for gid, _ in REGULAR_UNIONS])
 def test_thm4_12_on_disconnected_regular_graphs_matches_per_p_solve(gid, g):
     for ctx in contexts([(gid, g)], THM4_12_P)[0]:
-        rep = _report(THM4_12, ctx)
+        rep = _report(THM4_12, Frame([ctx]))
         expected = graph_energy(sombor_decomposition(subdivision(g), ctx.p))
         assert rep.value == pytest.approx(expected, rel=1e-14, abs=0), ctx.p
 
@@ -533,8 +534,10 @@ def test_violation_payload_reproducible():
 
 
 def _outcome(rep: BoundReport) -> str:
-    """The OUTCOMES entry a full report stands for."""
-    return OUTCOMES[_verdict(rep.hard, rep.holds) if rep.applicable else OUTCOMES.index("na")]
+    """The OUTCOMES entry a full report stands for; holds None passes."""
+    if not rep.applicable:
+        return "na"
+    return OUTCOMES[(rep.holds is False) + (0 if rep.hard else 3)]
 
 
 def _tally_from_reports(graphs, p_values, holds_tol=None):
@@ -560,18 +563,26 @@ def _suite_tally(graphs, p_values, holds_tol=None):
 
 @pytest.mark.parametrize("holds_tol", (None, -1.0))
 def test_judgement_matches_the_full_report(holds_tol):
-    # holds_tol = -1 turns most hard checks into violations.
+    # holds_tol = -1 turns most hard checks into violations. The chunk frame's
+    # outcome and mismatch of each row equal those of a frame of that one
+    # row, and the report built there stands for the same outcome.
     graphs = corpus_families(6) + corpus_special() + corpus_trees(4, 7)
+    rows = [ctx for (_, g), per_p in zip(graphs, contexts(graphs, P_GRID, holds_tol))
+            if g.n for ctx in per_p]
+    frame = Frame(rows)
     seen = Counter()
-    for (graph_id, g), per_p in zip(graphs, contexts(graphs, P_GRID, holds_tol)):
-        for ctx in per_p:
-            p = ctx.p
-            for check in CHECKS:
-                outcome, mismatch, _, _ = _judge(check, ctx)
-                rep = _report(check, ctx)
-                assert OUTCOMES[outcome] == _outcome(rep), (check.id, graph_id, p)
-                assert bool(mismatch) == bool(rep.hard and rep.equality_expected
-                                              and rep.equality_observed is False)
+    with np.errstate(all="ignore"):
+        for check in CHECKS:
+            outcomes, mismatches = _evaluate(check, frame)[:2]
+            for r, ctx in enumerate(rows):
+                one = Frame([ctx])
+                outcome, mismatch = (x[0] for x in _evaluate(check, one)[:2])
+                key = (check.id, ctx.graph_id, ctx.p)
+                assert (outcomes[r], mismatches[r]) == (outcome, mismatch), key
+                rep = _report(check, one)
+                assert OUTCOMES[outcome] == _outcome(rep), key
+                assert mismatch == (rep.hard and rep.equality_expected
+                                    and rep.equality_observed is False), key
                 seen[OUTCOMES[outcome], bool(mismatch)] += 1
     outcomes = {outcome for outcome, _ in seen}
     assert outcomes == set(OUTCOMES) - ({"fail"} if holds_tol is None else set())
@@ -590,24 +601,24 @@ NAN, INF = math.nan, math.inf
 # Appended to the last family, so that all_checks runs them in table order.
 _SYN = "nordhaus_gaddum"
 SYNTHETIC = (
-    Check("syn.nan", _SYN, "NaN value", lambda c: (NAN, 0.0, None), equality=True),
-    Check("syn.nan.observe", _SYN, "NaN value, observe-only", lambda c: (NAN, 0.0, 1.0),
+    Check("syn.nan", _SYN, "NaN value", lambda f: (NAN, 0.0, None), equality=True),
+    Check("syn.nan.observe", _SYN, "NaN value, observe-only", lambda f: (NAN, 0.0, 1.0),
           hard=False, observe="observe-only: synthetic", equality=True),
-    Check("syn.inf.over", _SYN, "+inf value over a finite cap", lambda c: (INF, None, 0.0),
+    Check("syn.inf.over", _SYN, "+inf value over a finite cap", lambda f: (INF, None, 0.0),
           equality=True),
     Check("syn.-inf.under", _SYN, "-inf value under a finite floor",
-          lambda c: (-INF, 0.0, None), equality=True),
+          lambda f: (-INF, 0.0, None), equality=True),
     Check("syn.inf.cap", _SYN, "finite value under an infinite cap",
-          lambda c: (1.0, None, INF), equality=True),
+          lambda f: (1.0, None, INF), equality=True),
     Check("syn.inf.floor", _SYN, "finite value over an infinite floor",
-          lambda c: (1.0, INF, None)),
-    Check("syn.inf-inf", _SYN, "+inf value and floor", lambda c: (INF, INF, None)),
-    Check("syn.fail", _SYN, "1 in [2, 3]", lambda c: (1.0, 2.0, 3.0),
-          equality=lambda c: c.p > 0),
-    Check("syn.unbounded", _SYN, "no bound at all", lambda c: (1.0, None, None),
+          lambda f: (1.0, INF, None)),
+    Check("syn.inf-inf", _SYN, "+inf value and floor", lambda f: (INF, INF, None)),
+    Check("syn.fail", _SYN, "1 in [2, 3]", lambda f: (1.0, 2.0, 3.0),
+          equality=lambda f: f.p > 0),
+    Check("syn.unbounded", _SYN, "no bound at all", lambda f: (1.0, None, None),
           equality=True),
-    Check("syn.na", _SYN, "NaN value, p > 0 only", lambda c: (NAN, 0.0, None),
-          lambda c: c.p > 0, "needs p > 0"),
+    Check("syn.na", _SYN, "NaN value, p > 0 only", lambda f: (NAN, 0.0, None),
+          lambda f: f.p > 0, "needs p > 0"),
 )
 # Outcome counts on K3 and P3 at p = -1, 2. A NaN slack neither holds nor
 # shows equality; an infinite value does not scale the tolerances, so +-inf
@@ -680,8 +691,8 @@ def test_contexts_match_the_scalar_decompositions():
     for (graph_id, g), per_p in zip(graphs, contexts(graphs, P_GRID)):
         assert [ctx.p for ctx in per_p] == list(P_GRID)
         assert {ctx.graph_id for ctx in per_p} == {graph_id}
-        assert len({id(ctx.adec) for ctx in per_p}) == 1
-        assert _bits(per_p[0].adec) == _bits(adjacency_decomposition(g)), graph_id
+        assert len({id(ctx.graph.adec) for ctx in per_p}) == 1
+        assert _bits(per_p[0].graph.adec) == _bits(adjacency_decomposition(g)), graph_id
         for ctx in per_p:
             p = ctx.p
             assert _bits(ctx.sdec) == _bits(sombor_decomposition(g, p)), (graph_id, p)
