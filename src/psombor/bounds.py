@@ -2,25 +2,17 @@
 
 Every theorem-shaped claim is one entry of CHECKS: its statement, when it
 applies, how to evaluate its value and bound(s), where it is hard-asserted and
-when equality is expected. Entries read a Frame: one row per (graph, p), one
-column per quantity (n, m, p, SO_p, the moments, degrees, radii, energies,
-inertias, structural predicates ...), each a 1-D array computed on first read.
-A check is evaluated once per frame: applies, hard and equality give masks,
-bounds runs on the applicable rows only, and run_suite counts the outcomes of
-each chunk of graphs with np.bincount, building a BoundReport only for a
-violation or an equality mismatch, from the same evaluators on a frame of that
-one row. Checks whose derivations only hold for p >= 1 are hard-asserted on
-that domain and run observe-only elsewhere; two claims that fail on small
-graphs as printed (check ids thm4.3 and cor-rad.randic) are permanently
-observe-only.
-
-The columns reproduce Python's scalar arithmetic bit for bit: + - * / and
-sqrt are correctly rounded in NumPy too, but a power with a float base or a
-non-integer exponent and exp() need not match libm, so they run per row in
-Python (_each), or once per distinct p (Frame.pow2). Where Python raises
-(ZeroDivisionError, OverflowError, ValueError) and NumPy would not, the
-helpers raise too; the first (row, check) that raises in table order is the
-one reported, after the warnings of what was judged before it.
+when equality is expected. Entries read a Frame (psombor.frame), whose columns
+hold one value per (graph, p) row, and each is evaluated once per frame:
+applies, hard and equality give masks, bounds runs on the applicable rows
+only, and run_suite counts the outcomes of each chunk of graphs with
+np.bincount. Only a violation or an equality mismatch builds a BoundReport,
+from the same evaluators on a frame of its one row. Where a row raises (a
+value out of the float range at tiny |p|), the first (row, check) in table
+order is reported, after the warnings of the rows judged before it. Checks
+whose derivations only hold for p >= 1 are hard-asserted on that domain and
+run observe-only elsewhere; two claims that fail on small graphs as printed
+(check ids thm4.3 and cor-rad.randic) are permanently observe-only.
 """
 
 from __future__ import annotations
@@ -33,6 +25,9 @@ from typing import Callable
 import numpy as np
 
 from . import config
+from .frame import EXP_LIMIT, Frame
+from .frame import divide as _div, each as _each, exp as _exp, maximum as _max
+from .frame import minimum as _min, power as _pow, sqrt as _sqrt
 from .graphs import (
     Graph,
     bipartite_component_count,
@@ -42,23 +37,11 @@ from .graphs import (
     connected_components,
     cycle_graph,
     induced_subgraph,
-    is_balanced_complete_bipartite,
-    is_complete,
-    is_complete_bipartite,
-    is_complete_multipartite,
-    is_c4_free,
     path_graph,
     random_connected_gnm,
     structure_stats,
 )
-from .invariants import (
-    abs_determinant,
-    estrada_index,
-    first_zagreb,
-    graph_energy,
-    isi_index,
-    randic_index,
-)
+from .invariants import abs_determinant, estrada_index, graph_energy
 from .spectral import (
     MomentSet,
     SpectralDecomposition,
@@ -69,7 +52,6 @@ from .spectral import (
     eigen_decompose_many,
 )
 
-EXP_LIMIT = config.ESTRADA_EXP_LIMIT
 OUTCOMES = ("pass", "fail", "na", "observe_pass", "observe_fail")
 _NA = OUTCOMES.index("na")
 _FAIL = OUTCOMES.index("fail")
@@ -96,23 +78,10 @@ class BoundReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "statement": self.statement,
-            "graph": self.graph_id,
-            "p": self.p,
-            "value": self.value,
-            "lower": self.lower,
-            "upper": self.upper,
-            "slack": self.slack,
-            "holds": self.holds,
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "hard": self.hard,
-            "equality_expected": self.equality_expected,
-            "equality_observed": self.equality_observed,
-            **({"extra": self.extra} if self.extra else {}),
-        }
+        out = {"graph" if key == "graph_id" else key: x for key, x in vars(self).items()}
+        if not self.extra:
+            del out["extra"]
+        return out
 
 
 class GraphContext:
@@ -185,189 +154,6 @@ class CheckContext:
 
 
 # ---------------------------------------------------------------------------
-# the frame the check table reads
-
-# Columns read per (graph, p) row from its CheckContext ...
-_ROW = {
-    "p": lambda c: c.p,
-    "so": lambda c: c.so,
-    "variance": lambda c: math.nan if c.variance is None else c.variance,
-    "moments_missing": lambda c: "moments" not in vars(c),
-    "_n2": lambda c: vars(c).get("n2", math.nan),
-    "_n3": lambda c: vars(c).get("n3", math.nan),
-    "_n4": lambda c: vars(c).get("n4", math.nan),
-    "xi1": lambda c: c.sdec.radius,
-    "xin": lambda c: c.sdec.smallest,
-    "n_pos": lambda c: c.sdec.inertia[0],
-    "n_zero": lambda c: c.sdec.inertia[1],
-    "n_neg": lambda c: c.sdec.inertia[2],
-    "abs_max": lambda c: max(abs(c.sdec.radius), abs(c.sdec.smallest)),
-    "abs_min": lambda c: float(abs(c.sdec.eigenvalues).min()),
-    "distinct": lambda c: len(c.sdec.distinct),
-    "energy": lambda c: c.energy,
-    # estrada_index without its warning, which judging emits (_warn_estrada)
-    "_estrada": lambda c: math.inf if c.sdec.radius > EXP_LIMIT else estrada_index(c.sdec),
-    "eta_max": lambda c: float(c.ldec.eigenvalues[0]),
-    "eta_2": lambda c: float(c.ldec.eigenvalues[-2]) if c.ldec.n >= 2 else math.nan,
-    "eta_n": lambda c: float(c.ldec.eigenvalues[-1]),
-    "eta_sum": lambda c: float(c.ldec.eigenvalues.sum()),
-    "lap_zeros": lambda c: c.ldec.inertia[1],
-    "lap_scale": lambda c: c.ldec.scale,
-    "xi1_c": lambda c: c.complement_sdec.radius,
-    "energy_c": lambda c: graph_energy(c.complement_sdec),
-}
-# ... and per graph from its GraphContext.
-_GRAPH = {
-    "n": lambda gc: gc.g.n,
-    "m": lambda gc: gc.g.m,
-    "has_edge": lambda gc: gc.g.m >= 1,
-    "dmin": lambda gc: gc.stats.min_degree,
-    "dmax": lambda gc: gc.stats.max_degree,
-    "t_min": lambda gc: gc.stats.t_min or 0,
-    "t_max": lambda gc: gc.stats.t_max or 0,
-    "avg_degree": lambda gc: gc.stats.average_degree,
-    "diameter": lambda gc: gc.stats.diameter,
-    "connected": lambda gc: gc.stats.is_connected,
-    "regular": lambda gc: gc.stats.is_regular,
-    "bipartite": lambda gc: gc.stats.is_bipartite,
-    "part1": lambda gc: (gc.stats.bipartition_sizes or (0, 0))[0],
-    "part2": lambda gc: (gc.stats.bipartition_sizes or (0, 0))[1],
-    "components": lambda gc: len(connected_components(gc.g)),
-    "complete": lambda gc: is_complete(gc.g),
-    "complete_bipartite": lambda gc: is_complete_bipartite(gc.g),
-    "balanced_complete_bipartite": lambda gc: is_balanced_complete_bipartite(gc.g),
-    "complete_multipartite": lambda gc: is_complete_multipartite(gc.g),
-    "c4_free": lambda gc: is_c4_free(gc.g),
-    "m1": lambda gc: first_zagreb(gc.g),
-    "randic": lambda gc: randic_index(gc.g),
-    "isi": lambda gc: isi_index(gc.g),
-    "mu1": lambda gc: gc.adec.radius,
-    "complement_term": lambda gc: sum(h.m * (h.n - 1 - max(h.degrees)) / h.n
-                                      for h in gc.complement_parts),
-}
-
-
-class Frame:
-    """The (graph, p) rows of some CheckContexts of graphs with vertices, one
-    1-D array per quantity (_ROW, _GRAPH), computed for every row on first
-    read. take(rows) gives a frame of some rows whose columns index this
-    one's. Reading a moment raises the contexts' OverflowError if some row
-    lacks them; reads of the Estrada index are logged for its warning."""
-
-    def __init__(self, ctxs, root: Frame | None = None, rows=None):
-        if root is None:
-            self._root, self._rows, self._ctxs, self.size = self, None, ctxs, len(ctxs)
-            self.holds_tol = ctxs[0].holds_tol
-            self.p_values = list(dict.fromkeys(c.p for c in ctxs))
-            self.p_index = np.array([self.p_values.index(c.p) for c in ctxs])
-            graphs = {id(c.graph): c.graph for c in ctxs}
-            self._graphs, where = list(graphs.values()), {key: i for i, key in enumerate(graphs)}
-            self.graph_index = np.array([where[id(c.graph)] for c in ctxs])
-            self.reads: list = []     # the rows of each read of the Estrada index
-        else:
-            self._root, self._rows, self.size = root, rows, len(rows)
-            self.holds_tol = root.holds_tol
-
-    def __getattr__(self, name):
-        root = self._root
-        if root is not self:
-            column = getattr(root, name)[self._rows]
-        elif name in _ROW:
-            column = np.array([_ROW[name](c) for c in self._ctxs])
-        elif name in _GRAPH:
-            column = np.array([_GRAPH[name](gc) for gc in self._graphs])[self.graph_index]
-        else:
-            raise AttributeError(name)
-        setattr(self, name, column)
-        return column
-
-    def take(self, rows) -> Frame:
-        rows = np.flatnonzero(rows)
-        return Frame(None, self._root, rows if self._rows is None else self._rows[rows])
-
-    @property
-    def ctxs(self) -> list:
-        root = self._root
-        return root._ctxs if root is self else [root._ctxs[i] for i in self._rows.tolist()]
-
-    def where(self, mask, evaluate):
-        """evaluate(the frame of the rows in mask) as (values, mask): a bound
-        that the other rows do not have."""
-        values = np.full(self.size, math.nan)
-        if mask.any():
-            values[mask] = evaluate(self.take(mask))
-        return values, mask
-
-    def pow2(self, a: int, b: float) -> np.ndarray:
-        """2.0 ** (a + b / p) per row: one Python power per distinct p."""
-        p_values, used = self._root.p_values, np.unique(self.p_index).tolist()
-        values = np.zeros(len(p_values))
-        values[used] = [2.0 ** (a + b / p_values[j]) for j in used]
-        return values[self.p_index]
-
-    root = property(lambda self: self.pow2(0, 1.0))
-
-    def _moment(name):
-        def read(self):
-            if self.moments_missing.any():
-                getattr(self.ctxs[int(self.moments_missing.argmax())], name)
-            return getattr(self, "_" + name)
-        return property(read)
-
-    n2, n3, n4 = _moment("n2"), _moment("n3"), _moment("n4")
-    del _moment
-
-    @property
-    def estrada(self) -> np.ndarray:
-        self._root.reads.append(self._rows)
-        return self._estrada
-
-
-def _each(fn, *columns) -> np.ndarray:
-    """fn over the rows as Python scalars (lists pass as they are): Python's
-    float power and math.exp, which NumPy's need not match bit for bit, and
-    Python's exceptions."""
-    rows = zip(*(c if isinstance(c, list) else c.tolist() for c in columns))
-    return np.array([fn(*row) for row in rows], dtype=float)
-
-
-def _pow(x, y) -> np.ndarray:
-    return _each(lambda a: a ** y, x)
-
-
-def _exp(x) -> np.ndarray:
-    return _each(math.exp, x)
-
-
-def _sqrt(x) -> np.ndarray:
-    """math.sqrt per row: ValueError on a negative entry."""
-    x = np.asarray(x, dtype=float)
-    negative = x < 0
-    if negative.any():
-        math.sqrt(x[negative][0])
-    return np.sqrt(x)
-
-
-def _div(a, b) -> np.ndarray:
-    """a / b per row: ZeroDivisionError on a zero divisor, as in Python."""
-    zero = np.asarray(b) == 0
-    if zero.any():
-        i = int(zero.argmax())
-        return float(np.broadcast_to(a, zero.shape)[i]) / 0.0
-    return a / b
-
-
-def _max(a, b):
-    """Python's max(a, b) per row: b only where b > a."""
-    return np.where(b > a, b, a)
-
-
-def _min(a, b):
-    """Python's min(a, b) per row: b only where b < a."""
-    return np.where(b < a, b, a)
-
-
-# ---------------------------------------------------------------------------
 # the check table
 
 @dataclass(frozen=True)
@@ -404,11 +190,13 @@ def _rows_where(flag, f: Frame) -> np.ndarray:
 
 
 def _bound(x, size: int):
-    """A bound as (values, present) columns."""
+    """A bound, or a value, as float (values, present) columns; np.full keeps
+    the sign of a scalar 0."""
     if x is None:
         return np.full(size, math.nan), np.zeros(size, dtype=bool)
     values, present = x if isinstance(x, tuple) else (x, np.ones(size, dtype=bool))
-    return np.asarray(values, dtype=float) + np.zeros(size), present
+    values = np.asarray(values, dtype=float)
+    return (np.full(size, values) if values.ndim == 0 else values), present
 
 
 def _evaluate(check: Check, f: Frame):
@@ -428,7 +216,7 @@ def _evaluate(check: Check, f: Frame):
         return outcome, mismatch, hard, None
     sub = f if applies.all() else f.take(applies)
     given, lower, upper = check.bounds(sub)
-    value = np.asarray(given, dtype=float) + np.zeros(sub.size)
+    value = _bound(given, sub.size)[0]
     lower, has_lower = _bound(lower, sub.size)
     upper, has_upper = _bound(upper, sub.size)
     below, above = value - lower, upper - value
@@ -472,35 +260,11 @@ def _report(check: Check, f: Frame) -> BoundReport:
                        reason, hard, eq_expected, eq_observed if has_slack else None, extra)
 
 
-def _rows_read(f: Frame) -> np.ndarray:
-    """The rows of f whose Estrada index was read since f.reads was cleared."""
-    read = np.zeros(f.size, dtype=bool)
-    for rows in f.reads:
-        read[slice(None) if rows is None else rows] = True
-    return read
-
-
 def _warn_estrada(f: Frame, read) -> None:
     """estrada_index's overflow warning, if a row in read has exp(xi1) overflow."""
     hit = read & (f.xi1 > EXP_LIMIT)
     if hit.any():
         estrada_index(f.ctxs[int(hit.argmax())].sdec)
-
-
-def _connected2(f):
-    return f.connected & (f.n >= 2)
-
-
-def _edgeless(f):
-    return f.m == 0
-
-
-def _p_at_least_1(f):
-    return f.p >= 1
-
-
-def _min_degree_positive(f):
-    return f.dmin >= 1
 
 
 def _clamp_note(inner):
@@ -604,10 +368,6 @@ def _thm5_7(f):
     return f.energy, None, a + _sqrt(_max(0.0, inner))
 
 
-def _ng_radius_sum(f):
-    return f.xi1 + f.xi1_c
-
-
 def _c1_term(c, root):
     """2^(1/p) deg_max sqrt(2 m - deg_min (n - 1 - deg_max) - deg_max) of C1,
     the complement part with the largest radius (0 without parts)."""
@@ -628,13 +388,13 @@ def _c1_term(c, root):
 def _thm5_9_1(f):
     n, root = f.n, f.root
     first = root * (n - 1) * _sqrt(_max(0.0, 2 * f.m - n + 1))
-    return _ng_radius_sum(f), None, first + _each(_c1_term, f.ctxs, root)
+    return f.xi1_sum, None, first + _each(_c1_term, f.ctxs, root)
 
 
 def _thm5_9_2(f):
     n, m, dd, dmin = f.n, f.m, f.dmax, f.dmin
     inner2 = n * (n - 1) - 2 * m - (dmin + 1) * (n - 1) + dmin * (dd + 1)
-    return (_ng_radius_sum(f), None, f.root * dd * _sqrt(_max(0.0, _thm5_5_inner(f)))
+    return (f.xi1_sum, None, f.root * dd * _sqrt(_max(0.0, _thm5_5_inner(f)))
             + f.root * (n - 1 - dmin) * _sqrt(_max(0.0, inner2)))
 
 
@@ -666,8 +426,8 @@ CHECKS = (
           "has_edge", "no edges", equality=lambda f: f.balanced_complete_bipartite),
     Check("thm2.5.up", "moment",
           "SO_p <= (N4 - 2^(4/p) deg_min^4 (M1-2m)) / (2^(1+3/p) deg_min^4)",
-          lambda f: (f.so, None, _thm2_5(f, f.dmin, 4)), _min_degree_positive,
-          "isolated vertex", equality=lambda f: f.regular & f.c4_free),
+          lambda f: (f.so, None, _thm2_5(f, f.dmin, 4)), "min_degree_positive",
+          "isolated vertex", equality="regular_c4_free"),
     Check("lem2.6", "moment", "SO_p <= 2^(1/p - 1) n (n-1)^2  [connected]",
           lambda f: (f.so, None, f.pow2(-1, 1.0) * f.n * (f.n - 1) ** 2),
           "connected", "disconnected", equality="complete"),
@@ -681,7 +441,7 @@ CHECKS = (
           _thm2_8, "has_edge", "no edges", tol=1e-10, equality=True),
     Check("thm-isi", "moment", "SO_p >= 2^(1/p + 1) ISI  [proved for p >= 1]",
           lambda f: (f.so, f.pow2(1, 1.0) * f.isi, None),
-          "has_edge", "no edges", hard=_p_at_least_1, equality="regular"),
+          "has_edge", "no edges", hard="p_at_least_1", equality="regular"),
 
     # -- the p-Laplacian spectrum ----------------------------------------
     Check("lap-trace", "laplacian", "SO_p == (1/2) sum of Laplacian eigenvalues",
@@ -694,32 +454,32 @@ CHECKS = (
     Check("thm3.10.1", "laplacian",
           "(n-1)/2 eta_second_smallest <= SO_p <= (n-1)/2 eta_max  [connected]",
           lambda f: (f.so, (f.n - 1) / 2.0 * f.eta_2, (f.n - 1) / 2.0 * f.eta_max),
-          _connected2, "needs connected, n >= 2", equality="complete"),
+          "connected2", "needs connected, n >= 2", equality="complete"),
     Check("thm3.10.2", "laplacian",
           "n1 n2 / n * eta_second_smallest <= SO_p <= n1 n2 / n * eta_max  [connected bipartite]",
-          _thm3_10_2, lambda f: _connected2(f) & f.bipartite,
+          _thm3_10_2, lambda f: f.connected2 & f.bipartite,
           "needs connected bipartite", equality=lambda f: f.complete_bipartite),
     Check("lem3.11.1", "laplacian", "SO_p <= 2^(1/p) deg_max m  [proved for p >= 1]",
           lambda f: (f.so, None, f.root * f.dmax * f.m),
-          "has_edge", "no edges", hard=_p_at_least_1, equality="regular"),
+          "has_edge", "no edges", hard="p_at_least_1", equality="regular"),
     Check("lem3.11.2", "laplacian",
           "SO_p <= n^(1/p) deg_max^(1+1/p) m^(1-1/p)  [proved for p >= 1]",
           lambda f: (f.so, None, _lem3_11_2(f)),
-          "has_edge", "no edges", hard=_p_at_least_1, equality="regular"),
+          "has_edge", "no edges", hard="p_at_least_1", equality="regular"),
     Check("cor3.12.1", "laplacian",
           "sum of Laplacian eigenvalues <= min(2^(1+1/p) deg_max m, 2 n^(1/p) deg_max^(1+1/p) m^(1-1/p))",
           lambda f: (f.eta_sum, None, _cor3_12_cap(f)),
-          "has_edge", "no edges", hard=_p_at_least_1, equality="regular"),
+          "has_edge", "no edges", hard="p_at_least_1", equality="regular"),
     Check("cor3.12.2", "laplacian", "eta_second_smallest <= the same cap / (n-1)  [connected]",
           lambda f: (f.eta_2, None, _cor3_12_cap(f) / (f.n - 1)),
-          _connected2, "needs connected, n >= 2", hard=_p_at_least_1, equality="complete"),
+          "connected2", "needs connected, n >= 2", hard="p_at_least_1", equality="complete"),
     Check("cor3.13.1", "laplacian", "eta_max >= N2 / (2^(1/p) deg_max (n-1))  [connected]",
           lambda f: (f.eta_max, _div(f.n2, f.root * f.dmax * (f.n - 1)), None),
-          _connected2, "needs connected, m >= 1", equality="complete"),
+          "connected2", "needs connected, m >= 1", equality="complete"),
     Check("cor3.13.2", "laplacian",
           "eta_second_smallest <= N2 / (2^(1/p) deg_min (n-1))  [connected]",
           lambda f: (f.eta_2, None, _div(f.n2, f.root * f.dmin * (f.n - 1))),
-          _connected2, "needs connected, m >= 1", equality="complete"),
+          "connected2", "needs connected, m >= 1", equality="complete"),
 
     # -- spectral radius and spread ----------------------------------------
     Check("thm-rad.mu", "radius", "2^(1/p) deg_min mu1 <= xi1 <= 2^(1/p) deg_max mu1",
@@ -742,14 +502,14 @@ CHECKS = (
           "has_edge", "no edges", hard=False, observe="observe-only: cited source ambiguous"),
     Check("thm-rad.n2", "radius", "xi1 <= sqrt((n-1) N2 / n)",
           lambda f: (f.xi1, None, _sqrt((f.n - 1) * f.n2 / f.n)),
-          equality=lambda f: _edgeless(f) | f.complete),
+          equality=lambda f: f.edgeless | f.complete),
     Check("lem-diam", "radius", "distinct eigenvalue count >= diameter + 1  [connected]",
           lambda f: (f.distinct.astype(float), f.diameter + 1.0, None),
           "connected", "disconnected"),
     Check("thm-spread", "radius", "xi1 - xi_n <= sqrt(2 N2)  [stated for connected]",
           lambda f: (f.xi1 - f.xin, None, _sqrt(2.0 * f.n2)),
           hard="connected", observe="observe-only: disconnected",
-          equality=lambda f: _edgeless(f) | f.complete_bipartite),
+          equality=lambda f: f.edgeless | f.complete_bipartite),
 
     # -- energy and the Estrada index --------------------------------------
     Check("thm4.1.1", "energy", "sqrt(2 N2) <= energy <= sqrt(n N2)",
@@ -780,15 +540,15 @@ CHECKS = (
           "estrada - energy <= n - 1 + e^sqrt(N2) - sqrt(N2) - sqrt(2 N2)",
           lambda f: (f.estrada - f.energy, None, f.n - 1 + _exp(_sqrt(f.n2))
                      - _sqrt(f.n2) - _sqrt(2 * f.n2)),
-          lambda f: _sqrt(f.n2) < EXP_LIMIT, "exp overflow guard", equality=_edgeless),
+          lambda f: _sqrt(f.n2) < EXP_LIMIT, "exp overflow guard", equality="edgeless"),
     Check("thm4.10.2", "energy", "estrada + energy <= n - 1 + e^energy",
           lambda f: (f.estrada + f.energy, None, f.n - 1 + _exp(f.energy)),
-          lambda f: f.energy < EXP_LIMIT, "exp overflow guard", equality=_edgeless),
+          lambda f: f.energy < EXP_LIMIT, "exp overflow guard", equality="edgeless"),
     Check("thm4.10.3", "energy", "energy <= sqrt((3n-1)/3 N2)  [asserted for connected, n >= 3]",
           lambda f: (f.energy, None, _sqrt((3 * f.n - 1) / 3.0 * f.n2)),
           hard=lambda f: f.connected & (f.n >= 3),
           observe="observe-only: fails on a single weighted edge as printed",
-          equality=_edgeless),
+          equality="edgeless"),
     Check("thm4.10.4", "energy",
           "estrada <= n - 1 + N2/2 + N3/6 - q - q^2/2 - q^3/6 + e^q, q = N4^(1/4)",
           _thm4_10_4, lambda f: _pow(f.n4, 0.25) < EXP_LIMIT, "exp overflow guard"),
@@ -798,7 +558,7 @@ CHECKS = (
     Check("thm4.11.1", "energy", "(e-1)/2 energy + n - n_pos <= estrada <= n - 1 + e^(energy/2)",
           lambda f: (f.estrada, 0.5 * (math.e - 1) * f.energy + f.n - f.n_pos,
                      f.n - 1 + _exp(f.energy / 2.0)),
-          lambda f: f.energy / 2.0 < EXP_LIMIT, "exp overflow guard", equality=_edgeless),
+          lambda f: f.energy / 2.0 < EXP_LIMIT, "exp overflow guard", equality="edgeless"),
     Check("thm4.11.2", "energy",
           "estrada >= e^xi1 + n_zero + (n_pos-1) e^((energy-2 xi1)/(2(n_pos-1))) + n_neg e^(-energy/(2 n_neg))",
           _thm4_11_2,
@@ -817,17 +577,17 @@ CHECKS = (
     Check("thm5.5", "nordhaus_gaddum",
           "xi1 <= 2^(1/p) deg_max sqrt(2m - deg_min(n-1) + (deg_min-1) deg_max)",
           lambda f: (f.xi1, None, f.root * f.dmax * _sqrt(_max(0.0, _thm5_5_inner(f)))),
-          _min_degree_positive, "needs deg_min >= 1", equality="regular",
+          "min_degree_positive", "needs deg_min >= 1", equality="regular",
           note=_clamp_note(_thm5_5_inner)),
     Check("thm5.6", "nordhaus_gaddum", "energy >= 2^(2+1/p) deg_min m / n",
           lambda f: (f.energy, f.pow2(2, 1.0) * f.dmin * f.m / f.n, None),
-          equality=lambda f: _edgeless(f) | (f.regular & f.complete_multipartite)),
+          equality=lambda f: f.edgeless | f.regular_complete_multipartite),
     Check("thm5.7", "nordhaus_gaddum", "energy <= a + sqrt((n-1)(2^(1+2/p) m deg_max^2 - a^2))",
-          _thm5_7, _min_degree_positive, "needs deg_min >= 1",
+          _thm5_7, "min_degree_positive", "needs deg_min >= 1",
           note=_clamp_note(lambda f: _thm5_7_parts(f)[1])),
     Check("thm5.8", "nordhaus_gaddum",
           "xi1 + xi1(complement) >= 2^(1+1/p)/n (m deg_min + (n-1-deg_max)(C(n,2) - m))",
-          lambda f: (_ng_radius_sum(f), f.pow2(1, 1.0) / f.n
+          lambda f: (f.xi1_sum, f.pow2(1, 1.0) / f.n
                      * (f.m * f.dmin + (f.n - 1 - f.dmax) * (f.n * (f.n - 1) / 2.0 - f.m)),
                      None),
           equality="regular"),
@@ -937,7 +697,7 @@ def _run_family(family: str, g: Graph, p: float, ctx: CheckContext | None) -> li
         with np.errstate(all="ignore"):
             return [_report(check, f) for check in _BY_FAMILY[family]]
     finally:
-        _warn_estrada(f, _rows_read(f))
+        _warn_estrada(f, f.read)
 
 
 def check_moment_index_bounds(g: Graph, p: float, ctx: CheckContext | None = None) -> list[BoundReport]:
@@ -1118,17 +878,18 @@ def _new_tally():
 
 
 def _first_failure(check: Check, ctxs, exc: Exception):
-    """(row, exception, rows read) of the first context on which check
-    raises, each judged on a frame of its own; exc if none does."""
+    """(row, exception, rows whose Estrada index was read) of the first
+    context on which check raises, each judged on a frame of its own; exc if
+    none does."""
     read = np.zeros(len(ctxs), dtype=bool)
     for r, ctx in enumerate(ctxs):
         one = Frame([ctx])
         try:
             _evaluate(check, one)
         except Exception as raised:
-            read[r] = bool(one.reads)
+            read[r] = one.read[0]
             return r, raised, read
-        read[r] = bool(one.reads)
+        read[r] = one.read[0]
     raise exc
 
 
@@ -1144,7 +905,7 @@ def _tally_frame(f: Frame, tally) -> None:
     flagged, failures, reads = [], [], []   # reads: (check index, rows read)
     with np.errstate(all="ignore"):
         for k, check in enumerate(CHECKS):
-            f.reads.clear()
+            f.read[:] = False
             try:
                 outcome, mismatch = _evaluate(check, f)[:2]
             except Exception as exc:
@@ -1155,7 +916,7 @@ def _tally_frame(f: Frame, tally) -> None:
             counts[k] += np.bincount(outcome, minlength=len(OUTCOMES))
             flagged += [(r, k, violations) for r in np.flatnonzero(outcome == _FAIL).tolist()]
             flagged += [(r, k, eq_mismatches) for r in np.flatnonzero(mismatch).tolist()]
-            reads.append((k, _rows_read(f)))
+            reads.append((k, f.read.copy()))
         if failures:
             row, k, raised = min(failures, key=lambda x: x[:2])
             # Judged before it: every check on the rows before row, and on row
