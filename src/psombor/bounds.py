@@ -902,29 +902,30 @@ def _tally_frame(f: Frame, tally) -> None:
     row read before it.
     """
     counts, violations, eq_mismatches = tally
-    flagged, failures, reads = [], [], []   # reads: (check index, rows read)
+    flagged, failures, reads = [], [], []   # reads[k]: the rows check k read estrada of
     with np.errstate(all="ignore"):
         for k, check in enumerate(CHECKS):
             f.read[:] = False
             try:
                 outcome, mismatch = _evaluate(check, f)[:2]
             except Exception as exc:
+                # Whatever it is, the first (row, check) that raises is re-raised.
                 row, raised, read = _first_failure(check, f.ctxs, exc)
                 failures.append((row, k, raised))
-                reads.append((k, read))
+                reads.append(read)
                 continue
             counts[k] += np.bincount(outcome, minlength=len(OUTCOMES))
             flagged += [(r, k, violations) for r in np.flatnonzero(outcome == _FAIL).tolist()]
             flagged += [(r, k, eq_mismatches) for r in np.flatnonzero(mismatch).tolist()]
-            reads.append((k, f.read.copy()))
+            reads.append(f.read.copy())
         if failures:
             row, k, raised = min(failures, key=lambda x: x[:2])
             # Judged before it: every check on the rows before row, and on row
             # the checks up to k (k itself up to where it raised).
             _warn_estrada(f, np.any([read & (np.arange(f.size) < row + (j <= k))
-                                     for j, read in reads], axis=0))
+                                     for j, read in enumerate(reads)], axis=0))
             raise raised
-        _warn_estrada(f, np.any([read for _, read in reads], axis=0))
+        _warn_estrada(f, np.any(reads, axis=0))
         for r, k, out in sorted(flagged, key=lambda x: x[:2]):
             ctx = f.ctxs[r]
             out.append(_violation_payload(_report(CHECKS[k], Frame([ctx])), ctx.g))
