@@ -22,7 +22,6 @@ from .invariants import (
     spectral_invariants,
     weight_variance,
 )
-from .bounds import BoundReport, SuiteReport, all_checks, build_corpus, run_suite
 from .extremal import (
     TreeCatalog,
     enumerate_trees,
@@ -40,6 +39,18 @@ from .chem import (
 )
 
 __version__ = "0.1.0"
+
+_BOUNDS = ("BoundReport", "SuiteReport", "all_checks", "build_corpus", "run_suite")
+
+
+def __getattr__(name):
+    # The check table (psombor.bounds, the largest module) loads on first use,
+    # so that importing psombor for spectra or trees does not compile it.
+    if name in _BOUNDS:
+        from . import bounds
+        return getattr(bounds, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BoundReport",

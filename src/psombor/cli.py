@@ -17,7 +17,6 @@ import sys
 import warnings
 
 from . import config
-from .bounds import build_corpus, run_suite
 from .chem import (
     comparison_markdown,
     linear_fit,
@@ -132,12 +131,15 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Imported here: the check table is the largest module to load, and only
+    # verify reads it.
+    from .bounds import build_corpus, corpus_from_directory, corpus_trees, run_suite
+
     p_values = _parse_p_list(args.p)
     if args.n and args.corpus != "trees":
         raise ValueError("--n applies only to --corpus trees")
     corpus_errors = []
     if os.path.isdir(args.corpus):
-        from .bounds import corpus_from_directory
         graphs, corpus_errors = corpus_from_directory(args.corpus)
         if not graphs:
             raise ValueError(f"corpus {args.corpus} has no readable graphs")
@@ -148,7 +150,6 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"--n must be a tree size range lo..hi, got {args.n!r}") from None
         if lo > hi:
             raise ValueError(f"empty tree size range {args.n}")
-        from .bounds import corpus_trees
         graphs = corpus_trees(lo, hi)
     else:
         graphs = build_corpus(args.corpus, seed=args.seed)
