@@ -105,9 +105,10 @@ _GRAPH = {
 class Frame:
     """The (graph, p) rows of some CheckContexts of graphs with vertices, one
     1-D array per quantity (_ROW, _GRAPH), computed for every row on first
-    read. take(rows) gives a frame of some rows whose columns index this
-    one's. Reading a moment raises the contexts' OverflowError if some row
-    lacks them; reads of the Estrada index are logged for its warning."""
+    read. take(mask) gives a frame of the rows in mask, whose columns index
+    this one's. Reading a moment raises the contexts' OverflowError if some
+    row lacks them; reads of the Estrada index are marked in the root
+    frame's read, for its overflow warning."""
 
     def __init__(self, ctxs, root: Frame | None = None, rows=None):
         # A root frame keeps no reference to itself, so that refcounting
@@ -140,8 +141,8 @@ class Frame:
         setattr(self, name, column)
         return column
 
-    def take(self, rows) -> Frame:
-        rows = np.flatnonzero(rows)
+    def take(self, mask) -> Frame:
+        rows = np.flatnonzero(mask)
         return Frame(None, self._root, rows if self._rows is None else self._rows[rows])
 
     @property
@@ -173,14 +174,14 @@ class Frame:
                 values[used] = [2.0 ** (a + b / root.p_values[j]) for j in used]
         return values[self.p_index]
 
-    root = property(lambda self: self.pow2(0, 1.0))
+    root = property(lambda self: self.pow2(0, 1.0))   # 2^(1/p)
 
     def _moment(name):
-        def read(self):
+        def get(self):
             if self.moments_missing.any():
                 getattr(self.ctxs[int(self.moments_missing.argmax())], name)
             return getattr(self, "_" + name)
-        return property(read)
+        return property(get)
 
     n2, n3, n4 = _moment("n2"), _moment("n3"), _moment("n4")
     del _moment
