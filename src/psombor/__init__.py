@@ -22,34 +22,28 @@ from .invariants import (
     spectral_invariants,
     weight_variance,
 )
-from .extremal import (
-    TreeCatalog,
-    enumerate_trees,
-    shift_experiment,
-    tree_canonical_key,
-    verify_tree_extremes,
-)
-from .chem import (
-    MoleculeRecord,
-    RegressionFit,
-    linear_fit,
-    load_dataset,
-    octane_crosscheck,
-    reproduce_regressions,
-)
 
 __version__ = "0.1.0"
 
-_BOUNDS = ("BoundReport", "SuiteReport", "all_checks", "build_corpus", "run_suite")
+# The check table (bounds), tree extremes (extremal) and the QSPR regressions
+# (chem) load on first use, so that importing psombor for spectra compiles
+# none of them.
+_LAZY = {
+    "bounds": ("BoundReport", "SuiteReport", "all_checks", "build_corpus", "run_suite"),
+    "chem": ("MoleculeRecord", "RegressionFit", "linear_fit", "load_dataset",
+             "octane_crosscheck", "reproduce_regressions"),
+    "extremal": ("TreeCatalog", "enumerate_trees", "shift_experiment", "tree_canonical_key",
+                 "verify_tree_extremes"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name):
-    # The check table (psombor.bounds, the largest module) loads on first use,
-    # so that importing psombor for spectra or trees does not compile it.
-    if name in _BOUNDS:
-        from . import bounds
-        return getattr(bounds, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f".{module}", __name__), name)
 
 
 __all__ = [

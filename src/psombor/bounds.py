@@ -662,6 +662,7 @@ def contexts(graphs, p_values, holds_tol: float | None = None) -> list[list[Chec
             s2 = s @ s
             moments = [(x * y).reshape(count * k, n * n).sum(axis=1).tolist()
                        for x, y in ((s, s), (s2, s), (s2, s2))]
+        del s2  # not held while the stack is solved
         tags = ([("p_sombor", p) for _ in members for p in p_values for _ in (0, 1)]
                 + [("p_laplacian", p) for _ in members for p in p_values]
                 + [("adjacency", None)] * count)
@@ -941,23 +942,39 @@ def _tally_chunk(args):
     return tally
 
 
+def _chunks(graphs, k: int) -> list[list]:
+    """The graphs in order, cut into runs whose stacks in contexts() hold at
+    most config.SUITE_CHUNK_ENTRIES entries at k p values; a graph over the
+    budget makes a run of its own."""
+    chunks, used = [], 0
+    for item in graphs:
+        entries = (3 * k + 1) * item[1].n ** 2
+        if not chunks or used + entries > config.SUITE_CHUNK_ENTRIES:
+            chunks.append([])
+            used = 0
+        chunks[-1].append(item)
+        used += entries
+    return chunks
+
+
 def run_suite(graphs, p_values=(1.0, 2.0, 3.0), holds_tol: float | None = None,
               jobs: int = 1, corpus_name: str = "custom",
               corpus_errors: list | None = None) -> SuiteReport:
     """Run every check for each (graph, p); deterministic merge order.
 
-    Graphs go in chunks of config.SUITE_CHUNK_GRAPHS, each with its spectra
-    solved in one batched call and its checks judged over one Frame; with
-    jobs > 1, worker processes take whole chunks.
+    Graphs go in corpus order in chunks whose matrix stacks hold at most
+    config.SUITE_CHUNK_ENTRIES entries (_chunks), which bounds the memory
+    held at once at any graph size. Each chunk has its spectra solved in one
+    batched call per vertex count and its checks judged over one Frame; with
+    jobs > 1, worker processes take whole chunks. The report does not depend
+    on where the chunks are cut.
     """
     if holds_tol is not None and not math.isfinite(holds_tol):
         raise ValueError(f"tolerance must be finite, got {holds_tol}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    graphs = list(graphs)
-    size = config.SUITE_CHUNK_GRAPHS
-    tasks = [(graphs[i:i + size], tuple(p_values), holds_tol)
-             for i in range(0, len(graphs), size)]
+    graphs, p_values = list(graphs), tuple(p_values)
+    tasks = [(chunk, p_values, holds_tol) for chunk in _chunks(graphs, len(p_values))]
     if jobs > 1 and len(tasks) > 1:
         # Imported here: the process-pool machinery costs ~20 ms of import.
         from concurrent.futures import ProcessPoolExecutor
@@ -975,6 +992,6 @@ def run_suite(graphs, p_values=(1.0, 2.0, 3.0), holds_tol: float | None = None,
     # A check appears once it was run on some graph: every run adds one count.
     by_id = {check.id: dict(zip(OUTCOMES, per))
              for check, per in zip(CHECKS, counts.tolist()) if any(per)}
-    return SuiteReport(corpus_name, tuple(p_values), len(graphs),
+    return SuiteReport(corpus_name, p_values, len(graphs),
                        dict(sorted(by_id.items())), violations, eq_mismatches,
                        corpus_errors or [])

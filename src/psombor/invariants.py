@@ -103,13 +103,14 @@ def estrada_index(dec: SpectralDecomposition) -> float:
 
 
 def abs_determinant(dec: SpectralDecomposition) -> float:
-    """Product of |eigenvalues|; snapped to 0 below the zero-tolerance floor."""
+    """Product of |eigenvalues|; snapped to 0 below (ZERO_TOL_FACTOR ||M||_F)^n,
+    relative to the norm as the inertia's zero tolerance is."""
     if dec.n == 0:
         return 1.0
     product = 1.0
     for x in dec.eigenvalues:
         product *= abs(float(x))
-    floor = (config.ZERO_TOL_FACTOR * dec.scale) ** dec.n
+    floor = (config.ZERO_TOL_FACTOR * dec.norm) ** dec.n
     return 0.0 if product < floor else product
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from psombor.bounds import (
     CheckContext,
     Frame,
     GraphContext,
+    _chunks,
     _evaluate,
     _report,
     _violation_payload,
@@ -42,6 +44,7 @@ from psombor.graphs import (
     complete_graph,
     cycle_graph,
     path_graph,
+    random_connected_gnm,
     star_graph,
     structure_stats,
     subdivision,
@@ -374,10 +377,11 @@ def test_suite_reads_every_spectrum_from_the_batch(monkeypatch, regular_all):
     assert sum(rep.counts["thm5.9.1"].values()) == len(graphs) * len(p_values)
     # One kernel call per vertex count of each chunk, over S_p, L_p and the
     # complement's S_p at every p and the adjacency matrix of each graph.
-    size = config.SUITE_CHUNK_GRAPHS
+    chunks = _chunks(graphs, len(p_values))
+    assert len(chunks) == 3
     assert stacks == [(n, n, (3 * len(p_values) + 1) * count)
-                      for i in range(0, len(graphs), size)
-                      for n, count in Counter(g.n for _, g in graphs[i:i + size]).items()]
+                      for chunk in chunks
+                      for n, count in Counter(g.n for _, g in chunk).items()]
     # One context per graph and per (graph, p); none for a complement.
     assert built == {"GraphContext": len(graphs), "CheckContext": len(graphs) * len(p_values)}
     # Calls without a context build their own through the same batch, also
@@ -508,10 +512,60 @@ def test_suite_random_connected_sample():
 
 
 def test_suite_parallel_matches_serial():
-    graphs = corpus_families(6)
-    serial = run_suite(graphs, p_values=(2.0,), corpus_name="x")
-    parallel = run_suite(graphs, p_values=(2.0,), jobs=2, corpus_name="x")
+    graphs = corpus_trees(4, 9)
+    # Two chunks: a run of one chunk never starts the worker pool.
+    assert len(_chunks(graphs, len(P_GRID))) == 2
+    serial = run_suite(graphs, p_values=P_GRID, corpus_name="x")
+    parallel = run_suite(graphs, p_values=P_GRID, jobs=2, corpus_name="x")
     assert serial.to_dict() == parallel.to_dict()
+
+
+def test_chunks_hold_at_most_the_entry_budget(monkeypatch):
+    graphs = build_corpus("all")
+    budget = config.SUITE_CHUNK_ENTRIES
+    for k in (1, 2, 5):
+        chunks = _chunks(graphs, k)
+        assert [item for chunk in chunks for item in chunk] == graphs
+        entries = [sum((3 * k + 1) * g.n ** 2 for _, g in chunk) for chunk in chunks]
+        assert max(entries) <= budget
+        # A chunk ends only where the next graph would not fit.
+        assert all(used + (3 * k + 1) * after[0][1].n ** 2 > budget
+                   for used, after in zip(entries, chunks[1:]))
+    # A graph over the budget gets a chunk of its own.
+    monkeypatch.setattr(config, "SUITE_CHUNK_ENTRIES", 100)
+    graphs = [("P3", path_graph(3)), ("K6", complete_graph(6)), ("P2", path_graph(2)),
+              ("P2'", path_graph(2)), ("K1", complete_graph(1)), ("P5", path_graph(5)),
+              ("K1'", complete_graph(1))]
+    # 4 n^2 entries each at k = 1: 36, 144, 16, 16, 4, 100 and 4.
+    assert [[gid for gid, _ in chunk] for chunk in _chunks(graphs, 1)] == [
+        ["P3"], ["K6"], ["P2", "P2'", "K1"], ["P5"], ["K1'"]]
+
+
+def test_suite_does_not_depend_on_the_chunking(monkeypatch):
+    # holds_tol = -1 turns most hard checks into violations: their payloads
+    # keep corpus order, and the counts their sums, wherever the cuts fall.
+    graphs = corpus_families() + corpus_special() + corpus_trees(4, 7)
+    reports = []
+    for budget, count in ((1, len(graphs)), (2 ** 12, 16), (math.inf, 1)):
+        monkeypatch.setattr(config, "SUITE_CHUNK_ENTRIES", budget)
+        assert len(_chunks(graphs, len(P_GRID))) == count
+        reports.append(run_suite(graphs, P_GRID, holds_tol=-1.0, corpus_name="x").to_dict())
+    assert reports[0]["violations"]
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_suite_memory_is_bounded_by_the_entry_budget():
+    # 16 graphs of 40 vertices at 5 p: 16 (3 * 5 + 1) 40^2 entries, 3.3 MB
+    # in one stack; the budget holds two graphs per chunk.
+    graphs = [(f"g{seed}", random_connected_gnm(40, 120, seed)) for seed in range(16)]
+    assert len(_chunks(graphs, len(P_GRID))) == 8
+    tracemalloc.start()
+    try:
+        run_suite(graphs, P_GRID, corpus_name="x")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_suite_counts_cover_triples():
@@ -673,7 +727,10 @@ def test_suite_builds_reports_only_for_violations_and_mismatches(monkeypatch):
 
 @pytest.mark.parametrize("corpus", ("special", "families"))
 def test_suite_jobs_two_matches_serial_on_corpus(corpus):
-    graphs = build_corpus(corpus)
+    # After the random corpus, in the second of two chunks: a run of one
+    # chunk never starts the worker pool.
+    graphs = build_corpus("random") + build_corpus(corpus)
+    assert len(_chunks(graphs, 2)) == 2
     serial = run_suite(graphs, p_values=(-1.0, 2.0), corpus_name=corpus)
     parallel = run_suite(graphs, p_values=(-1.0, 2.0), jobs=2, corpus_name=corpus)
     assert serial.to_dict() == parallel.to_dict()

@@ -217,7 +217,11 @@ def test_verify_json_deterministic(tmp_path):
 
 
 def test_verify_jobs_matches_serial(tmp_path):
-    base = ["verify", "--corpus", "trees", "--n", "4..5", "--p", "2",
+    from psombor.bounds import _chunks, corpus_trees
+
+    # Two chunks: a run of one chunk never starts the worker pool.
+    assert len(_chunks(corpus_trees(4, 9), 5)) == 2
+    base = ["verify", "--corpus", "trees", "--n", "4..9", "--p", "-1,0.5,1,2,3",
             "--format", "json"]
     f1, f2 = tmp_path / "s.json", tmp_path / "p.json"
     assert run(base + ["--out", str(f1)]) == 0
@@ -324,6 +328,22 @@ def test_import_does_not_load_the_process_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_check_table_trees_or_regressions():
+    # bounds (and its frame), extremal and chem load on first use of a name.
+    code = ("import sys, psombor; "
+            "lazy = ('psombor.bounds', 'psombor.frame', 'psombor.chem', 'psombor.extremal'); "
+            "print(sorted(m for m in lazy if m in sys.modules)); "
+            "print(all(getattr(psombor, name) is not None for name in psombor.__all__)); "
+            "from psombor import TreeCatalog, linear_fit, run_suite; "
+            "print(sorted(m for m in lazy if m in sys.modules)); "
+            "print(hasattr(psombor, 'no_such_name'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "[]", "True",
+        "['psombor.bounds', 'psombor.chem', 'psombor.extremal', 'psombor.frame']", "False"]
 
 
 def test_spectrum_csv_format(p4_file, capsys):
@@ -455,6 +475,22 @@ def test_spectrum_classifies_a_tiny_spectrum_relative_to_its_norm(p4_file, capsy
     dec = json.loads(capsys.readouterr().out)["results"][0]["decomposition"]
     assert dec["inertia"] == [2, 0, 2]
     assert len(dec["distinct"]) == 4
+
+
+def test_spectrum_abs_det_of_a_tiny_spectrum_is_not_snapped_to_zero(p4_file, capsys):
+    # ||S_p||_F ~ 4e-15 at p = -0.02: |det| ~ 2.48e-60 is far above the
+    # floor (1e-8 ||S_p||_F)^4, and far below the (1e-8)^4 of a floor at 1.
+    from psombor.graphs import path_graph
+    from psombor.spectral import build_sombor_matrix
+
+    assert run(["spectrum", "--input", p4_file, "--p=-0.02", "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["results"][0]
+    assert result["decomposition"]["inertia"] == [2, 0, 2]
+    s = build_sombor_matrix(path_graph(4), -0.02)
+    e = math.frexp(s.max())[1]
+    oracle = abs(np.linalg.det(np.ldexp(s, -e))) * 2.0 ** (4 * e)
+    assert result["invariants"]["abs_det"] == pytest.approx(oracle, rel=1e-10)
+    assert result["invariants"]["abs_det"] == pytest.approx(2.4772754245e-60, rel=1e-10)
 
 
 def test_verify_tiny_negative_p_has_no_false_violation(capsys):
