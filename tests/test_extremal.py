@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from prufer import prufer_tree_keys, random_tree
 
@@ -14,8 +15,8 @@ from psombor.extremal import (
     tree_canonical_key,
     verify_tree_extremes,
 )
-from psombor.graphs import Graph, GraphError, path_graph, star_graph, structure_stats
-from psombor.spectral import sombor_decomposition
+from psombor.graphs import Graph, GraphError, _splitmix64, path_graph, star_graph, structure_stats
+from psombor.spectral import bipartite_radii, sombor_decomposition
 
 
 @pytest.mark.parametrize("n,count", [(2, 1), (3, 1), (4, 2), (5, 3), (6, 6),
@@ -109,6 +110,69 @@ def test_extremes_pass_solves_only_gram_stacks(monkeypatch, capsys):
     assert shapes and all(rows == cols <= 6 for rows, cols, _ in shapes)
     assert sum(count for _, _, count in shapes) == FREE_TREE_COUNTS[11]
     assert "path=True" in capsys.readouterr().out
+
+
+# The standard p plus the tiny and huge |p| where the Gram route's scaling
+# matters.
+RADII_P = (-1.0, 0.5, 1.0, 2.0, 3.0, 0.0015, -0.002, 1000.0, -1000.0)
+
+
+def _random_bipartite(seed: int) -> Graph:
+    # A random subgraph of K_{a,b} with at least a + b edges (so it has a
+    # cycle), 0-2 isolated vertices and shuffled labels, from SplitMix64.
+    state = seed
+
+    def draw(k):
+        nonlocal state
+        state, z = _splitmix64(state)
+        return z % k
+
+    a, b, isolated = 2 + draw(4), 2 + draw(4), draw(3)
+    pairs = [(i, a + j) for i in range(a) for j in range(b)]
+    m = a + b + draw(a * b - a - b + 1)
+    for i in range(m):
+        k = i + draw(len(pairs) - i)
+        pairs[i], pairs[k] = pairs[k], pairs[i]
+    n = a + b + isolated
+    label = list(range(n))
+    for i in range(n - 1, 0, -1):
+        k = draw(i + 1)
+        label[i], label[k] = label[k], label[i]
+    return Graph(n, [(label[u], label[v]) for u, v in pairs[:m]])
+
+
+def test_bipartite_radii_bytes_are_pinned():
+    # sha256 of the packed float64 radii, recorded before the Gram matrices
+    # were built from a per-graph structure: every tree on 2..12 vertices and
+    # 200 bipartite graphs with cycles, at each p of RADII_P.
+    trees = hashlib.sha256()
+    for n in range(2, 13):
+        catalog = enumerate_trees(n)
+        for p in RADII_P:
+            trees.update(np.array(bipartite_radii(catalog.trees, p)).tobytes())
+    assert trees.hexdigest() == \
+        "b70575c51015c8498f212d835db811c4eec54a96bbff54e3b8d1cbb58e4a686c"
+    graphs = [_random_bipartite(seed) for seed in range(200)]
+    assert all(g.m >= g.n - g.degrees.count(0) for g in graphs)
+    assert sum(g.degrees.count(0) > 0 for g in graphs) == 134
+    others = hashlib.sha256()
+    for p in RADII_P:
+        others.update(np.array(bipartite_radii(graphs, p)).tobytes())
+    assert others.hexdigest() == \
+        "b263020f48b6a4111d7327da814d9dd8f1d8048e5a065808d046f973476fe943"
+
+
+@pytest.mark.parametrize("p, code, digest", [
+    ("1,2,3", 0, "19a204707cfb4c6bd526b2062fa9fe459aceedae2b622c392bc699f08d9b8bb5"),
+    ("-1,0.5", 2, "8c1e2254b7c797703a8be10e2adf2dd0c4cee9879ffede8fb992af0eb523a0dd"),
+])
+def test_extremes_json_is_pinned(p, code, digest, capsys):
+    from psombor.cli import run
+
+    assert run(["trees", "--n", "12", "--verify-extremes", f"--p={p}", "--format", "json"]) \
+        == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_tree_extremes_at_tiny_abs_p():
