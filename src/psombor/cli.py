@@ -25,7 +25,7 @@ from .chem import (
     reproduce_regressions,
     scatter_csv,
 )
-from .extremal import enumerate_trees, rank_trees, verify_tree_extremes
+from .extremal import _tree_extremes, enumerate_trees, rank_trees
 from .graphs import Graph, GraphError, read_graph_text, structure_stats
 from .invariants import index_bundle, spectral_invariants
 from .spectral import (EigenConvergenceError, EigenvectorResidualError, build_sombor_matrix,
@@ -190,8 +190,7 @@ def _cmd_trees(args) -> int:
         ok = True
         results = []
         catalog = enumerate_trees(args.n)
-        for p in p_values:
-            rep = verify_tree_extremes(args.n, p, catalog)
+        for rep in _tree_extremes(args.n, p_values, catalog):
             ok = ok and rep.ok
             results.append({
                 "n": rep.n, "p": rep.p,

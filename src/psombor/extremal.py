@@ -7,20 +7,26 @@ tree is labelled by the lexicographically largest canonical level sequence
 over all its rootings, and keyed by a centre-rooted AHU string.
 
 Tree radii (the extremality check and the ranking) come from
-spectral.bipartite_radii: a tree is bipartite, so xi_1 is the square root of
-the largest eigenvalue of a Gram matrix of at most n/2 rows, and all Gram
-matrices of one size are solved as one stack. Its power-of-two scaling keeps
-the radii finite and relatively accurate where the full S_p would overflow
-its norm or sink below the solver's absolute threshold (tiny |p|). The path
-and the star are recognised by their maximum degree, 2 and n - 1.
+bipartite_radii: a tree is bipartite, so xi_1 is the square root of the
+largest eigenvalue of a Gram matrix of at most n/2 rows. Each graph's Gram
+layout (colour classes and degree-pair ids) is built once; each p only
+gathers its weights, and the Gram matrices of one size at every p are
+solved as one stack. Power-of-two scaling keeps the radii finite and
+relatively accurate where the full S_p would overflow its norm or sink
+below the solver's absolute threshold (tiny |p|). The path and the star are
+recognised by their maximum degree, 2 and n - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, structure_stats
-from .spectral import bipartite_radii, sombor_decomposition
+import numpy as np
+
+from . import config
+from .backend import jacobi_sweeps_batch
+from .graphs import Graph, GraphError, _component_depths, structure_stats
+from .spectral import EigenConvergenceError, _stop_threshold, edge_weight, sombor_decomposition
 
 MAX_TREE_N = 12
 
@@ -139,14 +145,11 @@ def tree_canonical_key(g: Graph) -> str:
     return "|".join(sorted([_ahu(g, a, b), _ahu(g, b, a)]))
 
 
-def _rooted_canonical_levels(adj, root: int) -> list[int]:
-    def walk(v, parent, level):
-        out = [level]
-        for sub in sorted((walk(c, v, level + 1) for c in adj[v] if c != parent),
-                          reverse=True):
-            out += sub
-        return out
-    return walk(root, -1, 1)
+# A level sequence held as bytes: _SHALLOWER[k] subtracts k from each level,
+# _DEEPER adds 1.
+_SHALLOWER = [bytes.maketrans(bytes(range(k, 256)), bytes(range(256 - k)))
+              for k in range(MAX_TREE_N + 1)]
+_DEEPER = bytes.maketrans(bytes(range(255)), bytes(range(1, 256)))
 
 
 def _catalog_levels(levels) -> list[int]:
@@ -155,20 +158,43 @@ def _catalog_levels(levels) -> list[int]:
 
     A sequence rooted at v starts 1, 2, ..., ecc(v) + 1, so only peripheral
     vertices can attain the maximum: the deepest vertices of the first
-    subtree and of the rest of the tree.
+    subtree and of the rest of the tree. Each subtree (v away from a
+    neighbour) is taken as bytes with v at level 0, which orders sibling
+    subtrees as their absolute levels do. Away from v's parent in the centre
+    rooting it is a slice of levels, canonical already; toward it, it is
+    built once and shared by every rooting that reaches it.
     """
     n = len(levels)
     adj = [[] for _ in range(n)]
+    up = [-1] * n
     for u, v in _level_sequence_edges(levels):
         adj[u].append(v)
         adj[v].append(u)
+        up[v] = u
+    stop, open_ = [n] * n, []  # levels[v:stop[v]] is v's subtree
+    for i, level in enumerate(levels):
+        while open_ and levels[open_[-1]] >= level:
+            stop[open_.pop()] = i
+        open_.append(i)
     end = _first_subtree_end(levels)
     rest = [0, *range(end, n)]
     t1_depth = max(levels[1:end])
     rest_depth = max(levels[v] for v in rest)
     ends = ([v for v in range(1, end) if levels[v] == t1_depth]
             + [v for v in rest if levels[v] == rest_depth])
-    return max(_rooted_canonical_levels(adj, v) for v in ends)
+    packed = bytes(levels)
+    upward: dict[tuple[int, int], bytes] = {}
+
+    def walk(v, parent):
+        if parent == up[v]:
+            return packed[v:stop[v]].translate(_SHALLOWER[levels[v]])
+        seq = upward.get((v, parent))
+        if seq is None:
+            subs = sorted((walk(c, v) for c in adj[v] if c != parent), reverse=True)
+            seq = upward[v, parent] = b"\0" + b"".join(subs).translate(_DEEPER)
+        return seq
+
+    return [x + 1 for x in max(walk(v, -1) for v in ends)]
 
 
 def enumerate_trees(n: int, max_degree: int | None = None) -> TreeCatalog:
@@ -187,6 +213,121 @@ def enumerate_trees(n: int, max_degree: int | None = None) -> TreeCatalog:
     return TreeCatalog(n=n, max_degree=max_degree,
                        trees=[t for _, t in items],
                        canonical_keys=[k for k, _ in items])
+
+
+# ---------------------------------------------------------------------------
+# spectral radii of bipartite graphs
+
+def _gram_layouts(graphs) -> tuple[dict[int, tuple[list[int], np.ndarray]], dict]:
+    """(layouts, pairs): per row count r, the graphs with edges that have r
+    rows and their (r, c, B) stack of degree-pair ids, c the most columns
+    among them; and the degree pairs, id by id in order of first use.
+
+    Entry (i, k, b) is the id of the degree pair of the edge between row i
+    and column k of graph b, or -1 where there is none. The colour classes are the depth parities of g's
+    BFS; the smaller class (isolated vertices left out) gives the rows and
+    the other the columns, each in vertex order. ValueError when a graph is
+    not bipartite.
+    """
+    # per row count: the graphs, (row, column, graph, pair id) of each edge
+    # flat, and the column counts
+    groups: dict[int, tuple[list[int], list[int], list[int]]] = {}
+    pairs: dict[tuple[int, int], int] = {}
+    for b, g in enumerate(graphs):
+        if not g.m:
+            continue
+        depth = _component_depths(g)[1]
+        d = g.degrees
+        classes: tuple[list[int], list[int]] = ([], [])
+        for v in range(g.n):
+            if d[v]:
+                classes[depth[v] & 1].append(v)
+        rows, cols = sorted(classes, key=len)
+        row_index = {u: i for i, u in enumerate(rows)}
+        owners, entries, widths = groups.setdefault(len(rows), ([], [], []))
+        member, found = len(owners), len(entries)
+        for k, v in enumerate(cols):
+            for u in g.adj[v]:
+                i = row_index.get(u)
+                if i is None:
+                    raise ValueError("graph is not bipartite")
+                key = (d[u], d[v]) if d[u] <= d[v] else (d[v], d[u])
+                entries += i, k, member, pairs.setdefault(key, len(pairs))
+        if len(entries) - found != 4 * g.m:
+            # an edge inside the row class closes an odd cycle
+            raise ValueError("graph is not bipartite")
+        owners.append(b)
+        widths.append(len(cols))
+    layouts = {}
+    for r, (owners, entries, widths) in groups.items():
+        ids = np.full((r, max(widths), len(owners)), -1, dtype=np.intp)
+        i, k, member, pair = np.array(entries, dtype=np.intp).reshape(-1, 4).T
+        ids[i, k, member] = pair
+        layouts[r] = owners, ids
+    return layouts, pairs
+
+
+def _scaled_grams(weights: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(G, e): the member-last (r, r, B P) stack of Gram matrices B B^T of
+    every graph of an id stack (r, c, B) at every p (member b P + k is graph
+    b at the k-th p), with B the biadjacency block of S_p scaled by 2^-e.
+
+    weights is (D + 1, P): row d holds edge_weight of degree pair id d at
+    each p, and the last row the 0.0 that id -1 reads. e puts each member's
+    largest entry in [1/2, 1), so G can neither overflow nor lose its largest
+    entries to underflow. G is summed as b_k b_k^T over the columns k in
+    order, so each entry adds the same products in the same order as a loop
+    over the column vertices' stars would, and equals its transpose bit for
+    bit.
+    """
+    r, c = ids.shape[:2]
+    scaled = weights[ids].reshape(r, c, -1)
+    e = np.frexp(scaled.max(axis=(0, 1)))[1]
+    np.ldexp(scaled, -e, out=scaled)
+    gram = np.zeros((r, r, scaled.shape[2]))
+    product = np.empty_like(gram)
+    for k in range(c):
+        col = scaled[:, k]
+        gram += np.multiply(col[:, None], col, out=product)
+    return gram, e
+
+
+def bipartite_radii(graphs, p_values) -> list[list[float]]:
+    """Spectral radius of S_p for each bipartite graph at each p: one list
+    per p, in input order.
+
+    With the vertices ordered by colour class, S_p = [[0, B], [B^T, 0]], so
+    xi_1 = sqrt(lambda_max(B B^T)) and the Jacobi solve runs on a Gram
+    matrix of at most n/2 rows. Each graph's layout is built once
+    (_gram_layouts) and edge_weight is called once per degree pair and p,
+    every p before any solve; the Gram matrices of each row count at every p
+    are then solved as one stack of the batched kernel (_scaled_grams).
+    Each member stops at _stop_threshold(||G||_F), the norm summed left to
+    right, so a radius does not depend on the other graphs or p of the call,
+    and the largest diagonal entry of each solved member gives its radius.
+    Radii only: the square root of a Gram eigenvalue that rounds near 0 is
+    no accurate |xi_i|, so energies and spectra stay on the full matrices. A
+    graph without edges has radius 0; ValueError for a graph that is not
+    bipartite, EigenConvergenceError as eigen_decompose.
+    """
+    p_values = list(p_values)
+    if any(p == 0 for p in p_values):
+        raise ValueError("p must be nonzero")
+    layouts, pairs = _gram_layouts(graphs)
+    weights = np.array([[edge_weight(a, b, p) for a, b in pairs] + [0.0] for p in p_values]).T
+    radii = np.zeros((len(graphs), len(p_values)))
+    for owners, ids in layouts.values():
+        gram, e = _scaled_grams(weights, ids)
+        r, count = len(gram), gram.shape[2]
+        norms = np.sqrt(np.cumsum((gram * gram).reshape(r * r, count), axis=0)[-1])
+        thresholds = _stop_threshold(norms)
+        sweeps, offs = jacobi_sweeps_batch(gram, thresholds, config.MAX_SWEEPS)
+        failed = np.flatnonzero(offs > thresholds)
+        if failed.size:
+            raise EigenConvergenceError(float(offs[failed[0]]), int(sweeps[failed[0]]))
+        largest = np.diagonal(gram).max(axis=1)
+        radii[owners] = np.ldexp(np.sqrt(largest), e).reshape(len(owners), -1)
+    return radii.T.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +361,23 @@ def verify_tree_extremes(n: int, p: float,
     catalog, when given, must be enumerate_trees(n) (no degree filter); pass
     it to check several p without enumerating the trees again.
     """
+    return _tree_extremes(n, [p], catalog)[0]
+
+
+def _tree_extremes(n: int, p_values, catalog: TreeCatalog | None = None
+                   ) -> list[TreeExtremesReport]:
+    """verify_tree_extremes at each p, the radii of every p from one
+    bipartite_radii call."""
     if catalog is None:
         catalog = enumerate_trees(n)
     elif catalog.n != n or catalog.max_degree is not None:
         raise ValueError(f"catalog must hold every tree on {n} vertices")
-    values = bipartite_radii(catalog.trees, p)
+    return [_extremes_report(catalog, p, values)
+            for p, values in zip(p_values, bipartite_radii(catalog.trees, p_values))]
+
+
+def _extremes_report(catalog: TreeCatalog, p: float, values: list[float]) -> TreeExtremesReport:
+    n = catalog.n
     radii = dict(zip(catalog.canonical_keys, values))
     order = sorted(range(len(values)), key=values.__getitem__)
     lo, hi = order[0], order[-1]

@@ -8,9 +8,8 @@ scaled by a power of two per member (exact, and safe for tiny entries) and
 sorts it; eigen_decompose and eigen_decompose_many wrap it. Spectral
 moments N_0..N_4 are available through two independent routes: power sums
 of the computed eigenvalues, and traces of powers of the matrix itself,
-N_k = tr(S_p^k), which cross-validate each other. Spectral radii of
-bipartite graphs (the tree experiments) come from the smaller Gram matrix
-B B^T of the biadjacency block (bipartite_radii).
+N_k = tr(S_p^k), which cross-validate each other. (Tree radii come from
+Gram matrices of the biadjacency block: extremal.bipartite_radii.)
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 from . import config
 # jacobi_sweeps (the kernel's B = 1 call) stays importable from here by name.
 from .backend import jacobi_sweeps, jacobi_sweeps_batch  # noqa: F401
-from .graphs import Graph, _component_depths
+from .graphs import Graph
 
 
 class EigenConvergenceError(RuntimeError):
@@ -51,7 +50,8 @@ def edge_weight(di: int, dj: int, p: float) -> float:
     (large |p|), the scaled form M (1 + (m/M)^p)^(1/p) is used instead, with M
     the larger degree for p > 0 and the smaller for p < 0. OverflowError
     remains only when the weight itself leaves the normal float range: at tiny
-    positive p above it, at tiny negative p below it (inaccurate or 0).
+    positive p above it (inf once 1/p does, at subnormal p), at tiny negative
+    p below it (inaccurate or 0).
     """
     if p == 0:
         raise ValueError("p must be nonzero")
@@ -59,7 +59,7 @@ def edge_weight(di: int, dj: int, p: float) -> float:
         inner = di ** p + dj ** p
         if sys.float_info.min <= inner < math.inf:
             w = inner ** (1.0 / p)
-            if w >= sys.float_info.min:
+            if sys.float_info.min <= w < math.inf:
                 return w
     except (OverflowError, ZeroDivisionError):
         pass
@@ -67,6 +67,8 @@ def edge_weight(di: int, dj: int, p: float) -> float:
     w = big * (1.0 + (small / big) ** p) ** (1.0 / p)
     if w < sys.float_info.min:
         raise OverflowError("an edge weight of S_p underflows the float range")
+    if not math.isfinite(w):
+        raise OverflowError("an edge weight of S_p overflows the float range")
     return w
 
 
@@ -278,92 +280,6 @@ def eigen_decompose_many(specs) -> list[SpectralDecomposition]:
         for i, dec in zip(members, decs):
             out[i] = dec
     return out
-
-
-def _scaled_gram(g: Graph, p: float, weights: dict) -> tuple[np.ndarray, int]:
-    """(G, e) with G = B B^T for the biadjacency block B of S_p scaled by
-    2^-e, for a graph g with at least one edge.
-
-    The colour classes are the depth parities of g's BFS; B has the smaller
-    class (isolated vertices left out) as rows. e puts B's largest entry in
-    [1/2, 1), so G can neither overflow nor lose its largest entries to
-    underflow. G is summed over the column vertices, one star at a time, and
-    each off-diagonal sum is written to both triangles, so G equals its
-    transpose bit for bit. weights caches edge_weight by degree pair;
-    ValueError when g is not bipartite.
-    """
-    depth = _component_depths(g)[1]
-    d = g.degrees
-    classes: tuple[list[int], list[int]] = ([], [])
-    for v in range(g.n):
-        if d[v]:
-            classes[depth[v] & 1].append(v)
-    rows, cols = sorted(classes, key=len)
-    row_index = {u: i for i, u in enumerate(rows)}
-    stars = []  # per column vertex: (row index, weight) of each of its edges
-    for v in cols:
-        star = []
-        for u in g.adj[v]:
-            i = row_index.get(u)
-            if i is None:
-                raise ValueError("graph is not bipartite")
-            key = (d[u], d[v]) if d[u] <= d[v] else (d[v], d[u])
-            w = weights.get(key)
-            if w is None:
-                w = weights[key] = edge_weight(key[0], key[1], p)
-            star.append((i, w))
-        stars.append(star)
-    if sum(map(len, stars)) != g.m:
-        # an edge inside the row class closes an odd cycle
-        raise ValueError("graph is not bipartite")
-    e = math.frexp(max(w for star in stars for _, w in star))[1]
-    gram = [[0.0] * len(rows) for _ in rows]
-    for star in stars:
-        scaled = [(i, math.ldexp(w, -e)) for i, w in star]
-        for k, (i, wi) in enumerate(scaled):
-            gram[i][i] += wi * wi
-            for j, wj in scaled[k + 1:]:
-                gram[i][j] = gram[j][i] = gram[i][j] + wi * wj
-    return np.array(gram), e
-
-
-def bipartite_radii(graphs, p: float) -> list[float]:
-    """Spectral radius of S_p for each bipartite graph, in input order.
-
-    With the vertices ordered by colour class, S_p = [[0, B], [B^T, 0]], so
-    xi_1 = sqrt(lambda_max(B B^T)) and the Jacobi solve runs on a Gram
-    matrix of at most n/2 rows (see _scaled_gram). The Gram matrices of each
-    size are solved as one stack of the batched kernel, each at the threshold
-    _stop_threshold(||G||_F) with the norm taken over the stack (it can
-    differ from eigen_decompose's in the last bit), and the largest diagonal
-    entry of each solved member gives its radius. Radii only: the square root
-    of a Gram eigenvalue that rounds near 0 is no accurate |xi_i|, so energies
-    and spectra stay on the full matrices. A graph without edges has radius
-    0; ValueError for a graph that is not bipartite, EigenConvergenceError
-    as eigen_decompose.
-    """
-    if p == 0:
-        raise ValueError("p must be nonzero")
-    radii = np.zeros(len(graphs))
-    weights: dict = {}
-    owners, grams, exps = [], [], []
-    for k, g in enumerate(graphs):
-        if g.m:
-            gram, e = _scaled_gram(g, p, weights)
-            owners.append(k)
-            grams.append(gram)
-            exps.append(e)
-    owners, exps = np.array(owners, dtype=np.intp), np.array(exps)
-    for members in _by_size(len(gram) for gram in grams).values():
-        stack = np.stack([grams[i] for i in members], axis=-1)
-        thresholds = _stop_threshold(np.linalg.norm(stack, axis=(0, 1)))
-        sweeps, offs = jacobi_sweeps_batch(stack, thresholds, config.MAX_SWEEPS)
-        failed = np.flatnonzero(offs > thresholds)
-        if failed.size:
-            raise EigenConvergenceError(float(offs[failed[0]]), int(sweeps[failed[0]]))
-        largest = np.diagonal(stack).max(axis=1)
-        radii[owners[members]] = np.ldexp(np.sqrt(largest), exps[members])
-    return radii.tolist()
 
 
 def sombor_decomposition(g: Graph, p: float, want_vectors: bool = False) -> SpectralDecomposition:

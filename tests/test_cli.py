@@ -582,6 +582,35 @@ def test_underflowing_edge_weight_is_one_clean_error(args, p4_file, capsys):
         "(an edge weight of S_p underflows the float range)"]
 
 
+
+@pytest.mark.parametrize("p", ("1e-320", "5e-324"))
+@pytest.mark.parametrize("args", (["trees", "--n", "8", "--verify-extremes"],
+                                  ["spectrum", "--input", "P4"],
+                                  ["verify", "--corpus", "special"]),
+                         ids=["trees", "spectrum", "verify"])
+def test_subnormal_p_is_one_clean_range_error(args, p, p4_file, capsys):
+    # 1/p overflows to inf, so every weight 2^(1/p) (d_i d_j)^(1/2) is inf:
+    # an error line, not inf radii or a complaint about the matrix entries
+    args = [p4_file if a == "P4" else a for a in args]
+    assert run(args + [f"--p={p}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: result out of floating-point range "
+        "(an edge weight of S_p overflows the float range)"]
+
+
+@pytest.mark.parametrize("p", ("2,-0.0005", "-0.0005,2"))
+def test_trees_underflowing_p_among_others_is_one_clean_error(p, capsys):
+    # every p of --verify-extremes is solved in one stack per size; a p whose
+    # weights underflow still ends the run with its own error line
+    assert run(["trees", "--n", "8", "--verify-extremes", f"--p={p}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: result out of floating-point range "
+        "(an edge weight of S_p underflows the float range)"]
+
 def test_warnings_are_one_line_without_a_path():
     out = subprocess.run([sys.executable, "-m", "psombor", "verify",
                           "--corpus", "families", "--p", "0.3"],

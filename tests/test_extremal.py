@@ -9,6 +9,7 @@ from prufer import prufer_tree_keys, random_tree
 from psombor import extremal
 from psombor.extremal import (
     FREE_TREE_COUNTS,
+    bipartite_radii,
     enumerate_trees,
     rank_trees,
     shift_experiment,
@@ -16,7 +17,7 @@ from psombor.extremal import (
     verify_tree_extremes,
 )
 from psombor.graphs import Graph, GraphError, _splitmix64, path_graph, star_graph, structure_stats
-from psombor.spectral import bipartite_radii, sombor_decomposition
+from psombor.spectral import sombor_decomposition
 
 
 @pytest.mark.parametrize("n,count", [(2, 1), (3, 1), (4, 2), (5, 3), (6, 6),
@@ -89,27 +90,30 @@ def test_extremes_key_each_tree_once_over_several_p(monkeypatch, capsys):
 
 
 def test_extremes_pass_solves_only_gram_stacks(monkeypatch, capsys):
-    # n = 12: every Gram matrix has at most 6 rows, the 551 trees fill the
-    # stacks once, and no full 12 x 12 S_p is decomposed
+    # n = 12 at three p: every Gram matrix has at most 6 rows, one stack per
+    # row count holds the 551 trees at every p, and no full 12 x 12 S_p is
+    # decomposed
     from psombor import spectral
     from psombor.cli import run
 
     shapes = []
-    kernel = spectral.jacobi_sweeps_batch
+    kernel = extremal.jacobi_sweeps_batch
 
     def recording(stack, thresholds, max_sweeps):
         shapes.append(stack.shape)
         return kernel(stack, thresholds, max_sweeps)
 
-    def forbidden(specs):
+    def forbidden(*args, **kwargs):
         raise AssertionError("full S_p solve in a tree extremes pass")
 
-    monkeypatch.setattr(spectral, "jacobi_sweeps_batch", recording)
+    monkeypatch.setattr(extremal, "jacobi_sweeps_batch", recording)
+    monkeypatch.setattr(spectral, "decompose_stack", forbidden)
     monkeypatch.setattr(spectral, "eigen_decompose_many", forbidden)
-    assert run(["trees", "--n", "12", "--verify-extremes", "--p", "2"]) == 0
-    assert shapes and all(rows == cols <= 6 for rows, cols, _ in shapes)
-    assert sum(count for _, _, count in shapes) == FREE_TREE_COUNTS[11]
-    assert "path=True" in capsys.readouterr().out
+    assert run(["trees", "--n", "12", "--verify-extremes", "--p", "1,2,3"]) == 0
+    assert len(shapes) == 6
+    assert all(rows == cols <= 6 for rows, cols, _ in shapes)
+    assert sum(count for _, _, count in shapes) == 3 * FREE_TREE_COUNTS[11] == 1653
+    assert capsys.readouterr().out.count("path=True") == 3
 
 
 # The standard p plus the tiny and huge |p| where the Gram route's scaling
@@ -142,22 +146,21 @@ def _random_bipartite(seed: int) -> Graph:
 
 
 def test_bipartite_radii_bytes_are_pinned():
-    # sha256 of the packed float64 radii, recorded before the Gram matrices
-    # were built from a per-graph structure: every tree on 2..12 vertices and
-    # 200 bipartite graphs with cycles, at each p of RADII_P.
+    # sha256 of the packed float64 radii, recorded when each p was solved on
+    # its own from Gram matrices summed star by star: every tree on 2..12
+    # vertices and 200 bipartite graphs with cycles, at each p of RADII_P.
     trees = hashlib.sha256()
     for n in range(2, 13):
-        catalog = enumerate_trees(n)
-        for p in RADII_P:
-            trees.update(np.array(bipartite_radii(catalog.trees, p)).tobytes())
+        for radii in bipartite_radii(enumerate_trees(n).trees, RADII_P):
+            trees.update(np.array(radii).tobytes())
     assert trees.hexdigest() == \
         "b70575c51015c8498f212d835db811c4eec54a96bbff54e3b8d1cbb58e4a686c"
     graphs = [_random_bipartite(seed) for seed in range(200)]
     assert all(g.m >= g.n - g.degrees.count(0) for g in graphs)
     assert sum(g.degrees.count(0) > 0 for g in graphs) == 134
     others = hashlib.sha256()
-    for p in RADII_P:
-        others.update(np.array(bipartite_radii(graphs, p)).tobytes())
+    for radii in bipartite_radii(graphs, RADII_P):
+        others.update(np.array(radii).tobytes())
     assert others.hexdigest() == \
         "b263020f48b6a4111d7327da814d9dd8f1d8048e5a065808d046f973476fe943"
 

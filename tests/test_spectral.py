@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import bipartite_graphs, graphs, nonzero_p
 
+from psombor.extremal import bipartite_radii
 from psombor.graphs import (
     Graph,
+    _component_depths,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -21,7 +23,6 @@ from psombor.spectral import (
     EigenConvergenceError,
     adjacency_decomposition,
     build_p_laplacian,
-    bipartite_radii,
     build_sombor_matrix,
     edge_weight,
     eigen_decompose,
@@ -417,7 +418,11 @@ def test_edge_weight_is_monotone_and_bracketed_in_p(di, dj, a, b, sign):
 def test_edge_weight_overflows_only_when_the_weight_does():
     with pytest.raises(OverflowError):
         edge_weight(1, 1, 1e-4)        # 2^10000
-
+    # at subnormal p, 1/p itself is inf and 2.0 ** inf raises nothing
+    for p in (1e-320, 5e-324):
+        for di, dj in ((1, 1), (3, 7)):
+            with pytest.raises(OverflowError, match="overflows"):
+                edge_weight(di, dj, p)
 
 def test_edge_weight_below_the_normal_range_is_an_error():
     # 2^-1000 is a normal float; 2^-2000 would read as 0.0
@@ -446,10 +451,9 @@ def test_bipartite_radii_match_the_full_solve_on_every_tree():
 
     for n in range(2, 13):
         trees = enumerate_trees(n).trees
-        for p in P_GRID:
+        for p, gram in zip(P_GRID, bipartite_radii(trees, P_GRID)):
             full = [dec.radius for dec in eigen_decompose_many(
                 [(build_sombor_matrix(t, p), "p_sombor", p) for t in trees])]
-            gram = bipartite_radii(trees, p)
             assert len(gram) == len(trees)
             for a, b in zip(gram, full):
                 assert abs(a - b) <= 1e-13 * b, (n, p, a, b)
@@ -458,13 +462,26 @@ def test_bipartite_radii_match_the_full_solve_on_every_tree():
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
 @given(bipartite_graphs(), nonzero_p)
 def test_bipartite_radii_match_the_full_solve_on_bipartite_graphs(g, p):
-    (radius,) = bipartite_radii([g], p)
+    [[radius]] = bipartite_radii([g], [p])
     if g.m == 0:
         assert radius == 0.0
     else:
         full = _full_radius(g, p)
         assert abs(radius - full) <= 1e-13 * full
 
+
+
+def test_a_bipartite_radius_does_not_depend_on_the_rest_of_its_call():
+    # each member stops at its own norm, summed left to right: a radius
+    # solved alone equals the same radius in a stack of every graph and p
+    from psombor.extremal import enumerate_trees
+
+    graphs = enumerate_trees(9).trees + [cycle_graph(8), Graph(5), Graph(4, [(0, 3)])]
+    p_values = [-1.0, 0.5, 3.0, 0.0015]
+    together = bipartite_radii(graphs, p_values)
+    for k, p in enumerate(p_values):
+        for i, g in enumerate(graphs):
+            assert bipartite_radii([g], [p]) == [[together[k][i]]], (k, i)
 
 def test_bipartite_radii_reject_odd_cycles():
     # triangle 0-1-2 with leaves 3, 4 on 1 and 5, 6 on 2: the odd edge (1, 2)
@@ -473,7 +490,7 @@ def test_bipartite_radii_reject_odd_cycles():
     for g in (cycle_graph(5), complete_graph(3), in_rows,
               Graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3)])):
         with pytest.raises(ValueError, match="not bipartite"):
-            bipartite_radii([path_graph(4), g], 2.0)
+            bipartite_radii([path_graph(4), g], [2.0])
 
 
 def test_bipartite_radii_raise_when_a_gram_solve_does_not_converge(monkeypatch):
@@ -482,17 +499,18 @@ def test_bipartite_radii_raise_when_a_gram_solve_does_not_converge(monkeypatch):
     monkeypatch.setattr(config, "MAX_SWEEPS", 0)
     # a star's Gram matrix is 1 x 1 and needs no sweep; P8's is 4 x 4
     closed = math.sqrt(5) * edge_weight(5, 1, 2.0)
-    assert bipartite_radii([star_graph(6)], 2.0) == [pytest.approx(closed, rel=1e-15)]
+    assert bipartite_radii([star_graph(6)], [2.0]) == [[pytest.approx(closed, rel=1e-15)]]
     with pytest.raises(EigenConvergenceError, match="after 0 sweeps"):
-        bipartite_radii([star_graph(6), path_graph(8)], 2.0)
+        bipartite_radii([star_graph(6), path_graph(8)], [2.0])
 
 
 def test_bipartite_radii_of_graphs_without_edges_are_zero():
-    assert bipartite_radii([Graph(0), Graph(1), Graph(5), path_graph(2), Graph(3)], 2.0) \
-        == [0.0, 0.0, 0.0, math.sqrt(2.0), 0.0]
-    assert bipartite_radii([], 2.0) == []
-    with pytest.raises(ValueError, match="nonzero"):
-        bipartite_radii([path_graph(3)], 0.0)
+    assert bipartite_radii([Graph(0), Graph(1), Graph(5), path_graph(2), Graph(3)], [2.0]) \
+        == [[0.0, 0.0, 0.0, math.sqrt(2.0), 0.0]]
+    assert bipartite_radii([], [2.0, 3.0]) == [[], []]
+    for p_values in ([0.0], [2.0, 0.0]):
+        with pytest.raises(ValueError, match="nonzero"):
+            bipartite_radii([path_graph(3)], p_values)
 
 
 @pytest.mark.parametrize("p", (0.0015, -0.002, 1000.0, -1000.0))
@@ -504,7 +522,7 @@ def test_bipartite_radii_stay_relatively_accurate_at_extreme_p(p):
 
     n = 8
     catalog = enumerate_trees(n)
-    radii = bipartite_radii(catalog.trees, p)
+    (radii,) = bipartite_radii(catalog.trees, [p])
     for tree, radius in zip(catalog.trees, radii):
         oracle = _scaled_oracle_radius(tree, p)
         assert math.isfinite(radius) and radius > 0.0
@@ -517,29 +535,63 @@ def test_bipartite_radii_stay_relatively_accurate_at_extreme_p(p):
 def test_bipartite_radii_reject_weights_that_underflow():
     # at p = -0.0005 every weight is ~2^-2000: 0.0 or subnormal, not a radius
     with pytest.raises(OverflowError, match="underflows"):
-        bipartite_radii([path_graph(4)], -0.0005)
-    assert bipartite_radii([Graph(3)], -0.0005) == [0.0]
+        bipartite_radii([path_graph(4)], [-0.0005])
+    assert bipartite_radii([Graph(3)], [-0.0005]) == [[0.0]]
+
+
+def _star_loop_gram(g, p):
+    # (G, e) summed one column vertex's star at a time in scalar Python, the
+    # rows the smaller colour class: the reference for the stacked builder
+    depth = _component_depths(g)[1]
+    classes = ([], [])
+    for v in range(g.n):
+        if g.degrees[v]:
+            classes[depth[v] & 1].append(v)
+    rows, cols = sorted(classes, key=len)
+    stars = [[(rows.index(u), edge_weight(g.degrees[u], g.degrees[v], p)) for u in g.adj[v]]
+             for v in cols]
+    e = math.frexp(max(w for star in stars for _, w in star))[1]
+    gram = [[0.0] * len(rows) for _ in rows]
+    for star in stars:
+        scaled = [(i, math.ldexp(w, -e)) for i, w in star]
+        for k, (i, wi) in enumerate(scaled):
+            gram[i][i] += wi * wi
+            for j, wj in scaled[k + 1:]:
+                gram[i][j] = gram[j][i] = gram[i][j] + wi * wj
+    return np.array(gram), e
 
 
 def test_gram_members_equal_their_transpose_bit_for_bit():
     from prufer import random_tree
 
-    from psombor.extremal import enumerate_trees
+    from psombor.extremal import _gram_layouts, _scaled_grams, enumerate_trees
     from psombor.graphs import complete_bipartite_graph
-    from psombor.spectral import _scaled_gram
 
     graphs = enumerate_trees(10).trees + [random_tree(12, s) for s in range(20)]
     graphs += [complete_bipartite_graph(3, 5), cycle_graph(8),
                Graph(6, [(0, 3), (1, 3), (2, 4), (1, 5)])]
-    for p in (-1000.0, -1.0, 0.5, 3.0, 0.0015):
-        for g in graphs:
-            gram, _ = _scaled_gram(g, p, {})
+    p_values = (-1000.0, -1.0, 0.5, 3.0, 0.0015)
+    layouts, pairs = _gram_layouts(graphs)
+    weights = np.array([[edge_weight(a, b, p) for a, b in pairs] + [0.0] for p in p_values]).T
+    seen = 0
+    for owners, ids in layouts.values():
+        stack, exps = _scaled_grams(weights, ids)
+        # graph owners[b] at p_values[k] is member b P + k
+        for member in range(stack.shape[2]):
+            g, p = graphs[owners[member // len(p_values)]], p_values[member % len(p_values)]
+            gram = stack[:, :, member]
             assert gram.tobytes() == np.ascontiguousarray(gram.T).tobytes()
             # the smaller colour class is the row class, isolated vertices left out
             assert 2 * gram.shape[0] <= g.n - g.degrees.count(0)
             # B's largest entry in [1/2, 1): the diagonal sums its squared rows
             assert 0.25 <= gram.diagonal().max() < max(g.degrees)
+            # the same bytes and exponent as the star-by-star loop
+            reference, e = _star_loop_gram(g, p)
+            assert (gram.tobytes(), exps[member]) == (reference.tobytes(), e)
+            seen += 1
+    assert seen == len(p_values) * len(graphs)
     # K_{1,3} plus three isolated vertices: the Gram matrix is 1 x 1, as the
     # isolated vertices join neither colour class
-    gram, _ = _scaled_gram(Graph(7, [(0, 1), (0, 2), (0, 3)]), 2.0, {})
-    assert gram.shape == (1, 1)
+    layouts, _ = _gram_layouts([Graph(7, [(0, 1), (0, 2), (0, 3)])])
+    stack, _ = _scaled_grams(np.array([[1.0], [0.0]]), layouts[1][1])
+    assert list(layouts) == [1] and stack.shape == (1, 1, 1)
