@@ -285,10 +285,9 @@ def _scaled_grams(weights: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.
     e = np.frexp(scaled.max(axis=(0, 1)))[1]
     np.ldexp(scaled, -e, out=scaled)
     gram = np.zeros((r, r, scaled.shape[2]))
-    product = np.empty_like(gram)
     for k in range(c):
         col = scaled[:, k]
-        gram += np.multiply(col[:, None], col, out=product)
+        gram += col[:, None] * col
     return gram, e
 
 
@@ -318,8 +317,7 @@ def bipartite_radii(graphs, p_values) -> list[list[float]]:
     radii = np.zeros((len(graphs), len(p_values)))
     for owners, ids in layouts.values():
         gram, e = _scaled_grams(weights, ids)
-        r, count = len(gram), gram.shape[2]
-        norms = np.sqrt(np.cumsum((gram * gram).reshape(r * r, count), axis=0)[-1])
+        norms = np.sqrt(np.cumsum((gram * gram).reshape(-1, gram.shape[2]), axis=0)[-1])
         thresholds = _stop_threshold(norms)
         sweeps, offs = jacobi_sweeps_batch(gram, thresholds, config.MAX_SWEEPS)
         failed = np.flatnonzero(offs > thresholds)
