@@ -7,17 +7,19 @@ hold one value per (graph, p) row, and each is evaluated once per frame:
 applies, hard and equality give masks, bounds runs on the applicable rows
 only, and run_suite counts the outcomes of each chunk of graphs with
 np.bincount. Only a violation or an equality mismatch builds a BoundReport,
-from the same evaluators on a frame of its one row. Where a row raises (a
-value out of the float range at tiny |p|), the first (row, check) in table
-order is reported, after the warnings of the rows judged before it. Checks
-whose derivations only hold for p >= 1 are hard-asserted on that domain and
-run observe-only elsewhere; two claims that fail on small graphs as printed
-(check ids thm4.3 and cor-rad.randic) are permanently observe-only.
+from the same evaluators on a frame of its one row. Where a chunk raises (a
+value out of the float range at tiny |p|), it is judged again row by row,
+and the first (graph, p, check) that raises is reported, after the warnings
+of the rows judged before it. Checks whose derivations only hold for p >= 1
+are hard-asserted on that domain and run observe-only elsewhere; two claims
+that fail on small graphs as printed (check ids thm4.3 and cor-rad.randic)
+are permanently observe-only.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -260,9 +262,10 @@ def _report(check: Check, f: Frame) -> BoundReport:
                        reason, hard, eq_expected, eq_observed if has_slack else None, extra)
 
 
-def _warn_estrada(f: Frame, read) -> None:
-    """estrada_index's overflow warning, if a row in read has exp(xi1) overflow."""
-    hit = read & (f.xi1 > EXP_LIMIT)
+def _warn_estrada(f: Frame) -> None:
+    """estrada_index's overflow warning, if a row of f whose Estrada index was
+    read has exp(xi1) overflow."""
+    hit = f.read & (f.xi1 > EXP_LIMIT)
     if hit.any():
         estrada_index(f.ctxs[int(hit.argmax())].sdec)
 
@@ -698,7 +701,7 @@ def _run_family(family: str, g: Graph, p: float, ctx: CheckContext | None) -> li
         with np.errstate(all="ignore"):
             return [_report(check, f) for check in _BY_FAMILY[family]]
     finally:
-        _warn_estrada(f, f.read)
+        _warn_estrada(f)
 
 
 def check_moment_index_bounds(g: Graph, p: float, ctx: CheckContext | None = None) -> list[BoundReport]:
@@ -878,68 +881,66 @@ def _new_tally():
     return np.zeros((len(CHECKS), len(OUTCOMES)), dtype=np.int64), [], []
 
 
-def _first_failure(check: Check, ctxs, exc: Exception):
-    """(row, exception, rows whose Estrada index was read) of the first
-    context on which check raises, each judged on a frame of its own; exc if
-    none does."""
-    read = np.zeros(len(ctxs), dtype=bool)
-    for r, ctx in enumerate(ctxs):
-        one = Frame([ctx])
-        try:
-            _evaluate(check, one)
-        except Exception as raised:
-            read[r] = one.read[0]
-            return r, raised, read
-        read[r] = one.read[0]
-    raise exc
-
-
 def _tally_frame(f: Frame, tally) -> None:
     """Add every check on every row of f to tally, one evaluation per check.
 
     Only a violation or an equality mismatch builds a BoundReport, on a frame
-    of its one row, in (row, check) order. If a check raises, the first
-    (row, check) that raises is re-raised, after the Estrada warning of any
-    row read before it.
+    of its one row, in (row, check) order. A check that raises propagates;
+    the caller warns for the rows whose Estrada index was read
+    (_warn_estrada).
     """
     counts, violations, eq_mismatches = tally
-    flagged, failures, reads = [], [], []   # reads[k]: the rows check k read estrada of
+    flagged = []
     with np.errstate(all="ignore"):
         for k, check in enumerate(CHECKS):
-            f.read[:] = False
-            try:
-                outcome, mismatch = _evaluate(check, f)[:2]
-            except Exception as exc:
-                # Whatever it is, the first (row, check) that raises is re-raised.
-                row, raised, read = _first_failure(check, f.ctxs, exc)
-                failures.append((row, k, raised))
-                reads.append(read)
-                continue
+            outcome, mismatch = _evaluate(check, f)[:2]
             counts[k] += np.bincount(outcome, minlength=len(OUTCOMES))
             flagged += [(r, k, violations) for r in np.flatnonzero(outcome == _FAIL).tolist()]
             flagged += [(r, k, eq_mismatches) for r in np.flatnonzero(mismatch).tolist()]
-            reads.append(f.read.copy())
-        if failures:
-            row, k, raised = min(failures, key=lambda x: x[:2])
-            # Judged before it: every check on the rows before row, and on row
-            # the checks up to k (k itself up to where it raised).
-            _warn_estrada(f, np.any([read & (np.arange(f.size) < row + (j <= k))
-                                     for j, read in enumerate(reads)], axis=0))
-            raise raised
-        _warn_estrada(f, np.any(reads, axis=0))
         for r, k, out in sorted(flagged, key=lambda x: x[:2]):
             ctx = f.ctxs[r]
             out.append(_violation_payload(_report(CHECKS[k], Frame([ctx])), ctx.g))
 
 
 def _tally_chunk(args):
+    """The tally of a chunk, judged on one Frame of its (graph, p) rows.
+
+    If anything raises, in contexts() or in a check, the chunk is judged
+    again one row at a time, each row's frame warning as it is judged (as
+    in _run_family). So the first (graph, p, check) that raises is
+    re-raised after the warnings of the rows before it, wherever the
+    chunks were cut; if no row raises, the row-by-row tally stands.
+    """
     graphs, p_values, holds_tol = args
+    graphs = [item for item in graphs if item[1].n]   # no rows without vertices
     tally = _new_tally()
-    rows = [ctx for (_, g), ctxs in zip(graphs, contexts(graphs, p_values, holds_tol))
-            if g.n for ctx in ctxs]
-    if rows:
-        _tally_frame(Frame(rows), tally)
+    if not graphs:
+        return tally
+    try:
+        f = Frame([ctx for ctxs in contexts(graphs, p_values, holds_tol) for ctx in ctxs])
+        _tally_frame(f, tally)
+    except Exception:
+        tally = _new_tally()
+        for item in graphs:
+            for p in p_values:
+                f = Frame(contexts([item], (p,), holds_tol)[0])
+                try:
+                    _tally_frame(f, tally)
+                finally:
+                    _warn_estrada(f)
+        return tally
+    _warn_estrada(f)
     return tally
+
+
+def _tally_in_worker(task):
+    """_tally_chunk in a worker process, or None if it warns or raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return _tally_chunk(task)
+        except Exception:
+            return None
 
 
 def _chunks(graphs, k: int) -> list[list]:
@@ -966,8 +967,11 @@ def run_suite(graphs, p_values=(1.0, 2.0, 3.0), holds_tol: float | None = None,
     config.SUITE_CHUNK_ENTRIES entries (_chunks), which bounds the memory
     held at once at any graph size. Each chunk has its spectra solved in one
     batched call per vertex count and its checks judged over one Frame; with
-    jobs > 1, worker processes take whole chunks. The report does not depend
-    on where the chunks are cut.
+    jobs > 1, worker processes take whole chunks, and a chunk that warns or
+    raises there is judged again in this process. A chunk that raises is
+    judged again one (graph, p) at a time (_tally_chunk), so that the
+    report, or the error raised and the warnings before it, depends neither
+    on where the chunks are cut nor on jobs.
     """
     if holds_tol is not None and not math.isfinite(holds_tol):
         raise ValueError(f"tolerance must be finite, got {holds_tol}")
@@ -980,7 +984,10 @@ def run_suite(graphs, p_values=(1.0, 2.0, 3.0), holds_tol: float | None = None,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_tally_chunk, tasks))
+            chunks = list(pool.map(_tally_in_worker, tasks))
+        # A chunk that warned or raised in a worker is judged again here, in
+        # corpus order: the warnings and the error are those of a serial run.
+        chunks = [tally or _tally_chunk(task) for task, tally in zip(tasks, chunks)]
     else:
         chunks = [_tally_chunk(t) for t in tasks]
 

@@ -17,15 +17,6 @@ import sys
 import warnings
 
 from . import config
-from .chem import (
-    comparison_markdown,
-    linear_fit,
-    load_dataset,
-    octane_crosscheck,
-    reproduce_regressions,
-    scatter_csv,
-)
-from .extremal import _tree_extremes, enumerate_trees, rank_trees
 from .graphs import Graph, GraphError, read_graph_text, structure_stats
 from .invariants import index_bundle, spectral_invariants
 from .spectral import (EigenConvergenceError, EigenvectorResidualError, build_sombor_matrix,
@@ -175,6 +166,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trees(args) -> int:
+    from .extremal import _tree_extremes, enumerate_trees, rank_trees
+
     if args.p is not None and not (args.verify_extremes or args.rank is not None):
         raise ValueError("--p applies only to --verify-extremes and --rank")
     p_values = _parse_p_list("2" if args.p is None else args.p)
@@ -241,6 +234,8 @@ def _cmd_trees(args) -> int:
 
 
 def _cmd_regress(args) -> int:
+    from .chem import linear_fit, load_dataset, scatter_csv
+
     records = load_dataset(args.input)
     fit = linear_fit(records, args.x, args.y)
     if args.scatter:
@@ -256,6 +251,8 @@ def _cmd_regress(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .chem import comparison_markdown, octane_crosscheck, reproduce_regressions
+
     comparisons = reproduce_regressions()
     crosscheck = octane_crosscheck(p=2.0)
     all_fits_ok = all(c.within_tolerance for c in comparisons)

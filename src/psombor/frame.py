@@ -42,10 +42,9 @@ _ROW = {
     "p_at_least_1": lambda c: c.p >= 1,
     "so": lambda c: c.so,
     "variance": lambda c: math.nan if c.variance is None else c.variance,
-    "moments_missing": lambda c: "moments" not in vars(c),
-    "_n2": lambda c: vars(c).get("n2", math.nan),
-    "_n3": lambda c: vars(c).get("n3", math.nan),
-    "_n4": lambda c: vars(c).get("n4", math.nan),
+    "n2": lambda c: c.n2,
+    "n3": lambda c: c.n3,
+    "n4": lambda c: c.n4,
     "xi1": lambda c: c.sdec.radius,
     "xin": lambda c: c.sdec.smallest,
     "n_pos": lambda c: c.sdec.inertia[0],
@@ -164,27 +163,10 @@ class Frame:
         root = self._root
         values = root._powers.get((a, b))
         if values is None:
-            try:
-                values = root._powers[a, b] = np.array([2.0 ** (a + b / p)
-                                                        for p in root.p_values])
-            except ArithmeticError:
-                # Some p overflows: raise only for a p of these rows.
-                used = np.unique(self.p_index).tolist()
-                values = np.zeros(len(root.p_values))
-                values[used] = [2.0 ** (a + b / root.p_values[j]) for j in used]
+            values = root._powers[a, b] = np.array([2.0 ** (a + b / p) for p in root.p_values])
         return values[self.p_index]
 
     root = property(lambda self: self.pow2(0, 1.0))   # 2^(1/p)
-
-    def _moment(name):
-        def get(self):
-            if self.moments_missing.any():
-                getattr(self.ctxs[int(self.moments_missing.argmax())], name)
-            return getattr(self, "_" + name)
-        return property(get)
-
-    n2, n3, n4 = _moment("n2"), _moment("n3"), _moment("n4")
-    del _moment
 
     @property
     def estrada(self) -> np.ndarray:

@@ -554,6 +554,24 @@ def test_suite_does_not_depend_on_the_chunking(monkeypatch):
     assert reports[0] == reports[1] == reports[2]
 
 
+def test_suite_judged_row_by_row_gives_the_same_report(monkeypatch):
+    # A chunk that raises is judged again one (graph, p) row at a time. With
+    # every frame of more than one row raising, each chunk is judged so, and
+    # the report is the one of the chunk frames, payload order included.
+    graphs = corpus_families() + corpus_special() + corpus_trees(4, 7)
+    expected = run_suite(graphs, P_GRID, holds_tol=-1.0, corpus_name="x").to_dict()
+    assert expected["violations"]
+    tally_frame = bounds._tally_frame
+
+    def rows_only(f, tally):
+        if f.size > 1:
+            raise OverflowError("a frame of more than one row")
+        tally_frame(f, tally)
+
+    monkeypatch.setattr(bounds, "_tally_frame", rows_only)
+    assert run_suite(graphs, P_GRID, holds_tol=-1.0, corpus_name="x").to_dict() == expected
+
+
 def test_suite_memory_is_bounded_by_the_entry_budget():
     # 16 graphs of 40 vertices at 5 p: 16 (3 * 5 + 1) 40^2 entries, 3.3 MB
     # in one stack; the budget holds two graphs per chunk.

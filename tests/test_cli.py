@@ -331,8 +331,9 @@ def test_import_does_not_load_the_process_pool():
 
 
 def test_import_loads_no_check_table_trees_or_regressions():
-    # bounds (and its frame), extremal and chem load on first use of a name.
-    code = ("import sys, psombor; "
+    # bounds (and its frame), extremal and chem load on first use of a name,
+    # or of the command that needs them: importing the CLI loads none of them.
+    code = ("import sys, psombor.cli; "
             "lazy = ('psombor.bounds', 'psombor.frame', 'psombor.chem', 'psombor.extremal'); "
             "print(sorted(m for m in lazy if m in sys.modules)); "
             "print(all(getattr(psombor, name) is not None for name in psombor.__all__)); "
@@ -424,6 +425,58 @@ def test_verify_range_errors_and_warnings_are_pinned(p, code, err):
     out = subprocess.run([sys.executable, "-m", "psombor", "verify", "--corpus", "families",
                           f"--p={p}"], capture_output=True, text=True)
     assert (out.returncode, out.stderr) == (code, err)
+
+
+def _k2_k5_corpus(path, k2_files, k5=True):
+    """A directory of k2_files copies of K2, then K5 if k5, in sorted order."""
+    path.mkdir()
+    for i in range(k2_files):
+        (path / f"k2_{i:02d}.edges").write_text("0 1\n")
+    if k5:
+        (path / "z_k5.edges").write_text("".join(f"{a} {b}\n" for a in range(5)
+                                                 for b in range(a + 1, 5)))
+    return str(path)
+
+
+@pytest.mark.parametrize("k2_files, k5, budget, chunk_sizes", [
+    (1, False, None, [1]),
+    (17, True, None, [18]),
+    # The entries of 17 K2 at one p (4 n^2 each): K5 goes to a second chunk.
+    (17, True, 17 * 4 * 2 ** 2, [17, 1]),
+])
+def test_verify_error_is_the_first_graphs_wherever_the_chunks_are_cut(
+        k2_files, k5, budget, chunk_sizes, tmp_path, monkeypatch, capsys):
+    # At p = 0.00196 the moments of K2 leave the float range, and so does
+    # the Frobenius norm of K5 when its stack is built: K2's error is
+    # reported whether K5 shares its chunk or not.
+    from psombor import config
+    from psombor.bounds import _chunks, corpus_from_directory
+
+    corpus = _k2_k5_corpus(tmp_path / "corpus", k2_files, k5)
+    if budget is not None:
+        monkeypatch.setattr(config, "SUITE_CHUNK_ENTRIES", budget)
+    graphs, _ = corpus_from_directory(corpus)
+    assert [len(chunk) for chunk in _chunks(graphs, 1)] == chunk_sizes
+    assert run(["verify", "--corpus", corpus, "--p=0.00196"]) == 1
+    assert capsys.readouterr().err == _MOMENTS
+
+
+# verify with config.SUITE_CHUNK_ENTRIES set to the first argument.
+_WITH_BUDGET = ("import sys; from psombor import cli, config; "
+                "config.SUITE_CHUNK_ENTRIES = float(sys.argv.pop(1)); cli.main()")
+
+
+def test_verify_stderr_depends_on_neither_the_chunking_nor_jobs():
+    # The Estrada warning of a row at p = 0.1, then the moments error of a
+    # later row at p = 0.003: one graph per chunk, 2^12 entries, one chunk,
+    # and 2^12 entries over two worker processes.
+    runs = []
+    for budget, jobs in (("1", "1"), ("4096", "1"), ("inf", "1"), ("4096", "2")):
+        out = subprocess.run([sys.executable, "-c", _WITH_BUDGET, budget, "verify",
+                              "--corpus", "families", "--p=0.1,0.003", "--jobs", jobs],
+                             capture_output=True, text=True)
+        runs.append((out.returncode, out.stderr))
+    assert runs == [(1, _ESTRADA + _MOMENTS)] * 4
 
 
 @pytest.mark.parametrize("p", ("inf", "-inf", "nan", "2,inf"))
@@ -519,7 +572,7 @@ def test_spectrum_at_tiny_negative_p_is_solved(p, p4_file, capsys):
 
 
 def test_trees_verify_extremes_enumerates_once(monkeypatch, capsys):
-    from psombor import cli, extremal
+    from psombor import extremal
 
     calls = []
     enumerate_trees = extremal.enumerate_trees
@@ -528,7 +581,6 @@ def test_trees_verify_extremes_enumerates_once(monkeypatch, capsys):
         calls.append(n)
         return enumerate_trees(n, max_degree)
 
-    monkeypatch.setattr(cli, "enumerate_trees", counting)
     monkeypatch.setattr(extremal, "enumerate_trees", counting)
     assert run(["trees", "--n", "7", "--verify-extremes", "--p", "1,2,3"]) == 0
     assert calls == [7]
