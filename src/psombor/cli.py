@@ -182,8 +182,7 @@ def _cmd_trees(args) -> int:
     if args.verify_extremes:
         ok = True
         results = []
-        catalog = enumerate_trees(args.n)
-        for rep in _tree_extremes(args.n, p_values, catalog):
+        for rep in _tree_extremes(args.n, p_values):
             ok = ok and rep.ok
             results.append({
                 "n": rep.n, "p": rep.p,

@@ -23,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
-from .backend import jacobi_sweeps_batch
 from .graphs import Graph, GraphError, _component_depths, structure_stats
-from .spectral import EigenConvergenceError, _stop_threshold, edge_weight, sombor_decomposition
+from .spectral import _solve, _squares, edge_weight, sombor_decomposition
 
 MAX_TREE_N = 12
 
@@ -300,14 +298,14 @@ def bipartite_radii(graphs, p_values) -> list[list[float]]:
     matrix of at most n/2 rows. Each graph's layout is built once
     (_gram_layouts) and edge_weight is called once per degree pair and p,
     every p before any solve; the Gram matrices of each row count at every p
-    are then solved as one stack of the batched kernel (_scaled_grams).
-    Each member stops at _stop_threshold(||G||_F), the norm summed left to
-    right, so a radius does not depend on the other graphs or p of the call,
-    and the largest diagonal entry of each solved member gives its radius.
+    are then solved as one stack (_scaled_grams) by spectral._solve, as
+    eigen_decompose solves a matrix: B is scaled by 2^-e, so G by 2^-2e. A
+    radius depends on no other graph or p of the call; it is the root of
+    the largest diagonal entry of its solved member.
     Radii only: the square root of a Gram eigenvalue that rounds near 0 is
     no accurate |xi_i|, so energies and spectra stay on the full matrices. A
     graph without edges has radius 0; ValueError for a graph that is not
-    bipartite, EigenConvergenceError as eigen_decompose.
+    bipartite, EigenConvergenceError (G's residual) as eigen_decompose.
     """
     p_values = list(p_values)
     if any(p == 0 for p in p_values):
@@ -317,12 +315,7 @@ def bipartite_radii(graphs, p_values) -> list[list[float]]:
     radii = np.zeros((len(graphs), len(p_values)))
     for owners, ids in layouts.values():
         gram, e = _scaled_grams(weights, ids)
-        norms = np.sqrt(np.cumsum((gram * gram).reshape(-1, gram.shape[2]), axis=0)[-1])
-        thresholds = _stop_threshold(norms)
-        sweeps, offs = jacobi_sweeps_batch(gram, thresholds, config.MAX_SWEEPS)
-        failed = np.flatnonzero(offs > thresholds)
-        if failed.size:
-            raise EigenConvergenceError(float(offs[failed[0]]), int(sweeps[failed[0]]))
+        _solve(gram, _squares(gram), 2 * e)
         largest = np.diagonal(gram).max(axis=1)
         radii[owners] = np.ldexp(np.sqrt(largest), e).reshape(len(owners), -1)
     return radii.T.tolist()

@@ -9,7 +9,7 @@ sorts it; eigen_decompose and eigen_decompose_many wrap it. Spectral
 moments N_0..N_4 are available through two independent routes: power sums
 of the computed eigenvalues, and traces of powers of the matrix itself,
 N_k = tr(S_p^k), which cross-validate each other. (Tree radii come from
-Gram matrices of the biadjacency block: extremal.bipartite_radii.)
+Gram matrices of the biadjacency block: extremal.bipartite_radii, via _solve.)
 """
 
 from __future__ import annotations
@@ -165,9 +165,25 @@ def _cluster_distinct(values: np.ndarray, floor: float) -> tuple[tuple[float, in
     return tuple(out)
 
 
-def _stop_threshold(norm):
-    """Jacobi stopping threshold of a matrix of Frobenius norm ``norm``, at every scale."""
-    return config.OFF_DIAG_FACTOR * norm
+def _squares(stack) -> np.ndarray:
+    """Squared Frobenius norms of a member-last (n, n, B) stack, row-major left to right."""
+    squared = (stack * stack).reshape(-1, stack.shape[2])
+    return np.cumsum(squared, axis=0)[-1] if len(squared) else np.zeros(stack.shape[2])
+
+
+def _solve(work, squares, e, vectors=None):
+    """Jacobi-solve a member-last (n, n, B) stack (and its vectors) in place;
+    member i, scaled by 2^-e[i], stops at OFF_DIAG_FACTOR * sqrt(squares[i]).
+    Returns (sweeps, residuals scaled back by 2^e: inf beyond the float range);
+    EigenConvergenceError for the first member that does not converge."""
+    thresholds = config.OFF_DIAG_FACTOR * np.sqrt(squares)
+    sweeps, offs = jacobi_sweeps_batch(work, thresholds, config.MAX_SWEEPS, vectors)
+    with np.errstate(over="ignore"):
+        residual = np.ldexp(offs, e)
+    failed = np.flatnonzero(offs > thresholds)
+    if failed.size:
+        raise EigenConvergenceError(float(residual[failed[0]]), int(sweeps[failed[0]]))
+    return sweeps, residual
 
 
 def _square(matrix) -> np.ndarray:
@@ -190,17 +206,13 @@ def decompose_stack(stack: np.ndarray, tags, want_vectors: bool = False):
     """Spectra of a member-first (B, n, n) stack of symmetric matrices.
 
     tags gives (kind, p) per member; returns one SpectralDecomposition per
-    member, in stack order. The stack is validated
-    once: entries finite, members symmetric, and each member's squared
-    Frobenius norm (a dot product, as np.linalg.norm takes it) in the float
-    range; the first member that fails raises. Each member is scaled by 2^-e
-    so that its largest |entry| is in [1/2, 1): that is exact and changes no
-    result of a matrix of ordinary scale, but keeps the squares of tiny
-    entries from underflowing. Eigenvalues, residual and norm are scaled
-    back. The kernel stops each member at _stop_threshold(||M||_F); one that
-    does not converge raises EigenConvergenceError. With eigenvectors, each
-    must have ||M v - lambda v|| <= VECTOR_RESIDUAL_FACTOR * scale, where
-    scale is max(1, ||M||_F).
+    member, in stack order. The stack is validated once: entries finite,
+    members symmetric, squared Frobenius norms (_squares) in the float range;
+    the first member that fails raises. _solve runs on each member scaled by
+    2^-e to put its largest |entry| in [1/2, 1) (exact, and the squares of
+    tiny entries cannot underflow); eigenvalues, residual and norm are scaled
+    back. With eigenvectors, each must have ||M v - lambda v|| <=
+    VECTOR_RESIDUAL_FACTOR * scale, where scale is max(1, ||M||_F).
     """
     b, n = stack.shape[:2]
     flat = stack.reshape(b, n * n)
@@ -209,7 +221,7 @@ def decompose_stack(stack: np.ndarray, tags, want_vectors: bool = False):
         symmetric = (stack == stack.transpose(0, 2, 1)).reshape(b, -1).all(axis=1)
         e = np.frexp(np.abs(flat).max(axis=1, initial=0.0))[1]
         work = np.ldexp(stack, -e[:, None, None])
-        squares = np.array([row.dot(row) for row in work.reshape(b, n * n)])
+        squares = _squares(work.transpose(1, 2, 0))
         in_range = np.isfinite(np.ldexp(squares, 2 * e))
     bad = ~(finite & symmetric & in_range)
     if bad.any():
@@ -219,16 +231,10 @@ def decompose_stack(stack: np.ndarray, tags, want_vectors: bool = False):
         if not symmetric[i]:
             raise ValueError("matrix must be symmetric")
         raise OverflowError("Frobenius norm of the matrix exceeds the float range")
-    norm = np.sqrt(squares)
-    thresholds = _stop_threshold(norm)
     vectors = np.broadcast_to(np.eye(n), (b, n, n)).copy() if want_vectors else None
-    sweeps, offs = jacobi_sweeps_batch(work.transpose(1, 2, 0), thresholds, config.MAX_SWEEPS,
-                                       None if vectors is None else vectors.transpose(1, 2, 0))
-    residual = np.ldexp(offs, e)
-    failed = np.flatnonzero(offs > thresholds)
-    if failed.size:
-        raise EigenConvergenceError(float(residual[failed[0]]), int(sweeps[failed[0]]))
-    true_norm = np.ldexp(norm, e)
+    sweeps, residual = _solve(work.transpose(1, 2, 0), squares, e,
+                              None if vectors is None else vectors.transpose(1, 2, 0))
+    true_norm = np.ldexp(np.sqrt(squares), e)
     scale = np.maximum(1.0, true_norm)
     diag = np.diagonal(work, axis1=1, axis2=2)
     order = np.argsort(-diag, axis=1, kind="stable")

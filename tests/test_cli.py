@@ -469,14 +469,17 @@ _WITH_BUDGET = ("import sys; from psombor import cli, config; "
 def test_verify_stderr_depends_on_neither_the_chunking_nor_jobs():
     # The Estrada warning of a row at p = 0.1, then the moments error of a
     # later row at p = 0.003: one graph per chunk, 2^12 entries, one chunk,
-    # and 2^12 entries over two worker processes.
+    # and 2^12 entries over two worker processes. At p = 0.1 alone the run
+    # passes, with the one warning line whether or not workers judge it.
     runs = []
-    for budget, jobs in (("1", "1"), ("4096", "1"), ("inf", "1"), ("4096", "2")):
+    for budget, p, jobs in (("1", "0.1,0.003", "1"), ("4096", "0.1,0.003", "1"),
+                            ("inf", "0.1,0.003", "1"), ("4096", "0.1,0.003", "2"),
+                            ("4096", "0.1", "1"), ("4096", "0.1", "2")):
         out = subprocess.run([sys.executable, "-c", _WITH_BUDGET, budget, "verify",
-                              "--corpus", "families", "--p=0.1,0.003", "--jobs", jobs],
+                              "--corpus", "families", f"--p={p}", "--jobs", jobs],
                              capture_output=True, text=True)
         runs.append((out.returncode, out.stderr))
-    assert runs == [(1, _ESTRADA + _MOMENTS)] * 4
+    assert runs == [(1, _ESTRADA + _MOMENTS)] * 4 + [(0, _ESTRADA)] * 2
 
 
 @pytest.mark.parametrize("p", ("inf", "-inf", "nan", "2,inf"))

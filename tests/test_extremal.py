@@ -92,21 +92,23 @@ def test_extremes_key_each_tree_once_over_several_p(monkeypatch, capsys):
 def test_extremes_pass_solves_only_gram_stacks(monkeypatch, capsys):
     # n = 12 at three p: every Gram matrix has at most 6 rows, one stack per
     # row count holds the 551 trees at every p, and no full 12 x 12 S_p is
-    # decomposed
+    # decomposed. The Gram stacks reach the kernel through spectral, the one
+    # module that drives it.
     from psombor import spectral
     from psombor.cli import run
 
+    assert not hasattr(extremal, "jacobi_sweeps_batch")
     shapes = []
-    kernel = extremal.jacobi_sweeps_batch
+    kernel = spectral.jacobi_sweeps_batch
 
-    def recording(stack, thresholds, max_sweeps):
+    def recording(stack, thresholds, max_sweeps, vectors=None):
         shapes.append(stack.shape)
-        return kernel(stack, thresholds, max_sweeps)
+        return kernel(stack, thresholds, max_sweeps, vectors)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("full S_p solve in a tree extremes pass")
 
-    monkeypatch.setattr(extremal, "jacobi_sweeps_batch", recording)
+    monkeypatch.setattr(spectral, "jacobi_sweeps_batch", recording)
     monkeypatch.setattr(spectral, "decompose_stack", forbidden)
     monkeypatch.setattr(spectral, "eigen_decompose_many", forbidden)
     assert run(["trees", "--n", "12", "--verify-extremes", "--p", "1,2,3"]) == 0

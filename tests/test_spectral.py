@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -493,6 +494,21 @@ def test_bipartite_radii_reject_odd_cycles():
             bipartite_radii([path_graph(4), g], [2.0])
 
 
+def _gram_members(graphs, p_values):
+    # (graph index, p, G, e) for every Gram matrix bipartite_radii solves,
+    # G scaled by 2^-e: the Gram matrix at true scale is ldexp(G, e)
+    from psombor.extremal import _gram_layouts, _scaled_grams
+
+    layouts, pairs = _gram_layouts(graphs)
+    weights = np.array([[edge_weight(a, b, p) for a, b in pairs] + [0.0]
+                        for p in p_values]).T
+    for owners, ids in layouts.values():
+        gram, e = _scaled_grams(weights, ids)
+        for member in range(gram.shape[2]):
+            b, k = divmod(member, len(p_values))
+            yield owners[b], p_values[k], gram[:, :, member], 2 * int(e[member])
+
+
 def test_bipartite_radii_raise_when_a_gram_solve_does_not_converge(monkeypatch):
     from psombor import config
 
@@ -500,8 +516,36 @@ def test_bipartite_radii_raise_when_a_gram_solve_does_not_converge(monkeypatch):
     # a star's Gram matrix is 1 x 1 and needs no sweep; P8's is 4 x 4
     closed = math.sqrt(5) * edge_weight(5, 1, 2.0)
     assert bipartite_radii([star_graph(6)], [2.0]) == [[pytest.approx(closed, rel=1e-15)]]
-    with pytest.raises(EigenConvergenceError, match="after 0 sweeps"):
+    with pytest.raises(EigenConvergenceError, match="after 0 sweeps") as tree:
         bipartite_radii([star_graph(6), path_graph(8)], [2.0])
+    # the residual is that of the Gram matrix at true scale, not of the
+    # power-of-two-scaled one the kernel ran on
+    [(_, _, gram, e)] = _gram_members([path_graph(8)], [2.0])
+    with pytest.raises(EigenConvergenceError) as full:
+        eigen_decompose(np.ldexp(gram, e))
+    assert tree.value.residual == full.value.residual == 18.330302779823363
+    # at p = 0.0015 the radii are ~5e201 and the Gram matrix at true scale
+    # ~1e403: its residual is inf, without an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigenConvergenceError) as huge:
+            bipartite_radii([path_graph(8)], [0.0015])
+    assert huge.value.residual == math.inf
+
+
+def test_bipartite_radii_solve_a_gram_matrix_as_eigen_decompose_does():
+    # one stop rule and one norm formula: each tree radius is the square
+    # root of eigen_decompose's largest eigenvalue of its Gram matrix at true
+    # scale, bit for bit
+    from psombor.extremal import enumerate_trees
+
+    trees = [t for n in range(3, 11) for t in enumerate_trees(n).trees]
+    radii = dict(zip(P_GRID, bipartite_radii(trees, P_GRID)))
+    members = list(_gram_members(trees, P_GRID))
+    assert len(members) == 995
+    for b, p, gram, e in members:
+        largest = eigen_decompose(np.ldexp(gram, e)).eigenvalues[0]
+        assert radii[p][b] == math.sqrt(largest), (b, p)
 
 
 def test_bipartite_radii_of_graphs_without_edges_are_zero():
