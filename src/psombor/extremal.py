@@ -2,9 +2,10 @@
 
 Unlabeled trees come from the free-tree generator of Wright, Richmond,
 Odlyzko & McKay (SIAM J. Comput. 15(2), 1986), which yields one centre-rooted
-canonical level sequence per tree, so no tree is built twice. Each catalog
-tree is labelled by the lexicographically largest canonical level sequence
-over all its rootings, and keyed by a centre-rooted AHU string.
+canonical level sequence per tree, so no tree is built twice. One parse of
+that sequence gives the catalog tree's key, the centre-rooted AHU string of
+tree_canonical_key, and its label, the lexicographically largest canonical
+level sequence over all its rootings: no leaf stripping and no Graph walk.
 
 Tree radii (the extremality check and the ranking) come from
 bipartite_radii: a tree is bipartite, so xi_1 is the square root of the
@@ -150,49 +151,65 @@ _SHALLOWER = [bytes.maketrans(bytes(range(k, 256)), bytes(range(256 - k)))
 _DEEPER = bytes.maketrans(bytes(range(255)), bytes(range(1, 256)))
 
 
-def _catalog_levels(levels) -> list[int]:
-    """The lexicographically largest canonical level sequence of the tree
-    over all its rootings, given a centre-rooted one.
+def _catalog_entry(levels, max_degree: int | None = None) -> tuple[str, list[int]] | None:
+    """(key, label) of a tree from one parse of its centre-rooted level
+    sequence, or None when a vertex has more than max_degree neighbours.
 
-    A sequence rooted at v starts 1, 2, ..., ecc(v) + 1, so only peripheral
-    vertices can attain the maximum: the deepest vertices of the first
-    subtree and of the rest of the tree. Each subtree (v away from a
-    neighbour) is taken as bytes with v at level 0, which orders sibling
-    subtrees as their absolute levels do. Away from v's parent in the centre
-    rooting it is a slice of levels, canonical already; toward it, it is
-    built once and shared by every rooting that reaches it.
+    The key is tree_canonical_key's: AHU codes built bottom-up, rooted at
+    vertex 0, or at both ends of the edge 0-1 when the first subtree T1 is
+    one level deeper than the rest (bicentral). The label is the largest
+    canonical level sequence over all rootings. A rooting starts 1, 2, ...,
+    ecc(v) + 1, so only the deepest vertices of T1 and of the rest, all
+    leaves, can attain it, and a leaf's rooting is the tree hanging from its
+    parent away from it. As bytes with that parent at level 0, that is the
+    parent's subtree slice without the leaf's; above vertex 0, the tree
+    hanging from the grandparent (built once per vertex it is left through)
+    goes before the first sibling slice it exceeds, as the slices are
+    canonical and in descending order already.
     """
     n = len(levels)
-    adj = [[] for _ in range(n)]
-    up = [-1] * n
-    for u, v in _level_sequence_edges(levels):
-        adj[u].append(v)
-        adj[v].append(u)
-        up[v] = u
-    stop, open_ = [n] * n, []  # levels[v:stop[v]] is v's subtree
-    for i, level in enumerate(levels):
-        while open_ and levels[open_[-1]] >= level:
-            stop[open_.pop()] = i
-        open_.append(i)
-    end = _first_subtree_end(levels)
-    rest = [0, *range(end, n)]
-    t1_depth = max(levels[1:end])
-    rest_depth = max(levels[v] for v in rest)
-    ends = ([v for v in range(1, end) if levels[v] == t1_depth]
-            + [v for v in rest if levels[v] == rest_depth])
+    parent, children, stop = [-1] * n, [[] for _ in range(n)], [n] * n
+    path = [0]  # root to the last vertex; levels[v:stop[v]] is v's subtree
+    for v in range(1, n):
+        while len(path) >= levels[v]:
+            stop[path.pop()] = v
+        parent[v] = path[-1]
+        children[path[-1]].append(v)
+        path.append(v)
+    if max_degree is not None and max(
+            len(c) + (v > 0) for v, c in enumerate(children)) > max_degree:
+        return None
+    codes = [""] * n
+    for v in range(n - 1, 0, -1):
+        kids = children[v]
+        codes[v] = "(" + "".join(sorted([codes[c] for c in kids])) + ")" if kids else "()"
+    end = stop[1]
+    t1_depth, rest_depth = max(levels[1:end]), max(levels[end:], default=1)
+    bicentral = t1_depth > rest_depth  # then vertex 1 is the other centre
+    root = "(" + "".join(sorted([codes[c] for c in children[0][bicentral:]])) + ")"
+    key = "|".join(sorted([codes[1], root])) if bicentral else root
     packed = bytes(levels)
-    upward: dict[tuple[int, int], bytes] = {}
+    hanging: dict[int, bytes] = {}
 
-    def walk(v, parent):
-        if parent == up[v]:
-            return packed[v:stop[v]].translate(_SHALLOWER[levels[v]])
-        seq = upward.get((v, parent))
+    def away(v):
+        # the tree hanging from parent[v] away from v, that parent at level 0
+        seq = hanging.get(v)
         if seq is None:
-            subs = sorted((walk(c, v) for c in adj[v] if c != parent), reverse=True)
-            seq = upward[v, parent] = b"\0" + b"".join(subs).translate(_DEEPER)
+            u = parent[v]
+            run = packed[u:stop[u]].translate(_SHALLOWER[levels[u]])
+            subs = [run[c - u:stop[c] - u] for c in children[u] if c != v]
+            if u:
+                up = away(u).translate(_DEEPER)
+                i = 0
+                while i < len(subs) and subs[i] >= up:
+                    i += 1
+                subs.insert(i, up)
+            seq = hanging[v] = b"\0" + b"".join(subs)
         return seq
 
-    return [x + 1 for x in max(walk(v, -1) for v in ends)]
+    best = max(away(v) for v in range(1, n)
+               if levels[v] == (t1_depth if v < end else rest_depth))
+    return key, [1, *(x + 2 for x in best)]
 
 
 def enumerate_trees(n: int, max_degree: int | None = None) -> TreeCatalog:
@@ -201,13 +218,10 @@ def enumerate_trees(n: int, max_degree: int | None = None) -> TreeCatalog:
         raise GraphError(f"tree enumeration supports 2 <= n <= {MAX_TREE_N}, got {n}")
     if max_degree is not None and max_degree < 1:
         raise GraphError(f"max degree must be at least 1, got {max_degree}")
-    items = []
-    for levels in _free_tree_level_sequences(n):
-        g = Graph(n, _level_sequence_edges(_catalog_levels(levels)))
-        items.append((tree_canonical_key(g), g))
+    items = [(entry[0], Graph(n, _level_sequence_edges(entry[1])))
+             for levels in _free_tree_level_sequences(n)
+             if (entry := _catalog_entry(levels, max_degree))]
     items.sort(key=lambda kv: kv[0])
-    if max_degree is not None:
-        items = [(k, t) for k, t in items if max(t.degrees) <= max_degree]
     return TreeCatalog(n=n, max_degree=max_degree,
                        trees=[t for _, t in items],
                        canonical_keys=[k for k, _ in items])

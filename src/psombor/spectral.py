@@ -212,9 +212,12 @@ def decompose_stack(stack: np.ndarray, tags, want_vectors: bool = False):
     2^-e to put its largest |entry| in [1/2, 1) (exact, and the squares of
     tiny entries cannot underflow); eigenvalues, residual and norm are scaled
     back. With eigenvectors, each must have ||M v - lambda v|| <=
-    VECTOR_RESIDUAL_FACTOR * scale, where scale is max(1, ||M||_F).
+    VECTOR_RESIDUAL_FACTOR * scale, where scale is max(1, ||M||_F). An
+    empty stack gives [].
     """
     b, n = stack.shape[:2]
+    if not b:
+        return []
     flat = stack.reshape(b, n * n)
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(flat).all(axis=1)

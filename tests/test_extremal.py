@@ -57,36 +57,73 @@ def test_catalog_digest_is_pinned(n, max_degree):
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGESTS[n, max_degree]
 
 
-@pytest.mark.parametrize("n", range(2, 13))
-def test_each_tree_is_keyed_once(n, monkeypatch):
-    # one key per catalog tree: the generator yields no duplicate to drop
-    calls = []
-    key = extremal.tree_canonical_key
+def _count_catalog_calls(monkeypatch) -> tuple[list, list]:
+    # (entries, keys): the arguments of each _catalog_entry and each
+    # tree_canonical_key call from here on
+    entries, keys = [], []
+    entry, key = extremal._catalog_entry, extremal.tree_canonical_key
 
-    def counting(g):
-        calls.append(g)
+    def counting_entry(levels, max_degree=None):
+        entries.append(levels)
+        return entry(levels, max_degree)
+
+    def counting_key(g):
+        keys.append(g)
         return key(g)
 
-    monkeypatch.setattr(extremal, "tree_canonical_key", counting)
+    monkeypatch.setattr(extremal, "_catalog_entry", counting_entry)
+    monkeypatch.setattr(extremal, "tree_canonical_key", counting_key)
+    return entries, keys
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_each_tree_is_keyed_once(n, monkeypatch):
+    # one key per catalog tree: the generator yields no duplicate to drop,
+    # and the key comes from the parse that gives the label, not from
+    # tree_canonical_key on a built Graph
+    entries, keys = _count_catalog_calls(monkeypatch)
     enumerate_trees(n)
-    assert len(calls) == FREE_TREE_COUNTS[n - 1]
+    assert len(entries) == FREE_TREE_COUNTS[n - 1]
+    assert keys == []
 
 
 def test_extremes_key_each_tree_once_over_several_p(monkeypatch, capsys):
     # the path and the star are told by degree, not by keying fresh copies
     from psombor.cli import run
 
-    calls = []
-    key = extremal.tree_canonical_key
-
-    def counting(g):
-        calls.append(g)
-        return key(g)
-
-    monkeypatch.setattr(extremal, "tree_canonical_key", counting)
+    entries, keys = _count_catalog_calls(monkeypatch)
     assert run(["trees", "--n", "12", "--verify-extremes", "--p", "1,2,3"]) == 0
-    assert len(calls) == FREE_TREE_COUNTS[11]
+    assert len(entries) == FREE_TREE_COUNTS[11]
+    assert keys == []
     assert capsys.readouterr().out.count("path=True") == 3
+
+
+def _rooted_levels(g: Graph, v: int, parent: int = -1, level: int = 1) -> list[int]:
+    # canonical level sequence of g rooted at v: subtrees in descending order
+    subs = sorted((_rooted_levels(g, c, v, level + 1) for c in g.adj[v] if c != parent),
+                  reverse=True)
+    return [level] + [x for sub in subs for x in sub]
+
+
+@pytest.mark.parametrize("n,max_degree", [(n, None) for n in range(2, 13)] + [(8, 4)])
+def test_catalog_entries_match_the_oracles(n, max_degree):
+    # each key is tree_canonical_key's (leaf stripping, recursive AHU) and
+    # each label the largest canonical level sequence over all n rootings;
+    # the catalog is the labelled trees in key order
+    entries = []
+    for levels in extremal._free_tree_level_sequences(n):
+        tree = Graph(n, extremal._level_sequence_edges(levels))
+        entry = extremal._catalog_entry(levels, max_degree)
+        if max_degree is not None and max(tree.degrees) > max_degree:
+            assert entry is None
+            continue
+        key, label = entry
+        assert key == tree_canonical_key(tree)
+        assert label == max(_rooted_levels(tree, v) for v in range(n))
+        entries.append((key, Graph(n, extremal._level_sequence_edges(label))))
+    catalog = enumerate_trees(n, max_degree)
+    assert sorted(entries, key=lambda kv: kv[0]) == list(zip(catalog.canonical_keys,
+                                                             catalog.trees))
 
 
 def test_extremes_pass_solves_only_gram_stacks(monkeypatch, capsys):

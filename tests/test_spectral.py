@@ -355,6 +355,15 @@ def test_decompose_many_validates_like_eigen_decompose():
         eigen_decompose_many([(np.array([[0.0, math.nan], [math.nan, 0.0]]), "p_sombor", 2.0)])
 
 
+@pytest.mark.parametrize("n", range(4))
+def test_an_empty_stack_decomposes_to_nothing(n):
+    from psombor.spectral import decompose_stack
+
+    for want_vectors in (False, True):
+        assert decompose_stack(np.zeros((0, n, n)), [], want_vectors) == []
+    assert eigen_decompose_many([]) == []
+
+
 def test_decompose_many_raises_the_scalar_convergence_error(monkeypatch):
     from psombor import config
     from psombor.spectral import eigen_decompose_many
