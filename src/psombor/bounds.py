@@ -43,10 +43,9 @@ from .graphs import (
     random_connected_gnm,
     structure_stats,
 )
-from .invariants import abs_determinant, estrada_index, graph_energy
+from .invariants import estrada_index
 from .spectral import (
     MomentSet,
-    SpectralDecomposition,
     _by_size,
     build_sombor_matrix,
     decompose_stack,
@@ -88,14 +87,15 @@ class BoundReport:
 
 class GraphContext:
     """The p-independent quantities of one graph, shared by the CheckContext
-    of every p. contexts() solves adec, the adjacency spectrum, with the
-    rest of its stack and reads the complement; the structure stats, the
+    of every p. contexts() solves its adjacency matrix as member `member` of
+    the Spectra `spectra`; adec (that member's view), the structure stats, the
     complement's parts and the subdivision energy are computed on first use."""
 
     def __init__(self, g: Graph):
         self.g = g
-        self.adec: SpectralDecomposition | None = None
+        self.spectra, self.member = None, None
 
+    adec = cached_property(lambda self: self.spectra.member(self.member, "adjacency", None))
     stats = cached_property(lambda self: structure_stats(self.g))
     complement = cached_property(lambda self: complement(self.g))
     # the components of the complement that have edges, by smallest vertex
@@ -118,29 +118,29 @@ class GraphContext:
         if not self.stats.is_regular:
             raise ValueError("subdivision_energy needs a regular graph")
         k = self.stats.max_degree
-        lams = self.adec.eigenvalues[:self.g.n - bipartite_component_count(self.g)]
+        lams = self.spectra.eigenvalues[self.member, :self.g.n - bipartite_component_count(self.g)]
         return 2.0 * sum(math.sqrt(k + lam) for lam in lams)
 
 
 class CheckContext:
     """The spectra and closed-form values of one (graph, p), over the
     GraphContext that holds the p-independent values. contexts() sets the
-    spectra, SO_p, the moments N0-N4 (moments; n2, n3, n4) and the edge-weight
-    variance (None without edges); the energy is computed on first use.
+    Spectra and members of its S_p, L_p and complement S_p (sdec, ldec and
+    complement_sdec view them on first read), SO_p, the moments N0-N4
+    (moments; n2, n3, n4) and the edge-weight variance (None without edges).
     Where the moments leave the float range they are left unset, and reading
     them raises moments_closed_form's OverflowError, so a run fails at the
     first check that needs them."""
 
     def __init__(self, graph: GraphContext, p: float, graph_id: str,
-                 holds_tol: float | None, sdec: SpectralDecomposition,
-                 ldec: SpectralDecomposition, complement_sdec: SpectralDecomposition,
+                 holds_tol: float | None, spectra, members: tuple[int, int, int],
                  so: float, moments: MomentSet | None, variance: float | None):
         self.graph = graph
         self.g = graph.g
         self.p = p
         self.graph_id = graph_id
         self.holds_tol = config.HOLDS_REL_TOL if holds_tol is None else holds_tol
-        self.sdec, self.ldec, self.complement_sdec = sdec, ldec, complement_sdec
+        self.spectra, self.members = spectra, members
         self.so, self.variance = so, variance
         if moments is not None:
             self.moments = moments
@@ -152,7 +152,10 @@ class CheckContext:
             raise OverflowError("spectral moments of S_p exceed the float range")
         raise AttributeError(name)
 
-    energy = cached_property(lambda self: graph_energy(self.sdec))
+    sdec = cached_property(lambda self: self.spectra.member(self.members[0], "p_sombor", self.p))
+    ldec = cached_property(lambda self: self.spectra.member(self.members[1], "p_laplacian", self.p))
+    complement_sdec = cached_property(
+        lambda self: self.spectra.member(self.members[2], "p_sombor", self.p))
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +309,6 @@ def _cor3_12_cap(f):
 def _energy_lower(bound):
     """Energy lower bound from N2, n and the largest and smallest |eigenvalue|."""
     return lambda f: (f.energy, bound(f.n, f.n2, f.abs_max, f.abs_min), None)
-
-
-def _det_root(c):
-    # |det|^(2/n); when the plain product overflows, from the product of
-    # |xi_i| / scale (each at most 1), times scale^2
-    dec = c.sdec
-    det = abs_determinant(dec)
-    if det < math.inf:
-        return det ** (2.0 / dec.n)
-    scaled = 1.0
-    for x in dec.eigenvalues:
-        scaled *= abs(float(x)) / dec.scale
-    return scaled ** (2.0 / dec.n) * dec.scale ** 2
-
-
-def _thm4_1_2(f):
-    return f.energy, _sqrt(f.n * (f.n - 1) * _each(_det_root, f.ctxs) + f.n2), None
 
 
 def _cmp4_2_4_3(f):
@@ -517,7 +503,8 @@ CHECKS = (
     # -- energy and the Estrada index --------------------------------------
     Check("thm4.1.1", "energy", "sqrt(2 N2) <= energy <= sqrt(n N2)",
           lambda f: (f.energy, _sqrt(2.0 * f.n2), _sqrt(f.n * f.n2))),
-    Check("thm4.1.2", "energy", "energy >= sqrt(n(n-1) |det|^(2/n) + N2)", _thm4_1_2),
+    Check("thm4.1.2", "energy", "energy >= sqrt(n(n-1) |det|^(2/n) + N2)",
+          lambda f: (f.energy, _sqrt(f.n * (f.n - 1) * f.det_root + f.n2), None)),
     Check("thm4.1.3", "energy", "energy >= (N2 + n max|xi| min|xi|) / (max|xi| + min|xi|)",
           _energy_lower(lambda n, n2, big, small: _div(n2 + n * big * small, big + small)),
           "has_edge", "no edges"),
@@ -612,8 +599,6 @@ for _check in CHECKS:
     _BY_FAMILY.setdefault(_check.family, []).append(_check)
 
 
-
-
 def contexts(graphs, p_values, holds_tol: float | None = None) -> list[list[CheckContext]]:
     """The CheckContexts of (graph_id, graph) pairs, a list per graph in
     p_values order.
@@ -623,10 +608,10 @@ def contexts(graphs, p_values, holds_tol: float | None = None) -> list[list[Chec
     pair. For each vertex count the weights are scattered into one
     member-first stack: S_p of every graph and of its complement at every p,
     L_p = diag(row sums) - S_p from the same S_p, and the adjacency
-    matrices, all solved by one decompose_stack. N2-N4 are traces of powers
-    of the stacked S_p (no eigensolver involved), SO_p and the variance are
-    sums of each graph's weights in edges() order, as sombor_index and
-    weight_variance take them.
+    matrices, all solved by one decompose_stack, whose Spectra the contexts
+    keep as arrays. N2-N4 are traces of powers of the stacked S_p (no
+    eigensolver involved), SO_p and the variance are sums of each graph's
+    weights in edges() order, as sombor_index and weight_variance take them.
     """
     graphs, p_values = list(graphs), tuple(p_values)
     k = len(p_values)
@@ -666,13 +651,10 @@ def contexts(graphs, p_values, holds_tol: float | None = None) -> list[list[Chec
             moments = [(x * y).reshape(count * k, n * n).sum(axis=1).tolist()
                        for x, y in ((s, s), (s2, s), (s2, s2))]
         del s2  # not held while the stack is solved
-        tags = ([("p_sombor", p) for _ in members for p in p_values for _ in (0, 1)]
-                + [("p_laplacian", p) for _ in members for p in p_values]
-                + [("adjacency", None)] * count)
-        decs = decompose_stack(stack, tags)
+        spectra = decompose_stack(stack)
         for a, i in enumerate(members):
             gc, graph_id, m = gcs[i], graphs[i][0], gcs[i].g.m
-            gc.adec = decs[3 * count * k + a]
+            gc.spectra, gc.member = spectra, 3 * count * k + a
             ctxs = []
             wg = weights[i][:, :m]
             for b, (p, row, squares) in enumerate(zip(p_values, wg.tolist(),
@@ -683,13 +665,11 @@ def contexts(graphs, p_values, holds_tol: float | None = None) -> list[list[Chec
                 so = sum(row)
                 variance = sum(squares) / m - (so / m) * (so / m) if m else None
                 ctxs.append(CheckContext(
-                    gc, p, graph_id, holds_tol, decs[2 * r], decs[2 * count * k + r],
-                    decs[2 * r + 1], so,
-                    MomentSet(p, float(n), 0.0, n2, n3, n4) if finite else None,
+                    gc, p, graph_id, holds_tol, spectra, (2 * r, 2 * count * k + r, 2 * r + 1),
+                    so, MomentSet(p, float(n), 0.0, n2, n3, n4) if finite else None,
                     variance))
             out[i] = ctxs
     return out
-
 
 
 def _run_family(family: str, g: Graph, p: float, ctx: CheckContext | None) -> list[BoundReport]:
@@ -820,8 +800,6 @@ def build_corpus(name: str, seed: int = 42):
     raise ValueError(f"unknown corpus {name!r} "
                      "(trees|families|random|special|all)")
 
-
-# ---------------------------------------------------------------------------
 
 # ---------------------------------------------------------------------------
 # suite runner

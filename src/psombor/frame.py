@@ -1,10 +1,10 @@
 """Frames: the columns that the check table of psombor.bounds reads.
 
-A Frame holds the (graph, p) rows of some CheckContexts (see bounds.contexts)
+A Frame has the (graph, p) rows of some CheckContexts (see bounds.contexts)
 and gives one 1-D array per quantity: n, m, p, SO_p, the moments N2-N4,
 degrees, radii, energies, inertias, structural predicates and so on, each
-computed for every row on first read. A check evaluates once per frame
-instead of once per row.
+computed for every row on first read, spectral ones from the arrays of the
+stacks the rows were solved in. A check evaluates once per frame.
 
 The helpers below reproduce Python's scalar arithmetic bit for bit. + - * /
 and sqrt are correctly rounded in NumPy too, but on SIMD paths np.power and
@@ -32,9 +32,20 @@ from .graphs import (
     is_complete_bipartite,
     is_complete_multipartite,
 )
-from .invariants import estrada_index, first_zagreb, graph_energy, isi_index, randic_index
+from .invariants import _abs_product, first_zagreb, isi_index, randic_index
+from .spectral import cluster_starts
 
 EXP_LIMIT = config.ESTRADA_EXP_LIMIT
+
+
+def _det_root(values: list, norm: float, scale: float) -> float:
+    """|det|^(2/n) of a spectrum; when the plain product overflows, from the
+    product of |xi_i| / scale (each at most 1), times scale^2."""
+    det = _abs_product(values, norm)
+    if det < math.inf:
+        return det ** (2.0 / len(values))
+    return math.prod(abs(x) / scale for x in values) ** (2.0 / len(values)) * scale ** 2
+
 
 # Columns read per (graph, p) row from its CheckContext ...
 _ROW = {
@@ -45,25 +56,36 @@ _ROW = {
     "n2": lambda c: c.n2,
     "n3": lambda c: c.n3,
     "n4": lambda c: c.n4,
-    "xi1": lambda c: c.sdec.radius,
-    "xin": lambda c: c.sdec.smallest,
-    "n_pos": lambda c: c.sdec.inertia[0],
-    "n_zero": lambda c: c.sdec.inertia[1],
-    "n_neg": lambda c: c.sdec.inertia[2],
-    "abs_max": lambda c: max(abs(c.sdec.radius), abs(c.sdec.smallest)),
-    "abs_min": lambda c: float(abs(c.sdec.eigenvalues).min()),
-    "distinct": lambda c: len(c.sdec.distinct),
-    "energy": lambda c: c.energy,
-    # estrada_index without its warning, which bounds emits for the rows read
-    "_estrada": lambda c: math.inf if c.sdec.radius > EXP_LIMIT else estrada_index(c.sdec),
-    "eta_max": lambda c: float(c.ldec.eigenvalues[0]),
-    "eta_2": lambda c: float(c.ldec.eigenvalues[-2]) if c.ldec.n >= 2 else math.nan,
-    "eta_n": lambda c: float(c.ldec.eigenvalues[-1]),
-    "eta_sum": lambda c: float(c.ldec.eigenvalues.sum()),
-    "lap_zeros": lambda c: c.ldec.inertia[1],
-    "lap_scale": lambda c: c.ldec.scale,
-    "xi1_sum": lambda c: c.sdec.radius + c.complement_sdec.radius,  # with the complement's
-    "energy_c": lambda c: graph_energy(c.complement_sdec),
+}
+# ... from the Spectra x of a stack, whose members s, lap, comp and adj are the
+# rows' S_p, L_p, complement S_p and adjacency matrix. Sums along C-contiguous
+# rows give each row's 1-D sum; exp (estrada_index without its warning, which
+# bounds emits for the rows read) and the determinant run per row in Python.
+_SPECTRAL = {
+    "xi1": lambda x, s, **_: x.eigenvalues[s, 0],
+    "xin": lambda x, s, **_: x.eigenvalues[s, -1],
+    "n_pos": lambda x, s, **_: x.inertia[s, 0],
+    "n_zero": lambda x, s, **_: x.inertia[s, 1],
+    "n_neg": lambda x, s, **_: x.inertia[s, 2],
+    "abs_max": lambda x, s, **_: maximum(abs(x.eigenvalues[s, 0]), abs(x.eigenvalues[s, -1])),
+    "abs_min": lambda x, s, **_: abs(x.eigenvalues[s]).min(axis=1),
+    "distinct": lambda x, s, **_: cluster_starts(x.eigenvalues[s],
+                                                 np.minimum(1.0, x.norm[s])).sum(axis=1),
+    "energy": lambda x, s, **_: abs(x.eigenvalues[s]).sum(axis=1),
+    "_estrada": lambda x, s, **_: each(lambda e: math.inf if e[0] > EXP_LIMIT
+                                       else sum(map(math.exp, e)), x.eigenvalues[s].tolist()),
+    "det_root": lambda x, s, **_: each(_det_root, x.eigenvalues[s].tolist(), x.norm[s],
+                                       x.scale[s]),
+    "eta_max": lambda x, lap, **_: x.eigenvalues[lap, 0],
+    "eta_2": lambda x, lap, **_: (x.eigenvalues[lap, -2] if x.eigenvalues.shape[1] >= 2
+                                  else np.full(len(lap), math.nan)),
+    "eta_n": lambda x, lap, **_: x.eigenvalues[lap, -1],
+    "eta_sum": lambda x, lap, **_: x.eigenvalues[lap].sum(axis=1),
+    "lap_zeros": lambda x, lap, **_: x.inertia[lap, 1],
+    "lap_scale": lambda x, lap, **_: x.scale[lap],
+    "xi1_sum": lambda x, s, comp, **_: x.eigenvalues[s, 0] + x.eigenvalues[comp, 0],
+    "energy_c": lambda x, comp, **_: abs(x.eigenvalues[comp]).sum(axis=1),
+    "mu1": lambda x, adj, **_: x.eigenvalues[adj, 0],
 }
 # ... and per graph from its GraphContext.
 _GRAPH = {
@@ -95,7 +117,6 @@ _GRAPH = {
     "m1": lambda gc: first_zagreb(gc.g),
     "randic": lambda gc: randic_index(gc.g),
     "isi": lambda gc: isi_index(gc.g),
-    "mu1": lambda gc: gc.adec.radius,
     "complement_term": lambda gc: sum(h.m * (h.n - 1 - max(h.degrees)) / h.n
                                       for h in gc.complement_parts),
 }
@@ -103,11 +124,11 @@ _GRAPH = {
 
 class Frame:
     """The (graph, p) rows of some CheckContexts of graphs with vertices, one
-    1-D array per quantity (_ROW, _GRAPH), computed for every row on first
-    read. take(mask) gives a frame of the rows in mask, whose columns index
-    this one's. Reading a moment raises the contexts' OverflowError if some
-    row lacks them; reads of the Estrada index are marked in the root
-    frame's read, for its overflow warning."""
+    1-D array per quantity (_ROW, _SPECTRAL, _GRAPH), computed for every row
+    on first read. take(mask) gives a frame of the rows in mask, whose
+    columns index this one's. Reading a moment raises the contexts'
+    OverflowError if some row lacks them; reads of the Estrada index are
+    marked in the root frame's read, for its overflow warning."""
 
     def __init__(self, ctxs, root: Frame | None = None, rows=None):
         # A root frame keeps no reference to itself, so that refcounting
@@ -121,6 +142,12 @@ class Frame:
             graphs = {id(c.graph): c.graph for c in ctxs}
             self._graphs, where = list(graphs.values()), {key: i for i, key in enumerate(graphs)}
             self.graph_index = np.array([where[id(c.graph)] for c in ctxs])
+            # (Spectra, rows, s, lap, comp, adj) per stack, as _SPECTRAL reads them
+            stacks: dict = {}
+            for row, c in enumerate(ctxs):
+                stacks.setdefault(id(c.spectra), (c.spectra, []))[1].append(
+                    (row, *c.members, c.graph.member))
+            self._stacks = [(x, *np.array(rows).T) for x, rows in stacks.values()]
             self.read = np.zeros(len(ctxs), dtype=bool)   # rows whose Estrada index was read
             self._powers: dict = {}
         else:
@@ -135,6 +162,12 @@ class Frame:
             column = np.array([_ROW[name](c) for c in self._ctxs])
         elif name in _GRAPH:
             column = np.array([_GRAPH[name](gc) for gc in self._graphs])[self.graph_index]
+        elif name in _SPECTRAL:
+            parts = [(rows, _SPECTRAL[name](x, s=s, lap=lap, comp=comp, adj=adj))
+                     for x, rows, s, lap, comp, adj in self._stacks]
+            column = np.empty(self.size, dtype=parts[0][1].dtype)
+            for rows, values in parts:
+                column[rows] = values
         else:
             raise AttributeError(name)
         setattr(self, name, column)

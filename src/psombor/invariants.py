@@ -105,13 +105,13 @@ def estrada_index(dec: SpectralDecomposition) -> float:
 def abs_determinant(dec: SpectralDecomposition) -> float:
     """Product of |eigenvalues|; snapped to 0 below (ZERO_TOL_FACTOR ||M||_F)^n,
     relative to the norm as the inertia's zero tolerance is."""
-    if dec.n == 0:
-        return 1.0
-    product = 1.0
-    for x in dec.eigenvalues:
-        product *= abs(float(x))
-    floor = (config.ZERO_TOL_FACTOR * dec.norm) ** dec.n
-    return 0.0 if product < floor else product
+    return _abs_product(dec.eigenvalues.tolist(), dec.norm) if dec.n else 1.0
+
+
+def _abs_product(values: list[float], norm: float) -> float:
+    """abs_determinant of a spectrum given as a list, of Frobenius norm norm."""
+    product = math.prod(map(abs, values))
+    return 0.0 if product < (config.ZERO_TOL_FACTOR * norm) ** len(values) else product
 
 
 def spectral_invariants(dec: SpectralDecomposition) -> SpectralInvariants:

@@ -5,7 +5,8 @@ fixed round-robin order, so results are reproducible bit for bit across runs,
 platforms and batches. Every full spectrum goes through decompose_stack,
 which validates a member-first stack of same-size matrices once, solves it
 scaled by a power of two per member (exact, and safe for tiny entries) and
-sorts it; eigen_decompose and eigen_decompose_many wrap it. Spectral
+sorts it into a Spectra, arrays with a row per member; eigen_decompose and
+eigen_decompose_many return SpectralDecomposition views of members. Spectral
 moments N_0..N_4 are available through two independent routes: power sums
 of the computed eigenvalues, and traces of powers of the matrix itself,
 N_k = tr(S_p^k), which cross-validate each other. (Tree radii come from
@@ -135,8 +136,10 @@ class SpectralDecomposition:
 
     @cached_property
     def distinct(self) -> tuple[tuple[float, int], ...]:
-        """(value, multiplicity) clusters, descending; computed on first read."""
-        return _cluster_distinct(self.eigenvalues, min(1.0, self.norm))
+        """(value, multiplicity) clusters (cluster_starts), descending."""
+        starts = np.flatnonzero(cluster_starts(self.eigenvalues[None], min(1.0, self.norm)))
+        return tuple(zip(self.eigenvalues[starts].tolist(),
+                         np.diff(starts, append=self.n).tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -150,24 +153,45 @@ class SpectralDecomposition:
         }
 
 
-def _cluster_distinct(values: np.ndarray, floor: float) -> tuple[tuple[float, int], ...]:
-    """Clusters of the descending values: a value joins the last cluster
-    within CLUSTER_GAP_FACTOR * max(floor, |cluster value|) of it."""
-    out: list[tuple[float, int]] = []
-    for x in values:
-        x = float(x)
-        if out and (abs(out[-1][0] - x)
-                    <= config.CLUSTER_GAP_FACTOR * max(floor, abs(out[-1][0]))):
-            val, mult = out[-1]
-            out[-1] = (val, mult + 1)
-        else:
-            out.append((x, 1))
-    return tuple(out)
+@dataclass
+class Spectra:
+    """The spectra of a stack of B matrices, row i for member i; member(i,
+    kind, p) views one as a SpectralDecomposition of that kind and p."""
+
+    eigenvalues: np.ndarray               # (B, n), descending
+    eigenvectors: np.ndarray | None       # (B, n, n)
+    inertia: np.ndarray                   # (B, 3)
+    residual: np.ndarray
+    sweeps: np.ndarray
+    scale: np.ndarray
+    norm: np.ndarray
+
+    def member(self, i: int, kind: str, p: float | None) -> SpectralDecomposition:
+        vectors = None if self.eigenvectors is None else self.eigenvectors[i]
+        return SpectralDecomposition(kind, p, self.eigenvalues[i], vectors,
+                                     tuple(self.inertia[i].tolist()), self.residual[i].item(),
+                                     self.sweeps[i].item(), self.scale[i].item(), self.norm[i].item())
+
+
+def cluster_starts(values: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """Where the descending rows of a (B, n) array start a cluster, as bools.
+    Column by column, a value joins its row's last cluster when within
+    CLUSTER_GAP_FACTOR * max(floor, |v|) of that cluster's first value v."""
+    starts = np.ones(values.shape, dtype=bool)
+    if values.shape[1]:
+        cluster = values[:, 0]
+        for j in range(1, values.shape[1]):
+            x = values[:, j]
+            joins = (np.abs(cluster - x)
+                     <= config.CLUSTER_GAP_FACTOR * np.maximum(floors, np.abs(cluster)))
+            starts[:, j] = ~joins
+            cluster = np.where(joins, cluster, x)
+    return starts
 
 
 def _squares(stack) -> np.ndarray:
     """Squared Frobenius norms of a member-last (n, n, B) stack, row-major left to right."""
-    squared = (stack * stack).reshape(-1, stack.shape[2])
+    squared = (stack * stack).reshape(stack.shape[0] * stack.shape[1], stack.shape[2])
     return np.cumsum(squared, axis=0)[-1] if len(squared) else np.zeros(stack.shape[2])
 
 
@@ -202,26 +226,22 @@ def _by_size(sizes) -> dict[int, list[int]]:
     return groups
 
 
-def decompose_stack(stack: np.ndarray, tags, want_vectors: bool = False):
-    """Spectra of a member-first (B, n, n) stack of symmetric matrices.
-
-    tags gives (kind, p) per member; returns one SpectralDecomposition per
-    member, in stack order. The stack is validated once: entries finite,
-    members symmetric, squared Frobenius norms (_squares) in the float range;
-    the first member that fails raises. _solve runs on each member scaled by
+def decompose_stack(stack: np.ndarray, want_vectors: bool = False) -> Spectra:
+    """Spectra of a member-first (B, n, n) stack of symmetric matrices, in
+    stack order. The stack is validated once: entries finite, members
+    symmetric, squared Frobenius norms (_squares) in the float range; the
+    first member that fails raises. _solve runs on each member scaled by
     2^-e to put its largest |entry| in [1/2, 1) (exact, and the squares of
     tiny entries cannot underflow); eigenvalues, residual and norm are scaled
     back. With eigenvectors, each must have ||M v - lambda v|| <=
     VECTOR_RESIDUAL_FACTOR * scale, where scale is max(1, ||M||_F). An
-    empty stack gives [].
+    empty stack has empty spectra.
     """
     b, n = stack.shape[:2]
-    if not b:
-        return []
     flat = stack.reshape(b, n * n)
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(flat).all(axis=1)
-        symmetric = (stack == stack.transpose(0, 2, 1)).reshape(b, -1).all(axis=1)
+        symmetric = (stack == stack.transpose(0, 2, 1)).reshape(b, n * n).all(axis=1)
         e = np.frexp(np.abs(flat).max(axis=1, initial=0.0))[1]
         work = np.ldexp(stack, -e[:, None, None])
         squares = _squares(work.transpose(1, 2, 0))
@@ -256,21 +276,17 @@ def decompose_stack(stack: np.ndarray, tags, want_vectors: bool = False):
     # whole spectrum lies far below 1. Strict comparisons keep the exact
     # zeros of an all-zero matrix zero.
     zero_tol = config.ZERO_TOL_FACTOR * true_norm[:, None]
-    n_pos = (eigenvalues > zero_tol).sum(axis=1).tolist()
-    n_neg = (eigenvalues < -zero_tol).sum(axis=1).tolist()
-    return [SpectralDecomposition(kind, p, eigenvalues[i],
-                                  None if vectors is None else vectors[i],
-                                  (n_pos[i], n - n_pos[i] - n_neg[i], n_neg[i]),
-                                  res, int(sw), sc, nm)
-            for i, ((kind, p), res, sw, sc, nm) in enumerate(
-                zip(tags, residual.tolist(), sweeps, scale.tolist(), true_norm.tolist()))]
+    n_pos = (eigenvalues > zero_tol).sum(axis=1)
+    n_neg = (eigenvalues < -zero_tol).sum(axis=1)
+    inertia = np.stack((n_pos, n - n_pos - n_neg, n_neg), axis=1)
+    return Spectra(eigenvalues, vectors, inertia, residual, sweeps, scale, true_norm)
 
 
 def eigen_decompose(matrix: np.ndarray, want_vectors: bool = False,
                     kind: str = "p_sombor", p: float | None = None) -> SpectralDecomposition:
     """Full spectrum of a symmetric matrix via Jacobi rotations: a
     decompose_stack of one, with eigenvectors if asked for."""
-    return decompose_stack(_square(matrix)[None], [(kind, p)], want_vectors)[0]
+    return decompose_stack(_square(matrix)[None], want_vectors).member(0, kind, p)
 
 
 def eigen_decompose_many(specs) -> list[SpectralDecomposition]:
@@ -284,10 +300,9 @@ def eigen_decompose_many(specs) -> list[SpectralDecomposition]:
     matrices = [_square(matrix) for matrix, _, _ in specs]
     out: list = [None] * len(specs)
     for members in _by_size(len(a) for a in matrices).values():
-        decs = decompose_stack(np.stack([matrices[i] for i in members]),
-                               [specs[i][1:] for i in members])
-        for i, dec in zip(members, decs):
-            out[i] = dec
+        spectra = decompose_stack(np.stack([matrices[i] for i in members]))
+        for j, i in enumerate(members):
+            out[i] = spectra.member(j, *specs[i][1:])
     return out
 
 

@@ -837,7 +837,8 @@ def test_context_values_equal_the_library_functions(p):
         assert _same(ctx.so, sombor_index(g, p)), graph_id
         assert _same(ctx.variance, weight_variance(g, p)), graph_id
         assert repr(ctx.moments) == repr(moments_closed_form(g, p)), graph_id
-        assert _same(ctx.energy, graph_energy(sombor_decomposition(g, p))), graph_id
+        assert _same(Frame([ctx]).energy.tolist()[0],
+                     graph_energy(sombor_decomposition(g, p))), graph_id
 
 
 def test_overflowing_moments_raise_where_a_check_reads_them():

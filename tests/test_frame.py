@@ -1,6 +1,7 @@
 """The frame's helpers give what Python's scalar arithmetic gives, row by row:
 the same values (NaN, signed zeros and infinities included) and the same
-exceptions."""
+exceptions. Its spectral columns give what each row's own decompositions
+gave."""
 
 import math
 
@@ -12,6 +13,7 @@ from psombor.frame import Frame, divide, exp, maximum, minimum, power, sqrt
 from psombor.graphs import Graph
 
 NAN, INF = math.nan, math.inf
+P_GRID = (-1.0, 0.5, 1.0, 2.0, 3.0)
 VALUES = [0.0, -0.0, 1.0, -2.5, 3e-320, 1e300, INF, -INF, NAN]
 
 
@@ -68,3 +70,73 @@ def test_pow2_raises_only_for_a_p_of_its_rows():
     at_two = Frame(contexts([("K1", Graph(1))], (2.0,))[0])
     assert at_two.pow2(1, 3.0).tolist() == [2.0 ** (1 + 3.0 / 2.0)]
     assert at_two.root.tolist() == [2.0 ** (1.0 / 2.0)]
+
+
+def _old_columns(s, lap, comp, adj):
+    """Each spectral column of one row by the per-member formula it had, from
+    the scalar decompositions of its S_p, L_p, complement S_p and adjacency
+    matrix."""
+    from psombor.config import ZERO_TOL_FACTOR
+    from psombor.frame import EXP_LIMIT
+    from psombor.invariants import estrada_index, graph_energy
+    from test_spectral import _cluster_distinct
+
+    det = 1.0
+    for x in s.eigenvalues:
+        det *= abs(float(x))
+    if det < (ZERO_TOL_FACTOR * s.norm) ** s.n:
+        det = 0.0
+    if det < INF:
+        det_root = det ** (2.0 / s.n)
+    else:
+        scaled = 1.0
+        for x in s.eigenvalues:
+            scaled *= abs(float(x)) / s.scale
+        det_root = scaled ** (2.0 / s.n) * s.scale ** 2
+    return {
+        "xi1": s.radius,
+        "xin": s.smallest,
+        "n_pos": s.inertia[0],
+        "n_zero": s.inertia[1],
+        "n_neg": s.inertia[2],
+        "abs_max": max(abs(s.radius), abs(s.smallest)),
+        "abs_min": float(abs(s.eigenvalues).min()),
+        "distinct": len(_cluster_distinct(s.eigenvalues, min(1.0, s.norm))),
+        "energy": graph_energy(s),
+        "_estrada": INF if s.radius > EXP_LIMIT else estrada_index(s),
+        "det_root": det_root,
+        "eta_max": float(lap.eigenvalues[0]),
+        "eta_2": float(lap.eigenvalues[-2]) if lap.n >= 2 else NAN,
+        "eta_n": float(lap.eigenvalues[-1]),
+        "eta_sum": float(lap.eigenvalues.sum()),
+        "lap_zeros": lap.inertia[1],
+        "lap_scale": lap.scale,
+        "xi1_sum": s.radius + comp.radius,
+        "energy_c": graph_energy(comp),
+        "mu1": adj.radius,
+    }
+
+
+def test_spectral_columns_equal_the_per_member_formulas():
+    # Gathers and row sums over the solved stacks give, bit for bit and in
+    # the same dtype, what each row's own decomposition gave; the sums along
+    # (B, n) rows are those of the 1-D spectra.
+    from psombor.bounds import corpus_families, corpus_special, corpus_trees
+    from psombor.graphs import complement
+    from psombor.spectral import (adjacency_decomposition, laplacian_decomposition,
+                                  sombor_decomposition)
+
+    graphs = corpus_families(6) + corpus_special() + corpus_trees(5, 6)
+    frame = Frame([ctx for per_p in contexts(graphs, P_GRID) for ctx in per_p])
+    rows = []
+    for _, g in graphs:
+        adj = adjacency_decomposition(g)
+        for p in P_GRID:
+            rows.append(_old_columns(sombor_decomposition(g, p), laplacian_decomposition(g, p),
+                                     sombor_decomposition(complement(g), p), adj))
+    assert len({len(row) for row in rows}) == 1 and frame.size == len(rows)
+    for name in rows[0]:
+        expected = np.array([row[name] for row in rows])
+        column = getattr(frame, name)
+        assert column.dtype == expected.dtype, name
+        assert column.tobytes() == expected.tobytes(), name

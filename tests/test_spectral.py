@@ -196,6 +196,72 @@ def test_distinct_clustering():
     assert len(values) == 3 and mults == [1, 2, 1]
 
 
+def _cluster_distinct(values, floor):
+    """The scalar clustering loop, the oracle of the column-wise rule: a value
+    joins the last cluster within CLUSTER_GAP_FACTOR * max(floor, |cluster
+    value|) of it."""
+    from psombor import config
+
+    out = []
+    for x in values:
+        x = float(x)
+        if out and (abs(out[-1][0] - x)
+                    <= config.CLUSTER_GAP_FACTOR * max(floor, abs(out[-1][0]))):
+            val, mult = out[-1]
+            out[-1] = (val, mult + 1)
+        else:
+            out.append((x, 1))
+    return tuple(out)
+
+
+# Steps down from one value to the next, in units of CLUSTER_GAP_FACTOR *
+# max(floor, |value|): 0 is an exact tie, below 1 a neighbour within the gap
+# (two 0.6 steps drift 1.2 gaps from the cluster's first value), above 1 a
+# new cluster.
+_STEPS = st.sampled_from([0.0, 0.0, 0.3, 0.6, 0.6, 0.999, 1.0, 1.001, 2.0, 1e3, 1e9])
+_FLOORS = st.sampled_from([0.0, 1e-300, 1e-9, 0.5, 1.0, 2.0, 1e6])
+
+
+@st.composite
+def _descending_rows(draw):
+    """(B, n) descending rows and a floor per row, n from 0: chains, ties,
+    all-zero rows and floors below and above 1."""
+    from psombor import config
+
+    n, b = draw(st.integers(0, 8)), draw(st.integers(1, 4))
+    rows, floors = [], []
+    for _ in range(b):
+        floor = draw(_FLOORS)
+        x = draw(st.sampled_from([0.0, 0.0, 1e-200, -3e-9, 1.0, -1.0, 7.5, -1e4])
+                 | st.floats(-1e3, 1e3))
+        row = []
+        for _ in range(n):
+            row.append(x)
+            x -= draw(_STEPS) * config.CLUSTER_GAP_FACTOR * max(floor, abs(x))
+        rows.append(row)
+        floors.append(floor)
+    return np.array(rows, dtype=float).reshape(b, n), np.array(floors)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(_descending_rows())
+def test_column_clusters_match_the_scalar_loop(rows):
+    from psombor.spectral import SpectralDecomposition, cluster_starts
+
+    values, floors = rows
+    starts = cluster_starts(values, floors)
+    for row, floor, start in zip(values, floors.tolist(), starts):
+        expected = _cluster_distinct(row, floor)
+        first = np.flatnonzero(start)
+        got = tuple(zip(row[first].tolist(), np.diff(first, append=len(row)).tolist()))
+        assert got == expected and start.sum() == len(expected)
+        # A decomposition's clusters, whose floor is min(1, norm).
+        if floor <= 1.0:
+            dec = SpectralDecomposition("p_sombor", 1.0, row, None, (0, 0, 0), 0.0, 0, 1.0,
+                                        floor)
+            assert dec.distinct == expected
+
+
 def test_regular_scaling_law():
     # for k-regular graphs the weighted matrix is 2^(1/p) k times adjacency
     for g, k in ((cycle_graph(6), 2), (complete_graph(5), 4)):
@@ -360,7 +426,8 @@ def test_an_empty_stack_decomposes_to_nothing(n):
     from psombor.spectral import decompose_stack
 
     for want_vectors in (False, True):
-        assert decompose_stack(np.zeros((0, n, n)), [], want_vectors) == []
+        spectra = decompose_stack(np.zeros((0, n, n)), want_vectors)
+        assert spectra.eigenvalues.shape == (0, n) and len(spectra.inertia) == 0
     assert eigen_decompose_many([]) == []
 
 
