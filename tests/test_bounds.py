@@ -879,6 +879,21 @@ def test_suite_output_digest_is_pinned(corpus):
     assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGESTS[corpus]
 
 
+# The digests above have no violation and no equality mismatch. holds_tol = -1
+# turns most hard checks into violations, so this one pins the payloads built
+# from a flagged row, among them the int 0 of SO_p on an edgeless graph.
+VIOLATIONS_DIGEST = "db667f855dc24b93b5c1aa1ef8b4e97cd34275ea259ddd6d1adc0797e7905f51"
+
+
+def test_suite_violation_payloads_are_pinned():
+    rep = run_suite(corpus_families() + corpus_special(), p_values=(-1.0, 2.0),
+                    holds_tol=-1.0, corpus_name="families+special")
+    assert len(rep.violations) == 3871 and not rep.equality_mismatches
+    assert sum(v["value"] == 0 and type(v["value"]) is int for v in rep.violations) == 10
+    text = json.dumps(rep.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == VIOLATIONS_DIGEST
+
+
 # The same digests over a wide p grid. At p = -1 and 2 few non-integer powers
 # differ from 1, but here 2^(k/p), n^(1/p), N4^(1/4) and exp() all matter,
 # and NumPy's vectorised pow and exp need not match Python's bit for bit.
