@@ -7,13 +7,13 @@ hold one value per (graph, p) row, and each is evaluated once per frame:
 applies, hard and equality give masks, bounds runs on the applicable rows
 only, and run_suite counts the outcomes of each chunk of graphs with
 np.bincount. Only a violation or an equality mismatch builds a BoundReport,
-from the same evaluators on a frame of its one row. Where a chunk raises (a
-value out of the float range at tiny |p|), it is judged again row by row,
-and the first (graph, p, check) that raises is reported, after the warnings
-of the rows judged before it. Checks whose derivations only hold for p >= 1
-are hard-asserted on that domain and run observe-only elsewhere; two claims
-that fail on small graphs as printed (check ids thm4.3 and cor-rad.randic)
-are permanently observe-only.
+from the same evaluators on that one row of the chunk's frame. Where a chunk
+raises (a value out of the float range at tiny |p|), it is judged again row
+by row, and the first (graph, p, check) that raises is reported, after the
+warnings of the rows judged before it. Checks whose derivations only hold
+for p >= 1 are hard-asserted on that domain and run observe-only elsewhere;
+two claims that fail on small graphs as printed (check ids thm4.3 and
+cor-rad.randic) are permanently observe-only.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .graphs import (
 )
 from .invariants import estrada_index
 from .spectral import (
-    MomentSet,
     _by_size,
     build_sombor_matrix,
     decompose_stack,
@@ -86,16 +85,15 @@ class BoundReport:
 
 
 class GraphContext:
-    """The p-independent quantities of one graph, shared by the CheckContext
-    of every p. contexts() solves its adjacency matrix as member `member` of
-    the Spectra `spectra`; adec (that member's view), the structure stats, the
-    complement's parts and the subdivision energy are computed on first use."""
+    """The p-independent quantities of one graph, shared by its frame rows at
+    every p. contexts() solves its adjacency matrix as member `member` of the
+    Spectra `spectra`; the structure stats, the complement's parts and the
+    subdivision energy are computed on first use."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.spectra, self.member = None, None
 
-    adec = cached_property(lambda self: self.spectra.member(self.member, "adjacency", None))
     stats = cached_property(lambda self: structure_stats(self.g))
     complement = cached_property(lambda self: complement(self.g))
     # the components of the complement that have edges, by smallest vertex
@@ -120,42 +118,6 @@ class GraphContext:
         k = self.stats.max_degree
         lams = self.spectra.eigenvalues[self.member, :self.g.n - bipartite_component_count(self.g)]
         return 2.0 * sum(math.sqrt(k + lam) for lam in lams)
-
-
-class CheckContext:
-    """The spectra and closed-form values of one (graph, p), over the
-    GraphContext that holds the p-independent values. contexts() sets the
-    Spectra and members of its S_p, L_p and complement S_p (sdec, ldec and
-    complement_sdec view them on first read), SO_p, the moments N0-N4
-    (moments; n2, n3, n4) and the edge-weight variance (None without edges).
-    Where the moments leave the float range they are left unset, and reading
-    them raises moments_closed_form's OverflowError, so a run fails at the
-    first check that needs them."""
-
-    def __init__(self, graph: GraphContext, p: float, graph_id: str,
-                 holds_tol: float | None, spectra, members: tuple[int, int, int],
-                 so: float, moments: MomentSet | None, variance: float | None):
-        self.graph = graph
-        self.g = graph.g
-        self.p = p
-        self.graph_id = graph_id
-        self.holds_tol = config.HOLDS_REL_TOL if holds_tol is None else holds_tol
-        self.spectra, self.members = spectra, members
-        self.so, self.variance = so, variance
-        if moments is not None:
-            self.moments = moments
-            self.n2, self.n3, self.n4 = moments.n2, moments.n3, moments.n4
-
-    def __getattr__(self, name):
-        # Reached only for attributes not set, the moments among them.
-        if name in ("moments", "n2", "n3", "n4"):
-            raise OverflowError("spectral moments of S_p exceed the float range")
-        raise AttributeError(name)
-
-    sdec = cached_property(lambda self: self.spectra.member(self.members[0], "p_sombor", self.p))
-    ldec = cached_property(lambda self: self.spectra.member(self.members[1], "p_laplacian", self.p))
-    complement_sdec = cached_property(
-        lambda self: self.spectra.member(self.members[2], "p_sombor", self.p))
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +207,13 @@ def _evaluate(check: Check, f: Frame):
 
 
 def _report(check: Check, f: Frame) -> BoundReport:
-    """The BoundReport of check on f, a frame of one row. Its columns take
-    their type from that row alone, so that SO_p of an edgeless graph is
-    reported as the int 0 that contexts() gives."""
+    """The BoundReport of check on f, a frame of one row. SO_p is reported as
+    the Python number contexts() summed: the int 0 on an edgeless graph."""
     _, _, hard, detail = _evaluate(check, f)
-    c, hard = f.ctxs[0], bool(hard[0])
+    graph_id, p = f.graph_ids[f.graph_index[0]], f.p_values[f.p_index[0]]
+    hard = bool(hard[0])
     if detail is None:
-        return BoundReport(check.id, check.statement, c.graph_id, c.p, 0.0, None, None,
+        return BoundReport(check.id, check.statement, graph_id, p, 0.0, None, None,
                            None, None, False, check.na, hard, False, None)
     sub, given, *columns = detail
     lower, has_lower, upper, has_upper, slack, has_slack, holds, eq_observed, eq_expected = (
@@ -259,18 +221,20 @@ def _report(check: Check, f: Frame) -> BoundReport:
     value = (given.tolist()[0] if isinstance(given, np.ndarray) else given)
     reason = (check.note(sub)[0] if check.note else None) if hard else check.observe
     extra = {key: x.tolist()[0] for key, x in check.extra(sub).items()} if check.extra else {}
-    return BoundReport(check.id, check.statement, c.graph_id, c.p, value,
+    return BoundReport(check.id, check.statement, graph_id, p, value,
                        lower if has_lower else None, upper if has_upper else None,
                        slack if has_slack else None, holds if has_slack else None, True,
                        reason, hard, eq_expected, eq_observed if has_slack else None, extra)
 
 
 def _warn_estrada(f: Frame) -> None:
-    """estrada_index's overflow warning, if a row of f whose Estrada index was
-    read has exp(xi1) overflow."""
+    """estrada_index's overflow warning, if a row of f, a root frame, whose
+    Estrada index was read has exp(xi1) overflow."""
     hit = f.read & (f.xi1 > EXP_LIMIT)
     if hit.any():
-        estrada_index(f.ctxs[int(hit.argmax())].sdec)
+        r = int(hit.argmax())
+        x, rows, s = next(stack[:3] for stack in f.stacks if r in stack[1])
+        estrada_index(x.member(int(s[rows == r][0]), "p_sombor", f.p_values[f.p_index[r]]))
 
 
 def _clamp_note(inner):
@@ -357,17 +321,17 @@ def _thm5_7(f):
     return f.energy, None, a + _sqrt(_max(0.0, inner))
 
 
-def _c1_term(c, root):
+def _c1_term(gc, p, root):
     """2^(1/p) deg_max sqrt(2 m - deg_min (n - 1 - deg_max) - deg_max) of C1,
     the complement part with the largest radius (0 without parts)."""
-    parts = c.graph.complement_parts
+    parts = gc.complement_parts
     if not parts:
         return 0.0
     # C1 is a choice only among two or more; index keeps the first of a tie.
     c1 = parts[0]
     if len(parts) > 1:
         radii = [dec.radius for dec in eigen_decompose_many(
-            [(build_sombor_matrix(h, c.p), "p_sombor", c.p) for h in parts])]
+            [(build_sombor_matrix(h, p), "p_sombor", p) for h in parts])]
         c1 = parts[radii.index(max(radii))]
     dmin, dmax = min(c1.degrees), max(c1.degrees)
     inner = 2 * c1.m - dmin * (c1.n - 1 - dmax) - dmax
@@ -377,7 +341,7 @@ def _c1_term(c, root):
 def _thm5_9_1(f):
     n, root = f.n, f.root
     first = root * (n - 1) * _sqrt(_max(0.0, 2 * f.m - n + 1))
-    return f.xi1_sum, None, first + _each(_c1_term, f.ctxs, root)
+    return f.xi1_sum, None, first + _each(_c1_term, f.graph, f.p, root)
 
 
 def _thm5_9_2(f):
@@ -556,7 +520,7 @@ CHECKS = (
           "needs n_pos >= 2 and n_neg >= 1"),
     Check("thm4.12", "energy",
           "energy(subdivision) <= 2 sqrt(2) sqrt(m n) (2^p + k^p)^(1/p)  [k-regular]",
-          lambda f: (_thm4_12_weight(f) * _each(lambda c: c.graph.subdivision_energy, f.ctxs),
+          lambda f: (_thm4_12_weight(f) * _each(lambda gc: gc.subdivision_energy, f.graph),
                      None, 2.0 * math.sqrt(2.0) * _sqrt(f.m * f.n) * _thm4_12_weight(f)),
           lambda f: f.regular & (f.m >= 1), "needs a regular graph with edges"),
 
@@ -599,38 +563,39 @@ for _check in CHECKS:
     _BY_FAMILY.setdefault(_check.family, []).append(_check)
 
 
-def contexts(graphs, p_values, holds_tol: float | None = None) -> list[list[CheckContext]]:
-    """The CheckContexts of (graph_id, graph) pairs, a list per graph in
-    p_values order.
+def contexts(graphs, p_values, holds_tol: float | None = None) -> Frame:
+    """The Frame of (graph_id, graph) pairs: a row per graph and p, graph by
+    graph, each in p_values order.
 
     Each graph's edges, then its complement's, become index arrays once, and
     their weights at each p take one edge_weight call per distinct degree
-    pair. For each vertex count the weights are scattered into one
-    member-first stack: S_p of every graph and of its complement at every p,
-    L_p = diag(row sums) - S_p from the same S_p, and the adjacency
-    matrices, all solved by one decompose_stack, whose Spectra the contexts
-    keep as arrays. N2-N4 are traces of powers of the stacked S_p (no
+    pair of all the graphs. For each vertex count the weights are scattered
+    into one member-first stack: S_p of every graph and of its complement at
+    every p, L_p = diag(row sums) - S_p from the same S_p, and the adjacency
+    matrices, all solved by one decompose_stack, whose Spectra the frame
+    keeps as arrays. N2-N4 are traces of powers of the stacked S_p (no
     eigensolver involved), SO_p and the variance are sums of each graph's
     weights in edges() order, as sombor_index and weight_variance take them.
     """
     graphs, p_values = list(graphs), tuple(p_values)
     k = len(p_values)
     gcs = [GraphContext(g) for _, g in graphs]
-    edges, weights = [], []
+    base = max((gc.g.n for gc in gcs), default=0) + 1
+    edges, keys = [], [np.zeros(0, dtype=np.intp)]
     for gc in gcs:
         g, h = gc.g, gc.complement
         ij = np.array([*g.edges(), *h.edges()], dtype=np.intp).reshape(-1, 2)
         d = np.concatenate((np.array(g.degrees, dtype=np.intp)[ij[:g.m]],
                             np.array(h.degrees, dtype=np.intp)[ij[g.m:]]))
-        keys, inverse = np.unique(d.min(axis=1) * (g.n + 1) + d.max(axis=1),
-                                  return_inverse=True)
-        pairs = list(zip(*divmod(keys, g.n + 1)))
-        w = np.array([[edge_weight(int(a), int(b), p) for a, b in pairs] for p in p_values],
-                     dtype=float).reshape(k, len(pairs))
         edges.append(ij)
-        weights.append(w[:, inverse])
-    out: list = [None] * len(graphs)
-    for n, members in _by_size(g.n for _, g in graphs).items():
+        keys.append(d.min(axis=1) * base + d.max(axis=1))
+    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    pairs = [divmod(key, base) for key in keys.tolist()]
+    w = np.array([[edge_weight(a, b, p) for a, b in pairs] for p in p_values],
+                 dtype=float).reshape(k, len(pairs))
+    weights = np.split(w[:, inverse], np.cumsum([len(ij) for ij in edges])[:-1], axis=1)
+    moments, stacks = np.zeros((3, len(graphs) * k)), []
+    for n, members in _by_size(gc.g.n for gc in gcs).items():
         count = len(members)
         stack = np.zeros((count * (3 * k + 1), n, n))
         sombor = stack[:2 * count * k].reshape(count, k, 2, n, n)  # graph, then complement
@@ -646,69 +611,66 @@ def contexts(graphs, p_values, holds_tol: float | None = None) -> list[list[Chec
         diagonal = np.arange(n)
         laplacian[:, :, diagonal, diagonal] = s.sum(axis=-1)
         laplacian -= s
+        rows = (np.array(members)[:, None] * k + np.arange(k)).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
             s2 = s @ s
-            moments = [(x * y).reshape(count * k, n * n).sum(axis=1).tolist()
-                       for x, y in ((s, s), (s2, s), (s2, s2))]
+            moments[:, rows] = [(x * y).reshape(count * k, n * n).sum(axis=1)
+                                for x, y in ((s, s), (s2, s), (s2, s2))]
         del s2  # not held while the stack is solved
         spectra = decompose_stack(stack)
         for a, i in enumerate(members):
-            gc, graph_id, m = gcs[i], graphs[i][0], gcs[i].g.m
-            gc.spectra, gc.member = spectra, 3 * count * k + a
-            ctxs = []
-            wg = weights[i][:, :m]
-            for b, (p, row, squares) in enumerate(zip(p_values, wg.tolist(),
-                                                      (wg * wg).tolist())):
-                r = a * k + b
-                n2, n3, n4 = (moment[r] for moment in moments)
-                finite = math.isfinite(n2) and math.isfinite(n3) and math.isfinite(n4)
-                so = sum(row)
-                variance = sum(squares) / m - (so / m) * (so / m) if m else None
-                ctxs.append(CheckContext(
-                    gc, p, graph_id, holds_tol, spectra, (2 * r, 2 * count * k + r, 2 * r + 1),
-                    so, MomentSet(p, float(n), 0.0, n2, n3, n4) if finite else None,
-                    variance))
-            out[i] = ctxs
-    return out
+            gcs[i].spectra, gcs[i].member = spectra, 3 * count * k + a
+        local = np.arange(count * k)
+        stacks.append((spectra, rows, 2 * local, 2 * count * k + local, 2 * local + 1,
+                       np.repeat(3 * count * k + np.arange(count), k)))
+    so, variance = [], []
+    for gc, w in zip(gcs, weights):
+        m, wg = gc.g.m, w[:, :gc.g.m]
+        for row, squares in zip(wg.tolist(), (wg * wg).tolist()):
+            so.append(sum(row))
+            variance.append(sum(squares) / m - (so[-1] / m) * (so[-1] / m) if m else math.nan)
+    # SO_p as Python numbers: the empty sum of an edgeless graph is the int 0.
+    columns = {"so": np.array(so, dtype=object), "variance": np.array(variance, dtype=float)}
+    if np.isfinite(moments).all():
+        columns.update(n2=moments[0], n3=moments[1], n4=moments[2])
+    return Frame(gcs, [graph_id for graph_id, _ in graphs], p_values,
+                 config.HOLDS_REL_TOL if holds_tol is None else holds_tol, stacks, **columns)
 
 
-def _run_family(family: str, g: Graph, p: float, ctx: CheckContext | None) -> list[BoundReport]:
-    ctx = ctx or contexts([("g", g)], (p,))[0][0]
+def _reports(checks, g: Graph, p: float) -> list[BoundReport]:
+    """The BoundReport of each check on g at p, from one frame of one row."""
     if g.n == 0:
         return []
-    f = Frame([ctx])
+    f = contexts([("g", g)], (p,))
     try:
         with np.errstate(all="ignore"):
-            return [_report(check, f) for check in _BY_FAMILY[family]]
+            return [_report(check, f) for check in checks]
     finally:
         _warn_estrada(f)
 
 
-def check_moment_index_bounds(g: Graph, p: float, ctx: CheckContext | None = None) -> list[BoundReport]:
-    return _run_family("moment", g, p, ctx)
+def check_moment_index_bounds(g: Graph, p: float) -> list[BoundReport]:
+    return _reports(_BY_FAMILY["moment"], g, p)
 
 
-def check_laplacian_bounds(g: Graph, p: float, ctx: CheckContext | None = None) -> list[BoundReport]:
-    return _run_family("laplacian", g, p, ctx)
+def check_laplacian_bounds(g: Graph, p: float) -> list[BoundReport]:
+    return _reports(_BY_FAMILY["laplacian"], g, p)
 
 
-def check_radius_bounds(g: Graph, p: float, ctx: CheckContext | None = None) -> list[BoundReport]:
-    return _run_family("radius", g, p, ctx)
+def check_radius_bounds(g: Graph, p: float) -> list[BoundReport]:
+    return _reports(_BY_FAMILY["radius"], g, p)
 
 
-def check_energy_estrada_bounds(g: Graph, p: float, ctx: CheckContext | None = None) -> list[BoundReport]:
-    return _run_family("energy", g, p, ctx)
+def check_energy_estrada_bounds(g: Graph, p: float) -> list[BoundReport]:
+    return _reports(_BY_FAMILY["energy"], g, p)
 
 
-def check_nordhaus_gaddum(g: Graph, p: float, ctx: CheckContext | None = None) -> list[BoundReport]:
-    return _run_family("nordhaus_gaddum", g, p, ctx)
+def check_nordhaus_gaddum(g: Graph, p: float) -> list[BoundReport]:
+    return _reports(_BY_FAMILY["nordhaus_gaddum"], g, p)
 
 
-def all_checks(g: Graph, p: float, ctx: CheckContext | None = None) -> list[BoundReport]:
-    ctx = ctx or contexts([("g", g)], (p,))[0][0]
-    return (check_moment_index_bounds(g, p, ctx) + check_laplacian_bounds(g, p, ctx)
-            + check_radius_bounds(g, p, ctx) + check_energy_estrada_bounds(g, p, ctx)
-            + check_nordhaus_gaddum(g, p, ctx))
+def all_checks(g: Graph, p: float) -> list[BoundReport]:
+    return _reports(CHECKS, g, p)
 
 
 # ---------------------------------------------------------------------------
@@ -862,9 +824,9 @@ def _new_tally():
 def _tally_frame(f: Frame, tally) -> None:
     """Add every check on every row of f to tally, one evaluation per check.
 
-    Only a violation or an equality mismatch builds a BoundReport, on a frame
-    of its one row, in (row, check) order. A check that raises propagates;
-    the caller warns for the rows whose Estrada index was read
+    Only a violation or an equality mismatch builds a BoundReport, on the
+    frame of its one row, in (row, check) order. A check that raises
+    propagates; the caller warns for the rows whose Estrada index was read
     (_warn_estrada).
     """
     counts, violations, eq_mismatches = tally
@@ -876,8 +838,8 @@ def _tally_frame(f: Frame, tally) -> None:
             flagged += [(r, k, violations) for r in np.flatnonzero(outcome == _FAIL).tolist()]
             flagged += [(r, k, eq_mismatches) for r in np.flatnonzero(mismatch).tolist()]
         for r, k, out in sorted(flagged, key=lambda x: x[:2]):
-            ctx = f.ctxs[r]
-            out.append(_violation_payload(_report(CHECKS[k], Frame([ctx])), ctx.g))
+            report = _report(CHECKS[k], f.take(np.arange(f.size) == r))
+            out.append(_violation_payload(report, f.graphs[f.graph_index[r]].g))
 
 
 def _tally_chunk(args):
@@ -885,7 +847,7 @@ def _tally_chunk(args):
 
     If anything raises, in contexts() or in a check, the chunk is judged
     again one row at a time, each row's frame warning as it is judged (as
-    in _run_family). So the first (graph, p, check) that raises is
+    in _reports). So the first (graph, p, check) that raises is
     re-raised after the warnings of the rows before it, wherever the
     chunks were cut; if no row raises, the row-by-row tally stands.
     """
@@ -895,13 +857,13 @@ def _tally_chunk(args):
     if not graphs:
         return tally
     try:
-        f = Frame([ctx for ctxs in contexts(graphs, p_values, holds_tol) for ctx in ctxs])
+        f = contexts(graphs, p_values, holds_tol)
         _tally_frame(f, tally)
     except Exception:
         tally = _new_tally()
         for item in graphs:
             for p in p_values:
-                f = Frame(contexts([item], (p,), holds_tol)[0])
+                f = contexts([item], (p,), holds_tol)
                 try:
                     _tally_frame(f, tally)
                 finally:

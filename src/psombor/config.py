@@ -21,13 +21,17 @@ MAX_INPUT_VERTICES = 500
 # run_suite cuts the corpus, in order, into chunks whose matrix stacks hold at
 # most this many float64 entries (512 KiB), counting (3k + 1) n^2 per graph of
 # n vertices at k p values: S_p of the graph and of its complement and L_p at
-# each p, and the adjacency matrix. That bounds the matrices held at once,
-# except that a graph over the budget gets a chunk of its own. A chunk costs
-# one kernel call per vertex count and one evaluation per check whatever its
-# size, so fuller chunks cost less per matrix. verify --corpus all at 5 p
-# makes 22, 11, 6 and 3 chunks at 2^14, 2^15, 2^16 and 2^17 entries, and
-# run_suite's tracemalloc peak is 1.0, 1.6, 3.0 and 5.4 MB (10.6 MB as one
-# chunk).
+# each p, and the adjacency matrix. Memory is bounded at a multiple of the
+# budget, not at it: during a chunk's solve the stack, decompose_stack's
+# scaled copy, the kernel's working copy and its temporaries are live at
+# once. One full chunk (the first 64 graphs of the random corpus at 5 p, one
+# 0.52 MB stack) has a tracemalloc peak of 3.3 MB, 6.2 times its stack; the
+# six chunks of verify --corpus all at 5 p peak at 3.2 to 6.9 times theirs.
+# A graph over the budget gets a chunk of its own. A chunk costs one kernel
+# call per vertex count and one evaluation per check whatever its size, so
+# fuller chunks cost less per matrix. verify --corpus all at 5 p makes 22,
+# 11, 6 and 3 chunks at 2^14, 2^15, 2^16 and 2^17 entries, and run_suite's
+# tracemalloc peak is 1.0, 1.6, 3.0 and 5.4 MB (10.6 MB as one chunk).
 SUITE_CHUNK_ENTRIES = 2 ** 16
 
 # Eigenvalue classification. At tiny |p| ||M||_F can be ~1e-49, so a floor of 1

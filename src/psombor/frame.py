@@ -1,10 +1,12 @@
 """Frames: the columns that the check table of psombor.bounds reads.
 
-A Frame has the (graph, p) rows of some CheckContexts (see bounds.contexts)
-and gives one 1-D array per quantity: n, m, p, SO_p, the moments N2-N4,
-degrees, radii, energies, inertias, structural predicates and so on, each
-computed for every row on first read, spectral ones from the arrays of the
-stacks the rows were solved in. A check evaluates once per frame.
+A Frame has the (graph, p) rows of a chunk of graphs, as bounds.contexts
+builds it, and gives one 1-D array per quantity: n, m, p, SO_p, the moments
+N2-N4, degrees, radii, energies, inertias, structural predicates and so on.
+contexts sets the values it computes itself (SO_p, the variance, N2-N4);
+the others are computed for every row on first read, spectral ones from the
+arrays of the stacks the rows were solved in. A check evaluates once per
+frame.
 
 The helpers below reproduce Python's scalar arithmetic bit for bit. + - * /
 and sqrt are correctly rounded in NumPy too, but on SIMD paths np.power and
@@ -47,20 +49,11 @@ def _det_root(values: list, norm: float, scale: float) -> float:
     return math.prod(abs(x) / scale for x in values) ** (2.0 / len(values)) * scale ** 2
 
 
-# Columns read per (graph, p) row from its CheckContext ...
-_ROW = {
-    "p": lambda c: c.p,
-    "p_at_least_1": lambda c: c.p >= 1,
-    "so": lambda c: c.so,
-    "variance": lambda c: math.nan if c.variance is None else c.variance,
-    "n2": lambda c: c.n2,
-    "n3": lambda c: c.n3,
-    "n4": lambda c: c.n4,
-}
-# ... from the Spectra x of a stack, whose members s, lap, comp and adj are the
-# rows' S_p, L_p, complement S_p and adjacency matrix. Sums along C-contiguous
-# rows give each row's 1-D sum; exp (estrada_index without its warning, which
-# bounds emits for the rows read) and the determinant run per row in Python.
+# Columns read from the Spectra x of a stack, whose members s, lap, comp and
+# adj are the rows' S_p, L_p, complement S_p and adjacency matrix. Sums along
+# C-contiguous rows give each row's 1-D sum; exp (estrada_index without its
+# warning, which bounds emits for the rows read) and the determinant run per
+# row in Python.
 _SPECTRAL = {
     "xi1": lambda x, s, **_: x.eigenvalues[s, 0],
     "xin": lambda x, s, **_: x.eigenvalues[s, -1],
@@ -87,7 +80,7 @@ _SPECTRAL = {
     "energy_c": lambda x, comp, **_: abs(x.eigenvalues[comp]).sum(axis=1),
     "mu1": lambda x, adj, **_: x.eigenvalues[adj, 0],
 }
-# ... and per graph from its GraphContext.
+# Columns read per graph from its GraphContext.
 _GRAPH = {
     "n": lambda gc: gc.g.n,
     "m": lambda gc: gc.g.m,
@@ -123,51 +116,52 @@ _GRAPH = {
 
 
 class Frame:
-    """The (graph, p) rows of some CheckContexts of graphs with vertices, one
-    1-D array per quantity (_ROW, _SPECTRAL, _GRAPH), computed for every row
-    on first read. take(mask) gives a frame of the rows in mask, whose
-    columns index this one's. Reading a moment raises the contexts'
-    OverflowError if some row lacks them; reads of the Estrada index are
-    marked in the root frame's read, for its overflow warning."""
+    """The (graph, p) rows of graphs with vertices, graph by graph and p by p
+    within each: one 1-D array per quantity (_SPECTRAL, _GRAPH and the
+    columns given), computed for every row on first read. graphs holds the
+    GraphContext and graph_ids the id of each graph, graph_index and p_index
+    index them and p_values per row, and stacks holds (Spectra, rows, s,
+    lap, comp, adj) per solved stack: the rows it holds and their S_p, L_p,
+    complement S_p and adjacency members. take(mask) gives a frame of the
+    rows in mask, whose columns index this one's. Reading a moment not given
+    raises OverflowError: some row's moments left the float range. Reads of
+    the Estrada index are marked in the root frame's read, for its overflow
+    warning."""
 
-    def __init__(self, ctxs, root: Frame | None = None, rows=None):
+    def __init__(self, graphs, graph_ids, p_values, holds_tol, stacks=(), root=None,
+                 rows=None, **columns):
         # A root frame keeps no reference to itself, so that refcounting
-        # frees it and its contexts as soon as its chunk is judged.
-        self._parent, self._rows = root, rows
+        # frees it as soon as its chunk is judged.
+        self.graphs, self.graph_ids, self.p_values = graphs, graph_ids, p_values
+        self.holds_tol, self._parent, self._rows = holds_tol, root, rows
         if root is None:
-            self._ctxs, self.size = ctxs, len(ctxs)
-            self.holds_tol = ctxs[0].holds_tol
-            self.p_values = list(dict.fromkeys(c.p for c in ctxs))
-            self.p_index = np.array([self.p_values.index(c.p) for c in ctxs])
-            graphs = {id(c.graph): c.graph for c in ctxs}
-            self._graphs, where = list(graphs.values()), {key: i for i, key in enumerate(graphs)}
-            self.graph_index = np.array([where[id(c.graph)] for c in ctxs])
-            # (Spectra, rows, s, lap, comp, adj) per stack, as _SPECTRAL reads them
-            stacks: dict = {}
-            for row, c in enumerate(ctxs):
-                stacks.setdefault(id(c.spectra), (c.spectra, []))[1].append(
-                    (row, *c.members, c.graph.member))
-            self._stacks = [(x, *np.array(rows).T) for x, rows in stacks.values()]
-            self.read = np.zeros(len(ctxs), dtype=bool)   # rows whose Estrada index was read
+            k = len(p_values)
+            self.graph_index = np.repeat(np.arange(len(graphs)), k)
+            self.p_index = np.tile(np.arange(k), len(graphs))
+            self.size, self.stacks = len(self.p_index), stacks
+            self.p = np.array(p_values)[self.p_index]
+            self.p_at_least_1 = self.p >= 1
+            self.read = np.zeros(self.size, dtype=bool)   # rows whose Estrada index was read
             self._powers: dict = {}
+            vars(self).update(columns)
         else:
-            self.size, self.holds_tol = len(rows), root.holds_tol
+            self.size = len(rows)
 
     _root = property(lambda self: self._parent or self)
 
     def __getattr__(self, name):
         if self._parent is not None:
             column = getattr(self._parent, name)[self._rows]
-        elif name in _ROW:
-            column = np.array([_ROW[name](c) for c in self._ctxs])
         elif name in _GRAPH:
-            column = np.array([_GRAPH[name](gc) for gc in self._graphs])[self.graph_index]
+            column = np.array([_GRAPH[name](gc) for gc in self.graphs])[self.graph_index]
         elif name in _SPECTRAL:
             parts = [(rows, _SPECTRAL[name](x, s=s, lap=lap, comp=comp, adj=adj))
-                     for x, rows, s, lap, comp, adj in self._stacks]
+                     for x, rows, s, lap, comp, adj in self.stacks]
             column = np.empty(self.size, dtype=parts[0][1].dtype)
             for rows, values in parts:
                 column[rows] = values
+        elif name in ("n2", "n3", "n4"):
+            raise OverflowError("spectral moments of S_p exceed the float range")
         else:
             raise AttributeError(name)
         setattr(self, name, column)
@@ -175,13 +169,13 @@ class Frame:
 
     def take(self, mask) -> Frame:
         rows = np.flatnonzero(mask)
-        return Frame(None, self._root, rows if self._rows is None else self._rows[rows])
+        return Frame(self.graphs, self.graph_ids, self.p_values, self.holds_tol,
+                     root=self._root, rows=rows if self._rows is None else self._rows[rows])
 
     @property
-    def ctxs(self) -> list:
-        if self._parent is None:
-            return self._ctxs
-        return [self._parent._ctxs[i] for i in self._rows.tolist()]
+    def graph(self) -> list:
+        """The GraphContext of each row."""
+        return [self.graphs[i] for i in self.graph_index.tolist()]
 
     def where(self, mask, evaluate):
         """evaluate(the frame of the rows in mask) as (values, mask): a bound
@@ -193,10 +187,10 @@ class Frame:
 
     def pow2(self, a: int, b: float) -> np.ndarray:
         """2.0 ** (a + b / p) per row: one Python power per distinct p."""
-        root = self._root
-        values = root._powers.get((a, b))
+        powers = self._root._powers
+        values = powers.get((a, b))
         if values is None:
-            values = root._powers[a, b] = np.array([2.0 ** (a + b / p) for p in root.p_values])
+            values = powers[a, b] = np.array([2.0 ** (a + b / p) for p in self.p_values])
         return values[self.p_index]
 
     root = property(lambda self: self.pow2(0, 1.0))   # 2^(1/p)

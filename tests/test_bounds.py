@@ -15,8 +15,6 @@ from psombor.bounds import (
     OUTCOMES,
     BoundReport,
     Check,
-    CheckContext,
-    Frame,
     GraphContext,
     _chunks,
     _evaluate,
@@ -266,7 +264,18 @@ THM4_12_P = (-1000.0, -1.0, 0.05, 0.5, 2.0, 1000.0)
 
 def _graph_context(g):
     """The GraphContext of g, with its adjacency spectrum, from contexts()."""
-    return contexts([("g", g)], (1.0,))[0][0].graph
+    return contexts([("g", g)], (1.0,)).graphs[0]
+
+
+def _adjacency_eigenvalues(gc):
+    return gc.spectra.eigenvalues[gc.member]
+
+
+def _rows(f):
+    """(graph id, GraphContext, p, the frame of that one row) per row of f."""
+    for r in range(f.size):
+        i, b = f.graph_index[r], f.p_index[r]
+        yield f.graph_ids[i], f.graphs[i], f.p_values[b], f.take(np.arange(f.size) == r)
 
 
 @pytest.fixture(scope="module")
@@ -281,11 +290,10 @@ def test_thm4_12_scaled_adjacency_energy_matches_per_p_solve(regular_all):
     # reference solves of S_p(S(G)) small (up to the K8 subdivision).
     graphs = [(gid, g) for gid, g in regular_all if g.n + g.m <= 36]
     assert "K5" in {gid for gid, _ in graphs}
-    for (gid, g), per_p in zip(graphs, contexts(graphs, THM4_12_P)):
-        for ctx in per_p:
-            rep = _report(THM4_12, Frame([ctx]))
-            expected = graph_energy(sombor_decomposition(subdivision(g), ctx.p))
-            assert rep.value == pytest.approx(expected, rel=1e-14, abs=0), (gid, ctx.p)
+    for gid, gc, p, row in _rows(contexts(graphs, THM4_12_P)):
+        rep = _report(THM4_12, row)
+        expected = graph_energy(sombor_decomposition(subdivision(gc.g), p))
+        assert rep.value == pytest.approx(expected, rel=1e-14, abs=0), (gid, p)
 
 
 def test_subdivision_energy_matches_closed_form(regular_all):
@@ -296,7 +304,7 @@ def test_subdivision_energy_matches_closed_form(regular_all):
     for gid, g in regular_all:
         gc = _graph_context(g)
         k = structure_stats(g).max_degree
-        closed = 2.0 * sum(math.sqrt(max(0.0, k + lam)) for lam in gc.adec.eigenvalues)
+        closed = 2.0 * sum(math.sqrt(max(0.0, k + lam)) for lam in _adjacency_eigenvalues(gc))
         assert gc.subdivision_energy == pytest.approx(closed, rel=1e-7), gid
 
 
@@ -338,10 +346,10 @@ def test_subdivision_energy_matches_the_subdivision_solve(regular_all):
 
 @pytest.mark.parametrize("gid, g", REGULAR_UNIONS, ids=[gid for gid, _ in REGULAR_UNIONS])
 def test_thm4_12_on_disconnected_regular_graphs_matches_per_p_solve(gid, g):
-    for ctx in contexts([(gid, g)], THM4_12_P)[0]:
-        rep = _report(THM4_12, Frame([ctx]))
-        expected = graph_energy(sombor_decomposition(subdivision(g), ctx.p))
-        assert rep.value == pytest.approx(expected, rel=1e-14, abs=0), ctx.p
+    for _, _, p, row in _rows(contexts([(gid, g)], THM4_12_P)):
+        rep = _report(THM4_12, row)
+        expected = graph_energy(sombor_decomposition(subdivision(g), p))
+        assert rep.value == pytest.approx(expected, rel=1e-14, abs=0), p
 
 
 def test_subdivision_energy_needs_a_regular_graph():
@@ -351,6 +359,7 @@ def test_subdivision_energy_needs_a_regular_graph():
 
 def test_suite_reads_every_spectrum_from_the_batch(monkeypatch, regular_all):
     import psombor.spectral as spectral
+    from psombor.spectral import SpectralDecomposition
 
     batch, stacks = spectral.jacobi_sweeps_batch, []
 
@@ -364,13 +373,14 @@ def test_suite_reads_every_spectrum_from_the_batch(monkeypatch, regular_all):
         init = cls.__init__
 
         def counted(self, *args, **kwargs):
-            built[cls.__name__] += 1
+            # A Frame counts as built only at its root, not where take() cuts it.
+            built[cls.__name__] += kwargs.get("root") is None
             init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
 
     monkeypatch.setattr(spectral, "jacobi_sweeps_batch", counting_batch)
-    counting_init(CheckContext)
-    counting_init(GraphContext)
+    for cls in (GraphContext, bounds.Frame, SpectralDecomposition):
+        counting_init(cls)
     graphs, p_values = build_corpus("all"), (-1.0, 2.0)
     rep = run_suite(graphs, p_values=p_values, corpus_name="x")
     assert rep.counts["thm4.12"]["pass"] == len(regular_all) * len(p_values)
@@ -382,8 +392,9 @@ def test_suite_reads_every_spectrum_from_the_batch(monkeypatch, regular_all):
     assert stacks == [(n, n, (3 * len(p_values) + 1) * count)
                       for chunk in chunks
                       for n, count in Counter(g.n for _, g in chunk).items()]
-    # One context per graph and per (graph, p); none for a complement.
-    assert built == {"GraphContext": len(graphs), "CheckContext": len(graphs) * len(p_values)}
+    # One context per graph, none for a complement, and one frame per chunk:
+    # no object per (graph, p), not even a view of one of its spectra.
+    assert built == {"GraphContext": len(graphs), "Frame": len(chunks)}
     # Calls without a context build their own through the same batch, also
     # for thm5.9.1 with two complement parts to choose C1 from.
     assert len(GraphContext(K1_JOIN_K23).complement_parts) == 2
@@ -429,7 +440,7 @@ def test_thm4_12_identity_on_regular_circulants(g, p):
     direct = graph_energy(sombor_decomposition(subdivision(g), p))
     assert direct == pytest.approx(edge_weight(2, k, p) * gc.subdivision_energy,
                                    rel=1e-12, abs=0)
-    closed = 2.0 * sum(math.sqrt(max(0.0, k + lam)) for lam in gc.adec.eigenvalues)
+    closed = 2.0 * sum(math.sqrt(max(0.0, k + lam)) for lam in _adjacency_eigenvalues(gc))
     assert gc.subdivision_energy == pytest.approx(closed, rel=1e-7)
 
 
@@ -478,10 +489,9 @@ def test_report_serialization_round_trip():
 
 
 def test_context_reuses_decompositions():
-    g = cycle_graph(6)
-    ctx = contexts([("C6", g)], (2.0,))[0][0]
-    assert ctx.sdec is ctx.sdec
-    reports = all_checks(g, 2.0, ctx)
+    f = contexts([("C6", cycle_graph(6))], (2.0,))
+    assert f.energy is f.energy
+    reports = [_report(check, f) for check in CHECKS]
     assert all(r.graph_id == "C6" for r in reports)
 
 
@@ -616,9 +626,12 @@ def _tally_from_reports(graphs, p_values, holds_tol=None):
     """run_suite's counts, violations and equality mismatches, rebuilt from
     the full report of every (check, graph, p)."""
     counts, violations, mismatches = {}, [], []
-    for (graph_id, g), per_p in zip(graphs, contexts(graphs, p_values, holds_tol)):
-        for ctx in per_p:
-            for rep in all_checks(g, ctx.p, ctx):
+    for graph_id, g in graphs:
+        for p in p_values:
+            f = contexts([(graph_id, g)], (p,), holds_tol)
+            with np.errstate(all="ignore"):
+                reports = [_report(check, f) for check in bounds.CHECKS]
+            for rep in reports:
                 outcome = _outcome(rep)
                 counts.setdefault(rep.check_id, dict.fromkeys(OUTCOMES, 0))[outcome] += 1
                 if outcome == "fail":
@@ -637,22 +650,24 @@ def _suite_tally(graphs, p_values, holds_tol=None):
 def test_judgement_matches_the_full_report(holds_tol):
     # holds_tol = -1 turns most hard checks into violations. The chunk frame's
     # outcome and mismatch of each row equal those of a frame of that one
-    # row, and the report built there stands for the same outcome.
-    graphs = corpus_families(6) + corpus_special() + corpus_trees(4, 7)
-    rows = [ctx for (_, g), per_p in zip(graphs, contexts(graphs, P_GRID, holds_tol))
-            if g.n for ctx in per_p]
-    frame = Frame(rows)
+    # row, the report built there stands for the same outcome, and it is the
+    # report of that row of the chunk frame, types and bits included.
+    graphs = [item for item in corpus_families(6) + corpus_special() + corpus_trees(4, 7)
+              if item[1].n]
+    frame = contexts(graphs, P_GRID, holds_tol)
+    rows = [((graph_id, p), contexts([(graph_id, g)], (p,), holds_tol))
+            for graph_id, g in graphs for p in P_GRID]
     seen = Counter()
     with np.errstate(all="ignore"):
         for check in CHECKS:
             outcomes, mismatches = _evaluate(check, frame)[:2]
-            for r, ctx in enumerate(rows):
-                one = Frame([ctx])
+            for r, ((graph_id, p), one) in enumerate(rows):
                 outcome, mismatch = (x[0] for x in _evaluate(check, one)[:2])
-                key = (check.id, ctx.graph_id, ctx.p)
+                key = (check.id, graph_id, p)
                 assert (outcomes[r], mismatches[r]) == (outcome, mismatch), key
                 rep = _report(check, one)
                 assert OUTCOMES[outcome] == _outcome(rep), key
+                assert repr(_report(check, frame.take(np.arange(frame.size) == r))) == repr(rep)
                 assert mismatch == (rep.hard and rep.equality_expected
                                     and rep.equality_observed is False), key
                 seen[OUTCOMES[outcome], bool(mismatch)] += 1
@@ -763,17 +778,27 @@ def _bits(dec):
 def test_contexts_match_the_scalar_decompositions():
     # The scalar kernel is the reference for every spectrum of the batch.
     graphs = corpus_families(6) + corpus_special() + corpus_trees(5, 6)
-    for (graph_id, g), per_p in zip(graphs, contexts(graphs, P_GRID)):
-        assert [ctx.p for ctx in per_p] == list(P_GRID)
-        assert {ctx.graph_id for ctx in per_p} == {graph_id}
-        assert len({id(ctx.graph.adec) for ctx in per_p}) == 1
-        assert _bits(per_p[0].graph.adec) == _bits(adjacency_decomposition(g)), graph_id
-        for ctx in per_p:
-            p = ctx.p
-            assert _bits(ctx.sdec) == _bits(sombor_decomposition(g, p)), (graph_id, p)
-            assert _bits(ctx.ldec) == _bits(laplacian_decomposition(g, p)), (graph_id, p)
-            assert (_bits(ctx.complement_sdec)
+    f = contexts(graphs, P_GRID)
+    assert [(f.graph_ids[i], f.p_values[b]) for i, b in zip(f.graph_index, f.p_index)] == [
+        (graph_id, p) for graph_id, _ in graphs for p in P_GRID]
+    assert [gc.g for gc in f.graphs] == [g for _, g in graphs]
+    seen = []
+    for x, rows, *members in f.stacks:
+        for r, (s, lap, comp, adj) in zip(rows.tolist(), zip(*(m.tolist() for m in members))):
+            i = f.graph_index[r]
+            graph_id, g, p = f.graph_ids[i], f.graphs[i].g, f.p_values[f.p_index[r]]
+            # The graph's adjacency member is the one its every row reads.
+            assert (f.graphs[i].spectra, f.graphs[i].member) == (x, adj), (graph_id, p)
+            assert (_bits(x.member(adj, "adjacency", None))
+                    == _bits(adjacency_decomposition(g))), graph_id
+            assert _bits(x.member(s, "p_sombor", p)) == _bits(sombor_decomposition(g, p)), (
+                graph_id, p)
+            assert (_bits(x.member(lap, "p_laplacian", p))
+                    == _bits(laplacian_decomposition(g, p))), (graph_id, p)
+            assert (_bits(x.member(comp, "p_sombor", p))
                     == _bits(sombor_decomposition(complement(g), p))), (graph_id, p)
+            seen.append(r)
+    assert sorted(seen) == list(range(f.size))
 
 
 def _degree_pairs(g):
@@ -814,10 +839,13 @@ def test_suite_builds_no_matrix_and_one_weight_per_degree_pair(monkeypatch):
     rep = run_suite(graphs, p_values=P_GRID, corpus_name="x")
     assert rep.graphs_checked == len(graphs)
     assert calls == {}
-    # One call per distinct degree pair of the graph and of its complement,
+    # One call per distinct degree pair of a chunk's graphs and complements,
     # plus thm4.12's two on each regular graph with edges, at each p.
-    expected = sum(len(_degree_pairs(g) | _degree_pairs(complement(g)))
-                   + 2 * (structure_stats(g).is_regular and g.m >= 1) for _, g in graphs)
+    chunks = _chunks(graphs, len(P_GRID))
+    assert len(chunks) > 1
+    expected = sum(len(set().union(*(_degree_pairs(g) | _degree_pairs(complement(g))
+                                     for _, g in chunk))) for chunk in chunks)
+    expected += sum(2 * (structure_stats(g).is_regular and g.m >= 1) for _, g in graphs)
     assert weights == dict.fromkeys(P_GRID, expected)
 
 
@@ -833,12 +861,18 @@ def test_context_values_equal_the_library_functions(p):
 
     graphs = (corpus_families() + corpus_special() + corpus_trees(4, 7)
               + corpus_random_connected(count=40))
-    for (graph_id, g), (ctx,) in zip(graphs, contexts(graphs, (p,))):
-        assert _same(ctx.so, sombor_index(g, p)), graph_id
-        assert _same(ctx.variance, weight_variance(g, p)), graph_id
-        assert repr(ctx.moments) == repr(moments_closed_form(g, p)), graph_id
-        assert _same(Frame([ctx]).energy.tolist()[0],
-                     graph_energy(sombor_decomposition(g, p))), graph_id
+    f = contexts(graphs, (p,))
+    assert f.p.tolist() == [p] * len(graphs)
+    columns = zip(f.so.tolist(), f.variance.tolist(), f.n2.tolist(), f.n3.tolist(),
+                  f.n4.tolist(), f.energy.tolist())
+    for (graph_id, g), (so, variance, n2, n3, n4, energy) in zip(graphs, columns, strict=True):
+        assert _same(so, sombor_index(g, p)), graph_id
+        # The frame's column holds NaN where the variance is None (no edges).
+        expected = weight_variance(g, p)
+        assert _same(variance, math.nan if expected is None else expected), graph_id
+        moments = moments_closed_form(g, p)
+        assert _same((n2, n3, n4), (moments.n2, moments.n3, moments.n4)), graph_id
+        assert _same(energy, graph_energy(sombor_decomposition(g, p))), graph_id
 
 
 def test_overflowing_moments_raise_where_a_check_reads_them():
@@ -847,9 +881,10 @@ def test_overflowing_moments_raise_where_a_check_reads_them():
     # the moments were computed on first use.
     from psombor.spectral import moments_closed_form
 
-    (ctx,), = contexts([("K4", complete_graph(4))], (0.003,))
+    f = contexts([("K4", complete_graph(4))], (0.003,))
+    assert f.so.tolist()[0] > 0
     with pytest.raises(OverflowError, match="moments") as lazy:
-        ctx.n2
+        f.n2
     with pytest.raises(OverflowError) as direct:
         moments_closed_form(complete_graph(4), 0.003)
     assert str(lazy.value) == str(direct.value)

@@ -299,7 +299,7 @@ def test_default_tolerance_is_the_config_constant(monkeypatch):
     from psombor.graphs import path_graph
 
     monkeypatch.setenv("PSOMBOR_TOL", "1e-5")  # the environment is not read
-    assert contexts([("P3", path_graph(3))], (2.0,))[0][0].holds_tol == config.HOLDS_REL_TOL
+    assert contexts([("P3", path_graph(3))], (2.0,)).holds_tol == config.HOLDS_REL_TOL
     assert not hasattr(config, "default_holds_tol")
 
 

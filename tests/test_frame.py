@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from psombor.bounds import contexts
-from psombor.frame import Frame, divide, exp, maximum, minimum, power, sqrt
+from psombor.frame import divide, exp, maximum, minimum, power, sqrt
 from psombor.graphs import Graph
 
 NAN, INF = math.nan, math.inf
@@ -64,10 +64,10 @@ def test_sqrt_and_divide_raise_where_python_does():
 def test_pow2_raises_only_for_a_p_of_its_rows():
     # K1 has no edge, so its contexts exist at any p; 2^(1 + 3/p) overflows
     # at p = 0.002 and is 2^2.5 at p = 2.
-    frame = Frame(contexts([("K1", Graph(1))], (0.002, 2.0))[0])
+    frame = contexts([("K1", Graph(1))], (0.002, 2.0))
     with pytest.raises(OverflowError):
         frame.pow2(1, 3.0)
-    at_two = Frame(contexts([("K1", Graph(1))], (2.0,))[0])
+    at_two = contexts([("K1", Graph(1))], (2.0,))
     assert at_two.pow2(1, 3.0).tolist() == [2.0 ** (1 + 3.0 / 2.0)]
     assert at_two.root.tolist() == [2.0 ** (1.0 / 2.0)]
 
@@ -127,7 +127,7 @@ def test_spectral_columns_equal_the_per_member_formulas():
                                   sombor_decomposition)
 
     graphs = corpus_families(6) + corpus_special() + corpus_trees(5, 6)
-    frame = Frame([ctx for per_p in contexts(graphs, P_GRID) for ctx in per_p])
+    frame = contexts(graphs, P_GRID)
     rows = []
     for _, g in graphs:
         adj = adjacency_decomposition(g)
