@@ -624,8 +624,9 @@ def contexts(graphs, p_values, holds_tol: float | None = None) -> Frame:
         stacks.append((spectra, rows, 2 * local, 2 * count * k + local, 2 * local + 1,
                        np.repeat(3 * count * k + np.arange(count), k)))
     so, variance = [], []
-    for gc, w in zip(gcs, weights):
-        m, wg = gc.g.m, w[:, :gc.g.m]
+    for gc, graph_weights in zip(gcs, weights):
+        m = gc.g.m
+        wg = graph_weights[:, :m]
         for row, squares in zip(wg.tolist(), (wg * wg).tolist()):
             so.append(sum(row))
             variance.append(sum(squares) / m - (so[-1] / m) * (so[-1] / m) if m else math.nan)

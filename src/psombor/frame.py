@@ -118,15 +118,15 @@ _GRAPH = {
 class Frame:
     """The (graph, p) rows of graphs with vertices, graph by graph and p by p
     within each: one 1-D array per quantity (_SPECTRAL, _GRAPH and the
-    columns given), computed for every row on first read. graphs holds the
-    GraphContext and graph_ids the id of each graph, graph_index and p_index
-    index them and p_values per row, and stacks holds (Spectra, rows, s,
-    lap, comp, adj) per solved stack: the rows it holds and their S_p, L_p,
-    complement S_p and adjacency members. take(mask) gives a frame of the
-    rows in mask, whose columns index this one's. Reading a moment not given
-    raises OverflowError: some row's moments left the float range. Reads of
-    the Estrada index are marked in the root frame's read, for its overflow
-    warning."""
+    columns given), computed for every row on first read. graphs and
+    graph_ids hold each graph's GraphContext and id, and graph_index and
+    p_index give each row's graph and its p in p_values. stacks holds
+    (Spectra, rows, s, lap, comp, adj) per solved stack: the rows it holds
+    and their S_p, L_p, complement S_p and adjacency members. take(mask)
+    gives a frame of the rows in mask, whose columns index this one's.
+    Reading a moment not given raises OverflowError: some row's moments left
+    the float range. Reads of the Estrada index are marked in the root
+    frame's read, for its overflow warning."""
 
     def __init__(self, graphs, graph_ids, p_values, holds_tol, stacks=(), root=None,
                  rows=None, **columns):
