@@ -7,7 +7,7 @@ hold one value per (graph, p) row, and each is evaluated once per frame:
 applies, hard and equality give masks, bounds runs on the applicable rows
 only, and run_suite counts the outcomes of each chunk of graphs with
 np.bincount. Only a violation or an equality mismatch builds a BoundReport,
-from the same evaluators on that one row of the chunk's frame. Where a chunk
+read from the arrays of that check's evaluation of the chunk. Where a chunk
 raises (a value out of the float range at tiny |p|), it is judged again row
 by row, and the first (graph, p, check) that raises is reported, after the
 warnings of the rows judged before it. Checks whose derivations only hold
@@ -167,20 +167,40 @@ def _bound(x, size: int):
 
 
 def _evaluate(check: Check, f: Frame):
-    """check on every row of f: (outcome, mismatch, hard, detail).
+    """check on every row of f: (outcome, mismatch, report).
 
     outcome indexes OUTCOMES; mismatch is true for a hard row whose expected
-    equality is not observed. detail is None where no row applies, else, over
-    the applicable rows, (frame, value as bounds gave it, lower, has_lower,
-    upper, has_upper, slack, has_slack, holds, equality_observed,
-    equality_expected). A NaN slack neither holds nor shows equality, and the
-    tolerances scale with |value| only where it is finite.
+    equality is not observed. report(r) is the BoundReport of row r, read
+    from the arrays of this evaluation; note and extra run on that row
+    alone. A NaN slack neither holds nor shows equality, and the tolerances
+    scale with |value| only where it is finite. Values keep their Python
+    types: SO_p is the number contexts() summed, the int 0 on an edgeless
+    graph.
     """
     hard = _rows_where(check.hard, f)
     applies = _rows_where(True if check.applies is None else check.applies, f)
     outcome, mismatch = np.full(f.size, _NA), np.zeros(f.size, dtype=bool)
+
+    def report(r: int) -> BoundReport:
+        graph_id, p = f.graph_ids[f.graph_index[r]], f.p_values[f.p_index[r]]
+        if not applies[r]:
+            return BoundReport(check.id, check.statement, graph_id, p, 0.0, None, None,
+                               None, None, False, check.na, bool(hard[r]), False, None)
+        i = int(np.count_nonzero(applies[:r]))   # row r's row of sub
+        at = lambda x: x[i:i + 1].tolist()[0]
+        row = sub.take(np.arange(sub.size) == i)
+        reason = (check.note(row)[0] if check.note else None) if hard[r] else check.observe
+        extra = {key: x.tolist()[0] for key, x in check.extra(row).items()} if check.extra else {}
+        shown = has_slack[i]
+        return BoundReport(check.id, check.statement, graph_id, p,
+                           at(given) if isinstance(given, np.ndarray) else given,
+                           at(lower) if has_lower[i] else None, at(upper) if has_upper[i] else None,
+                           at(slack) if shown else None, at(holds) if shown else None, True,
+                           reason, bool(hard[r]), at(eq_expected),
+                           at(eq_observed) if shown else None, extra)
+
     if not applies.any():
-        return outcome, mismatch, hard, None
+        return outcome, mismatch, report
     sub = f if applies.all() else f.take(applies)
     given, lower, upper = check.bounds(sub)
     value = _bound(given, sub.size)[0]
@@ -202,29 +222,7 @@ def _evaluate(check: Check, f: Frame):
     sub_hard = hard[applies]
     outcome[applies] = ~holds + 3 * ~sub_hard
     mismatch[applies] = has_slack & ~eq_observed & sub_hard & eq_expected
-    return outcome, mismatch, hard, (sub, given, lower, has_lower, upper, has_upper, slack,
-                                     has_slack, holds, eq_observed, eq_expected)
-
-
-def _report(check: Check, f: Frame) -> BoundReport:
-    """The BoundReport of check on f, a frame of one row. SO_p is reported as
-    the Python number contexts() summed: the int 0 on an edgeless graph."""
-    _, _, hard, detail = _evaluate(check, f)
-    graph_id, p = f.graph_ids[f.graph_index[0]], f.p_values[f.p_index[0]]
-    hard = bool(hard[0])
-    if detail is None:
-        return BoundReport(check.id, check.statement, graph_id, p, 0.0, None, None,
-                           None, None, False, check.na, hard, False, None)
-    sub, given, *columns = detail
-    lower, has_lower, upper, has_upper, slack, has_slack, holds, eq_observed, eq_expected = (
-        x.tolist()[0] for x in columns)
-    value = (given.tolist()[0] if isinstance(given, np.ndarray) else given)
-    reason = (check.note(sub)[0] if check.note else None) if hard else check.observe
-    extra = {key: x.tolist()[0] for key, x in check.extra(sub).items()} if check.extra else {}
-    return BoundReport(check.id, check.statement, graph_id, p, value,
-                       lower if has_lower else None, upper if has_upper else None,
-                       slack if has_slack else None, holds if has_slack else None, True,
-                       reason, hard, eq_expected, eq_observed if has_slack else None, extra)
+    return outcome, mismatch, report
 
 
 def _warn_estrada(f: Frame) -> None:
@@ -645,7 +643,7 @@ def _reports(checks, g: Graph, p: float) -> list[BoundReport]:
     f = contexts([("g", g)], (p,))
     try:
         with np.errstate(all="ignore"):
-            return [_report(check, f) for check in checks]
+            return [_evaluate(check, f)[2](0) for check in checks]
     finally:
         _warn_estrada(f)
 
@@ -825,8 +823,8 @@ def _new_tally():
 def _tally_frame(f: Frame, tally) -> None:
     """Add every check on every row of f to tally, one evaluation per check.
 
-    Only a violation or an equality mismatch builds a BoundReport, on the
-    frame of its one row, in (row, check) order. A check that raises
+    Only a violation or an equality mismatch builds a BoundReport, read from
+    its check's evaluation of f, in (row, check) order. A check that raises
     propagates; the caller warns for the rows whose Estrada index was read
     (_warn_estrada).
     """
@@ -834,13 +832,12 @@ def _tally_frame(f: Frame, tally) -> None:
     flagged = []
     with np.errstate(all="ignore"):
         for k, check in enumerate(CHECKS):
-            outcome, mismatch = _evaluate(check, f)[:2]
+            outcome, mismatch, report = _evaluate(check, f)
             counts[k] += np.bincount(outcome, minlength=len(OUTCOMES))
-            flagged += [(r, k, violations) for r in np.flatnonzero(outcome == _FAIL).tolist()]
-            flagged += [(r, k, eq_mismatches) for r in np.flatnonzero(mismatch).tolist()]
-        for r, k, out in sorted(flagged, key=lambda x: x[:2]):
-            report = _report(CHECKS[k], f.take(np.arange(f.size) == r))
-            out.append(_violation_payload(report, f.graphs[f.graph_index[r]].g))
+            for out, rows in ((violations, outcome == _FAIL), (eq_mismatches, mismatch)):
+                flagged += [(r, k, report, out) for r in np.flatnonzero(rows).tolist()]
+        for r, _, report, out in sorted(flagged, key=lambda x: x[:2]):
+            out.append(_violation_payload(report(r), f.graphs[f.graph_index[r]].g))
 
 
 def _tally_chunk(args):

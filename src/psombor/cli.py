@@ -16,7 +16,7 @@ import os
 import sys
 import warnings
 
-from . import config
+from . import __version__, config
 from .graphs import Graph, GraphError, read_graph_text, structure_stats
 from .invariants import index_bundle, spectral_invariants
 from .spectral import (EigenConvergenceError, EigenvectorResidualError, build_sombor_matrix,
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psombor",
         description="p-Sombor spectra, indices, bound verification and regressions")
-    parser.add_argument("--version", action="version", version="psombor 0.1.0")
+    parser.add_argument("--version", action="version", version=f"psombor {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):

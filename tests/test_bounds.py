@@ -18,7 +18,6 @@ from psombor.bounds import (
     GraphContext,
     _chunks,
     _evaluate,
-    _report,
     _violation_payload,
     all_checks,
     build_corpus,
@@ -271,11 +270,12 @@ def _adjacency_eigenvalues(gc):
     return gc.spectra.eigenvalues[gc.member]
 
 
-def _rows(f):
-    """(graph id, GraphContext, p, the frame of that one row) per row of f."""
+def _rows(f, check):
+    """(graph id, GraphContext, p, the BoundReport of check) per row of f."""
+    report = _evaluate(check, f)[2]
     for r in range(f.size):
         i, b = f.graph_index[r], f.p_index[r]
-        yield f.graph_ids[i], f.graphs[i], f.p_values[b], f.take(np.arange(f.size) == r)
+        yield f.graph_ids[i], f.graphs[i], f.p_values[b], report(r)
 
 
 @pytest.fixture(scope="module")
@@ -290,8 +290,7 @@ def test_thm4_12_scaled_adjacency_energy_matches_per_p_solve(regular_all):
     # reference solves of S_p(S(G)) small (up to the K8 subdivision).
     graphs = [(gid, g) for gid, g in regular_all if g.n + g.m <= 36]
     assert "K5" in {gid for gid, _ in graphs}
-    for gid, gc, p, row in _rows(contexts(graphs, THM4_12_P)):
-        rep = _report(THM4_12, row)
+    for gid, gc, p, rep in _rows(contexts(graphs, THM4_12_P), THM4_12):
         expected = graph_energy(sombor_decomposition(subdivision(gc.g), p))
         assert rep.value == pytest.approx(expected, rel=1e-14, abs=0), (gid, p)
 
@@ -346,8 +345,7 @@ def test_subdivision_energy_matches_the_subdivision_solve(regular_all):
 
 @pytest.mark.parametrize("gid, g", REGULAR_UNIONS, ids=[gid for gid, _ in REGULAR_UNIONS])
 def test_thm4_12_on_disconnected_regular_graphs_matches_per_p_solve(gid, g):
-    for _, _, p, row in _rows(contexts([(gid, g)], THM4_12_P)):
-        rep = _report(THM4_12, row)
+    for _, _, p, rep in _rows(contexts([(gid, g)], THM4_12_P), THM4_12):
         expected = graph_energy(sombor_decomposition(subdivision(g), p))
         assert rep.value == pytest.approx(expected, rel=1e-14, abs=0), p
 
@@ -491,7 +489,7 @@ def test_report_serialization_round_trip():
 def test_context_reuses_decompositions():
     f = contexts([("C6", cycle_graph(6))], (2.0,))
     assert f.energy is f.energy
-    reports = [_report(check, f) for check in CHECKS]
+    reports = [_evaluate(check, f)[2](0) for check in CHECKS]
     assert all(r.graph_id == "C6" for r in reports)
 
 
@@ -630,7 +628,7 @@ def _tally_from_reports(graphs, p_values, holds_tol=None):
         for p in p_values:
             f = contexts([(graph_id, g)], (p,), holds_tol)
             with np.errstate(all="ignore"):
-                reports = [_report(check, f) for check in bounds.CHECKS]
+                reports = [_evaluate(check, f)[2](0) for check in bounds.CHECKS]
             for rep in reports:
                 outcome = _outcome(rep)
                 counts.setdefault(rep.check_id, dict.fromkeys(OUTCOMES, 0))[outcome] += 1
@@ -650,8 +648,9 @@ def _suite_tally(graphs, p_values, holds_tol=None):
 def test_judgement_matches_the_full_report(holds_tol):
     # holds_tol = -1 turns most hard checks into violations. The chunk frame's
     # outcome and mismatch of each row equal those of a frame of that one
-    # row, the report built there stands for the same outcome, and it is the
-    # report of that row of the chunk frame, types and bits included.
+    # row, the report read from that frame's evaluation stands for the same
+    # outcome, and it is the report read from the chunk frame's evaluation,
+    # types and bits included.
     graphs = [item for item in corpus_families(6) + corpus_special() + corpus_trees(4, 7)
               if item[1].n]
     frame = contexts(graphs, P_GRID, holds_tol)
@@ -660,14 +659,14 @@ def test_judgement_matches_the_full_report(holds_tol):
     seen = Counter()
     with np.errstate(all="ignore"):
         for check in CHECKS:
-            outcomes, mismatches = _evaluate(check, frame)[:2]
+            outcomes, mismatches, report = _evaluate(check, frame)
             for r, ((graph_id, p), one) in enumerate(rows):
-                outcome, mismatch = (x[0] for x in _evaluate(check, one)[:2])
+                outcome, mismatch, one_report = _evaluate(check, one)
+                outcome, mismatch, rep = outcome[0], mismatch[0], one_report(0)
                 key = (check.id, graph_id, p)
                 assert (outcomes[r], mismatches[r]) == (outcome, mismatch), key
-                rep = _report(check, one)
                 assert OUTCOMES[outcome] == _outcome(rep), key
-                assert repr(_report(check, frame.take(np.arange(frame.size) == r))) == repr(rep)
+                assert repr(report(r)) == repr(rep), key
                 assert mismatch == (rep.hard and rep.equality_expected
                                     and rep.equality_observed is False), key
                 seen[OUTCOMES[outcome], bool(mismatch)] += 1
@@ -767,6 +766,15 @@ def test_suite_jobs_two_matches_serial_on_corpus(corpus):
     serial = run_suite(graphs, p_values=(-1.0, 2.0), corpus_name=corpus)
     parallel = run_suite(graphs, p_values=(-1.0, 2.0), jobs=2, corpus_name=corpus)
     assert serial.to_dict() == parallel.to_dict()
+
+
+def test_suite_jobs_two_sends_violation_payloads_like_serial():
+    # holds_tol = -1 flags rows in both chunks, so payloads cross the pool.
+    graphs = build_corpus("random")
+    assert len(_chunks(graphs, 2)) == 2
+    serial = run_suite(graphs, (-1.0, 2.0), holds_tol=-1.0).to_dict()
+    assert serial["violations"]
+    assert run_suite(graphs, (-1.0, 2.0), holds_tol=-1.0, jobs=2).to_dict() == serial
 
 
 def _bits(dec):
@@ -927,6 +935,22 @@ def test_suite_violation_payloads_are_pinned():
     assert sum(v["value"] == 0 and type(v["value"]) is int for v in rep.violations) == 10
     text = json.dumps(rep.to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == VIOLATIONS_DIGEST
+
+
+def test_suite_evaluates_each_check_once_per_chunk(monkeypatch):
+    # The 3,871 violations above are read from their checks' evaluations of
+    # the chunk: no flagged row is evaluated again.
+    graphs = corpus_families() + corpus_special()
+    evaluate, calls = bounds._evaluate, []
+
+    def counted(check, f):
+        calls.append(check.id)
+        return evaluate(check, f)
+
+    monkeypatch.setattr(bounds, "_evaluate", counted)
+    rep = run_suite(graphs, (-1.0, 2.0), holds_tol=-1.0)
+    assert len(rep.violations) == 3871
+    assert len(calls) == len(_chunks(graphs, 2)) * len(CHECKS) == 54
 
 
 # The same digests over a wide p grid. At p = -1 and 2 few non-integer powers
