@@ -5,15 +5,19 @@ applies, how to evaluate its value and bound(s), where it is hard-asserted and
 when equality is expected. Entries read a Frame (psombor.frame), whose columns
 hold one value per (graph, p) row, and each is evaluated once per frame:
 applies, hard and equality give masks, bounds runs on the applicable rows
-only, and run_suite counts the outcomes of each chunk of graphs with
-np.bincount. Only a violation or an equality mismatch builds a BoundReport,
-read from the arrays of that check's evaluation of the chunk. Where a chunk
-raises (a value out of the float range at tiny |p|), it is judged again row
-by row, and the first (graph, p, check) that raises is reported, after the
-warnings of the rows judged before it. Checks whose derivations only hold
-for p >= 1 are hard-asserted on that domain and run observe-only elsewhere;
-two claims that fail on small graphs as printed (check ids thm4.3 and
-cor-rad.randic) are permanently observe-only.
+only, and run_suite counts the outcomes of each frame of graphs with
+np.bincount. A frame holds up to config.SUITE_FRAME_ENTRIES stacked
+entries (all of verify --corpus all at 5 p), and its spectra are solved in
+stacks of at most config.SUITE_CHUNK_ENTRIES. Only a violation or an
+equality mismatch builds a BoundReport, read from the arrays of that
+check's evaluation of the frame. Where a frame raises (a value out of the
+float range at tiny |p|), it is judged again in chunks of at most
+config.SUITE_CHUNK_ENTRIES, a chunk that raises row by row, and the first
+(graph, p, check) that raises is reported, after the warnings of the rows
+judged before it. Checks whose derivations only hold for p >= 1 are
+hard-asserted on that domain and run observe-only elsewhere; two claims
+that fail on small graphs as printed (check ids thm4.3 and cor-rad.randic)
+are permanently observe-only.
 """
 
 from __future__ import annotations
@@ -561,19 +565,31 @@ for _check in CHECKS:
     _BY_FAMILY.setdefault(_check.family, []).append(_check)
 
 
+def _slices(gcs, k: int):
+    """(n, members) of each stack that contexts() solves, in order: the
+    indices of the graphs of each vertex count n, cut by _chunks into runs
+    whose stacks hold at most config.SUITE_CHUNK_ENTRIES entries at k p
+    values, or one graph over that budget."""
+    for n, same_size in _by_size(gc.g.n for gc in gcs).items():
+        for run in _chunks([(i, gcs[i].g) for i in same_size], k, config.SUITE_CHUNK_ENTRIES):
+            yield n, [i for i, _ in run]
+
+
 def contexts(graphs, p_values, holds_tol: float | None = None) -> Frame:
     """The Frame of (graph_id, graph) pairs: a row per graph and p, graph by
     graph, each in p_values order.
 
     Each graph's edges, then its complement's, become index arrays once, and
     their weights at each p take one edge_weight call per distinct degree
-    pair of all the graphs. For each vertex count the weights are scattered
-    into one member-first stack: S_p of every graph and of its complement at
-    every p, L_p = diag(row sums) - S_p from the same S_p, and the adjacency
-    matrices, all solved by one decompose_stack, whose Spectra the frame
-    keeps as arrays. N2-N4 are traces of powers of the stacked S_p (no
-    eigensolver involved), SO_p and the variance are sums of each graph's
-    weights in edges() order, as sombor_index and weight_variance take them.
+    pair of all the graphs. The weights are scattered into member-first
+    stacks of the graphs of one vertex count, each of at most
+    config.SUITE_CHUNK_ENTRIES entries (_slices): S_p of every graph and of
+    its complement at every p, L_p = diag(row sums) - S_p from the same S_p,
+    and the adjacency matrices, each stack solved by one decompose_stack,
+    whose Spectra the frame keeps as arrays. N2-N4 are traces of powers of
+    the stacked S_p (no eigensolver involved), SO_p and the variance are
+    sums of each graph's weights in edges() order, as sombor_index and
+    weight_variance take them.
     """
     graphs, p_values = list(graphs), tuple(p_values)
     k = len(p_values)
@@ -593,7 +609,7 @@ def contexts(graphs, p_values, holds_tol: float | None = None) -> Frame:
                  dtype=float).reshape(k, len(pairs))
     weights = np.split(w[:, inverse], np.cumsum([len(ij) for ij in edges])[:-1], axis=1)
     moments, stacks = np.zeros((3, len(graphs) * k)), []
-    for n, members in _by_size(gc.g.n for gc in gcs).items():
+    for n, members in _slices(gcs, k):
         count = len(members)
         stack = np.zeros((count * (3 * k + 1), n, n))
         sombor = stack[:2 * count * k].reshape(count, k, 2, n, n)  # graph, then complement
@@ -840,26 +856,48 @@ def _tally_frame(f: Frame, tally) -> None:
             out.append(_violation_payload(report(r), f.graphs[f.graph_index[r]].g))
 
 
-def _tally_chunk(args):
-    """The tally of a chunk, judged on one Frame of its (graph, p) rows.
+def _merge(tallies):
+    """One tally of the tallies, in order."""
+    counts, violations, eq_mismatches = _new_tally()
+    for more_counts, more_violations, more_mismatches in tallies:
+        counts += more_counts
+        violations += more_violations
+        eq_mismatches += more_mismatches
+    return counts, violations, eq_mismatches
 
-    If anything raises, in contexts() or in a check, the chunk is judged
-    again one row at a time, each row's frame warning as it is judged (as
-    in _reports). So the first (graph, p, check) that raises is
-    re-raised after the warnings of the rows before it, wherever the
-    chunks were cut; if no row raises, the row-by-row tally stands.
-    """
-    graphs, p_values, holds_tol = args
-    graphs = [item for item in graphs if item[1].n]   # no rows without vertices
+
+def _judge(graphs, p_values, holds_tol, again):
+    """The tally of graphs at p_values, judged on one Frame of their (graph,
+    p) rows, or again(graphs) if anything raises, in contexts() or in a
+    check."""
     tally = _new_tally()
-    if not graphs:
-        return tally
     try:
         f = contexts(graphs, p_values, holds_tol)
         _tally_frame(f, tally)
     except Exception:
+        return again(graphs)
+    _warn_estrada(f)
+    return tally
+
+
+def _tally_task(args):
+    """The tally of a frame of graphs, judged on one Frame of its rows.
+
+    If the frame raises, its chunks at config.SUITE_CHUNK_ENTRIES (_chunks)
+    are judged in order, each on its own Frame, and a chunk that raises is
+    judged again one (graph, p) row at a time, each row's frame warning as
+    it is judged (as in _reports). So the first (graph, p, check) that
+    raises is re-raised after the warnings of the rows before it, wherever
+    the frames and chunks are cut, and only the chunk that holds it is
+    judged row by row; if no row of a chunk raises, its row-by-row tally
+    stands.
+    """
+    graphs, p_values, holds_tol = args
+    graphs = [item for item in graphs if item[1].n]   # no rows without vertices
+
+    def rows(chunk):
         tally = _new_tally()
-        for item in graphs:
+        for item in chunk:
             for p in p_values:
                 f = contexts([item], (p,), holds_tol)
                 try:
@@ -867,28 +905,38 @@ def _tally_chunk(args):
                 finally:
                     _warn_estrada(f)
         return tally
-    _warn_estrada(f)
-    return tally
+
+    def chunks(frame):
+        return _merge(_judge(chunk, p_values, holds_tol, rows)
+                      for chunk in _chunks(frame, len(p_values), config.SUITE_CHUNK_ENTRIES))
+
+    return _judge(graphs, p_values, holds_tol, chunks) if graphs else _new_tally()
 
 
 def _tally_in_worker(task):
-    """_tally_chunk in a worker process, or None if it warns or raises."""
+    """_tally_task in a worker process, or None if it warns or raises."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return _tally_chunk(task)
+            return _tally_task(task)
         except Exception:
             return None
 
 
-def _chunks(graphs, k: int) -> list[list]:
+def _chunks(graphs, k: int, budget: float, parts: int = 1) -> list[list]:
     """The graphs in order, cut into runs whose stacks in contexts() hold at
-    most config.SUITE_CHUNK_ENTRIES entries at k p values; a graph over the
-    budget makes a run of its own."""
+    most budget entries at k p values, (3k + 1) n^2 per graph of n vertices
+    (S_p of the graph and of its complement and L_p at each p, and the
+    adjacency matrix); a graph over the budget makes a run of its own. With
+    parts > 1 a run also ends once it holds 1/parts of the entries of all
+    the graphs, and there are at least parts runs where there are that many
+    graphs."""
+    sizes = [(3 * k + 1) * g.n ** 2 for _, g in graphs]
+    share = sum(sizes) / parts if parts > 1 else math.inf
     chunks, used = [], 0
-    for item in graphs:
-        entries = (3 * k + 1) * item[1].n ** 2
-        if not chunks or used + entries > config.SUITE_CHUNK_ENTRIES:
+    for left, item, entries in zip(range(len(graphs), 0, -1), graphs, sizes):
+        if (not chunks or used + entries > budget or used >= share
+                or left <= parts - len(chunks)):
             chunks.append([])
             used = 0
         chunks[-1].append(item)
@@ -901,39 +949,40 @@ def run_suite(graphs, p_values=(1.0, 2.0, 3.0), holds_tol: float | None = None,
               corpus_errors: list | None = None) -> SuiteReport:
     """Run every check for each (graph, p); deterministic merge order.
 
-    Graphs go in corpus order in chunks whose matrix stacks hold at most
-    config.SUITE_CHUNK_ENTRIES entries (_chunks), which bounds the memory
-    held at once at any graph size. Each chunk has its spectra solved in one
-    batched call per vertex count and its checks judged over one Frame; with
-    jobs > 1, worker processes take whole chunks, and a chunk that warns or
-    raises there is judged again in this process. A chunk that raises is
-    judged again one (graph, p) at a time (_tally_chunk), so that the
-    report, or the error raised and the warnings before it, depends neither
-    on where the chunks are cut nor on jobs.
+    Graphs go in corpus order in frames whose matrix stacks hold at most
+    config.SUITE_FRAME_ENTRIES entries, and with jobs > 1 in at least jobs
+    frames where there are that many graphs (_chunks). Each frame has its
+    checks judged over one Frame, one evaluation per check, and its spectra
+    solved in one batched call per stack of at most
+    config.SUITE_CHUNK_ENTRIES entries of one vertex count (contexts), which
+    bounds the memory held at once by the solves at any graph size; a
+    frame's own state (edges, weights, complements, spectra and columns)
+    grows with its entries. With jobs > 1, worker processes take whole
+    frames, and a frame that warns or raises there is judged again in this
+    process. A frame that raises is judged again in chunks, and a chunk
+    that raises one (graph, p) at a time (_tally_task), so that the report,
+    or the error raised and the warnings before it, depends neither on
+    where the frames and chunks are cut nor on jobs.
     """
     if holds_tol is not None and not math.isfinite(holds_tol):
         raise ValueError(f"tolerance must be finite, got {holds_tol}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     graphs, p_values = list(graphs), tuple(p_values)
-    tasks = [(chunk, p_values, holds_tol) for chunk in _chunks(graphs, len(p_values))]
+    frames = _chunks(graphs, len(p_values), config.SUITE_FRAME_ENTRIES, jobs)
+    tasks = [(frame, p_values, holds_tol) for frame in frames]
     if jobs > 1 and len(tasks) > 1:
         # Imported here: the process-pool machinery costs ~20 ms of import.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_tally_in_worker, tasks))
-        # A chunk that warned or raised in a worker is judged again here, in
+            tallies = list(pool.map(_tally_in_worker, tasks))
+        # A frame that warned or raised in a worker is judged again here, in
         # corpus order: the warnings and the error are those of a serial run.
-        chunks = [tally or _tally_chunk(task) for task, tally in zip(tasks, chunks)]
+        tallies = [tally or _tally_task(task) for task, tally in zip(tasks, tallies)]
     else:
-        chunks = [_tally_chunk(t) for t in tasks]
-
-    counts, violations, eq_mismatches = _new_tally()
-    for chunk_counts, vio, eqm in chunks:
-        counts += chunk_counts
-        violations.extend(vio)
-        eq_mismatches.extend(eqm)
+        tallies = map(_tally_task, tasks)
+    counts, violations, eq_mismatches = _merge(tallies)
     # A check appears once it was run on some graph: every run adds one count.
     by_id = {check.id: dict(zip(OUTCOMES, per))
              for check, per in zip(CHECKS, counts.tolist()) if any(per)}

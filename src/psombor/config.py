@@ -18,20 +18,26 @@ MAX_SWEEPS = 100
 # run for a while. Graphs built in code are not limited.
 MAX_INPUT_VERTICES = 500
 
-# run_suite cuts the corpus, in order, into chunks whose matrix stacks hold at
-# most this many float64 entries (512 KiB), counting (3k + 1) n^2 per graph of
-# n vertices at k p values: S_p of the graph and of its complement and L_p at
-# each p, and the adjacency matrix. Memory is bounded at a multiple of the
-# budget, not at it: during a chunk's solve the stack, decompose_stack's
-# scaled copy, the kernel's working copy and its temporaries are live at
-# once. One full chunk (the first 64 graphs of the random corpus at 5 p, one
-# 0.52 MB stack) has a tracemalloc peak of 3.3 MB, 6.2 times its stack; the
-# six chunks of verify --corpus all at 5 p peak at 3.2 to 6.9 times theirs.
-# A graph over the budget gets a chunk of its own. A chunk costs one kernel
-# call per vertex count and one evaluation per check whatever its size, so
-# fuller chunks cost less per matrix. verify --corpus all at 5 p makes 22,
-# 11, 6 and 3 chunks at 2^14, 2^15, 2^16 and 2^17 entries, and run_suite's
-# tracemalloc peak is 1.0, 1.6, 3.0 and 5.4 MB (10.6 MB as one chunk).
+# run_suite cuts the corpus, in order, into frames whose matrix stacks hold at
+# most SUITE_FRAME_ENTRIES float64 entries (4 MiB), counting (3k + 1) n^2 per
+# graph of n vertices at k p values: S_p of the graph and of its complement
+# and L_p at each p, and the adjacency matrix. A frame costs one evaluation
+# per check whatever its size. contexts() solves the frame's graphs of each
+# vertex count in stacks of at most SUITE_CHUNK_ENTRIES entries (512 KiB),
+# one kernel call each. A graph over a budget gets a frame or a stack of its
+# own. A frame that raises is judged again in chunks cut at
+# SUITE_CHUNK_ENTRIES, and only a chunk that raises is judged row by row.
+# Memory is bounded at a multiple of the budgets, not at them. During a
+# solve the stack, decompose_stack's scaled copy, the kernel's working copy
+# and its temporaries are live at once: 16 graphs of 40 vertices at 5 p, one
+# frame of eight full stacks of 0.41 MB, peak at 3.4 MB under tracemalloc.
+# The frame's own state grows with its entries: each graph's edge and weight
+# arrays and its complement, the spectra, and the columns of the checks.
+# verify --corpus all at 5 p is 344,736 entries, one frame of 14 stacks, and
+# run_suite's tracemalloc peak is 2.4, 3.2, 4.5 and 7.1 MB at stack budgets
+# of 2^14, 2^15, 2^16 and 2^17 entries (3.4 MB with frames cut at 2^16
+# entries too, six of them).
+SUITE_FRAME_ENTRIES = 2 ** 19
 SUITE_CHUNK_ENTRIES = 2 ** 16
 
 # Eigenvalue classification. At tiny |p| ||M||_F can be ~1e-49, so a floor of 1

@@ -1,6 +1,6 @@
 """Frames: the columns that the check table of psombor.bounds reads.
 
-A Frame has the (graph, p) rows of a chunk of graphs, as bounds.contexts
+A Frame has the (graph, p) rows of a run of graphs, as bounds.contexts
 builds it, and gives one 1-D array per quantity: n, m, p, SO_p, the moments
 N2-N4, degrees, radii, energies, inertias, structural predicates and so on.
 contexts sets the values it computes itself (SO_p, the variance, N2-N4);
@@ -131,7 +131,7 @@ class Frame:
     def __init__(self, graphs, graph_ids, p_values, holds_tol, stacks=(), root=None,
                  rows=None, **columns):
         # A root frame keeps no reference to itself, so that refcounting
-        # frees it as soon as its chunk is judged.
+        # frees it as soon as its rows are judged.
         self.graphs, self.graph_ids, self.p_values = graphs, graph_ids, p_values
         self.holds_tol, self._parent, self._rows = holds_tol, root, rows
         if root is None:

@@ -231,12 +231,14 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
 
 
 def random_connected_gnm(n: int, m: int, seed: int, max_tries: int = 1000) -> Graph:
-    """First connected draw of G(n, m), advancing a sub-seed per attempt."""
+    """First connected draw of G(n, m), advancing a sub-seed per attempt.
+    Each draw is tested by one BFS (no components, for n = 0, counts as
+    connected, as in structure_stats)."""
     if m < n - 1:
         raise GraphError(f"m={m} cannot connect {n} vertices")
     for attempt in range(max_tries):
         g = random_gnm(n, m, seed * 0x100000001B3 + attempt)
-        if structure_stats(g).is_connected:
+        if len(_component_depths(g)[0]) <= 1:
             return g
     raise GraphError(f"no connected G({n},{m}) found in {max_tries} tries")
 

@@ -355,6 +355,19 @@ def test_subdivision_energy_needs_a_regular_graph():
         GraphContext(path_graph(3)).subdivision_energy
 
 
+def _stack_shapes(frames, k):
+    """The member-last shape of each stack the kernel solves for frames at k
+    p values: each frame's graphs of one vertex count, in order of first
+    appearance, in runs of at most config.SUITE_CHUNK_ENTRIES entries."""
+    shapes = []
+    for frame in frames:
+        for n, count in Counter(g.n for _, g in frame).items():
+            per = max(1, config.SUITE_CHUNK_ENTRIES // ((3 * k + 1) * n * n))
+            shapes += [(n, n, (3 * k + 1) * min(per, count - start))
+                       for start in range(0, count, per)]
+    return shapes
+
+
 def test_suite_reads_every_spectrum_from_the_batch(monkeypatch, regular_all):
     import psombor.spectral as spectral
     from psombor.spectral import SpectralDecomposition
@@ -383,16 +396,15 @@ def test_suite_reads_every_spectrum_from_the_batch(monkeypatch, regular_all):
     rep = run_suite(graphs, p_values=p_values, corpus_name="x")
     assert rep.counts["thm4.12"]["pass"] == len(regular_all) * len(p_values)
     assert sum(rep.counts["thm5.9.1"].values()) == len(graphs) * len(p_values)
-    # One kernel call per vertex count of each chunk, over S_p, L_p and the
-    # complement's S_p at every p and the adjacency matrix of each graph.
-    chunks = _chunks(graphs, len(p_values))
-    assert len(chunks) == 3
-    assert stacks == [(n, n, (3 * len(p_values) + 1) * count)
-                      for chunk in chunks
-                      for n, count in Counter(g.n for _, g in chunk).items()]
-    # One context per graph, none for a complement, and one frame per chunk:
-    # no object per (graph, p), not even a view of one of its spectra.
-    assert built == {"GraphContext": len(graphs), "Frame": len(chunks)}
+    # One frame, and in it one kernel call per stack of each vertex count,
+    # over S_p, L_p and the complement's S_p at every p and the adjacency
+    # matrix of each graph.
+    frames = _chunks(graphs, len(p_values), config.SUITE_FRAME_ENTRIES)
+    assert len(frames) == 1
+    assert stacks == _stack_shapes(frames, len(p_values))
+    # One context per graph, none for a complement, and one frame: no object
+    # per (graph, p), not even a view of one of its spectra.
+    assert built == {"GraphContext": len(graphs), "Frame": len(frames)}
     # Calls without a context build their own through the same batch, also
     # for thm5.9.1 with two complement parts to choose C1 from.
     assert len(GraphContext(K1_JOIN_K23).complement_parts) == 2
@@ -519,10 +531,17 @@ def test_suite_random_connected_sample():
     assert rep.ok
 
 
+def _frames(graphs, k, jobs=1):
+    """run_suite's frames of graphs at k p values with jobs workers."""
+    return _chunks(graphs, k, config.SUITE_FRAME_ENTRIES, jobs)
+
+
 def test_suite_parallel_matches_serial():
     graphs = corpus_trees(4, 9)
-    # Two chunks: a run of one chunk never starts the worker pool.
-    assert len(_chunks(graphs, len(P_GRID))) == 2
+    # One frame serially, two with two workers: a run of one frame never
+    # starts the worker pool.
+    assert len(_frames(graphs, len(P_GRID))) == 1
+    assert len(_frames(graphs, len(P_GRID), 2)) == 2
     serial = run_suite(graphs, p_values=P_GRID, corpus_name="x")
     parallel = run_suite(graphs, p_values=P_GRID, jobs=2, corpus_name="x")
     assert serial.to_dict() == parallel.to_dict()
@@ -530,42 +549,70 @@ def test_suite_parallel_matches_serial():
 
 def test_chunks_hold_at_most_the_entry_budget(monkeypatch):
     graphs = build_corpus("all")
-    budget = config.SUITE_CHUNK_ENTRIES
     for k in (1, 2, 5):
-        chunks = _chunks(graphs, k)
-        assert [item for chunk in chunks for item in chunk] == graphs
-        entries = [sum((3 * k + 1) * g.n ** 2 for _, g in chunk) for chunk in chunks]
-        assert max(entries) <= budget
-        # A chunk ends only where the next graph would not fit.
-        assert all(used + (3 * k + 1) * after[0][1].n ** 2 > budget
-                   for used, after in zip(entries, chunks[1:]))
+        # The frames of run_suite and the chunks of its error path.
+        for budget in (config.SUITE_FRAME_ENTRIES, config.SUITE_CHUNK_ENTRIES):
+            chunks = _chunks(graphs, k, budget)
+            assert [item for chunk in chunks for item in chunk] == graphs
+            entries = [sum((3 * k + 1) * g.n ** 2 for _, g in chunk) for chunk in chunks]
+            assert max(entries) <= budget
+            # A chunk ends only where the next graph would not fit.
+            assert all(used + (3 * k + 1) * after[0][1].n ** 2 > budget
+                       for used, after in zip(entries, chunks[1:]))
+        # With jobs workers, a frame also ends once it holds 1/jobs of the
+        # entries, so there are jobs frames of about equal size.
+        total = sum((3 * k + 1) * g.n ** 2 for _, g in graphs)
+        for jobs in (2, 3):
+            frames = _frames(graphs, k, jobs)
+            assert [item for frame in frames for item in frame] == graphs
+            entries = [sum((3 * k + 1) * g.n ** 2 for _, g in frame) for frame in frames]
+            assert len(frames) == jobs
+            assert all(used >= total / jobs for used in entries[:-1])
+            assert all(used - (3 * k + 1) * frame[-1][1].n ** 2 < total / jobs
+                       for used, frame in zip(entries, frames))
     # A graph over the budget gets a chunk of its own.
-    monkeypatch.setattr(config, "SUITE_CHUNK_ENTRIES", 100)
     graphs = [("P3", path_graph(3)), ("K6", complete_graph(6)), ("P2", path_graph(2)),
               ("P2'", path_graph(2)), ("K1", complete_graph(1)), ("P5", path_graph(5)),
               ("K1'", complete_graph(1))]
     # 4 n^2 entries each at k = 1: 36, 144, 16, 16, 4, 100 and 4.
-    assert [[gid for gid, _ in chunk] for chunk in _chunks(graphs, 1)] == [
+    assert [[gid for gid, _ in chunk] for chunk in _chunks(graphs, 1, 100)] == [
         ["P3"], ["K6"], ["P2", "P2'", "K1"], ["P5"], ["K1'"]]
+    # With 3 workers, there are 3 frames even where one graph holds most of
+    # the entries, and 2 graphs make 2 frames.
+    assert [[gid for gid, _ in frame] for frame in _frames(graphs[1:4], 1, 3)] == [
+        ["K6"], ["P2"], ["P2'"]]
+    assert [[gid for gid, _ in frame] for frame in _frames(graphs[:2], 1, 3)] == [
+        ["P3"], ["K6"]]
+    # The stacks of each vertex count in runs of at most the budget: each
+    # P5 (100 entries) in one of its own, K6 (144) too, both P2 in one.
+    monkeypatch.setattr(config, "SUITE_CHUNK_ENTRIES", 100)
+    stacked = contexts(graphs + [("P5'", path_graph(5))], (2.0,)).stacks
+    assert [x.eigenvalues.shape for x, *_ in stacked] == [
+        (4, 3), (4, 6), (8, 2), (8, 1), (4, 5), (4, 5)]
 
 
 def test_suite_does_not_depend_on_the_chunking(monkeypatch):
     # holds_tol = -1 turns most hard checks into violations: their payloads
     # keep corpus order, and the counts their sums, wherever the cuts fall.
+    # Frame and stack budgets: a graph per frame, 16 frames, one frame with
+    # a stack per vertex count, and one frame with a stack per graph.
     graphs = corpus_families() + corpus_special() + corpus_trees(4, 7)
     reports = []
-    for budget, count in ((1, len(graphs)), (2 ** 12, 16), (math.inf, 1)):
-        monkeypatch.setattr(config, "SUITE_CHUNK_ENTRIES", budget)
-        assert len(_chunks(graphs, len(P_GRID))) == count
+    for frame, stack, count in ((1, 1, len(graphs)), (2 ** 12, 2 ** 12, 16),
+                                (math.inf, math.inf, 1), (math.inf, 1, 1)):
+        monkeypatch.setattr(config, "SUITE_FRAME_ENTRIES", frame)
+        monkeypatch.setattr(config, "SUITE_CHUNK_ENTRIES", stack)
+        assert len(_frames(graphs, len(P_GRID))) == count
         reports.append(run_suite(graphs, P_GRID, holds_tol=-1.0, corpus_name="x").to_dict())
     assert reports[0]["violations"]
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1] == reports[2] == reports[3]
 
 
 def test_suite_judged_row_by_row_gives_the_same_report(monkeypatch):
-    # A chunk that raises is judged again one (graph, p) row at a time. With
-    # every frame of more than one row raising, each chunk is judged so, and
-    # the report is the one of the chunk frames, payload order included.
+    # A frame that raises is judged again in chunks, and a chunk that raises
+    # one (graph, p) row at a time. With every frame of more than one row
+    # raising, each chunk is judged so, and the report is the one of the
+    # frame, payload order included.
     graphs = corpus_families() + corpus_special() + corpus_trees(4, 7)
     expected = run_suite(graphs, P_GRID, holds_tol=-1.0, corpus_name="x").to_dict()
     assert expected["violations"]
@@ -582,9 +629,9 @@ def test_suite_judged_row_by_row_gives_the_same_report(monkeypatch):
 
 def test_suite_memory_is_bounded_by_the_entry_budget():
     # 16 graphs of 40 vertices at 5 p: 16 (3 * 5 + 1) 40^2 entries, 3.3 MB
-    # in one stack; the budget holds two graphs per chunk.
+    # in one stack; they make one frame, whose stacks hold two graphs each.
     graphs = [(f"g{seed}", random_connected_gnm(40, 120, seed)) for seed in range(16)]
-    assert len(_chunks(graphs, len(P_GRID))) == 8
+    assert len(_frames(graphs, len(P_GRID))) == 1
     tracemalloc.start()
     try:
         run_suite(graphs, P_GRID, corpus_name="x")
@@ -759,19 +806,21 @@ def test_suite_builds_reports_only_for_violations_and_mismatches(monkeypatch):
 
 @pytest.mark.parametrize("corpus", ("special", "families"))
 def test_suite_jobs_two_matches_serial_on_corpus(corpus):
-    # After the random corpus, in the second of two chunks: a run of one
-    # chunk never starts the worker pool.
-    graphs = build_corpus("random") + build_corpus(corpus)
-    assert len(_chunks(graphs, 2)) == 2
+    # After the random corpus, in the second of two frames: a run of one
+    # frame never starts the worker pool.
+    extra = build_corpus(corpus)
+    graphs = build_corpus("random") + extra
+    frames = _frames(graphs, 2, 2)
+    assert len(frames) == 2 and frames[1][-len(extra):] == extra
     serial = run_suite(graphs, p_values=(-1.0, 2.0), corpus_name=corpus)
     parallel = run_suite(graphs, p_values=(-1.0, 2.0), jobs=2, corpus_name=corpus)
     assert serial.to_dict() == parallel.to_dict()
 
 
 def test_suite_jobs_two_sends_violation_payloads_like_serial():
-    # holds_tol = -1 flags rows in both chunks, so payloads cross the pool.
+    # holds_tol = -1 flags rows in both frames, so payloads cross the pool.
     graphs = build_corpus("random")
-    assert len(_chunks(graphs, 2)) == 2
+    assert len(_frames(graphs, 2, 2)) == 2
     serial = run_suite(graphs, (-1.0, 2.0), holds_tol=-1.0).to_dict()
     assert serial["violations"]
     assert run_suite(graphs, (-1.0, 2.0), holds_tol=-1.0, jobs=2).to_dict() == serial
@@ -842,17 +891,19 @@ def test_suite_builds_no_matrix_and_one_weight_per_degree_pair(monkeypatch):
         return edge_weight(di, dj, p)
 
     monkeypatch.setattr(bounds, "edge_weight", counting_weight)
+    # Frames of at most 2^14 entries: the weights are per frame.
+    monkeypatch.setattr(config, "SUITE_FRAME_ENTRIES", 2 ** 14)
     graphs = (corpus_families() + corpus_special() + corpus_trees(4, 7)
               + corpus_random_connected(count=30))
     rep = run_suite(graphs, p_values=P_GRID, corpus_name="x")
     assert rep.graphs_checked == len(graphs)
     assert calls == {}
-    # One call per distinct degree pair of a chunk's graphs and complements,
+    # One call per distinct degree pair of a frame's graphs and complements,
     # plus thm4.12's two on each regular graph with edges, at each p.
-    chunks = _chunks(graphs, len(P_GRID))
-    assert len(chunks) > 1
+    frames = _frames(graphs, len(P_GRID))
+    assert len(frames) > 1
     expected = sum(len(set().union(*(_degree_pairs(g) | _degree_pairs(complement(g))
-                                     for _, g in chunk))) for chunk in chunks)
+                                     for _, g in frame))) for frame in frames)
     expected += sum(2 * (structure_stats(g).is_regular and g.m >= 1) for _, g in graphs)
     assert weights == dict.fromkeys(P_GRID, expected)
 
@@ -939,7 +990,7 @@ def test_suite_violation_payloads_are_pinned():
 
 def test_suite_evaluates_each_check_once_per_chunk(monkeypatch):
     # The 3,871 violations above are read from their checks' evaluations of
-    # the chunk: no flagged row is evaluated again.
+    # the frame: no flagged row is evaluated again.
     graphs = corpus_families() + corpus_special()
     evaluate, calls = bounds._evaluate, []
 
@@ -950,7 +1001,55 @@ def test_suite_evaluates_each_check_once_per_chunk(monkeypatch):
     monkeypatch.setattr(bounds, "_evaluate", counted)
     rep = run_suite(graphs, (-1.0, 2.0), holds_tol=-1.0)
     assert len(rep.violations) == 3871
-    assert len(calls) == len(_chunks(graphs, 2)) * len(CHECKS) == 54
+    assert len(calls) == len(_frames(graphs, 2)) * len(CHECKS) == 54
+
+
+def test_suite_work_on_all_at_five_p_is_pinned(monkeypatch):
+    # verify --corpus all at 5 p: one frame, one evaluation per check, and
+    # 14 kernel calls, one per stack of at most SUITE_CHUNK_ENTRIES entries.
+    import psombor.spectral as spectral
+
+    batch, stacks, evaluate, calls = spectral.jacobi_sweeps_batch, [], bounds._evaluate, []
+
+    def counting_batch(stack, *args):
+        stacks.append(stack.shape)
+        return batch(stack, *args)
+
+    def counted(check, f):
+        calls.append(check.id)
+        return evaluate(check, f)
+
+    monkeypatch.setattr(spectral, "jacobi_sweeps_batch", counting_batch)
+    monkeypatch.setattr(bounds, "_evaluate", counted)
+    graphs = build_corpus("all")
+    assert run_suite(graphs, P_GRID).ok
+    assert len(_frames(graphs, len(P_GRID))) == 1
+    assert len(calls) == len(CHECKS) == 54
+    assert len(stacks) == 14
+    assert max(math.prod(shape) for shape in stacks) <= config.SUITE_CHUNK_ENTRIES
+    assert stacks == _stack_shapes([graphs], len(P_GRID))
+
+
+def test_suite_judges_only_the_raising_chunk_row_by_row(monkeypatch):
+    # At p = 0.008 every tree on 4 to 9 vertices is judged, and K10 raises.
+    # The frame raises and its chunks are judged again in order; only the
+    # last chunk, which holds K10, is judged one row at a time.
+    graphs = corpus_trees(4, 9) + [("K10", complete_graph(10))]
+    monkeypatch.setattr(config, "SUITE_CHUNK_ENTRIES", 2 ** 12)
+    chunks = _chunks(graphs, 1, config.SUITE_CHUNK_ENTRIES)
+    assert len(_frames(graphs, 1)) == 1 and len(chunks) > 2
+    built, contexts_of = [], bounds.contexts
+
+    def counted(graphs, p_values, holds_tol=None):
+        built.append([graph_id for graph_id, _ in graphs])
+        return contexts_of(graphs, p_values, holds_tol)
+
+    monkeypatch.setattr(bounds, "contexts", counted)
+    with pytest.warns(UserWarning, match="too large for exp"):
+        with pytest.raises(OverflowError):
+            run_suite(graphs, (0.008,))
+    ids = [[graph_id for graph_id, _ in chunk] for chunk in chunks]
+    assert built == [[graph_id for graph_id, _ in graphs]] + ids + [[x] for x in ids[-1]]
 
 
 # The same digests over a wide p grid. At p = -1 and 2 few non-integer powers

@@ -217,10 +217,13 @@ def test_verify_json_deterministic(tmp_path):
 
 
 def test_verify_jobs_matches_serial(tmp_path):
+    from psombor import config
     from psombor.bounds import _chunks, corpus_trees
 
-    # Two chunks: a run of one chunk never starts the worker pool.
-    assert len(_chunks(corpus_trees(4, 9), 5)) == 2
+    # One frame serially, two with two workers: a run of one frame never
+    # starts the worker pool.
+    assert [len(_chunks(corpus_trees(4, 9), 5, config.SUITE_FRAME_ENTRIES, jobs))
+            for jobs in (1, 2)] == [1, 2]
     base = ["verify", "--corpus", "trees", "--n", "4..9", "--p", "-1,0.5,1,2,3",
             "--format", "json"]
     f1, f2 = tmp_path / "s.json", tmp_path / "p.json"
@@ -448,7 +451,8 @@ def test_verify_error_is_the_first_graphs_wherever_the_chunks_are_cut(
         k2_files, k5, budget, chunk_sizes, tmp_path, monkeypatch, capsys):
     # At p = 0.00196 the moments of K2 leave the float range, and so does
     # the Frobenius norm of K5 when its stack is built: K2's error is
-    # reported whether K5 shares its chunk or not.
+    # reported whether K5 shares its chunk or not. The corpus is one frame,
+    # judged again in these chunks when it raises.
     from psombor import config
     from psombor.bounds import _chunks, corpus_from_directory
 
@@ -456,30 +460,39 @@ def test_verify_error_is_the_first_graphs_wherever_the_chunks_are_cut(
     if budget is not None:
         monkeypatch.setattr(config, "SUITE_CHUNK_ENTRIES", budget)
     graphs, _ = corpus_from_directory(corpus)
-    assert [len(chunk) for chunk in _chunks(graphs, 1)] == chunk_sizes
+    assert len(_chunks(graphs, 1, config.SUITE_FRAME_ENTRIES)) == 1
+    assert [len(chunk) for chunk in _chunks(graphs, 1, config.SUITE_CHUNK_ENTRIES)] == chunk_sizes
     assert run(["verify", "--corpus", corpus, "--p=0.00196"]) == 1
     assert capsys.readouterr().err == _MOMENTS
 
 
-# verify with config.SUITE_CHUNK_ENTRIES set to the first argument.
+# verify with config.SUITE_FRAME_ENTRIES and config.SUITE_CHUNK_ENTRIES set
+# to the first two arguments.
 _WITH_BUDGET = ("import sys; from psombor import cli, config; "
+                "config.SUITE_FRAME_ENTRIES = float(sys.argv.pop(1)); "
                 "config.SUITE_CHUNK_ENTRIES = float(sys.argv.pop(1)); cli.main()")
 
 
 def test_verify_stderr_depends_on_neither_the_chunking_nor_jobs():
     # The Estrada warning of a row at p = 0.1, then the moments error of a
-    # later row at p = 0.003: one graph per chunk, 2^12 entries, one chunk,
-    # and 2^12 entries over two worker processes. At p = 0.1 alone the run
-    # passes, with the one warning line whether or not workers judge it.
+    # later row at p = 0.003, with frame and chunk budgets of: one graph
+    # each; 2^12 entries; one frame of one chunk; one frame of a chunk per
+    # graph; 2^12 entries over two worker processes; and one frame each for
+    # two workers. At p = 0.1 alone the run passes, with the one warning
+    # line whether or not workers judge it.
     runs = []
-    for budget, p, jobs in (("1", "0.1,0.003", "1"), ("4096", "0.1,0.003", "1"),
-                            ("inf", "0.1,0.003", "1"), ("4096", "0.1,0.003", "2"),
-                            ("4096", "0.1", "1"), ("4096", "0.1", "2")):
-        out = subprocess.run([sys.executable, "-c", _WITH_BUDGET, budget, "verify",
+    for frame, chunk, p, jobs in (("1", "1", "0.1,0.003", "1"),
+                                  ("4096", "4096", "0.1,0.003", "1"),
+                                  ("inf", "inf", "0.1,0.003", "1"),
+                                  ("inf", "1", "0.1,0.003", "1"),
+                                  ("4096", "4096", "0.1,0.003", "2"),
+                                  ("inf", "4096", "0.1,0.003", "2"),
+                                  ("4096", "4096", "0.1", "1"), ("inf", "4096", "0.1", "2")):
+        out = subprocess.run([sys.executable, "-c", _WITH_BUDGET, frame, chunk, "verify",
                               "--corpus", "families", f"--p={p}", "--jobs", jobs],
                              capture_output=True, text=True)
         runs.append((out.returncode, out.stderr))
-    assert runs == [(1, _ESTRADA + _MOMENTS)] * 4 + [(0, _ESTRADA)] * 2
+    assert runs == [(1, _ESTRADA + _MOMENTS)] * 6 + [(0, _ESTRADA)] * 2
 
 
 @pytest.mark.parametrize("p", ("inf", "-inf", "nan", "2,inf"))

@@ -127,6 +127,22 @@ def test_random_connected():
         assert structure_stats(g).is_connected
 
 
+def test_random_connected_is_the_first_connected_draw():
+    # The draws of the random corpus (seed 42): each graph is the first draw
+    # that structure_stats calls connected, and no draw had its structure
+    # statistics computed (they are cached on the graph once computed).
+    for i in range(200):
+        m, seed = 7 + i % 14, 42 + i
+        g = random_connected_gnm(8, m, seed)
+        assert g._stats is None
+        for attempt in range(1000):
+            first = random_gnm(8, m, seed * 0x100000001B3 + attempt)
+            if structure_stats(first).is_connected:
+                break
+        assert g == first
+    assert random_connected_gnm(0, 0, 1) == Graph(0)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_handshake(n):
     for seed in range(5):
