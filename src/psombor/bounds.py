@@ -91,8 +91,11 @@ class BoundReport:
 class GraphContext:
     """The p-independent quantities of one graph, shared by its frame rows at
     every p. contexts() solves its adjacency matrix as member `member` of the
-    Spectra `spectra`; the structure stats, the complement's parts and the
-    subdivision energy are computed on first use."""
+    Spectra `spectra`. The frame's structure columns come from the stacks'
+    adjacency blocks, not from here: the structure stats serve only thm4.12's
+    subdivision energy (regular graphs with edges), and the complement and
+    its parts only thm5.9.1's choice of C1 (graphs with deg_max = n - 1),
+    each computed on first use."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -579,77 +582,91 @@ def contexts(graphs, p_values, holds_tol: float | None = None) -> Frame:
     """The Frame of (graph_id, graph) pairs: a row per graph and p, graph by
     graph, each in p_values order.
 
-    Each graph's edges, then its complement's, become index arrays once, and
-    their weights at each p take one edge_weight call per distinct degree
-    pair of all the graphs. The weights are scattered into member-first
-    stacks of the graphs of one vertex count, each of at most
-    config.SUITE_CHUNK_ENTRIES entries (_slices): S_p of every graph and of
-    its complement at every p, L_p = diag(row sums) - S_p from the same S_p,
-    and the adjacency matrices, each stack solved by one decompose_stack,
-    whose Spectra the frame keeps as arrays. N2-N4 are traces of powers of
-    the stacked S_p (no eigensolver involved), SO_p and the variance are
-    sums of each graph's weights in edges() order, as sombor_index and
-    weight_variance take them.
+    The graphs of one vertex count are cut into member-first stacks of at
+    most config.SUITE_CHUNK_ENTRIES entries (_slices), and each stack is
+    built and solved in turn from one boolean adjacency block of its graphs,
+    which the frame keeps for its structure columns. The upper-triangle
+    nonzeros of A and of 1 - A - I, read row-major, are each graph's and its
+    complement's edges in edges() order, with degrees d and n - 1 - d. Their
+    weights at each p take one edge_weight call per distinct degree pair of
+    the frame, and one fancy assignment per stack scatters them into S_p of
+    every graph and of its complement at every p. L_p = diag(row sums) - S_p
+    comes from the same S_p, and the block is the adjacency members; one
+    decompose_stack per stack solves them all, and the frame keeps its
+    Spectra as arrays. N2-N4 are traces of powers of the stacked S_p (no
+    eigensolver involved); SO_p and the variance are Python sums of each
+    graph's weights in edges() order, as sombor_index and weight_variance
+    take them.
     """
     graphs, p_values = list(graphs), tuple(p_values)
     k = len(p_values)
     gcs = [GraphContext(g) for _, g in graphs]
     base = max((gc.g.n for gc in gcs), default=0) + 1
-    edges, keys = [], [np.zeros(0, dtype=np.intp)]
-    for gc in gcs:
-        g, h = gc.g, gc.complement
-        ij = np.array([*g.edges(), *h.edges()], dtype=np.intp).reshape(-1, 2)
-        d = np.concatenate((np.array(g.degrees, dtype=np.intp)[ij[:g.m]],
-                            np.array(h.degrees, dtype=np.intp)[ij[g.m:]]))
-        edges.append(ij)
-        keys.append(d.min(axis=1) * base + d.max(axis=1))
-    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    pairs = [divmod(key, base) for key in keys.tolist()]
-    w = np.array([[edge_weight(a, b, p) for a, b in pairs] for p in p_values],
-                 dtype=float).reshape(k, len(pairs))
-    weights = np.split(w[:, inverse], np.cumsum([len(ij) for ij in edges])[:-1], axis=1)
-    moments, stacks = np.zeros((3, len(graphs) * k)), []
+    known = {}   # the weights at each p of each degree-pair key met so far
+    moments, stacks, blocks = np.zeros((3, len(graphs) * k)), [], []
+    so, variance = np.zeros((2, len(graphs), k))
+    m = [gc.g.m for gc in gcs]
     for n, members in _slices(gcs, k):
-        count = len(members)
+        count, index = len(members), np.array(members)
+        degrees = np.array([gcs[i].g.degrees for i in members], dtype=np.intp)
+        ends = [v for i in members for adj in gcs[i].g.adj for v in adj]
+        a = np.zeros((count * n, n), dtype=bool)
+        a[np.repeat(np.arange(count * n), degrees.ravel()), ends] = True
+        a = a.reshape(count, n, n)
+        blocks.append((index, a))
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        graph_edges, complement_edges = np.nonzero(a & upper), np.nonzero(~a & upper)
+        which = np.repeat([0, 1], [len(graph_edges[0]), len(complement_edges[0])])
+        member, u, v = (np.concatenate(x) for x in zip(graph_edges, complement_edges))
+        both = np.stack((degrees, n - 1 - degrees))
+        du, dv = both[which, member, u], both[which, member, v]
+        keys, inverse = np.unique(np.minimum(du, dv) * base + np.maximum(du, dv),
+                                  return_inverse=True)
+        new = [key for key in keys.tolist() if key not in known]
+        fresh = [[edge_weight(*divmod(key, base), p) for key in new] for p in p_values]
+        known.update(zip(new, zip(*fresh)))
+        w = np.array([known[key] for key in keys.tolist()], dtype=float).reshape(-1, k)[inverse]
         stack = np.zeros((count * (3 * k + 1), n, n))
         sombor = stack[:2 * count * k].reshape(count, k, 2, n, n)  # graph, then complement
         laplacian = stack[2 * count * k:3 * count * k].reshape(count, k, n, n)
-        adjacency = stack[3 * count * k:]
-        for a, i in enumerate(members):
-            ij, m = edges[i], gcs[i].g.m
-            which = (np.arange(len(ij)) >= m).astype(np.intp)
-            u, v = ij[:, 0], ij[:, 1]
-            sombor[a][:, which, u, v] = sombor[a][:, which, v, u] = weights[i]
-            adjacency[a, u[:m], v[:m]] = adjacency[a, v[:m], u[:m]] = 1.0
+        stack[3 * count * k:] = a
+        sombor[member, :, which, u, v] = sombor[member, :, which, v, u] = w
+        # Python's sum, whose float algorithm differs across Python versions,
+        # as sombor_index and weight_variance take it.
+        graph_weights = w[:len(graph_edges[0])].T
+        with np.errstate(over="ignore"):
+            squares = graph_weights * graph_weights
+        cuts = np.cumsum([m[i] for i in members])[:-1]
+        for i, wg, w2 in zip(members, np.split(graph_weights, cuts, axis=1),
+                             np.split(squares, cuts, axis=1)):
+            so[i] = [sum(row) for row in wg.tolist()]
+            variance[i] = [sum(row) / m[i] - (x / m[i]) * (x / m[i]) if m[i] else math.nan
+                           for x, row in zip(so[i], w2.tolist())]
         s = sombor[:, :, 0]
         diagonal = np.arange(n)
         laplacian[:, :, diagonal, diagonal] = s.sum(axis=-1)
         laplacian -= s
-        rows = (np.array(members)[:, None] * k + np.arange(k)).ravel()
+        rows = (index[:, None] * k + np.arange(k)).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
             s2 = s @ s
             moments[:, rows] = [(x * y).reshape(count * k, n * n).sum(axis=1)
                                 for x, y in ((s, s), (s2, s), (s2, s2))]
-        del s2  # not held while the stack is solved
+        del s2, w, graph_weights, squares  # not held while the stack is solved
         spectra = decompose_stack(stack)
-        for a, i in enumerate(members):
-            gcs[i].spectra, gcs[i].member = spectra, 3 * count * k + a
+        for j, i in enumerate(members):
+            gcs[i].spectra, gcs[i].member = spectra, 3 * count * k + j
         local = np.arange(count * k)
         stacks.append((spectra, rows, 2 * local, 2 * count * k + local, 2 * local + 1,
                        np.repeat(3 * count * k + np.arange(count), k)))
-    so, variance = [], []
-    for gc, graph_weights in zip(gcs, weights):
-        m = gc.g.m
-        wg = graph_weights[:, :m]
-        for row, squares in zip(wg.tolist(), (wg * wg).tolist()):
-            so.append(sum(row))
-            variance.append(sum(squares) / m - (so[-1] / m) * (so[-1] / m) if m else math.nan)
     # SO_p as Python numbers: the empty sum of an edgeless graph is the int 0.
-    columns = {"so": np.array(so, dtype=object), "variance": np.array(variance, dtype=float)}
+    so = so.astype(object)
+    so[np.array(m) == 0] = 0
+    columns = {"so": so.reshape(-1), "variance": variance.reshape(-1)}
     if np.isfinite(moments).all():
         columns.update(n2=moments[0], n3=moments[1], n4=moments[2])
     return Frame(gcs, [graph_id for graph_id, _ in graphs], p_values,
-                 config.HOLDS_REL_TOL if holds_tol is None else holds_tol, stacks, **columns)
+                 config.HOLDS_REL_TOL if holds_tol is None else holds_tol, stacks, blocks,
+                 **columns)
 
 
 def _reports(checks, g: Graph, p: float) -> list[BoundReport]:

@@ -4,9 +4,12 @@ A Frame has the (graph, p) rows of a run of graphs, as bounds.contexts
 builds it, and gives one 1-D array per quantity: n, m, p, SO_p, the moments
 N2-N4, degrees, radii, energies, inertias, structural predicates and so on.
 contexts sets the values it computes itself (SO_p, the variance, N2-N4);
-the others are computed for every row on first read, spectral ones from the
-arrays of the stacks the rows were solved in. A check evaluates once per
-frame.
+the others are computed for every row on first read: spectral ones from the
+arrays of the stacks the rows were solved in, and the p-independent
+structure of each graph and of its complement (degrees, common neighbours,
+distances, components, bipartition) in NumPy from the one adjacency block
+that contexts keeps per stack, with no per-graph traversal and no
+complement Graph. A check evaluates once per frame.
 
 The helpers below reproduce Python's scalar arithmetic bit for bit. + - * /
 and sqrt are correctly rounded in NumPy too, but on SIMD paths np.power and
@@ -26,14 +29,6 @@ import math
 import numpy as np
 
 from . import config
-from .graphs import (
-    connected_components,
-    is_balanced_complete_bipartite,
-    is_c4_free,
-    is_complete,
-    is_complete_bipartite,
-    is_complete_multipartite,
-)
 from .invariants import _abs_product, first_zagreb, isi_index, randic_index
 from .spectral import cluster_starts
 
@@ -86,50 +81,118 @@ _GRAPH = {
     "m": lambda gc: gc.g.m,
     "has_edge": lambda gc: gc.g.m >= 1,
     "edgeless": lambda gc: gc.g.m == 0,
-    "dmin": lambda gc: gc.stats.min_degree,
-    "dmax": lambda gc: gc.stats.max_degree,
-    "min_degree_positive": lambda gc: gc.stats.min_degree >= 1,
-    "t_min": lambda gc: gc.stats.t_min or 0,
-    "t_max": lambda gc: gc.stats.t_max or 0,
-    "avg_degree": lambda gc: gc.stats.average_degree,
-    "diameter": lambda gc: gc.stats.diameter,
-    "connected": lambda gc: gc.stats.is_connected,
-    "connected2": lambda gc: gc.stats.is_connected and gc.g.n >= 2,
-    "regular": lambda gc: gc.stats.is_regular,
-    "bipartite": lambda gc: gc.stats.is_bipartite,
-    "part1": lambda gc: (gc.stats.bipartition_sizes or (0, 0))[0],
-    "part2": lambda gc: (gc.stats.bipartition_sizes or (0, 0))[1],
-    "components": lambda gc: len(connected_components(gc.g)),
-    "complete": lambda gc: is_complete(gc.g),
-    "complete_bipartite": lambda gc: is_complete_bipartite(gc.g),
-    "balanced_complete_bipartite": lambda gc: is_balanced_complete_bipartite(gc.g),
-    # thm5.6 and thm2.5.up read these of regular graphs only
-    "regular_complete_multipartite": lambda gc: (gc.stats.is_regular
-                                                 and is_complete_multipartite(gc.g)),
-    "regular_c4_free": lambda gc: gc.stats.is_regular and is_c4_free(gc.g),
     "m1": lambda gc: first_zagreb(gc.g),
     "randic": lambda gc: randic_index(gc.g),
     "isi": lambda gc: isi_index(gc.g),
-    "complement_term": lambda gc: sum(h.m * (h.n - 1 - max(h.degrees)) / h.n
-                                      for h in gc.complement_parts),
 }
+# Columns read per graph from the adjacency blocks of the stacks (_structure).
+_STRUCTURE = frozenset((
+    "dmin", "dmax", "min_degree_positive", "t_min", "t_max", "avg_degree", "diameter",
+    "connected", "connected2", "regular", "bipartite", "part1", "part2", "components",
+    "complete", "complete_bipartite", "balanced_complete_bipartite",
+    "regular_complete_multipartite", "regular_c4_free", "complement_term"))
+
+
+def _distances(a: np.ndarray) -> np.ndarray:
+    """All-pairs distances in each graph of a (count, n, n) boolean adjacency
+    block, inf between components: n steps of Floyd's min-plus recurrence
+    over the whole block (Floyd, "Algorithm 97: Shortest path", CACM 5(6),
+    1962), O(n^3) per graph whatever the diameter."""
+    n = a.shape[1]
+    d = np.where(a, 1.0, math.inf)
+    d[:, np.arange(n), np.arange(n)] = 0.0
+    for k in range(n):
+        np.minimum(d, d[:, :, k, None] + d[:, None, k, :], out=d)
+    return d
+
+
+def _structure(a: np.ndarray) -> dict:
+    """The _STRUCTURE columns of the graphs of a (count, n, n) boolean
+    adjacency block (n >= 1), one value per graph, equal in value and dtype
+    to what structure_stats and the graphs predicates give: from the
+    degrees, A A (common neighbours; small integers, so exact in any
+    summation order) and the distances of each graph and of its complement.
+    Depths from each component's smallest vertex 2-colour it as
+    _component_depths does. complement_term is Python's sum (whose float
+    algorithm differs across Python versions) of a term per component of
+    the complement, in order of smallest vertex."""
+    count, n, _ = a.shape
+    vertices = np.arange(n)
+    deg = a.sum(axis=2)
+    m = deg.sum(axis=1) // 2
+    dmin, dmax = deg.min(axis=1), deg.max(axis=1)
+    x = a.astype(float)
+    common = x @ x
+    t_min = np.where(m > 0, np.where(a, common, math.inf).min(axis=(1, 2)), 0)
+    t_max = np.where(a, common, 0.0).max(axis=(1, 2))
+    common[:, vertices, vertices] = 0.0
+    c4_free = common.max(axis=(1, 2)) <= 1.0
+    dist = _distances(a)
+    reach = np.isfinite(dist)
+    root = reach.argmax(axis=2)   # each vertex's component, by its smallest vertex
+    connected = (root == 0).all(axis=1)
+    depth = dist[np.arange(count)[:, None], root, vertices]
+    bipartite = ~(a & (depth[:, :, None] == depth[:, None, :])).any(axis=(1, 2))
+    odd = (depth.astype(np.int64) & 1).sum(axis=1)
+    part1, part2 = np.where(bipartite, n - odd, 0), np.where(bipartite, odd, 0)
+    complete_bipartite = connected & bipartite & (n >= 2) & (m == part1 * part2)
+    # The complement's components: size, edges and largest degree at each
+    # vertex's component, counted at its smallest vertex (a component
+    # without edges adds 0.0, which leaves any sum as it is).
+    ca = ~a
+    ca[:, vertices, vertices] = False
+    creach = np.isfinite(_distances(ca))
+    cdeg = (n - 1 - deg)[:, None, :]
+    size = creach.sum(axis=2)
+    first = creach.argmax(axis=2) == vertices
+    edges = (creach * cdeg).sum(axis=2) // 2
+    top = np.where(creach, cdeg, 0).max(axis=2)
+    terms = np.where(first, edges * (size - 1 - top) / size, 0.0)
+    regular = dmin == dmax
+    return {
+        "dmin": dmin,
+        "dmax": dmax,
+        "min_degree_positive": dmin >= 1,
+        "t_min": t_min.astype(np.int64),
+        "t_max": t_max.astype(np.int64),
+        "avg_degree": 2.0 * m / n,
+        "diameter": dist.max(axis=(1, 2)),
+        "connected": connected,
+        "connected2": connected & (n >= 2),
+        "regular": regular,
+        "bipartite": bipartite,
+        "part1": part1,
+        "part2": part2,
+        "components": (root == vertices).sum(axis=1),
+        "complete": m == n * (n - 1) // 2,
+        "complete_bipartite": complete_bipartite,
+        "balanced_complete_bipartite": complete_bipartite & (part1 == part2),
+        # complete multipartite: connected, and the complement's components
+        # are cliques; thm5.6 and thm2.5.up read these of regular graphs only
+        "regular_complete_multipartite": (regular & connected & (n >= 2)
+                                          & (cdeg[:, 0] == size - 1).all(axis=1)),
+        "regular_c4_free": regular & c4_free,
+        "complement_term": np.array([sum(row) for row in terms.tolist()]),
+    }
 
 
 class Frame:
     """The (graph, p) rows of graphs with vertices, graph by graph and p by p
-    within each: one 1-D array per quantity (_SPECTRAL, _GRAPH and the
-    columns given), computed for every row on first read. graphs and
-    graph_ids hold each graph's GraphContext and id, and graph_index and
+    within each: one 1-D array per quantity (_SPECTRAL, _GRAPH, _STRUCTURE
+    and the columns given), computed for every row on first read. graphs
+    and graph_ids hold each graph's GraphContext and id, and graph_index and
     p_index give each row's graph and its p in p_values. stacks holds
     (Spectra, rows, s, lap, comp, adj) per solved stack: the rows it holds
-    and their S_p, L_p, complement S_p and adjacency members. take(mask)
+    and their S_p, L_p, complement S_p and adjacency members. blocks holds
+    (members, adjacency) per stack: the indices in graphs of its graphs and
+    their (count, n, n) boolean adjacency matrices. take(mask)
     gives a frame of the rows in mask, whose columns index this one's.
     Reading a moment not given raises OverflowError: some row's moments left
     the float range. Reads of the Estrada index are marked in the root
     frame's read, for its overflow warning."""
 
-    def __init__(self, graphs, graph_ids, p_values, holds_tol, stacks=(), root=None,
-                 rows=None, **columns):
+    def __init__(self, graphs, graph_ids, p_values, holds_tol, stacks=(), blocks=(),
+                 root=None, rows=None, **columns):
         # A root frame keeps no reference to itself, so that refcounting
         # frees it as soon as its rows are judged.
         self.graphs, self.graph_ids, self.p_values = graphs, graph_ids, p_values
@@ -138,7 +201,7 @@ class Frame:
             k = len(p_values)
             self.graph_index = np.repeat(np.arange(len(graphs)), k)
             self.p_index = np.tile(np.arange(k), len(graphs))
-            self.size, self.stacks = len(self.p_index), stacks
+            self.size, self.stacks, self.blocks = len(self.p_index), stacks, blocks
             self.p = np.array(p_values)[self.p_index]
             self.p_at_least_1 = self.p >= 1
             self.read = np.zeros(self.size, dtype=bool)   # rows whose Estrada index was read
@@ -154,6 +217,16 @@ class Frame:
             column = getattr(self._parent, name)[self._rows]
         elif name in _GRAPH:
             column = np.array([_GRAPH[name](gc) for gc in self.graphs])[self.graph_index]
+        elif name in _STRUCTURE:
+            # Every _STRUCTURE column at once: they share each block's distances.
+            per_graph = {}
+            for members, block in self.blocks:
+                for key, values in _structure(block).items():
+                    per_graph.setdefault(key, np.empty(len(self.graphs), values.dtype))
+                    per_graph[key][members] = values
+            for key, values in per_graph.items():
+                setattr(self, key, values[self.graph_index])
+            return vars(self)[name]
         elif name in _SPECTRAL:
             parts = [(rows, _SPECTRAL[name](x, s=s, lap=lap, comp=comp, adj=adj))
                      for x, rows, s, lap, comp, adj in self.stacks]

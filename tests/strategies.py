@@ -54,6 +54,41 @@ def bipartite_graphs(draw, max_parts: int = 4) -> Graph:
             pairs = [(i, a + j) for i in range(a) for j in range(b)]
             keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
             parts.append(Graph(a + b, [e for e, k in zip(pairs, keep) if k]))
+    return _shuffled_union(draw, parts)
+
+
+@st.composite
+def unions(draw, max_parts: int = 3) -> Graph:
+    """A disjoint union of 1..max_parts parts, vertices shuffled: edgeless
+    graphs (isolated vertices), paths, cycles, complete graphs, complete
+    multipartite graphs K_{s,...,s} and any graph on at most 5 vertices. One
+    part of one or two vertices gives n = 1 and 2."""
+    from psombor.graphs import complement, complete_graph, cycle_graph, path_graph
+
+    parts = []
+    for _ in range(draw(st.integers(1, max_parts))):
+        kind = draw(st.sampled_from(["edgeless", "path", "cycle", "complete", "multipartite",
+                                     "any"]))
+        if kind == "edgeless":
+            parts.append(Graph(draw(st.integers(1, 3))))
+        elif kind == "path":
+            parts.append(path_graph(draw(st.integers(2, 6))))
+        elif kind == "cycle":
+            parts.append(cycle_graph(draw(st.integers(3, 6))))
+        elif kind == "complete":
+            parts.append(complete_graph(draw(st.integers(1, 5))))
+        elif kind == "multipartite":
+            s, t = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+            parts.append(complement(Graph(s * t, [(i * s + u, i * s + v) for i in range(t)
+                                                  for u in range(s) for v in range(u + 1, s)])))
+        else:
+            parts.append(draw(graphs(5)))
+    return _shuffled_union(draw, parts)
+
+
+def _shuffled_union(draw, parts) -> Graph:
+    """The disjoint union of parts, its vertices relabelled by a drawn
+    permutation."""
     n = sum(part.n for part in parts)
     label = draw(st.permutations(range(n)))
     edges, offset = [], 0

@@ -1030,6 +1030,29 @@ def test_suite_work_on_all_at_five_p_is_pinned(monkeypatch):
     assert stacks == _stack_shapes([graphs], len(P_GRID))
 
 
+def test_suite_walks_graphs_only_where_a_check_needs_them(monkeypatch):
+    # The structure columns come from the stacks' adjacency blocks. Only
+    # thm4.12's subdivision energy reads structure_stats, of the regular
+    # graphs with edges, and only thm5.9.1's choice of C1 builds complements,
+    # of the graphs with deg_max = n - 1: once per graph, under either name.
+    import psombor.graphs as graphs_module
+
+    seen = {"structure_stats": [], "complement": []}
+    for name, calls in seen.items():
+        def counted(g, fn=getattr(graphs_module, name), calls=calls):
+            calls.append(g)
+            return fn(g)
+        for module in (bounds, graphs_module):
+            monkeypatch.setattr(module, name, counted)
+    graphs = build_corpus("all")
+    regular = [g for _, g in graphs if g.m >= 1 and min(g.degrees) == max(g.degrees)]
+    full = [g for _, g in graphs if max(g.degrees) == g.n - 1]
+    assert (len(regular), len(full)) == (23, 45)
+    assert run_suite(graphs, P_GRID).ok
+    assert sorted(map(id, seen["structure_stats"])) == sorted(map(id, regular))
+    assert sorted(map(id, seen["complement"])) == sorted(map(id, full))
+
+
 def test_suite_judges_only_the_raising_chunk_row_by_row(monkeypatch):
     # At p = 0.008 every tree on 4 to 9 vertices is judged, and K10 raises.
     # The frame raises and its chunks are judged again in order; only the

@@ -1,16 +1,34 @@
 """The frame's helpers give what Python's scalar arithmetic gives, row by row:
 the same values (NaN, signed zeros and infinities included) and the same
 exceptions. Its spectral columns give what each row's own decompositions
-gave."""
+gave, and its structure columns what structure_stats and the graphs
+predicates give for each graph."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from strategies import unions
 
-from psombor.bounds import contexts
-from psombor.frame import divide, exp, maximum, minimum, power, sqrt
-from psombor.graphs import Graph
+from psombor import config
+from psombor.bounds import build_corpus, contexts
+from psombor.frame import _STRUCTURE, divide, exp, maximum, minimum, power, sqrt
+from psombor.graphs import (
+    Graph,
+    complement,
+    connected_components,
+    induced_subgraph,
+    is_balanced_complete_bipartite,
+    is_c4_free,
+    is_complete,
+    is_complete_bipartite,
+    is_complete_multipartite,
+    path_graph,
+    random_gnm,
+    structure_stats,
+)
 
 NAN, INF = math.nan, math.inf
 P_GRID = (-1.0, 0.5, 1.0, 2.0, 3.0)
@@ -140,3 +158,67 @@ def test_spectral_columns_equal_the_per_member_formulas():
         column = getattr(frame, name)
         assert column.dtype == expected.dtype, name
         assert column.tobytes() == expected.tobytes(), name
+
+
+def _old_structure(g):
+    """Each structure column of one graph by the per-graph formula it had,
+    from structure_stats and the graphs predicates. complement_term is a
+    float even where the graph's complement has no edges (Python's empty sum
+    is the int 0): the column is float64 in every frame."""
+    stats = structure_stats(g)
+    h = complement(g)
+    parts = [induced_subgraph(h, comp) for comp in connected_components(h) if len(comp) > 1]
+    part1, part2 = stats.bipartition_sizes or (0, 0)
+    return {
+        "dmin": stats.min_degree,
+        "dmax": stats.max_degree,
+        "min_degree_positive": stats.min_degree >= 1,
+        "t_min": stats.t_min or 0,
+        "t_max": stats.t_max or 0,
+        "avg_degree": stats.average_degree,
+        "diameter": stats.diameter,
+        "connected": stats.is_connected,
+        "connected2": stats.is_connected and g.n >= 2,
+        "regular": stats.is_regular,
+        "bipartite": stats.is_bipartite,
+        "part1": part1,
+        "part2": part2,
+        "components": len(connected_components(g)),
+        "complete": is_complete(g),
+        "complete_bipartite": is_complete_bipartite(g),
+        "balanced_complete_bipartite": is_balanced_complete_bipartite(g),
+        "regular_complete_multipartite": stats.is_regular and is_complete_multipartite(g),
+        "regular_c4_free": stats.is_regular and is_c4_free(g),
+        "complement_term": float(sum(x.m * (x.n - 1 - max(x.degrees)) / x.n for x in parts)),
+    }
+
+
+def _assert_structure_columns_are_the_oracle(graphs):
+    frame = contexts(graphs, P_GRID)
+    rows = [_old_structure(g) for _, g in graphs]
+    assert set(rows[0]) == _STRUCTURE
+    for name in sorted(_STRUCTURE):
+        expected = np.array([row[name] for row in rows])[frame.graph_index]
+        column = getattr(frame, name)
+        assert column.dtype == expected.dtype, name
+        assert column.tobytes() == expected.tobytes(), name
+
+
+def test_structure_columns_equal_the_per_graph_stats_on_all():
+    _assert_structure_columns_are_the_oracle(build_corpus("all"))
+
+
+# P40 next to a disconnected G(40, 30): 80 vertices, (3k + 1) 80^2 entries at
+# the five p, over the stack budget, so its block is a stack of its own.
+PATH_AND_SPARSE = Graph(80, [*path_graph(40).edges(),
+                             *((u + 40, v + 40) for u, v in random_gnm(40, 30, 3).edges())])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.lists(unions(), min_size=1, max_size=6))
+@example([PATH_AND_SPARSE, Graph(1), Graph(2), Graph(2, [(0, 1)]), Graph(4)])
+def test_structure_columns_equal_the_per_graph_stats(graphs):
+    if PATH_AND_SPARSE in graphs:
+        assert (3 * len(P_GRID) + 1) * 80 ** 2 > config.SUITE_CHUNK_ENTRIES
+        assert not structure_stats(PATH_AND_SPARSE).is_connected
+    _assert_structure_columns_are_the_oracle([(f"g{i}", g) for i, g in enumerate(graphs)])
