@@ -6,6 +6,8 @@ canonical level sequence per tree, so no tree is built twice. One parse of
 that sequence gives the catalog tree's key, the centre-rooted AHU string of
 tree_canonical_key, and its label, the lexicographically largest canonical
 level sequence over all its rootings: no leaf stripping and no Graph walk.
+The catalog Graph is read from the label's preorder in one more pass
+(Graph._from_level_sequence), without Graph()'s checks and sorts.
 
 Tree radii (the extremality check and the ranking) come from
 bipartite_radii: a tree is bipartite, so xi_1 is the square root of the
@@ -99,17 +101,6 @@ def _free_tree_level_sequences(n: int):
                 levels[n - depth:] = range(2, depth + 2)
 
 
-def _level_sequence_edges(levels) -> list[tuple[int, int]]:
-    edges = []
-    stack = [0]
-    for i in range(1, len(levels)):
-        while len(stack) >= levels[i]:
-            stack.pop()
-        edges.append((stack[-1], i))
-        stack.append(i)
-    return edges
-
-
 def tree_centers(g: Graph) -> list[int]:
     """Centre vertex (or two) found by repeated leaf stripping."""
     n = g.n
@@ -161,11 +152,12 @@ def _catalog_entry(levels, max_degree: int | None = None) -> tuple[str, list[int
     canonical level sequence over all rootings. A rooting starts 1, 2, ...,
     ecc(v) + 1, so only the deepest vertices of T1 and of the rest, all
     leaves, can attain it, and a leaf's rooting is the tree hanging from its
-    parent away from it. As bytes with that parent at level 0, that is the
-    parent's subtree slice without the leaf's; above vertex 0, the tree
-    hanging from the grandparent (built once per vertex it is left through)
-    goes before the first sibling slice it exceeds, as the slices are
-    canonical and in descending order already.
+    parent away from it: the same tree for every such leaf of one parent,
+    so it is walked once per parent. As bytes with that parent at level 0,
+    that is the parent's subtree slice without the leaf's; above vertex 0,
+    the tree hanging from the grandparent (built once per vertex it is left
+    through) goes before the first sibling slice it exceeds, as the slices
+    are canonical and in descending order already.
     """
     n = len(levels)
     parent, children, stop = [-1] * n, [[] for _ in range(n)], [n] * n
@@ -207,8 +199,9 @@ def _catalog_entry(levels, max_degree: int | None = None) -> tuple[str, list[int
             seq = hanging[v] = b"\0" + b"".join(subs)
         return seq
 
-    best = max(away(v) for v in range(1, n)
-               if levels[v] == (t1_depth if v < end else rest_depth))
+    deepest = {parent[v]: v for v in range(1, n)
+               if levels[v] == (t1_depth if v < end else rest_depth)}
+    best = max(map(away, deepest.values()))
     return key, [1, *(x + 2 for x in best)]
 
 
@@ -218,7 +211,7 @@ def enumerate_trees(n: int, max_degree: int | None = None) -> TreeCatalog:
         raise GraphError(f"tree enumeration supports 2 <= n <= {MAX_TREE_N}, got {n}")
     if max_degree is not None and max_degree < 1:
         raise GraphError(f"max degree must be at least 1, got {max_degree}")
-    items = [(entry[0], Graph(n, _level_sequence_edges(entry[1])))
+    items = [(entry[0], Graph._from_level_sequence(entry[1]))
              for levels in _free_tree_level_sequences(n)
              if (entry := _catalog_entry(levels, max_degree))]
     items.sort(key=lambda kv: kv[0])

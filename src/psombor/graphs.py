@@ -54,6 +54,32 @@ class Graph:
         self.m = sum(self.degrees) // 2
         self._stats = None
 
+    @classmethod
+    def _from_level_sequence(cls, levels) -> "Graph":
+        """The tree of a level sequence (levels 1, ..., root first), its
+        vertices numbered in preorder, without __init__'s checks or sorts.
+
+        A vertex's parent is the last vertex one level up, on top of the
+        level stack, and is numbered before its children, so adj[v] is
+        (parent, *children) in ascending order already.
+        """
+        n = len(levels)
+        adj = [[] for _ in range(n)]
+        path = [0]  # the level stack: the root to the last vertex
+        for v in range(1, n):
+            del path[levels[v] - 1:]
+            u = path[-1]
+            adj[u].append(v)
+            adj[v].append(u)
+            path.append(v)
+        g = cls.__new__(cls)
+        g.n = n
+        g.adj = tuple(map(tuple, adj))
+        g.degrees = tuple(map(len, adj))
+        g.m = n - 1
+        g._stats = None
+        return g
+
     def edges(self):
         """Yield each edge once as (u, v) with u < v."""
         for u in range(self.n):

@@ -98,6 +98,18 @@ def test_extremes_key_each_tree_once_over_several_p(monkeypatch, capsys):
     assert capsys.readouterr().out.count("path=True") == 3
 
 
+def _level_sequence_tree(levels) -> Graph:
+    # the tree of a level sequence through the validating constructor: each
+    # vertex's parent is the last earlier vertex one level up
+    edges = []
+    for v in range(1, len(levels)):
+        u = v - 1
+        while levels[u] != levels[v] - 1:
+            u -= 1
+        edges.append((u, v))
+    return Graph(len(levels), edges)
+
+
 def _rooted_levels(g: Graph, v: int, parent: int = -1, level: int = 1) -> list[int]:
     # canonical level sequence of g rooted at v: subtrees in descending order
     subs = sorted((_rooted_levels(g, c, v, level + 1) for c in g.adj[v] if c != parent),
@@ -112,7 +124,7 @@ def test_catalog_entries_match_the_oracles(n, max_degree):
     # the catalog is the labelled trees in key order
     entries = []
     for levels in extremal._free_tree_level_sequences(n):
-        tree = Graph(n, extremal._level_sequence_edges(levels))
+        tree = _level_sequence_tree(levels)
         entry = extremal._catalog_entry(levels, max_degree)
         if max_degree is not None and max(tree.degrees) > max_degree:
             assert entry is None
@@ -120,10 +132,39 @@ def test_catalog_entries_match_the_oracles(n, max_degree):
         key, label = entry
         assert key == tree_canonical_key(tree)
         assert label == max(_rooted_levels(tree, v) for v in range(n))
-        entries.append((key, Graph(n, extremal._level_sequence_edges(label))))
+        entries.append((key, _level_sequence_tree(label)))
     catalog = enumerate_trees(n, max_degree)
     assert sorted(entries, key=lambda kv: kv[0]) == list(zip(catalog.canonical_keys,
                                                              catalog.trees))
+
+
+@pytest.mark.parametrize("n,max_degree", [(n, None) for n in range(2, 13)] + [(8, 4)])
+def test_catalog_graphs_match_the_validating_constructor(n, max_degree):
+    # Graph._from_level_sequence skips __init__'s checks and sorts; each
+    # catalog tree must still be the Graph that __init__ builds from its edges
+    for tree in enumerate_trees(n, max_degree).trees:
+        built = Graph(n, list(tree.edges()))
+        assert (tree.n, tree.adj, tree.degrees, tree.m) == (
+            built.n, built.adj, built.degrees, built.m)
+        assert hash(tree) == hash(built) and tree == built
+        assert structure_stats(tree) == structure_stats(built)
+
+
+def test_extremes_pass_builds_no_graph_through_init(monkeypatch):
+    # the catalog builds each tree from its label's preorder; the validating
+    # constructor runs 551 times per pass when it builds them from edges
+    from psombor.cli import run
+
+    calls = []
+    init = Graph.__init__
+
+    def counting_init(self, n, edges=()):
+        calls.append(n)
+        init(self, n, edges)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    assert run(["trees", "--n", "12", "--verify-extremes", "--p", "1,2,3"]) == 0
+    assert calls == []
 
 
 def test_extremes_pass_solves_only_gram_stacks(monkeypatch, capsys):
@@ -293,6 +334,29 @@ def test_tree_extremes_values_n4():
     report = verify_tree_extremes(4, 2.0)
     assert report.min_radius == pytest.approx(math.sqrt(9 + math.sqrt(56)), rel=1e-10)
     assert report.max_radius == pytest.approx(math.sqrt(30), rel=1e-10)
+
+
+def test_tree_extremes_n4_threshold_matches_the_closed_form():
+    # The two trees on 4 vertices: rho(K1,3) = sqrt(3) (3^p + 1)^(1/p) and
+    # rho(P4) = (b + sqrt(4 a^2 + b^2)) / 2, a = (1 + 2^p)^(1/p), b = 2^(1 + 1/p).
+    # Below the p where they cross, the path is the maximum and the star the
+    # minimum.
+    def star_minus_path(p):
+        a, b = (1 + 2 ** p) ** (1 / p), 2 ** (1 + 1 / p)
+        return math.sqrt(3) * (3 ** p + 1) ** (1 / p) - (b + math.sqrt(4 * a * a + b * b)) / 2
+
+    lo, hi = -1.0, -0.5
+    assert star_minus_path(lo) < 0 < star_minus_path(hi)
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        if star_minus_path(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    assert lo == pytest.approx(-0.76663417869659, abs=1e-13)
+    assert verify_tree_extremes(4, -0.7666).ok
+    below = verify_tree_extremes(4, -0.7667)
+    assert not below.max_is_star and not below.min_is_path
 
 
 def test_rank_trees_sorted():
