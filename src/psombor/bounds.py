@@ -11,10 +11,10 @@ entries (all of verify --corpus all at 5 p), and its spectra are solved in
 stacks of at most config.SUITE_CHUNK_ENTRIES. Only a violation or an
 equality mismatch builds a BoundReport, read from the arrays of that
 check's evaluation of the frame. Where a frame raises (a value out of the
-float range at tiny |p|), it is judged again in chunks of at most
-config.SUITE_CHUNK_ENTRIES, a chunk that raises row by row, and the first
-(graph, p, check) that raises is reported, after the warnings of the rows
-judged before it. Checks whose derivations only hold for p >= 1 are
+float range at tiny |p|), it is judged again as two halves, a half that
+raises by halves too, down to one (graph, p) row, and the first (graph, p,
+check) that raises is reported, after the warnings of the rows judged
+before it. Checks whose derivations only hold for p >= 1 are
 hard-asserted on that domain and run observe-only elsewhere; two claims
 that fail on small graphs as printed (check ids thm4.3 and cor-rad.randic)
 are permanently observe-only.
@@ -47,7 +47,7 @@ from .graphs import (
     random_connected_gnm,
     structure_stats,
 )
-from .invariants import estrada_index
+from .invariants import _warn_exp_overflow
 from .spectral import (
     _by_size,
     build_sombor_matrix,
@@ -233,13 +233,10 @@ def _evaluate(check: Check, f: Frame):
 
 
 def _warn_estrada(f: Frame) -> None:
-    """estrada_index's overflow warning, if a row of f, a root frame, whose
-    Estrada index was read has exp(xi1) overflow."""
-    hit = f.read & (f.xi1 > EXP_LIMIT)
-    if hit.any():
-        r = int(hit.argmax())
-        x, rows, s = next(stack[:3] for stack in f.stacks if r in stack[1])
-        estrada_index(x.member(int(s[rows == r][0]), "p_sombor", f.p_values[f.p_index[r]]))
+    """estrada_index's overflow warning, if a row of f whose Estrada index
+    was read has exp(xi1) overflow."""
+    if (f.read & (f.xi1 > EXP_LIMIT)).any():
+        _warn_exp_overflow()
 
 
 def _clamp_note(inner):
@@ -883,59 +880,43 @@ def _merge(tallies):
     return counts, violations, eq_mismatches
 
 
-def _judge(graphs, p_values, holds_tol, again):
+def _judge(graphs, p_values, holds_tol):
     """The tally of graphs at p_values, judged on one Frame of their (graph,
-    p) rows, or again(graphs) if anything raises, in contexts() or in a
-    check."""
-    tally = _new_tally()
+    p) rows.
+
+    If anything raises, in contexts() or in a check, the frame is judged
+    again as two halves in corpus order, each by this same rule: its graphs
+    cut in two at len // 2, or for one graph its p values. The second half
+    is judged only once the first passes, and where both pass their tally
+    stands. A frame of one row warns for itself (_warn_estrada) and
+    re-raises. So the first (graph, p, check) that raises is re-raised after
+    the warnings of the rows before it, wherever the frames are cut.
+    """
+    tally, f = _new_tally(), None
     try:
         f = contexts(graphs, p_values, holds_tol)
         _tally_frame(f, tally)
     except Exception:
-        return again(graphs)
-    _warn_estrada(f)
-    return tally
-
-
-def _tally_task(args):
-    """The tally of a frame of graphs, judged on one Frame of its rows.
-
-    If the frame raises, its chunks at config.SUITE_CHUNK_ENTRIES (_chunks)
-    are judged in order, each on its own Frame, and a chunk that raises is
-    judged again one (graph, p) row at a time, each row's frame warning as
-    it is judged (as in _reports). So the first (graph, p, check) that
-    raises is re-raised after the warnings of the rows before it, wherever
-    the frames and chunks are cut, and only the chunk that holds it is
-    judged row by row; if no row of a chunk raises, its row-by-row tally
-    stands.
-    """
-    graphs, p_values, holds_tol = args
-    graphs = [item for item in graphs if item[1].n]   # no rows without vertices
-
-    def rows(chunk):
-        tally = _new_tally()
-        for item in chunk:
-            for p in p_values:
-                f = contexts([item], (p,), holds_tol)
-                try:
-                    _tally_frame(f, tally)
-                finally:
-                    _warn_estrada(f)
+        if len(graphs) == len(p_values) == 1:
+            if f is not None:
+                _warn_estrada(f)
+            raise
+    else:
+        _warn_estrada(f)
         return tally
-
-    def chunks(frame):
-        return _merge(_judge(chunk, p_values, holds_tol, rows)
-                      for chunk in _chunks(frame, len(p_values), config.SUITE_CHUNK_ENTRIES))
-
-    return _judge(graphs, p_values, holds_tol, chunks) if graphs else _new_tally()
+    del f   # not held while the halves are judged
+    g, k = len(graphs) // 2, len(p_values) // 2
+    halves = (((graphs[:g], p_values), (graphs[g:], p_values)) if g else
+              ((graphs, p_values[:k]), (graphs, p_values[k:])))
+    return _merge(_judge(*half, holds_tol) for half in halves)
 
 
 def _tally_in_worker(task):
-    """_tally_task in a worker process, or None if it warns or raises."""
+    """_judge in a worker process, or None if it warns or raises."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return _tally_task(task)
+            return _judge(*task)
         except Exception:
             return None
 
@@ -968,37 +949,38 @@ def run_suite(graphs, p_values=(1.0, 2.0, 3.0), holds_tol: float | None = None,
 
     Graphs go in corpus order in frames whose matrix stacks hold at most
     config.SUITE_FRAME_ENTRIES entries, and with jobs > 1 in at least jobs
-    frames where there are that many graphs (_chunks). Each frame has its
-    checks judged over one Frame, one evaluation per check, and its spectra
-    solved in one batched call per stack of at most
-    config.SUITE_CHUNK_ENTRIES entries of one vertex count (contexts), which
-    bounds the memory held at once by the solves at any graph size; a
-    frame's own state (edges, weights, complements, spectra and columns)
-    grows with its entries. With jobs > 1, worker processes take whole
-    frames, and a frame that warns or raises there is judged again in this
-    process. A frame that raises is judged again in chunks, and a chunk
-    that raises one (graph, p) at a time (_tally_task), so that the report,
-    or the error raised and the warnings before it, depends neither on
-    where the frames and chunks are cut nor on jobs.
+    frames where there are that many graphs (_chunks). Graphs without
+    vertices make no rows: they are only counted. Each frame has its checks
+    judged over one Frame, one evaluation per check, and its spectra solved
+    in one batched call per stack of at most config.SUITE_CHUNK_ENTRIES
+    entries of one vertex count (contexts), which bounds the memory held at
+    once by the solves at any graph size; a frame's own state (edges,
+    weights, complements, spectra and columns) grows with its entries. With
+    jobs > 1, worker processes, at most one per frame, take whole frames,
+    and a frame that warns or raises there is judged again in this process.
+    A frame that raises is judged again by halves (_judge), so that the
+    report, or the error raised and the warnings before it, depends neither
+    on where the frames are cut nor on jobs.
     """
     if holds_tol is not None and not math.isfinite(holds_tol):
         raise ValueError(f"tolerance must be finite, got {holds_tol}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     graphs, p_values = list(graphs), tuple(p_values)
-    frames = _chunks(graphs, len(p_values), config.SUITE_FRAME_ENTRIES, jobs)
+    rowed = [item for item in graphs if item[1].n] if p_values else []
+    frames = _chunks(rowed, len(p_values), config.SUITE_FRAME_ENTRIES, jobs)
     tasks = [(frame, p_values, holds_tol) for frame in frames]
     if jobs > 1 and len(tasks) > 1:
         # Imported here: the process-pool machinery costs ~20 ms of import.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             tallies = list(pool.map(_tally_in_worker, tasks))
         # A frame that warned or raised in a worker is judged again here, in
         # corpus order: the warnings and the error are those of a serial run.
-        tallies = [tally or _tally_task(task) for task, tally in zip(tasks, tallies)]
+        tallies = [tally or _judge(*task) for task, tally in zip(tasks, tallies)]
     else:
-        tallies = map(_tally_task, tasks)
+        tallies = (_judge(*task) for task in tasks)
     counts, violations, eq_mismatches = _merge(tallies)
     # A check appears once it was run on some graph: every run adds one count.
     by_id = {check.id: dict(zip(OUTCOMES, per))

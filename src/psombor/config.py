@@ -23,22 +23,20 @@ MAX_INPUT_VERTICES = 500
 # graph of n vertices at k p values: S_p of the graph and of its complement
 # and L_p at each p, and the adjacency matrix. A frame costs one evaluation
 # per check whatever its size. contexts() solves the frame's graphs of each
-# vertex count in stacks of at most SUITE_CHUNK_ENTRIES entries (512 KiB),
-# one kernel call each. A graph over a budget gets a frame or a stack of its
-# own. A frame that raises is judged again in chunks cut at
-# SUITE_CHUNK_ENTRIES, and only a chunk that raises is judged row by row.
-# Memory is bounded at a multiple of the budgets, not at them. During a
-# solve the stack, decompose_stack's scaled copy, the kernel's working copy
-# and its temporaries are live at once: 16 graphs of 40 vertices at 5 p, one
-# frame of eight full stacks of 0.41 MB, peak at 3.4 MB under tracemalloc.
-# Each stack's edge and weight arrays are built with that stack and dropped
-# before it is solved. The frame's own state grows with its entries: one
-# boolean adjacency block per stack (the structure columns are read from
-# it), the spectra, and the columns of the checks. verify --corpus all at
-# 5 p is 344,736 entries, one frame of 14 stacks, and run_suite's
-# tracemalloc peak is 2.0, 2.5, 3.8 and 6.7 MB at stack budgets of 2^14,
-# 2^15, 2^16 and 2^17 entries (3.3 MB with frames cut at 2^16 entries too,
-# six of them).
+# vertex count in stacks of at most SUITE_CHUNK_ENTRIES entries (512 KiB), one
+# kernel call each; SUITE_CHUNK_ENTRIES cuts nothing else. A graph over a
+# budget gets a frame or a stack of its own. Memory is bounded at a multiple
+# of the budgets, not at them. During a solve the stack, decompose_stack's
+# scaled copy, the kernel's working copy and its temporaries are live at once:
+# 16 graphs of 40 vertices at 5 p, one frame of eight full stacks of 0.41 MB,
+# peak at 3.4 MB under tracemalloc. Each stack's edge and weight arrays are
+# built with that stack and dropped before it is solved. The frame's own state
+# grows with its entries: one boolean adjacency block per stack (the structure
+# columns are read from it), the spectra, and the columns of the checks.
+# verify --corpus all at 5 p is 344,736 entries, one frame of 14 stacks, and
+# run_suite's tracemalloc peak is 2.0, 2.5, 3.8 and 6.7 MB at stack budgets of
+# 2^14, 2^15, 2^16 and 2^17 entries (3.3 MB with frames cut at 2^16 entries
+# too, six of them).
 SUITE_FRAME_ENTRIES = 2 ** 19
 SUITE_CHUNK_ENTRIES = 2 ** 16
 

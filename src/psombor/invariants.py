@@ -93,11 +93,15 @@ def graph_energy(dec: SpectralDecomposition) -> float:
     return float(abs(dec.eigenvalues).sum())
 
 
+def _warn_exp_overflow() -> None:
+    # One source line and constant text, so the once-per-location filter
+    # shows it once, whoever warns.
+    warnings.warn("spectral radius too large for exp(); Estrada index reported as inf")
+
+
 def estrada_index(dec: SpectralDecomposition) -> float:
     if dec.n and dec.radius > config.ESTRADA_EXP_LIMIT:
-        # Constant text, so the once-per-location filter shows it once.
-        warnings.warn("spectral radius too large for exp(); "
-                      "Estrada index reported as inf")
+        _warn_exp_overflow()
         return math.inf
     return float(sum(math.exp(x) for x in dec.eigenvalues))
 

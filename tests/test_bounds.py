@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -523,6 +524,11 @@ def test_suite_special_degenerates():
     rep = run_suite(corpus_special(), p_values=P_GRID, corpus_name="special")
     assert rep.ok
     assert rep.totals()["na"] > 0
+    # A graph without vertices, and any graph at no p, makes no rows: it is
+    # only counted.
+    for graphs, p_values in (([("K0", Graph(0))], P_GRID), (corpus_special(), ())):
+        rep = run_suite(graphs, p_values)
+        assert (rep.graphs_checked, rep.counts) == (len(graphs), {})
 
 
 def test_suite_random_connected_sample():
@@ -550,7 +556,7 @@ def test_suite_parallel_matches_serial():
 def test_chunks_hold_at_most_the_entry_budget(monkeypatch):
     graphs = build_corpus("all")
     for k in (1, 2, 5):
-        # The frames of run_suite and the chunks of its error path.
+        # The frames of run_suite and the stacks of contexts().
         for budget in (config.SUITE_FRAME_ENTRIES, config.SUITE_CHUNK_ENTRIES):
             chunks = _chunks(graphs, k, budget)
             assert [item for chunk in chunks for item in chunk] == graphs
@@ -609,10 +615,9 @@ def test_suite_does_not_depend_on_the_chunking(monkeypatch):
 
 
 def test_suite_judged_row_by_row_gives_the_same_report(monkeypatch):
-    # A frame that raises is judged again in chunks, and a chunk that raises
-    # one (graph, p) row at a time. With every frame of more than one row
-    # raising, each chunk is judged so, and the report is the one of the
-    # frame, payload order included.
+    # A frame that raises is judged again by halves, down to one (graph, p)
+    # row. With every frame of more than one row raising, each row is judged
+    # so, and the report is the one of the frame, payload order included.
     graphs = corpus_families() + corpus_special() + corpus_trees(4, 7)
     expected = run_suite(graphs, P_GRID, holds_tol=-1.0, corpus_name="x").to_dict()
     assert expected["violations"]
@@ -1053,26 +1058,63 @@ def test_suite_walks_graphs_only_where_a_check_needs_them(monkeypatch):
     assert sorted(map(id, seen["complement"])) == sorted(map(id, full))
 
 
-def test_suite_judges_only_the_raising_chunk_row_by_row(monkeypatch):
+def test_suite_judges_a_raising_frame_again_by_halves(monkeypatch):
     # At p = 0.008 every tree on 4 to 9 vertices is judged, and K10 raises.
-    # The frame raises and its chunks are judged again in order; only the
-    # last chunk, which holds K10, is judged one row at a time.
+    # The frame of 93 graphs raises and is judged again as two halves in
+    # order: the first passes, the second raises and is halved in turn,
+    # down to K10 alone, and at two p values down to K10 at 0.008.
     graphs = corpus_trees(4, 9) + [("K10", complete_graph(10))]
-    monkeypatch.setattr(config, "SUITE_CHUNK_ENTRIES", 2 ** 12)
-    chunks = _chunks(graphs, 1, config.SUITE_CHUNK_ENTRIES)
-    assert len(_frames(graphs, 1)) == 1 and len(chunks) > 2
+    assert len(_frames(graphs, 2)) == 1
     built, contexts_of = [], bounds.contexts
 
     def counted(graphs, p_values, holds_tol=None):
-        built.append([graph_id for graph_id, _ in graphs])
+        built.append((len(graphs), graphs[-1][0], p_values))
         return contexts_of(graphs, p_values, holds_tol)
 
     monkeypatch.setattr(bounds, "contexts", counted)
+    sizes = [93, 46, 47, 23, 24, 12, 12, 6, 6, 3, 3, 1, 2, 1, 1]
+    for p_values, more in (((0.008,), []), ((2.0, 0.008), [(2.0,), (0.008,)])):
+        built.clear()
+        with pytest.warns(UserWarning, match="too large for exp"):
+            with pytest.raises(OverflowError):
+                run_suite(graphs, p_values)
+        assert [size for size, _, _ in built] == sizes + [1] * len(more)
+        assert [p for *_, p in built] == [p_values] * len(sizes) + more
+        assert built[-1][1] == "K10"
+    # At most 2 ceil(log2 G) + 2 ceil(log2 k) + 1 frames for G graphs at k p.
+    graphs, p_values = build_corpus("all"), (-1.0, 0.5, 1.0, 2.0, 0.008)
+    assert len(_frames(graphs, len(p_values))) == 1
+    built.clear()
     with pytest.warns(UserWarning, match="too large for exp"):
         with pytest.raises(OverflowError):
-            run_suite(graphs, (0.008,))
-    ids = [[graph_id for graph_id, _ in chunk] for chunk in chunks]
-    assert built == [[graph_id for graph_id, _ in graphs]] + ids + [[x] for x in ids[-1]]
+            run_suite(graphs, p_values)
+    g, k = (math.ceil(math.log2(len(x))) for x in (graphs, p_values))
+    assert (len(built), 2 * g + 2 * k + 1) == (18, 25)
+
+
+def test_suite_starts_at_most_one_worker_per_frame(monkeypatch):
+    # An in-process pool that records its worker count and maps serially:
+    # no process is started, however many jobs are asked for.
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    graphs = corpus_special()
+    report = run_suite(graphs, (2.0,), jobs=10 ** 20)
+    assert started == [2]
+    assert report.to_dict() == run_suite(graphs, (2.0,)).to_dict()
 
 
 # The same digests over a wide p grid. At p = -1 and 2 few non-integer powers

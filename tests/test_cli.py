@@ -444,15 +444,15 @@ def _k2_k5_corpus(path, k2_files, k5=True):
 @pytest.mark.parametrize("k2_files, k5, budget, chunk_sizes", [
     (1, False, None, [1]),
     (17, True, None, [18]),
-    # The entries of 17 K2 at one p (4 n^2 each): K5 goes to a second chunk.
+    # The entries of 17 K2 at one p (4 n^2 each): K5 goes to a second run.
     (17, True, 17 * 4 * 2 ** 2, [17, 1]),
 ])
 def test_verify_error_is_the_first_graphs_wherever_the_chunks_are_cut(
         k2_files, k5, budget, chunk_sizes, tmp_path, monkeypatch, capsys):
     # At p = 0.00196 the moments of K2 leave the float range, and so does
     # the Frobenius norm of K5 when its stack is built: K2's error is
-    # reported whether K5 shares its chunk or not. The corpus is one frame,
-    # judged again in these chunks when it raises.
+    # reported whether the runs cut at the stack budget put K5 with the K2
+    # or not. The corpus is one frame, judged again by halves when it raises.
     from psombor import config
     from psombor.bounds import _chunks, corpus_from_directory
 
@@ -475,11 +475,11 @@ _WITH_BUDGET = ("import sys; from psombor import cli, config; "
 
 def test_verify_stderr_depends_on_neither_the_chunking_nor_jobs():
     # The Estrada warning of a row at p = 0.1, then the moments error of a
-    # later row at p = 0.003, with frame and chunk budgets of: one graph
-    # each; 2^12 entries; one frame of one chunk; one frame of a chunk per
-    # graph; 2^12 entries over two worker processes; and one frame each for
-    # two workers. At p = 0.1 alone the run passes, with the one warning
-    # line whether or not workers judge it.
+    # later row at p = 0.003, with frame and stack budgets of: one graph
+    # each; 2^12 entries; one frame of one stack per vertex count; one frame
+    # of a stack per graph; 2^12 entries over two worker processes; and one
+    # frame each for two workers. At p = 0.1 alone the run passes, with the
+    # one warning line whether or not workers judge it.
     runs = []
     for frame, chunk, p, jobs in (("1", "1", "0.1,0.003", "1"),
                                   ("4096", "4096", "0.1,0.003", "1"),
