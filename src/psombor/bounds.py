@@ -621,8 +621,9 @@ def contexts(graphs, p_values, holds_tol: float | None = None) -> Frame:
                                   return_inverse=True)
         new = [key for key in keys.tolist() if key not in known]
         fresh = [[edge_weight(*divmod(key, base), p) for key in new] for p in p_values]
-        known.update(zip(new, zip(*fresh)))
-        w = np.array([known[key] for key in keys.tolist()], dtype=float).reshape(-1, k)[inverse]
+        known.update((key, [row[i] for row in fresh]) for i, key in enumerate(new))
+        w = np.array([known[key] for key in keys.tolist()], dtype=float)
+        w = w.reshape(len(keys), k)[inverse]
         stack = np.zeros((count * (3 * k + 1), n, n))
         sombor = stack[:2 * count * k].reshape(count, k, 2, n, n)  # graph, then complement
         laplacian = stack[2 * count * k:3 * count * k].reshape(count, k, n, n)

@@ -9,15 +9,17 @@ level sequence over all its rootings: no leaf stripping and no Graph walk.
 The catalog Graph is read from the label's preorder in one more pass
 (Graph._from_level_sequence), without Graph()'s checks and sorts.
 
-Tree radii (the extremality check and the ranking) come from
-bipartite_radii: a tree is bipartite, so xi_1 is the square root of the
-largest eigenvalue of a Gram matrix of at most n/2 rows. Each graph's Gram
-layout (colour classes and degree-pair ids) is built once; each p only
-gathers its weights, and the Gram matrices of one size at every p are
-solved as one stack. Power-of-two scaling keeps the radii finite and
-relatively accurate where the full S_p would overflow its norm or sink
-below the solver's absolute threshold (tiny |p|). The path and the star are
-recognised by their maximum degree, 2 and n - 1.
+Tree radii come from Gram matrices: a tree is bipartite, so xi_1 is the
+square root of the largest eigenvalue of a Gram matrix of at most n/2 rows.
+Each graph's Gram layout (colour classes and degree-pair ids) is built once;
+each p only gathers its weights, and the Gram matrices of one size at every
+p form one stack (_gram_stacks). Power-of-two scaling keeps the radii finite
+and relatively accurate where the full S_p would overflow its norm or sink
+below the solver's absolute threshold (tiny |p|). bipartite_radii, and so
+the ranking, solves every member; the extremality check first bounds every
+radius by Collatz-Wielandt ratios and solves only the trees the bounds
+cannot rule out. The path and the star are recognised by their maximum
+degree, 2 and n - 1.
 """
 
 from __future__ import annotations
@@ -296,40 +298,107 @@ def _scaled_grams(weights: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.
     return gram, e
 
 
+def _gram_stacks(graphs, p_values):
+    """(owners, G, e) of each row count, in turn: the graphs of that row
+    count (_gram_layouts) and their _scaled_grams at every p. Each graph's
+    layout is built once and edge_weight is called once per degree pair and
+    p, every p before the first stack. ValueError at p = 0 and for a graph
+    that is not bipartite."""
+    p_values = list(p_values)
+    if any(p == 0 for p in p_values):
+        raise ValueError("p must be nonzero")
+    layouts, pairs = _gram_layouts(graphs)
+    weights = np.array([[edge_weight(a, b, p) for a, b in pairs] + [0.0] for p in p_values]).T
+    for owners, ids in layouts.values():
+        yield (owners, *_scaled_grams(weights, ids))
+
+
+def _solved_radii(gram, e) -> np.ndarray:
+    """Jacobi-solve a scaled Gram stack in place (as eigen_decompose solves
+    a matrix: B scaled by 2^-e, so G by 2^-2e) and return each member's
+    radius, the root of its largest diagonal entry scaled back."""
+    _solve(gram, _squares(gram), 2 * e)
+    return np.ldexp(np.sqrt(np.diagonal(gram).max(axis=1)), e)
+
+
 def bipartite_radii(graphs, p_values) -> list[list[float]]:
     """Spectral radius of S_p for each bipartite graph at each p: one list
     per p, in input order.
 
     With the vertices ordered by colour class, S_p = [[0, B], [B^T, 0]], so
     xi_1 = sqrt(lambda_max(B B^T)) and the Jacobi solve runs on a Gram
-    matrix of at most n/2 rows. Each graph's layout is built once
-    (_gram_layouts) and edge_weight is called once per degree pair and p,
-    every p before any solve; the Gram matrices of each row count at every p
-    are then solved as one stack (_scaled_grams) by spectral._solve, as
-    eigen_decompose solves a matrix: B is scaled by 2^-e, so G by 2^-2e. A
-    radius depends on no other graph or p of the call; it is the root of
-    the largest diagonal entry of its solved member.
+    matrix of at most n/2 rows. The Gram matrices of each row count at every
+    p are built as one stack (_gram_stacks) and solved by spectral._solve.
+    A radius depends on no other graph or p of the call.
     Radii only: the square root of a Gram eigenvalue that rounds near 0 is
     no accurate |xi_i|, so energies and spectra stay on the full matrices. A
     graph without edges has radius 0; ValueError for a graph that is not
     bipartite, EigenConvergenceError (G's residual) as eigen_decompose.
     """
     p_values = list(p_values)
-    if any(p == 0 for p in p_values):
-        raise ValueError("p must be nonzero")
-    layouts, pairs = _gram_layouts(graphs)
-    weights = np.array([[edge_weight(a, b, p) for a, b in pairs] + [0.0] for p in p_values]).T
     radii = np.zeros((len(graphs), len(p_values)))
-    for owners, ids in layouts.values():
-        gram, e = _scaled_grams(weights, ids)
-        _solve(gram, _squares(gram), 2 * e)
-        largest = np.diagonal(gram).max(axis=1)
-        radii[owners] = np.ldexp(np.sqrt(largest), e).reshape(len(owners), -1)
+    for owners, gram, e in _gram_stacks(graphs, p_values):
+        radii[owners] = _solved_radii(gram, e).reshape(len(owners), -1)
     return radii.T.tolist()
 
 
 # ---------------------------------------------------------------------------
 # extremality of the spectral radius over trees
+
+# Power steps x <- G x / max(G x), from x = 1, before the Collatz-Wielandt
+# ratios are read. They change how many trees are solved, never a result.
+# Trees kept per p by trees --n 12 --verify-extremes --p 1,2,3: 404-469 with
+# 0 steps (the bounds are row sums), 96 with 1, 26-27 with 2, 10 with 3, 4-5
+# with 4, and from 6 on the path and the star alone: 6 members in 2 kernel
+# calls (6 rows and 1). The 6 steps take under 1 ms of that pass.
+_POWER_STEPS = 6
+# Relative slack on each bound before it rules a tree out. It covers the
+# Jacobi stop, OFF_DIAG_FACTOR * ||G||_F, a relative radius error of about
+# 1e-12 sqrt(r) for r <= 6 rows, and the rounding of the bounds themselves.
+_BOUND_SLACK = 1e-9
+
+
+def _radius_bounds(gram, e) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo <= radius <= hi for each member of a scaled Gram
+    stack (_scaled_grams), before it is solved.
+
+    G = B B^T is nonnegative (every weight is positive), so for any positive
+    x the Collatz-Wielandt ratios bound its largest eigenvalue, its Perron
+    root: min_i (G x)_i / x_i <= lambda_max <= max_i (G x)_i / x_i (Collatz,
+    Math. Z. 48, 1942; Wielandt, Math. Z. 52, 1950). x comes from
+    _POWER_STEPS power steps. Every row of a Gram matrix is a vertex with an
+    edge, so G's diagonal and x stay positive. A bound beyond the float range
+    is inf.
+    """
+    x = np.ones(gram.shape[1:])
+    for _ in range(_POWER_STEPS):
+        x = (gram * x).sum(axis=1)
+        x /= x.max(axis=0)
+    ratios = (gram * x).sum(axis=1) / x
+    with np.errstate(over="ignore"):
+        return (np.ldexp(np.sqrt(ratios.min(axis=0)), e),
+                np.ldexp(np.sqrt(ratios.max(axis=0)), e))
+
+
+def _extreme_candidates(lo, hi) -> np.ndarray:
+    """Which trees (rows) at each p (columns) could still be the minimum or
+    the maximum, or stand within the uniqueness gap of one, given the bounds
+    lo <= radius <= hi.
+
+    A tree is ruled out when its lowest possible radius exceeds the highest
+    possible minimum by more than the largest possible gap (1e-9 times the
+    highest possible maximum), and its highest possible radius falls short
+    of the lowest possible maximum by more than that gap, each bound widened
+    by _BOUND_SLACK. It then is neither extreme nor within the gap of one, so
+    leaving it out moves neither key, the tie order nor a *_unique flag. A
+    NaN bound, or an upper bound of inf, rules out no tree at its p.
+    """
+    low, high = lo * (1 - _BOUND_SLACK), hi * (1 + _BOUND_SLACK)
+    gap = 1e-9 * high.max(axis=0)
+    above_min = low > high.min(axis=0) + gap
+    below_max = high < low.max(axis=0) - gap
+    return ~(above_min & below_max)
+
 
 @dataclass
 class TreeExtremesReport:
@@ -343,7 +412,6 @@ class TreeExtremesReport:
     max_is_star: bool
     min_unique: bool
     max_unique: bool
-    radii: dict  # canonical key -> radius
 
     @property
     def ok(self) -> bool:
@@ -353,36 +421,65 @@ class TreeExtremesReport:
 
 def verify_tree_extremes(n: int, p: float,
                          catalog: TreeCatalog | None = None) -> TreeExtremesReport:
-    """Radius of every tree on n vertices; the path should attain the unique
-    minimum and the star the unique maximum (established for p >= 1).
+    """The trees on n vertices with the least and the greatest spectral
+    radius; the path should attain the unique minimum and the star the
+    unique maximum (established for p >= 1). A radius is unique when every
+    other tree's is more than 1e-9 times the maximum radius away.
 
-    catalog, when given, must be enumerate_trees(n) (no degree filter); pass
-    it to check several p without enumerating the trees again.
+    Only the trees that Perron bounds cannot rule out are solved
+    (_tree_extremes); a tree ruled out is never solved, so it cannot raise
+    EigenConvergenceError. catalog, when given, must be enumerate_trees(n)
+    (no degree filter); pass it to check several p without enumerating the
+    trees again.
     """
     return _tree_extremes(n, [p], catalog)[0]
 
 
 def _tree_extremes(n: int, p_values, catalog: TreeCatalog | None = None
                    ) -> list[TreeExtremesReport]:
-    """verify_tree_extremes at each p, the radii of every p from one
-    bipartite_radii call."""
+    """verify_tree_extremes at each p, from one set of Gram stacks.
+
+    Every radius is bounded before any solve (_radius_bounds), and only the
+    trees that could still be an extreme or stand within the gap of one
+    (_extreme_candidates) are solved, as a subset of their stack. A radius
+    does not depend on its stack, so the candidates' radii are those of
+    bipartite_radii bit for bit, and the reports those over every tree. A
+    tree ruled out is never solved, so its non-convergence cannot raise.
+    """
     if catalog is None:
         catalog = enumerate_trees(n)
     elif catalog.n != n or catalog.max_degree is not None:
         raise ValueError(f"catalog must hold every tree on {n} vertices")
-    return [_extremes_report(catalog, p, values)
-            for p, values in zip(p_values, bipartite_radii(catalog.trees, p_values))]
+    p_values = list(p_values)
+    k = len(p_values)
+    stacks = list(_gram_stacks(catalog.trees, p_values))
+    lo, hi = np.zeros((2, len(catalog.trees), k))
+    for owners, gram, e in stacks:
+        lo[owners], hi[owners] = (b.reshape(len(owners), k) for b in _radius_bounds(gram, e))
+    kept = _extreme_candidates(lo, hi)
+    radii = np.zeros((len(catalog.trees), k))
+    for owners, gram, e in stacks:
+        members = np.flatnonzero(kept[owners])  # b k + j: graph owners[b] at p_values[j]
+        if members.size:
+            tree, j = np.array(owners)[members // k], members % k
+            radii[tree, j] = _solved_radii(gram[:, :, members], e[members])
+    return [_extremes_report(catalog, p, np.flatnonzero(kept[:, j]).tolist(),
+                             radii[kept[:, j], j].tolist())
+            for j, p in enumerate(p_values)]
 
 
-def _extremes_report(catalog: TreeCatalog, p: float, values: list[float]) -> TreeExtremesReport:
+def _extremes_report(catalog: TreeCatalog, p: float, trees: list[int],
+                     values: list[float]) -> TreeExtremesReport:
+    # values are the radii of the catalog trees of the indices trees, in
+    # catalog order; the trees left out are no extreme and not within the gap
     n = catalog.n
-    radii = dict(zip(catalog.canonical_keys, values))
     order = sorted(range(len(values)), key=values.__getitem__)
     lo, hi = order[0], order[-1]
     min_val, max_val = values[lo], values[hi]
     gap = 1e-9 * max_val  # the radii are accurate relative to their size
     min_unique = len(order) < 2 or values[order[1]] - min_val > gap
     max_unique = len(order) < 2 or max_val - values[order[-2]] > gap
+    lo, hi = trees[lo], trees[hi]
     # Among trees on n vertices the path alone has max degree <= 2 and the
     # star alone has max degree n - 1.
     return TreeExtremesReport(
@@ -390,16 +487,19 @@ def _extremes_report(catalog: TreeCatalog, p: float, values: list[float]) -> Tre
         min_key=catalog.canonical_keys[lo], max_key=catalog.canonical_keys[hi],
         min_is_path=max(catalog.trees[lo].degrees) <= 2,
         max_is_star=max(catalog.trees[hi].degrees) == n - 1,
-        min_unique=min_unique, max_unique=max_unique, radii=radii)
+        min_unique=min_unique, max_unique=max_unique)
 
 
 def rank_trees(n: int, p: float, count: int = 3) -> list[tuple[str, float]]:
     """Exploratory ranking: (canonical key, radius) sorted by radius, the
-    count smallest and the count largest (every tree when they overlap)."""
+    count smallest and the count largest (every tree when they overlap).
+    Every tree on n vertices is solved (bipartite_radii), no bound rules one
+    out."""
     if count < 1:
         raise ValueError(f"rank count must be at least 1, got {count}")
-    report = verify_tree_extremes(n, p)
-    ordered = sorted(report.radii.items(), key=lambda kv: kv[1])
+    catalog = enumerate_trees(n)
+    (radii,) = bipartite_radii(catalog.trees, [p])
+    ordered = sorted(zip(catalog.canonical_keys, radii), key=lambda kv: kv[1])
     if count * 2 >= len(ordered):
         return ordered
     return ordered[:count] + ordered[-count:]

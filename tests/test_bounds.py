@@ -531,6 +531,17 @@ def test_suite_special_degenerates():
         assert (rep.graphs_checked, rep.counts) == (len(graphs), {})
 
 
+def test_contexts_at_no_p_is_a_frame_without_rows():
+    # the complement K5 of 5K1 has edges, but no weight is fetched at no p:
+    # the frame keeps its graphs and every check judges no row
+    graphs = corpus_special()
+    f = contexts(graphs, ())
+    assert (f.size, f.graph_ids, f.p_values) == (0, [gid for gid, _ in graphs], ())
+    assert f.xi1.shape == f.so.shape == (0,)
+    with np.errstate(all="ignore"):
+        assert all(len(_evaluate(check, f)[0]) == 0 for check in CHECKS)
+
+
 def test_suite_random_connected_sample():
     graphs = corpus_random_connected(8, 20, 7, 20, seed=42)
     rep = run_suite(graphs, p_values=(2.0,), corpus_name="random")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,10 +169,11 @@ def test_extremes_pass_builds_no_graph_through_init(monkeypatch):
 
 
 def test_extremes_pass_solves_only_gram_stacks(monkeypatch, capsys):
-    # n = 12 at three p: every Gram matrix has at most 6 rows, one stack per
-    # row count holds the 551 trees at every p, and no full 12 x 12 S_p is
-    # decomposed. The Gram stacks reach the kernel through spectral, the one
-    # module that drives it.
+    # n = 12 at three p: every Gram matrix has at most 6 rows and no full
+    # 12 x 12 S_p is decomposed. The Gram stacks reach the kernel through
+    # spectral, the one module that drives it. A work count, not a result:
+    # the Perron bounds rule out all trees but the path (6 rows) and the
+    # star (1 row), so one stack per row count holds those two at every p.
     from psombor import spectral
     from psombor.cli import run
 
@@ -190,9 +192,9 @@ def test_extremes_pass_solves_only_gram_stacks(monkeypatch, capsys):
     monkeypatch.setattr(spectral, "decompose_stack", forbidden)
     monkeypatch.setattr(spectral, "eigen_decompose_many", forbidden)
     assert run(["trees", "--n", "12", "--verify-extremes", "--p", "1,2,3"]) == 0
-    assert len(shapes) == 6
+    assert len(shapes) == 2
     assert all(rows == cols <= 6 for rows, cols, _ in shapes)
-    assert sum(count for _, _, count in shapes) == 3 * FREE_TREE_COUNTS[11] == 1653
+    assert sum(count for _, _, count in shapes) == 3 * 2
     assert capsys.readouterr().out.count("path=True") == 3
 
 
@@ -265,6 +267,77 @@ def test_tree_extremes_at_tiny_abs_p():
         report = verify_tree_extremes(8, p)
         assert report.ok
         assert 0.0 < report.min_radius < report.max_radius < math.inf
+
+
+# Both signs of p, tiny and huge |p|, and either side of the n = 4 crossing
+# near -0.76663 where the path and the star swap extremes.
+EXTREMES_P = (-1000.0, -5.0, -2.0, -1.0, -0.7667, -0.7666, -0.5, -0.002, 0.0015,
+              0.5, 1.0, 2.0, 3.0, 1000.0)
+
+
+def _plain_extremes(catalog, p, radii) -> extremal.TreeExtremesReport:
+    # argmin and argmax over every tree's radius (a stable sort: the first
+    # minimum and the last maximum), unique when the runner-up is more than
+    # 1e-9 times the maximum away
+    n = catalog.n
+    order = sorted(range(len(radii)), key=radii.__getitem__)
+    lo, hi = order[0], order[-1]
+    gap = 1e-9 * radii[hi]
+    return extremal.TreeExtremesReport(
+        n=n, p=p, min_radius=radii[lo], max_radius=radii[hi],
+        min_key=catalog.canonical_keys[lo], max_key=catalog.canonical_keys[hi],
+        min_is_path=max(catalog.trees[lo].degrees) <= 2,
+        max_is_star=max(catalog.trees[hi].degrees) == n - 1,
+        min_unique=len(order) < 2 or radii[order[1]] - radii[lo] > gap,
+        max_unique=len(order) < 2 or radii[hi] - radii[order[-2]] > gap)
+
+
+@pytest.mark.parametrize("power_steps", [extremal._POWER_STEPS, 0])
+def test_tree_extremes_match_the_extremes_of_every_radius(power_steps, monkeypatch):
+    # the trees the bounds rule out change no field: with no power step the
+    # bounds are row sums and hundreds of trees per p stay candidates
+    monkeypatch.setattr(extremal, "_POWER_STEPS", power_steps)
+    for n in range(2, 13):
+        catalog = enumerate_trees(n)
+        reports = extremal._tree_extremes(n, EXTREMES_P, catalog)
+        every = bipartite_radii(catalog.trees, EXTREMES_P)
+        for p, report, radii in zip(EXTREMES_P, reports, every):
+            expected = _plain_extremes(catalog, p, radii)
+            assert report == expected, (n, p)
+            assert (report.min_radius.hex(), report.max_radius.hex()) == (
+                expected.min_radius.hex(), expected.max_radius.hex()), (n, p)
+
+
+def test_radius_bounds_hold_on_every_tree():
+    # lo <= radius <= hi within the slack, for the radii bipartite_radii
+    # solves; the bound step warns of nothing, also where ||S_p||_F leaves
+    # the float range (p = 0.0015, -0.002)
+    slack = extremal._BOUND_SLACK
+    for n in range(2, 13):
+        trees = enumerate_trees(n).trees
+        lo, hi = np.zeros((2, len(trees), len(EXTREMES_P)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for owners, gram, e in extremal._gram_stacks(trees, EXTREMES_P):
+                bounds = extremal._radius_bounds(gram, e)
+                lo[owners], hi[owners] = (b.reshape(len(owners), -1) for b in bounds)
+        radii = np.array(bipartite_radii(trees, EXTREMES_P)).T
+        assert np.isfinite(lo).all() and np.isfinite(hi).all()
+        assert (lo * (1 - slack) <= radii).all() and (radii <= hi * (1 + slack)).all(), n
+
+
+def test_trees_whose_bounds_are_not_finite_stay_candidates():
+    # one p, four trees: 0 is the minimum and 3 the maximum, 1 and 2 lie
+    # between them far from both
+    lo = np.array([[1.0], [5.0], [6.0], [9.0]])
+    hi = lo + 0.1
+    assert extremal._extreme_candidates(lo, hi)[:, 0].tolist() == [True, False, False, True]
+    # a NaN bound leaves the extremes unknown, and an upper bound beyond the
+    # float range makes the gap inf: either way every tree stays
+    nan_low, nan_high, inf_high = lo.copy(), hi.copy(), hi.copy()
+    nan_low[2], nan_high[2], inf_high[3] = math.nan, math.nan, math.inf
+    for bounds in ((nan_low, hi), (lo, nan_high), (lo, inf_high)):
+        assert extremal._extreme_candidates(*bounds).all()
 
 
 def test_catalog_entries_are_trees():
