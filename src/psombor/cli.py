@@ -10,6 +10,7 @@ verification.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import sys
 import warnings
 
 from . import __version__, config
-from .graphs import Graph, GraphError, read_graph_text, structure_stats
+from .graphs import Graph, connected_components, read_graph_text
 from .invariants import index_bundle, spectral_invariants
 from .spectral import (EigenConvergenceError, EigenvectorResidualError, build_sombor_matrix,
                        sombor_decomposition)
@@ -48,12 +49,17 @@ def _load_graph(path: str) -> Graph:
         return read_graph_text(fh.read())
 
 
+def _csv(records, columns) -> list[list]:
+    """The header and one row per record: each column's field of the record."""
+    return [list(columns)] + [[record[c] for c in columns] for record in records]
+
+
 def _emit(payload: dict, fmt: str, out_path: str | None, table_text: str,
-          csv_rows: list[list] | None = None) -> None:
+          csv_rows: list[list]) -> None:
     if fmt == "json":
         payload = {"schema": SCHEMA_VERSION, **payload}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv" and csv_rows is not None:
+    elif fmt == "csv":
         text = "\n".join(",".join(str(cell) for cell in row) for row in csv_rows) + "\n"
     else:
         text = table_text
@@ -76,7 +82,7 @@ def _fmt6(x) -> str:
 def _cmd_spectrum(args) -> int:
     g = _load_graph(args.input)
     p_values = _parse_p_list(args.p)
-    stats = structure_stats(g)
+    connected = len(connected_components(g)) <= 1
     entries = []
     for p in p_values:
         dec = sombor_decomposition(g, p, want_vectors=args.vectors)
@@ -95,12 +101,11 @@ def _cmd_spectrum(args) -> int:
         entries.append(entry)
     payload = {
         "graph": g.to_dict(),
-        "connected": stats.is_connected,
+        "connected": connected,
         "results": entries,
     }
-    lines = [f"graph: n={g.n} m={g.m} connected={stats.is_connected}"]
-    csv_rows = [["p", "eigenvalue_index", "eigenvalue", "radius", "spread",
-                 "energy", "estrada", "so_p", "m1", "isi", "randic"]]
+    lines = [f"graph: n={g.n} m={g.m} connected={connected}"]
+    rows = []
     for entry in entries:
         dec = entry["decomposition"]
         inv = entry["invariants"]
@@ -112,19 +117,18 @@ def _cmd_spectrum(args) -> int:
                      f"energy {_fmt6(inv['energy'])}  estrada {_fmt6(inv['estrada'])}")
         lines.append(f"  index {_fmt6(idx['so_p'])}  M1 {_fmt6(idx['m1'])}  "
                      f"ISI {_fmt6(idx['isi'])}  R {_fmt6(idx['randic'])}")
-        for i, eig in enumerate(dec["eigenvalues"]):
-            csv_rows.append([entry["p"], i, repr(eig), repr(inv["radius"]),
-                             repr(inv["spread"]), repr(inv["energy"]),
-                             repr(inv["estrada"]), repr(idx["so_p"]),
-                             repr(idx["m1"]), repr(idx["isi"]), repr(idx["randic"])])
-    _emit(payload, args.format, args.out, "\n".join(lines) + "\n", csv_rows)
+        rows += [{**inv, **idx, "eigenvalue_index": i, "eigenvalue": eig}
+                 for i, eig in enumerate(dec["eigenvalues"])]
+    columns = ("p", "eigenvalue_index", "eigenvalue", "radius", "spread", "energy",
+               "estrada", "so_p", "m1", "isi", "randic")
+    _emit(payload, args.format, args.out, "\n".join(lines) + "\n", _csv(rows, columns))
     return 0
 
 
 def _cmd_verify(args) -> int:
     # Imported here: the check table is the largest module to load, and only
     # verify reads it.
-    from .bounds import build_corpus, corpus_from_directory, corpus_trees, run_suite
+    from .bounds import OUTCOMES, build_corpus, corpus_from_directory, corpus_trees, run_suite
 
     p_values = _parse_p_list(args.p)
     if args.n and args.corpus != "trees":
@@ -157,16 +161,14 @@ def _cmd_verify(args) -> int:
     for v in report.violations[:20]:
         lines.append(f"VIOLATION {v['check_id']} on {v['graph']} p={v['p']}: "
                      f"value={v['value']} lower={v['lower']} upper={v['upper']}")
-    csv_rows = [["check_id", "pass", "fail", "na", "observe_pass", "observe_fail"]]
-    for cid, per in report.counts.items():
-        csv_rows.append([cid, per["pass"], per["fail"], per["na"],
-                         per["observe_pass"], per["observe_fail"]])
-    _emit(report.to_dict(), args.format, args.out, "\n".join(lines) + "\n", csv_rows)
+    rows = [{"check_id": cid, **per} for cid, per in report.counts.items()]
+    _emit(report.to_dict(), args.format, args.out, "\n".join(lines) + "\n",
+          _csv(rows, ("check_id", *OUTCOMES)))
     return 0 if report.ok else 2
 
 
 def _cmd_trees(args) -> int:
-    from .extremal import _tree_extremes, enumerate_trees, rank_trees
+    from .extremal import TreeExtremesReport, _tree_extremes, enumerate_trees, rank_trees
 
     if args.p is not None and not (args.verify_extremes or args.rank is not None):
         raise ValueError("--p applies only to --verify-extremes and --rank")
@@ -180,36 +182,25 @@ def _cmd_trees(args) -> int:
     if args.max_degree is not None and (args.verify_extremes or args.rank is not None):
         raise ValueError("--max-degree applies only to the tree listing")
     if args.verify_extremes:
-        ok = True
-        results = []
-        for rep in _tree_extremes(args.n, p_values):
-            ok = ok and rep.ok
-            results.append({
-                "n": rep.n, "p": rep.p,
-                "min_radius": rep.min_radius, "max_radius": rep.max_radius,
-                "min_is_path": rep.min_is_path, "max_is_star": rep.max_is_star,
-                "min_unique": rep.min_unique, "max_unique": rep.max_unique,
-            })
+        reports = _tree_extremes(args.n, p_values)
+        columns = [f.name for f in dataclasses.fields(TreeExtremesReport)
+                   if f.name not in ("min_key", "max_key")]
+        results = [{c: getattr(rep, c) for c in columns} for rep in reports]
         lines = [(f"n={r['n']} p={r['p']}: min {_fmt6(r['min_radius'])} "
                   f"(path={r['min_is_path']}, unique={r['min_unique']})  "
                   f"max {_fmt6(r['max_radius'])} "
                   f"(star={r['max_is_star']}, unique={r['max_unique']})")
                  for r in results]
-        csv_rows = [["n", "p", "min_radius", "max_radius", "min_is_path",
-                     "max_is_star", "min_unique", "max_unique"]]
-        csv_rows += [[r["n"], r["p"], repr(r["min_radius"]), repr(r["max_radius"]),
-                      r["min_is_path"], r["max_is_star"], r["min_unique"],
-                      r["max_unique"]] for r in results]
         _emit({"extremes": results}, args.format, args.out,
-              "\n".join(lines) + "\n", csv_rows)
-        return 0 if ok else 2
+              "\n".join(lines) + "\n", _csv(results, columns))
+        return 0 if all(rep.ok for rep in reports) else 2
     if args.rank is not None:
         ranked = rank_trees(args.n, p_values[0], args.rank)
         payload = {"n": args.n, "p": p_values[0],
                    "ranked": [{"key": k, "radius": r} for k, r in ranked]}
         lines = [f"{_fmt6(r)}  {k}" for k, r in ranked]
-        csv_rows = [["key", "radius"]] + [[k, repr(r)] for k, r in ranked]
-        _emit(payload, args.format, args.out, "\n".join(lines) + "\n", csv_rows)
+        _emit(payload, args.format, args.out, "\n".join(lines) + "\n",
+              _csv(payload["ranked"], ("key", "radius")))
         return 0
     catalog = enumerate_trees(args.n, args.max_degree)
     payload = {
@@ -242,10 +233,8 @@ def _cmd_regress(args) -> int:
             fh.write(scatter_csv(records, args.x, args.y))
     line = (f"{args.y} = {fit.slope:.6f} * {args.x} + {fit.intercept:.6f}   "
             f"R = {fit.pearson_r:.6f}   (n = {fit.sample_count})\n")
-    csv_rows = [["x", "y", "slope", "intercept", "pearson_r", "sample_count"],
-                [fit.x_label, fit.y_label, repr(fit.slope), repr(fit.intercept),
-                 repr(fit.pearson_r), fit.sample_count]]
-    _emit({"fit": fit.to_dict()}, args.format, args.out, line, csv_rows)
+    record = fit.to_dict()
+    _emit({"fit": record}, args.format, args.out, line, _csv([record], list(record)))
     return 0
 
 
@@ -268,14 +257,10 @@ def _cmd_reproduce(args) -> int:
         "octane_crosscheck": crosscheck.to_dict(),
         "all_fits_within_tolerance": all_fits_ok,
     }
-    csv_rows = [["dataset", "x", "y", "slope", "intercept", "pearson_r",
-                 "expected_slope", "expected_intercept", "within_tolerance"]]
-    for c in comparisons:
-        csv_rows.append([c.dataset, c.fit.x_label, c.fit.y_label,
-                         repr(c.fit.slope), repr(c.fit.intercept),
-                         repr(c.fit.pearson_r), c.expected_slope,
-                         c.expected_intercept, c.within_tolerance])
-    _emit(payload, args.format, args.out, "\n".join(lines) + "\n", csv_rows)
+    columns = ("dataset", "x", "y", "slope", "intercept", "pearson_r",
+               "expected_slope", "expected_intercept", "within_tolerance")
+    _emit(payload, args.format, args.out, "\n".join(lines) + "\n",
+          _csv(payload["fits"], columns))
     return 0 if all_fits_ok and crosscheck.is_bijection else 2
 
 
@@ -370,8 +355,7 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (OSError, ValueError, GraphError, json.JSONDecodeError,
-            EigenConvergenceError, EigenvectorResidualError) as exc:
+    except (OSError, ValueError, EigenConvergenceError, EigenvectorResidualError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OverflowError, ZeroDivisionError) as exc:

@@ -287,8 +287,8 @@ def _scaled_grams(weights: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.
     over the column vertices' stars would, and equals its transpose bit for
     bit.
     """
-    r, c = ids.shape[:2]
-    scaled = weights[ids].reshape(r, c, -1)
+    r, c, b = ids.shape
+    scaled = weights[ids].reshape(r, c, b * weights.shape[1])
     e = np.frexp(scaled.max(axis=(0, 1)))[1]
     np.ldexp(scaled, -e, out=scaled)
     gram = np.zeros((r, r, scaled.shape[2]))
@@ -308,7 +308,8 @@ def _gram_stacks(graphs, p_values):
     if any(p == 0 for p in p_values):
         raise ValueError("p must be nonzero")
     layouts, pairs = _gram_layouts(graphs)
-    weights = np.array([[edge_weight(a, b, p) for a, b in pairs] + [0.0] for p in p_values]).T
+    weights = np.array([[edge_weight(a, b, p) for a, b in pairs] + [0.0] for p in p_values])
+    weights = weights.reshape(len(p_values), len(pairs) + 1).T  # (D + 1, 0) at no p
     for owners, ids in layouts.values():
         yield (owners, *_scaled_grams(weights, ids))
 
@@ -352,6 +353,10 @@ def bipartite_radii(graphs, p_values) -> list[list[float]]:
 # with 4, and from 6 on the path and the star alone: 6 members in 2 kernel
 # calls (6 rows and 1). The 6 steps take under 1 ms of that pass.
 _POWER_STEPS = 6
+# An extreme radius is unique when every other is more than this times the
+# maximum radius away (the radii are accurate relative to their size).
+# _extreme_candidates keeps every tree within the same gap of an extreme.
+_UNIQUE_GAP = 1e-9
 # Relative slack on each bound before it rules a tree out. It covers the
 # Jacobi stop, OFF_DIAG_FACTOR * ||G||_F, a relative radius error of about
 # 1e-12 sqrt(r) for r <= 6 rows, and the rounding of the bounds themselves.
@@ -386,15 +391,15 @@ def _extreme_candidates(lo, hi) -> np.ndarray:
     lo <= radius <= hi.
 
     A tree is ruled out when its lowest possible radius exceeds the highest
-    possible minimum by more than the largest possible gap (1e-9 times the
-    highest possible maximum), and its highest possible radius falls short
+    possible minimum by more than the largest possible gap (_UNIQUE_GAP times
+    the highest possible maximum), and its highest possible radius falls short
     of the lowest possible maximum by more than that gap, each bound widened
     by _BOUND_SLACK. It then is neither extreme nor within the gap of one, so
     leaving it out moves neither key, the tie order nor a *_unique flag. A
     NaN bound, or an upper bound of inf, rules out no tree at its p.
     """
     low, high = lo * (1 - _BOUND_SLACK), hi * (1 + _BOUND_SLACK)
-    gap = 1e-9 * high.max(axis=0)
+    gap = _UNIQUE_GAP * high.max(axis=0)
     above_min = low > high.min(axis=0) + gap
     below_max = high < low.max(axis=0) - gap
     return ~(above_min & below_max)
@@ -424,7 +429,8 @@ def verify_tree_extremes(n: int, p: float,
     """The trees on n vertices with the least and the greatest spectral
     radius; the path should attain the unique minimum and the star the
     unique maximum (established for p >= 1). A radius is unique when every
-    other tree's is more than 1e-9 times the maximum radius away.
+    other tree's is more than _UNIQUE_GAP (1e-9) times the maximum radius
+    away.
 
     Only the trees that Perron bounds cannot rule out are solved
     (_tree_extremes); a tree ruled out is never solved, so it cannot raise
@@ -476,7 +482,7 @@ def _extremes_report(catalog: TreeCatalog, p: float, trees: list[int],
     order = sorted(range(len(values)), key=values.__getitem__)
     lo, hi = order[0], order[-1]
     min_val, max_val = values[lo], values[hi]
-    gap = 1e-9 * max_val  # the radii are accurate relative to their size
+    gap = _UNIQUE_GAP * max_val
     min_unique = len(order) < 2 or values[order[1]] - min_val > gap
     max_unique = len(order) < 2 or max_val - values[order[-2]] > gap
     lo, hi = trees[lo], trees[hi]

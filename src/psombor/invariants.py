@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import config
 from .graphs import Graph
@@ -22,9 +22,7 @@ class IndexBundle:
     randic: float         # sum over edges of (d_i d_j)^(-1/2)
     sigma_sq: float | None  # variance of the edge weights; None when m == 0
 
-    def to_dict(self) -> dict:
-        return {"p": self.p, "so_p": self.so_p, "m1": self.m1, "isi": self.isi,
-                "randic": self.randic, "sigma_sq": self.sigma_sq}
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -37,10 +35,7 @@ class SpectralInvariants:
     estrada: float
     abs_det: float
 
-    def to_dict(self) -> dict:
-        return {"radius": self.radius, "spread": self.spread,
-                "energy": self.energy, "estrada": self.estrada,
-                "abs_det": self.abs_det}
+    to_dict = asdict
 
 
 def sombor_index(g: Graph, p: float) -> float:

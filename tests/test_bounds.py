@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import math
@@ -540,6 +541,36 @@ def test_contexts_at_no_p_is_a_frame_without_rows():
     assert f.xi1.shape == f.so.shape == (0,)
     with np.errstate(all="ignore"):
         assert all(len(_evaluate(check, f)[0]) == 0 for check in CHECKS)
+
+
+def test_verdicts_match_a_lapack_oracle(monkeypatch):
+    # Every spectrum of the suite from numpy.linalg.eigvalsh instead of the
+    # Jacobi kernel: each stack keeps its validation, residual, sweeps, scale
+    # and norm, and its inertia follows the same ZERO_TOL_FACTOR * norm rule.
+    # No verdict may depend on whose rounding it sees. (At holds_tol = 0 the
+    # two differ: 2,519 hard fails against 2,700.)
+    graphs = build_corpus("all")
+    jacobi = run_suite(graphs, P_GRID)
+    decompose_stack = bounds.decompose_stack
+    errors = []  # per member, relative to max(1, ||M||_F)
+
+    def lapack(stack, want_vectors=False):
+        spectra = decompose_stack(stack, want_vectors)
+        eigenvalues = np.linalg.eigvalsh(stack)[:, ::-1]
+        errors.append(np.abs(eigenvalues - spectra.eigenvalues).max(axis=1, initial=0.0)
+                      / spectra.scale)
+        zero_tol = config.ZERO_TOL_FACTOR * spectra.norm[:, None]
+        n_pos = (eigenvalues > zero_tol).sum(axis=1)
+        n_neg = (eigenvalues < -zero_tol).sum(axis=1)
+        inertia = np.stack((n_pos, stack.shape[1] - n_pos - n_neg, n_neg), axis=1)
+        return dataclasses.replace(spectra, eigenvalues=eigenvalues, inertia=inertia)
+
+    monkeypatch.setattr(bounds, "decompose_stack", lapack)
+    oracle = run_suite(graphs, P_GRID)
+    assert 0.0 < np.concatenate(errors).max() < 1e-13  # LAPACK's spectra, not Jacobi's
+    assert oracle.counts == jacobi.counts
+    assert oracle.violations == jacobi.violations
+    assert oracle.equality_mismatches == jacobi.equality_mismatches
 
 
 def test_suite_random_connected_sample():

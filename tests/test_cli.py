@@ -1,11 +1,14 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from psombor.bounds import OUTCOMES
 from psombor.cli import run
 
 
@@ -364,6 +367,86 @@ def test_verify_csv_format(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "check_id,pass,fail,na,observe_pass,observe_fail"
     assert len(lines) > 10
+
+
+def _spectrum_rows(payload):
+    inv = ("radius", "spread", "energy", "estrada")
+    idx = ("so_p", "m1", "isi", "randic")
+    rows = [["p", "eigenvalue_index", "eigenvalue", *inv, *idx]]
+    for r in payload["results"]:
+        rows += [[r["p"], i, eig, *(r["invariants"][c] for c in inv),
+                  *(r["indices"][c] for c in idx)]
+                 for i, eig in enumerate(r["decomposition"]["eigenvalues"])]
+    return rows
+
+
+def _table(records, columns):
+    return [list(columns)] + [[record[c] for c in columns] for record in records]
+
+
+# Each command's CSV rows, rendered from its parsed JSON output.
+CSV_FROM_JSON = {
+    "spectrum": _spectrum_rows,
+    "verify": lambda d: [["check_id", *OUTCOMES]]
+    + [[cid, *(per[c] for c in OUTCOMES)] for cid, per in d["counts"].items()],
+    "listing": lambda d: [["key", "u", "v"]]
+    + [[t["key"], u, v] for t in d["trees"] for u, v in t["edges"]],
+    "extremes": lambda d: _table(d["extremes"], (
+        "n", "p", "min_radius", "max_radius", "min_is_path", "max_is_star",
+        "min_unique", "max_unique")),
+    "rank": lambda d: _table(d["ranked"], ("key", "radius")),
+    "regress": lambda d: _table([d["fit"]], (
+        "x", "y", "slope", "intercept", "pearson_r", "sample_count")),
+    "reproduce": lambda d: _table(d["fits"], (
+        "dataset", "x", "y", "slope", "intercept", "pearson_r", "expected_slope",
+        "expected_intercept", "within_tolerance")),
+}
+
+BENZENOID_BP = str(resources.files("psombor.data").joinpath("benzenoid_bp.csv"))
+COMMANDS = {
+    "spectrum": ["spectrum", "--p", "2,-1,0.01"],
+    "verify": ["verify", "--corpus", "families", "--p", "2"],
+    "listing": ["trees", "--n", "7"],
+    "extremes": ["trees", "--n", "8", "--verify-extremes", "--p", "1,2"],
+    "rank": ["trees", "--n", "8", "--rank", "2", "--p", "2"],
+    "regress": ["regress", "--input", BENZENOID_BP, "--x", "SE", "--y", "BP"],
+    "reproduce": ["reproduce"],
+}
+
+
+@pytest.mark.filterwarnings("ignore:spectral radius too large for exp")
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_csv_rows_are_the_json_records(name, p4_file, capsys):
+    # every CSV cell is a field of the same run's JSON record, printed by str
+    # (at p = 0.01 the Estrada index is inf)
+    argv = COMMANDS[name] + (["--input", p4_file] if name == "spectrum" else [])
+    code = run(argv + ["--format", "json"])
+    rows = CSV_FROM_JSON[name](json.loads(capsys.readouterr().out))
+    assert len(rows) > 1
+    assert run(argv + ["--format", "csv"]) == code
+    assert capsys.readouterr().out == "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+# sha256 of the table and CSV outputs, recorded before both were rendered
+# from the JSON records. None of them sums floats in Python, whose rounding
+# changed in Python 3.12, so the pins hold on every supported Python.
+PINNED_OUTPUTS = {
+    ("verify", "table"): "b38bd0592314b2a7aa74de919e6cd8346c3b364be498b354bec058add1f94b15",
+    ("verify", "csv"): "9776b062319209bacff6fd5267d784bdd0d46c15abb7bfee58a1065c7a50e07a",
+    ("listing", "table"): "6eb0debb274e77a8cd59da11e57641b88ec76cca41141fb76b3d6d4375512bd7",
+    ("listing", "csv"): "29eb3e620e61f15108ec17b114f4d6cf20054bd7177f21ee36aff69f97cd60c9",
+    ("extremes", "table"): "0da20afd527ec6dab02393ea8b9aa71d10a83c6aa8734ed1806079bc0f52358c",
+    ("extremes", "csv"): "8bf99d21e72acae87d888f870a666e80d0bd9e163183db764cec29b27845c993",
+    ("rank", "table"): "1ff64f499fb77b498d61172097881231e3bb5aa0d8d24b020af62bf3e8537fcc",
+    ("rank", "csv"): "91587fe03e07c061a8d43b5260e31e538fbc5d7d86d2ce1406fe780b0e6cfa03",
+}
+
+
+@pytest.mark.parametrize("name, fmt", list(PINNED_OUTPUTS))
+def test_table_and_csv_outputs_are_pinned(name, fmt, capsys):
+    assert run(COMMANDS[name] + ["--format", fmt]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_OUTPUTS[name, fmt]
 
 
 def test_console_entry_point():

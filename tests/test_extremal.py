@@ -17,7 +17,8 @@ from psombor.extremal import (
     tree_canonical_key,
     verify_tree_extremes,
 )
-from psombor.graphs import Graph, GraphError, _splitmix64, path_graph, star_graph, structure_stats
+from psombor.graphs import (Graph, GraphError, _splitmix64, cycle_graph, path_graph, star_graph,
+                            structure_stats)
 from psombor.spectral import sombor_decomposition
 
 
@@ -338,6 +339,16 @@ def test_trees_whose_bounds_are_not_finite_stay_candidates():
     nan_low[2], nan_high[2], inf_high[3] = math.nan, math.nan, math.inf
     for bounds in ((nan_low, hi), (lo, nan_high), (lo, inf_high)):
         assert extremal._extreme_candidates(*bounds).all()
+
+
+def test_tree_radii_at_no_p_are_empty():
+    # no p gives Gram stacks without members, not a weight table of the
+    # wrong shape; the layouts are still built, so a graph that is not
+    # bipartite still raises
+    assert bipartite_radii([path_graph(3), star_graph(4), Graph(2)], []) == []
+    assert extremal._tree_extremes(5, []) == []
+    with pytest.raises(ValueError, match="not bipartite"):
+        bipartite_radii([cycle_graph(3)], [])
 
 
 def test_catalog_entries_are_trees():
