@@ -47,7 +47,7 @@ from .graphs import (
     random_connected_gnm,
     structure_stats,
 )
-from .invariants import _warn_exp_overflow
+from .invariants import _left_sum, _warn_exp_overflow
 from .spectral import (
     _by_size,
     build_sombor_matrix,
@@ -124,7 +124,7 @@ class GraphContext:
             raise ValueError("subdivision_energy needs a regular graph")
         k = self.stats.max_degree
         lams = self.spectra.eigenvalues[self.member, :self.g.n - bipartite_component_count(self.g)]
-        return 2.0 * sum(math.sqrt(k + lam) for lam in lams)
+        return 2.0 * _left_sum(math.sqrt(k + lam) for lam in lams)
 
 
 # ---------------------------------------------------------------------------
@@ -629,16 +629,16 @@ def contexts(graphs, p_values, holds_tol: float | None = None) -> Frame:
         laplacian = stack[2 * count * k:3 * count * k].reshape(count, k, n, n)
         stack[3 * count * k:] = a
         sombor[member, :, which, u, v] = sombor[member, :, which, v, u] = w
-        # Python's sum, whose float algorithm differs across Python versions,
-        # as sombor_index and weight_variance take it.
+        # Added left to right (_left_sum), as sombor_index and weight_variance
+        # add them.
         graph_weights = w[:len(graph_edges[0])].T
         with np.errstate(over="ignore"):
             squares = graph_weights * graph_weights
         cuts = np.cumsum([m[i] for i in members])[:-1]
         for i, wg, w2 in zip(members, np.split(graph_weights, cuts, axis=1),
                              np.split(squares, cuts, axis=1)):
-            so[i] = [sum(row) for row in wg.tolist()]
-            variance[i] = [sum(row) / m[i] - (x / m[i]) * (x / m[i]) if m[i] else math.nan
+            so[i] = [_left_sum(row) for row in wg.tolist()]
+            variance[i] = [_left_sum(row) / m[i] - (x / m[i]) * (x / m[i]) if m[i] else math.nan
                            for x, row in zip(so[i], w2.tolist())]
         s = sombor[:, :, 0]
         diagonal = np.arange(n)

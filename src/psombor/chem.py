@@ -19,7 +19,7 @@ from importlib import resources
 
 from . import config
 from .extremal import enumerate_trees
-from .invariants import graph_energy
+from .invariants import _left_sum, graph_energy
 from .spectral import build_sombor_matrix, eigen_decompose_many
 
 KNOWN_COLUMNS = ("BP", "AcenFac", "Entropy", "SNar", "HNar", "xi1", "SE")
@@ -109,11 +109,11 @@ def linear_fit(records: list[MoleculeRecord], x_label: str, y_label: str) -> Reg
     if len(pairs) < 3:
         raise ValueError(f"need at least 3 records with {x_label} and {y_label}")
     n = len(pairs)
-    mean_x = sum(x for x, _ in pairs) / n
-    mean_y = sum(y for _, y in pairs) / n
-    sxx = sum((x - mean_x) ** 2 for x, _ in pairs) / n
-    syy = sum((y - mean_y) ** 2 for _, y in pairs) / n
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in pairs) / n
+    mean_x = _left_sum(x for x, _ in pairs) / n
+    mean_y = _left_sum(y for _, y in pairs) / n
+    sxx = _left_sum((x - mean_x) ** 2 for x, _ in pairs) / n
+    syy = _left_sum((y - mean_y) ** 2 for _, y in pairs) / n
+    sxy = _left_sum((x - mean_x) * (y - mean_y) for x, y in pairs) / n
     if sxx == 0:
         raise ValueError(f"zero variance in {x_label}")
     slope = sxy / sxx

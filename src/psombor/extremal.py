@@ -16,10 +16,10 @@ each p only gathers its weights, and the Gram matrices of one size at every
 p form one stack (_gram_stacks). Power-of-two scaling keeps the radii finite
 and relatively accurate where the full S_p would overflow its norm or sink
 below the solver's absolute threshold (tiny |p|). bipartite_radii, and so
-the ranking, solves every member; the extremality check first bounds every
-radius by Collatz-Wielandt ratios and solves only the trees the bounds
-cannot rule out. The path and the star are recognised by their maximum
-degree, 2 and n - 1.
+the ranking, solves every member; the extremality check bounds every radius
+from the level sequences, by Collatz-Wielandt ratios of S_p^2, and keys and
+solves only the trees the bounds cannot rule out. The path and the star are
+recognised by their maximum degree, 2 and n - 1.
 """
 
 from __future__ import annotations
@@ -207,10 +207,14 @@ def _catalog_entry(levels, max_degree: int | None = None) -> tuple[str, list[int
     return key, [1, *(x + 2 for x in best)]
 
 
-def enumerate_trees(n: int, max_degree: int | None = None) -> TreeCatalog:
-    """All unlabeled trees on n vertices, optionally filtered by max degree."""
+def _check_tree_n(n: int) -> None:
     if not 2 <= n <= MAX_TREE_N:
         raise GraphError(f"tree enumeration supports 2 <= n <= {MAX_TREE_N}, got {n}")
+
+
+def enumerate_trees(n: int, max_degree: int | None = None) -> TreeCatalog:
+    """All unlabeled trees on n vertices, optionally filtered by max degree."""
+    _check_tree_n(n)
     if max_degree is not None and max_degree < 1:
         raise GraphError(f"max degree must be at least 1, got {max_degree}")
     items = [(entry[0], Graph._from_level_sequence(entry[1]))
@@ -346,12 +350,12 @@ def bipartite_radii(graphs, p_values) -> list[list[float]]:
 # ---------------------------------------------------------------------------
 # extremality of the spectral radius over trees
 
-# Power steps x <- G x / max(G x), from x = 1, before the Collatz-Wielandt
-# ratios are read. They change how many trees are solved, never a result.
-# Trees kept per p by trees --n 12 --verify-extremes --p 1,2,3: 404-469 with
-# 0 steps (the bounds are row sums), 96 with 1, 26-27 with 2, 10 with 3, 4-5
-# with 4, and from 6 on the path and the star alone: 6 members in 2 kernel
-# calls (6 rows and 1). The 6 steps take under 1 ms of that pass.
+# Power steps x <- S(S x) / max, from x = 1, before the Collatz-Wielandt
+# ratios of S_p^2 are read. They change how many trees are keyed and solved,
+# never a result. Trees kept per p by trees --n 12 --verify-extremes --p 1,2,3:
+# 472-532 with 0 steps (the bounds are row sums of S_p^2), 113 with 1, 33-34
+# with 2, 10 with 3, 4-5 with 4, 2-3 with 5, and from 6 on the path and the
+# star alone: 6 members in 2 kernel calls (6 rows and 1).
 _POWER_STEPS = 6
 # An extreme radius is unique when every other is more than this times the
 # maximum radius away (the radii are accurate relative to their size).
@@ -363,26 +367,47 @@ _UNIQUE_GAP = 1e-9
 _BOUND_SLACK = 1e-9
 
 
-def _radius_bounds(gram, e) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) with lo <= radius <= hi for each member of a scaled Gram
-    stack (_scaled_grams), before it is solved.
-
-    G = B B^T is nonnegative (every weight is positive), so for any positive
-    x the Collatz-Wielandt ratios bound its largest eigenvalue, its Perron
-    root: min_i (G x)_i / x_i <= lambda_max <= max_i (G x)_i / x_i (Collatz,
-    Math. Z. 48, 1942; Wielandt, Math. Z. 52, 1950). x comes from
-    _POWER_STEPS power steps. Every row of a Gram matrix is a vertex with an
-    edge, so G's diagonal and x stay positive. A bound beyond the float range
-    is inf.
+def _tree_radius_bounds(levels: np.ndarray, p_values) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), each (T, P): lo <= radius <= hi for each tree of a (T, n)
+    stack of level sequences at each p, before any solve. Each (tree, p) is
+    scaled by 2^-e as in _scaled_grams. S_p^2 is nonnegative with Perron root
+    xi_1^2, so for any positive x, min_i (S^2 x)_i / x_i <= xi_1^2 <= max_i
+    (S^2 x)_i / x_i (Collatz, Math. Z. 48, 1942; Wielandt, Math. Z. 52, 1950).
+    x comes from _POWER_STEPS steps x <- S(S x) / max; every tree vertex has
+    a neighbour, so x stays positive. A bound beyond the float range is inf.
     """
-    x = np.ones(gram.shape[1:])
+    k, (t, n) = len(p_values), levels.shape
+    trees = np.arange(t)
+    last = np.zeros((t, n + 1), dtype=np.intp)  # the last vertex seen at each level
+    parent = np.zeros((t, n), dtype=np.intp)
+    for v in range(1, n):
+        parent[:, v] = last[trees, levels[:, v] - 1]
+        last[trees, levels[:, v]] = v
+    up = trees[:, None] * n + parent[:, 1:]  # the parent of each v > 0, a flat index
+    degree = np.bincount(up.ravel(), minlength=t * n).reshape(t, n)
+    degree[:, 1:] += 1
+    a, b = degree[:, 1:], degree.ravel()[up]
+    pairs, pair = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+    table = np.array([[edge_weight(*divmod(d, n), p) for d in pairs.tolist()] for p in p_values])
+    weights = table.reshape(k, len(pairs))[:, pair.reshape(t, n - 1)]  # (P, T, n - 1)
+    e = np.frexp(weights.max(axis=2))[1]
+    weights = np.ldexp(weights, -e[:, :, None]).reshape(k * t, n - 1)
+    up = (np.arange(k)[:, None, None] * (t * n) + up).reshape(k * t, n - 1)
+
+    def s_times(x):
+        # (S x)_v: w_v x_parent(v) over v's edge up, plus w_c x_c over each child c
+        y = np.bincount(up.ravel(), (weights * x[:, 1:]).ravel(), x.size).reshape(x.shape)
+        y[:, 1:] += weights * x.ravel()[up]
+        return y
+
+    x = np.ones((k * t, n))
     for _ in range(_POWER_STEPS):
-        x = (gram * x).sum(axis=1)
-        x /= x.max(axis=0)
-    ratios = (gram * x).sum(axis=1) / x
+        x = s_times(s_times(x))
+        x /= x.max(axis=1, keepdims=True)
+    ratios = (s_times(s_times(x)) / x).reshape(k, t, n)
     with np.errstate(over="ignore"):
-        return (np.ldexp(np.sqrt(ratios.min(axis=0)), e),
-                np.ldexp(np.sqrt(ratios.max(axis=0)), e))
+        return (np.ldexp(np.sqrt(ratios.min(axis=2)), e).T,
+                np.ldexp(np.sqrt(ratios.max(axis=2)), e).T)
 
 
 def _extreme_candidates(lo, hi) -> np.ndarray:
@@ -432,67 +457,61 @@ def verify_tree_extremes(n: int, p: float,
     other tree's is more than _UNIQUE_GAP (1e-9) times the maximum radius
     away.
 
-    Only the trees that Perron bounds cannot rule out are solved
-    (_tree_extremes); a tree ruled out is never solved, so it cannot raise
-    EigenConvergenceError. catalog, when given, must be enumerate_trees(n)
-    (no degree filter); pass it to check several p without enumerating the
-    trees again.
+    Every tree is bounded from its level sequence and only the trees that
+    the bounds cannot rule out are keyed and solved (_tree_extremes); a tree
+    ruled out is never solved, so it cannot raise EigenConvergenceError.
+    catalog, when given, must be enumerate_trees(n) (no degree filter); it is
+    checked and not read, since the pass builds no catalog.
     """
-    return _tree_extremes(n, [p], catalog)[0]
-
-
-def _tree_extremes(n: int, p_values, catalog: TreeCatalog | None = None
-                   ) -> list[TreeExtremesReport]:
-    """verify_tree_extremes at each p, from one set of Gram stacks.
-
-    Every radius is bounded before any solve (_radius_bounds), and only the
-    trees that could still be an extreme or stand within the gap of one
-    (_extreme_candidates) are solved, as a subset of their stack. A radius
-    does not depend on its stack, so the candidates' radii are those of
-    bipartite_radii bit for bit, and the reports those over every tree. A
-    tree ruled out is never solved, so its non-convergence cannot raise.
-    """
-    if catalog is None:
-        catalog = enumerate_trees(n)
-    elif catalog.n != n or catalog.max_degree is not None:
+    if catalog is not None and (catalog.n != n or catalog.max_degree is not None):
         raise ValueError(f"catalog must hold every tree on {n} vertices")
+    return _tree_extremes(n, [p])[0]
+
+
+def _tree_extremes(n: int, p_values) -> list[TreeExtremesReport]:
+    """verify_tree_extremes at each p. Every tree is bounded from its level
+    sequence (_tree_radius_bounds); only the trees that could be an extreme or
+    within the gap of one at some p (_extreme_candidates) are keyed
+    (_catalog_entry), built and stacked (_gram_stacks), and at each p only its
+    candidates are solved. Sorted by key they keep catalog order, and a radius
+    does not depend on its stack, so the reports are those over every tree."""
+    _check_tree_n(n)
     p_values = list(p_values)
+    if not p_values:
+        return []
+    sequences = list(_free_tree_level_sequences(n))
+    kept = _extreme_candidates(*_tree_radius_bounds(np.array(sequences), p_values))
+    found = sorted(((*_catalog_entry(sequences[t]), t) for t in np.flatnonzero(kept.any(axis=1))),
+                   key=lambda entry: entry[0])
+    trees = [Graph._from_level_sequence(label) for _, label, _ in found]
+    kept = kept[[t for _, _, t in found]]
     k = len(p_values)
-    stacks = list(_gram_stacks(catalog.trees, p_values))
-    lo, hi = np.zeros((2, len(catalog.trees), k))
-    for owners, gram, e in stacks:
-        lo[owners], hi[owners] = (b.reshape(len(owners), k) for b in _radius_bounds(gram, e))
-    kept = _extreme_candidates(lo, hi)
-    radii = np.zeros((len(catalog.trees), k))
-    for owners, gram, e in stacks:
-        members = np.flatnonzero(kept[owners])  # b k + j: graph owners[b] at p_values[j]
+    radii = np.zeros(kept.shape)
+    for owners, gram, e in _gram_stacks(trees, p_values):
+        members = np.flatnonzero(kept[owners])  # b k + j: tree owners[b] at p_values[j]
         if members.size:
             tree, j = np.array(owners)[members // k], members % k
             radii[tree, j] = _solved_radii(gram[:, :, members], e[members])
-    return [_extremes_report(catalog, p, np.flatnonzero(kept[:, j]).tolist(),
-                             radii[kept[:, j], j].tolist())
+    radii = radii.tolist()
+    return [_extremes_report(n, p, [(radii[i][j], found[i][0], trees[i])
+                                    for i in np.flatnonzero(kept[:, j])])
             for j, p in enumerate(p_values)]
 
 
-def _extremes_report(catalog: TreeCatalog, p: float, trees: list[int],
-                     values: list[float]) -> TreeExtremesReport:
-    # values are the radii of the catalog trees of the indices trees, in
-    # catalog order; the trees left out are no extreme and not within the gap
-    n = catalog.n
-    order = sorted(range(len(values)), key=values.__getitem__)
-    lo, hi = order[0], order[-1]
-    min_val, max_val = values[lo], values[hi]
+def _extremes_report(n: int, p: float, candidates: list[tuple[float, str, Graph]]
+                     ) -> TreeExtremesReport:
+    # (radius, key, tree) of each candidate tree at p, in catalog order; the
+    # trees left out are no extreme and not within the gap of one
+    order = sorted(candidates, key=lambda c: c[0])
+    (min_val, min_key, lo), (max_val, max_key, hi) = order[0], order[-1]
     gap = _UNIQUE_GAP * max_val
-    min_unique = len(order) < 2 or values[order[1]] - min_val > gap
-    max_unique = len(order) < 2 or max_val - values[order[-2]] > gap
-    lo, hi = trees[lo], trees[hi]
+    min_unique = len(order) < 2 or order[1][0] - min_val > gap
+    max_unique = len(order) < 2 or max_val - order[-2][0] > gap
     # Among trees on n vertices the path alone has max degree <= 2 and the
     # star alone has max degree n - 1.
     return TreeExtremesReport(
-        n=n, p=p, min_radius=min_val, max_radius=max_val,
-        min_key=catalog.canonical_keys[lo], max_key=catalog.canonical_keys[hi],
-        min_is_path=max(catalog.trees[lo].degrees) <= 2,
-        max_is_star=max(catalog.trees[hi].degrees) == n - 1,
+        n=n, p=p, min_radius=min_val, max_radius=max_val, min_key=min_key, max_key=max_key,
+        min_is_path=max(lo.degrees) <= 2, max_is_star=max(hi.degrees) == n - 1,
         min_unique=min_unique, max_unique=max_unique)
 
 

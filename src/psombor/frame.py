@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from . import config
-from .invariants import _abs_product, first_zagreb, isi_index, randic_index
+from .invariants import _abs_product, _left_sum, first_zagreb, isi_index, randic_index
 from .spectral import cluster_starts
 
 EXP_LIMIT = config.ESTRADA_EXP_LIMIT
@@ -61,7 +61,8 @@ _SPECTRAL = {
                                                  np.minimum(1.0, x.norm[s])).sum(axis=1),
     "energy": lambda x, s, **_: abs(x.eigenvalues[s]).sum(axis=1),
     "_estrada": lambda x, s, **_: each(lambda e: math.inf if e[0] > EXP_LIMIT
-                                       else sum(map(math.exp, e)), x.eigenvalues[s].tolist()),
+                                       else _left_sum(map(math.exp, e)),
+                                       x.eigenvalues[s].tolist()),
     "det_root": lambda x, s, **_: each(_det_root, x.eigenvalues[s].tolist(), x.norm[s],
                                        x.scale[s]),
     "eta_max": lambda x, lap, **_: x.eigenvalues[lap, 0],

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import asdict, dataclass
+from functools import reduce
 
 from . import config
 from .graphs import Graph
 from .spectral import SpectralDecomposition, edge_weight
+
+
+def _left_sum(xs):
+    # Adds left to right from the int 0 on every Python version: builtin sum
+    # compensates float rounding from Python 3.12 on, which moves last bits.
+    return reduce(operator.add, xs, 0)
 
 
 @dataclass(frozen=True)
@@ -44,7 +52,7 @@ def sombor_index(g: Graph, p: float) -> float:
     if p == 0:
         raise ValueError("p must be nonzero")
     d = g.degrees
-    return sum(edge_weight(d[i], d[j], p) for i, j in g.edges())
+    return _left_sum(edge_weight(d[i], d[j], p) for i, j in g.edges())
 
 
 def first_zagreb(g: Graph) -> float:
@@ -53,12 +61,12 @@ def first_zagreb(g: Graph) -> float:
 
 def isi_index(g: Graph) -> float:
     d = g.degrees
-    return sum(d[i] * d[j] / (d[i] + d[j]) for i, j in g.edges())
+    return _left_sum(d[i] * d[j] / (d[i] + d[j]) for i, j in g.edges())
 
 
 def randic_index(g: Graph) -> float:
     d = g.degrees
-    return sum(1.0 / math.sqrt(d[i] * d[j]) for i, j in g.edges())
+    return _left_sum(1.0 / math.sqrt(d[i] * d[j]) for i, j in g.edges())
 
 
 def weight_variance(g: Graph, p: float) -> float | None:
@@ -69,8 +77,8 @@ def weight_variance(g: Graph, p: float) -> float | None:
         return None
     d = g.degrees
     weights = [edge_weight(d[i], d[j], p) for i, j in g.edges()]
-    mean = sum(weights) / g.m
-    return sum(w * w for w in weights) / g.m - mean * mean
+    mean = _left_sum(weights) / g.m
+    return _left_sum(w * w for w in weights) / g.m - mean * mean
 
 
 def index_bundle(g: Graph, p: float) -> IndexBundle:
@@ -98,7 +106,7 @@ def estrada_index(dec: SpectralDecomposition) -> float:
     if dec.n and dec.radius > config.ESTRADA_EXP_LIMIT:
         _warn_exp_overflow()
         return math.inf
-    return float(sum(math.exp(x) for x in dec.eigenvalues))
+    return float(_left_sum(math.exp(x) for x in dec.eigenvalues))
 
 
 def abs_determinant(dec: SpectralDecomposition) -> float:

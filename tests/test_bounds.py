@@ -1,8 +1,12 @@
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
+import importlib
 import json
 import math
+import operator
+import pkgutil
 import tracemalloc
 from collections import Counter
 
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from strategies import circulants, nonzero_p
 
+import psombor
 from psombor import bounds, config
 from psombor.bounds import (
     CHECKS,
@@ -1181,6 +1186,53 @@ def test_suite_output_digest_is_pinned_over_wide_p(corpus):
             rep = run_suite(graphs, p_values=WIDE_P, corpus_name=corpus)
     text = json.dumps(rep.to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == WIDE_P_DIGESTS[corpus]
+
+
+def _compensated_sum(iterable, /, start=0):
+    # builtin sum as CPython 3.12 adds: ints exactly while every item is an
+    # int, then exact floats with Neumaier's compensation (an int among them
+    # converted and added plainly), anything else by +
+    items = iter(iterable)
+    total = start
+    for item in items:
+        if type(total) is int and type(item) is int:
+            total += item
+            continue
+        total = total + item
+        break
+    if type(total) is not float:
+        return functools.reduce(operator.add, items, total)
+    c = 0.0
+    for item in items:
+        if type(item) is float:
+            t = total + item
+            c += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+            total = t
+        elif type(item) is int:
+            total += float(item)
+        else:
+            total = total + c if c and math.isfinite(c) else total
+            return functools.reduce(operator.add, items, total + item)
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_pinned_digests_hold_under_a_compensated_sum(monkeypatch):
+    # Python 3.12 made builtin sum of floats compensated; with that sum in
+    # place of builtin sum in every psombor module, every digest pinned above
+    # (the violation payloads carry SO_p and Estrada values) stays the same
+    assert _compensated_sum([0.1] * 10) == 1.0
+    assert functools.reduce(operator.add, [0.1] * 10, 0) != 1.0
+    assert _compensated_sum([1, 2.5, 3]) == 6.5 and _compensated_sum([]) == 0
+    for info in pkgutil.iter_modules(psombor.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"psombor.{info.name}")
+            monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    monkeypatch.setattr(psombor, "sum", _compensated_sum, raising=False)
+    for corpus in SUITE_DIGESTS:
+        test_suite_output_digest_is_pinned(corpus)
+    test_suite_violation_payloads_are_pinned()
+    for corpus in WIDE_P_DIGESTS:
+        test_suite_output_digest_is_pinned_over_wide_p(corpus)
 
 
 @pytest.mark.parametrize("name, g", [

@@ -671,18 +671,27 @@ def test_spectrum_at_tiny_negative_p_is_solved(p, p4_file, capsys):
 
 
 def test_trees_verify_extremes_enumerates_once(monkeypatch, capsys):
+    # the level sequences are generated once for every p, and no catalog of
+    # built trees is enumerated at all
     from psombor import extremal
 
-    calls = []
+    sequences, catalogs = [], []
+    level_sequences = extremal._free_tree_level_sequences
     enumerate_trees = extremal.enumerate_trees
 
-    def counting(n, max_degree=None):
-        calls.append(n)
+    def counting_sequences(n):
+        sequences.append(n)
+        return level_sequences(n)
+
+    def counting_catalog(n, max_degree=None):
+        catalogs.append(n)
         return enumerate_trees(n, max_degree)
 
-    monkeypatch.setattr(extremal, "enumerate_trees", counting)
+    monkeypatch.setattr(extremal, "_free_tree_level_sequences", counting_sequences)
+    monkeypatch.setattr(extremal, "enumerate_trees", counting_catalog)
     assert run(["trees", "--n", "7", "--verify-extremes", "--p", "1,2,3"]) == 0
-    assert calls == [7]
+    assert sequences == [7]
+    assert catalogs == []
 
 
 @pytest.mark.parametrize("extra, message", [

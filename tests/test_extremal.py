@@ -90,12 +90,15 @@ def test_each_tree_is_keyed_once(n, monkeypatch):
 
 
 def test_extremes_key_each_tree_once_over_several_p(monkeypatch, capsys):
-    # the path and the star are told by degree, not by keying fresh copies
+    # one pass at three p keys and labels only the two trees the bounds keep,
+    # the path and the star, once each; they are told by degree, not by
+    # keying fresh copies
     from psombor.cli import run
 
     entries, keys = _count_catalog_calls(monkeypatch)
     assert run(["trees", "--n", "12", "--verify-extremes", "--p", "1,2,3"]) == 0
-    assert len(entries) == FREE_TREE_COUNTS[11]
+    # the star (depth 1) and the path rooted at a centre (depth 6)
+    assert sorted(max(levels) for levels in entries) == [2, 7]
     assert keys == []
     assert capsys.readouterr().out.count("path=True") == 3
 
@@ -300,7 +303,7 @@ def test_tree_extremes_match_the_extremes_of_every_radius(power_steps, monkeypat
     monkeypatch.setattr(extremal, "_POWER_STEPS", power_steps)
     for n in range(2, 13):
         catalog = enumerate_trees(n)
-        reports = extremal._tree_extremes(n, EXTREMES_P, catalog)
+        reports = extremal._tree_extremes(n, EXTREMES_P)
         every = bipartite_radii(catalog.trees, EXTREMES_P)
         for p, report, radii in zip(EXTREMES_P, reports, every):
             expected = _plain_extremes(catalog, p, radii)
@@ -315,14 +318,13 @@ def test_radius_bounds_hold_on_every_tree():
     # the float range (p = 0.0015, -0.002)
     slack = extremal._BOUND_SLACK
     for n in range(2, 13):
-        trees = enumerate_trees(n).trees
-        lo, hi = np.zeros((2, len(trees), len(EXTREMES_P)))
+        sequences = list(extremal._free_tree_level_sequences(n))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for owners, gram, e in extremal._gram_stacks(trees, EXTREMES_P):
-                bounds = extremal._radius_bounds(gram, e)
-                lo[owners], hi[owners] = (b.reshape(len(owners), -1) for b in bounds)
+            lo, hi = extremal._tree_radius_bounds(np.array(sequences), EXTREMES_P)
+        trees = [Graph._from_level_sequence(levels) for levels in sequences]
         radii = np.array(bipartite_radii(trees, EXTREMES_P)).T
+        assert lo.shape == hi.shape == radii.shape == (FREE_TREE_COUNTS[n - 1], len(EXTREMES_P))
         assert np.isfinite(lo).all() and np.isfinite(hi).all()
         assert (lo * (1 - slack) <= radii).all() and (radii <= hi * (1 + slack)).all(), n
 
