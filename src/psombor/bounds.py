@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -33,7 +32,7 @@ import numpy as np
 from . import config
 from .frame import EXP_LIMIT, Frame
 from .frame import divide as _div, each as _each, exp as _exp, maximum as _max
-from .frame import minimum as _min, power as _pow, sqrt as _sqrt
+from .frame import minimum as _min, power as _pow, sqrt as _sqrt, upper_sums
 from .graphs import (
     Graph,
     bipartite_component_count,
@@ -45,7 +44,7 @@ from .graphs import (
     induced_subgraph,
     path_graph,
     random_connected_gnm,
-    structure_stats,
+    structure_stats,  # not called here: perfbench's tracer patches bounds.structure_stats
 )
 from .invariants import _left_sum, _warn_exp_overflow
 from .spectral import (
@@ -86,45 +85,6 @@ class BoundReport:
         if not self.extra:
             del out["extra"]
         return out
-
-
-class GraphContext:
-    """The p-independent quantities of one graph, shared by its frame rows at
-    every p. contexts() solves its adjacency matrix as member `member` of the
-    Spectra `spectra`. The frame's structure columns come from the stacks'
-    adjacency blocks, not from here: the structure stats serve only thm4.12's
-    subdivision energy (regular graphs with edges), and the complement and
-    its parts only thm5.9.1's choice of C1 (graphs with deg_max = n - 1),
-    each computed on first use."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.spectra, self.member = None, None
-
-    stats = cached_property(lambda self: structure_stats(self.g))
-    complement = cached_property(lambda self: complement(self.g))
-    # the components of the complement that have edges, by smallest vertex
-    complement_parts = cached_property(lambda self: [
-        induced_subgraph(self.complement, comp)
-        for comp in connected_components(self.complement) if len(comp) > 1])
-
-    @cached_property
-    def subdivision_energy(self) -> float:
-        """Energy of A(S(G)) for a k-regular G, from the spectrum of A(G).
-
-        Every subdivision edge joins degrees 2 and k, so S_p(S(G)) =
-        edge_weight(2, k, p) A(S(G)) and this one value serves every p. By
-        P_S(G)(x) = x^(m-n) P_G(x^2 - k) (Cvetkovic, Doob & Sachs, Spectra of
-        Graphs) the energy is 2 sum sqrt(k + lambda_i). Each bipartite
-        component gives one lambda_i = -k exactly, the smallest: those last b
-        values add exact zeros and are left out, as the sqrt of their rounded
-        value would be ~1e-8.
-        """
-        if not self.stats.is_regular:
-            raise ValueError("subdivision_energy needs a regular graph")
-        k = self.stats.max_degree
-        lams = self.spectra.eigenvalues[self.member, :self.g.n - bipartite_component_count(self.g)]
-        return 2.0 * _left_sum(math.sqrt(k + lam) for lam in lams)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +263,11 @@ def _thm4_11_2(f):
     return f.estrada, lower, None
 
 
-def _thm4_12_weight(f):
-    return _each(lambda d, p: edge_weight(2, d, p), f.dmax, f.p)
+def _thm4_12(f):
+    # Every subdivision edge joins degrees 2 and k: S_p(S(G)) = weight A(S(G)).
+    weight =_each(lambda d, p: edge_weight(2, d, p), f.dmax, f.p)
+    return (weight * f.subdivision_energy, None,
+            2.0 * math.sqrt(2.0) * _sqrt(f.m * f.n) * weight)
 
 
 def _thm5_5_inner(f):
@@ -323,10 +286,15 @@ def _thm5_7(f):
     return f.energy, None, a + _sqrt(_max(0.0, inner))
 
 
-def _c1_term(gc, p, root):
+def _complement_parts(g: Graph) -> list[Graph]:
+    """The components of g's complement that have edges, by smallest vertex."""
+    h = complement(g)
+    return [induced_subgraph(h, comp) for comp in connected_components(h) if len(comp) > 1]
+
+
+def _c1_term(parts, p, root):
     """2^(1/p) deg_max sqrt(2 m - deg_min (n - 1 - deg_max) - deg_max) of C1,
     the complement part with the largest radius (0 without parts)."""
-    parts = gc.complement_parts
     if not parts:
         return 0.0
     # C1 is a choice only among two or more; index keeps the first of a tie.
@@ -343,7 +311,9 @@ def _c1_term(gc, p, root):
 def _thm5_9_1(f):
     n, root = f.n, f.root
     first = root * (n - 1) * _sqrt(_max(0.0, 2 * f.m - n + 1))
-    return f.xi1_sum, None, first + _each(_c1_term, f.graph, f.p, root)
+    index = f.graph_index.tolist()
+    parts = {i: _complement_parts(f.graphs[i]) for i in set(index)}
+    return f.xi1_sum, None, first + _each(_c1_term, [parts[i] for i in index], f.p, root)
 
 
 def _thm5_9_2(f):
@@ -522,9 +492,7 @@ CHECKS = (
           "needs n_pos >= 2 and n_neg >= 1"),
     Check("thm4.12", "energy",
           "energy(subdivision) <= 2 sqrt(2) sqrt(m n) (2^p + k^p)^(1/p)  [k-regular]",
-          lambda f: (_thm4_12_weight(f) * _each(lambda gc: gc.subdivision_energy, f.graph),
-                     None, 2.0 * math.sqrt(2.0) * _sqrt(f.m * f.n) * _thm4_12_weight(f)),
-          lambda f: f.regular & (f.m >= 1), "needs a regular graph with edges"),
+          _thm4_12, lambda f: f.regular & (f.m >= 1), "needs a regular graph with edges"),
 
     # -- Nordhaus-Gaddum ---------------------------------------------------
     Check("lem5.4", "nordhaus_gaddum", "xi1 >= 2^(1+1/p) deg_min m / n",
@@ -565,13 +533,13 @@ for _check in CHECKS:
     _BY_FAMILY.setdefault(_check.family, []).append(_check)
 
 
-def _slices(gcs, k: int):
+def _slices(graphs, k: int):
     """(n, members) of each stack that contexts() solves, in order: the
     indices of the graphs of each vertex count n, cut by _chunks into runs
     whose stacks hold at most config.SUITE_CHUNK_ENTRIES entries at k p
     values, or one graph over that budget."""
-    for n, same_size in _by_size(gc.g.n for gc in gcs).items():
-        for run in _chunks([(i, gcs[i].g) for i in same_size], k, config.SUITE_CHUNK_ENTRIES):
+    for n, same_size in _by_size(g.n for g in graphs).items():
+        for run in _chunks([(i, graphs[i]) for i in same_size], k, config.SUITE_CHUNK_ENTRIES):
             yield n, [i for i, _ in run]
 
 
@@ -579,34 +547,30 @@ def contexts(graphs, p_values, holds_tol: float | None = None) -> Frame:
     """The Frame of (graph_id, graph) pairs: a row per graph and p, graph by
     graph, each in p_values order.
 
-    The graphs of one vertex count are cut into member-first stacks of at
-    most config.SUITE_CHUNK_ENTRIES entries (_slices), and each stack is
-    built and solved in turn from one boolean adjacency block of its graphs,
-    which the frame keeps for its structure columns. The upper-triangle
-    nonzeros of A and of 1 - A - I, read row-major, are each graph's and its
-    complement's edges in edges() order, with degrees d and n - 1 - d. Their
-    weights at each p take one edge_weight call per distinct degree pair of
-    the frame, and one fancy assignment per stack scatters them into S_p of
-    every graph and of its complement at every p. L_p = diag(row sums) - S_p
-    comes from the same S_p, and the block is the adjacency members; one
-    decompose_stack per stack solves them all, and the frame keeps its
-    Spectra as arrays. N2-N4 are traces of powers of the stacked S_p (no
-    eigensolver involved); SO_p and the variance are Python sums of each
-    graph's weights in edges() order, as sombor_index and weight_variance
-    take them.
+    Each stack (_slices: graphs of one vertex count, at most
+    config.SUITE_CHUNK_ENTRIES entries) is built from one boolean adjacency
+    block A, which the frame keeps: the row-major upper-triangle nonzeros of
+    A and of 1 - A - I are each graph's and its complement's edges in
+    edges() order, with degrees d and n - 1 - d. Their weights take one
+    edge_weight call per distinct degree pair of the frame at each p, and
+    one decompose_stack solves S_p of every graph and of its complement and
+    L_p at every p, and A. contexts sets SO_p and the variance (upper_sums
+    of each S_p, as sombor_index and weight_variance add), N2-N4 (traces of
+    powers of the stacked S_p) and thm4.12's subdivision energy (from the
+    adjacency spectrum of each regular graph with edges; NaN elsewhere).
     """
     graphs, p_values = list(graphs), tuple(p_values)
+    ids, graphs = [graph_id for graph_id, _ in graphs], [g for _, g in graphs]
     k = len(p_values)
-    gcs = [GraphContext(g) for _, g in graphs]
-    base = max((gc.g.n for gc in gcs), default=0) + 1
+    base = max((g.n for g in graphs), default=0) + 1
     known = {}   # the weights at each p of each degree-pair key met so far
     moments, stacks, blocks = np.zeros((3, len(graphs) * k)), [], []
-    so, variance = np.zeros((2, len(graphs), k))
-    m = [gc.g.m for gc in gcs]
-    for n, members in _slices(gcs, k):
+    so, squares = np.zeros((2, len(graphs), k))
+    subdivision = np.full(len(graphs), math.nan)
+    for n, members in _slices(graphs, k):
         count, index = len(members), np.array(members)
-        degrees = np.array([gcs[i].g.degrees for i in members], dtype=np.intp)
-        ends = [v for i in members for adj in gcs[i].g.adj for v in adj]
+        degrees = np.array([graphs[i].degrees for i in members], dtype=np.intp)
+        ends = [v for i in members for adj in graphs[i].adj for v in adj]
         a = np.zeros((count * n, n), dtype=bool)
         a[np.repeat(np.arange(count * n), degrees.ravel()), ends] = True
         a = a.reshape(count, n, n)
@@ -629,40 +593,43 @@ def contexts(graphs, p_values, holds_tol: float | None = None) -> Frame:
         laplacian = stack[2 * count * k:3 * count * k].reshape(count, k, n, n)
         stack[3 * count * k:] = a
         sombor[member, :, which, u, v] = sombor[member, :, which, v, u] = w
-        # Added left to right (_left_sum), as sombor_index and weight_variance
-        # add them.
-        graph_weights = w[:len(graph_edges[0])].T
-        with np.errstate(over="ignore"):
-            squares = graph_weights * graph_weights
-        cuts = np.cumsum([m[i] for i in members])[:-1]
-        for i, wg, w2 in zip(members, np.split(graph_weights, cuts, axis=1),
-                             np.split(squares, cuts, axis=1)):
-            so[i] = [_left_sum(row) for row in wg.tolist()]
-            variance[i] = [_left_sum(row) / m[i] - (x / m[i]) * (x / m[i]) if m[i] else math.nan
-                           for x, row in zip(so[i], w2.tolist())]
         s = sombor[:, :, 0]
         diagonal = np.arange(n)
         laplacian[:, :, diagonal, diagonal] = s.sum(axis=-1)
         laplacian -= s
         rows = (index[:, None] * k + np.arange(k)).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
+            so[index] = upper_sums(s)
+            squares[index] = upper_sums(s * s)
             s2 = s @ s
             moments[:, rows] = [(x * y).reshape(count * k, n * n).sum(axis=1)
                                 for x, y in ((s, s), (s2, s), (s2, s2))]
-        del s2, w, graph_weights, squares  # not held while the stack is solved
+        del s2, w  # not held while the stack is solved
         spectra = decompose_stack(stack)
-        for j, i in enumerate(members):
-            gcs[i].spectra, gcs[i].member = spectra, 3 * count * k + j
+        # energy(A(S(G))) = 2 sum sqrt(k + lambda_i) for a k-regular G, by
+        # P_S(G)(x) = x^(m-n) P_G(x^2 - k) (Cvetkovic, Doob & Sachs, Spectra
+        # of Graphs). Each bipartite component gives one lambda_i = -k
+        # exactly, the smallest: those b values add exact zeros and are left
+        # out, as the sqrt of their rounded value would be ~1e-8.
+        for j in np.flatnonzero((degrees.min(axis=1) == degrees.max(axis=1))
+                                & (degrees[:, 0] > 0)).tolist():
+            g, d = graphs[members[j]], int(degrees[j, 0])
+            lams = spectra.eigenvalues[3 * count * k + j, :n - bipartite_component_count(g)]
+            subdivision[members[j]] = 2.0 * _left_sum(math.sqrt(d + x) for x in lams.tolist())
         local = np.arange(count * k)
         stacks.append((spectra, rows, 2 * local, 2 * count * k + local, 2 * local + 1,
                        np.repeat(3 * count * k + np.arange(count), k)))
+    m = np.array([g.m for g in graphs], dtype=np.intp)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        variance = np.where(m > 0, squares / m - (so / m) * (so / m), math.nan)
     # SO_p as Python numbers: the empty sum of an edgeless graph is the int 0.
     so = so.astype(object)
-    so[np.array(m) == 0] = 0
-    columns = {"so": so.reshape(-1), "variance": variance.reshape(-1)}
+    so[m[:, 0] == 0] = 0
+    columns = {"so": so.reshape(-1), "variance": variance.reshape(-1),
+               "subdivision_energy": np.repeat(subdivision, k)}
     if np.isfinite(moments).all():
         columns.update(n2=moments[0], n3=moments[1], n4=moments[2])
-    return Frame(gcs, [graph_id for graph_id, _ in graphs], p_values,
+    return Frame(graphs, ids, p_values,
                  config.HOLDS_REL_TOL if holds_tol is None else holds_tol, stacks, blocks,
                  **columns)
 
@@ -868,7 +835,7 @@ def _tally_frame(f: Frame, tally) -> None:
             for out, rows in ((violations, outcome == _FAIL), (eq_mismatches, mismatch)):
                 flagged += [(r, k, report, out) for r in np.flatnonzero(rows).tolist()]
         for r, _, report, out in sorted(flagged, key=lambda x: x[:2]):
-            out.append(_violation_payload(report(r), f.graphs[f.graph_index[r]].g))
+            out.append(_violation_payload(report(r), f.graphs[f.graph_index[r]]))
 
 
 def _merge(tallies):

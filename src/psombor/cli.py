@@ -216,10 +216,10 @@ def _cmd_trees(args) -> int:
         blocks.append("key " + entry["key"])
         blocks.extend(f"{u} {v}" for u, v in entry["edges"])
         blocks.append("")
-    csv_rows = [["key", "u", "v"]]
-    for entry in payload["trees"]:
-        csv_rows += [[entry["key"], u, v] for u, v in entry["edges"]]
-    _emit(payload, args.format, args.out, "\n".join(blocks) + "\n", csv_rows)
+    edges = [{"key": entry["key"], "u": u, "v": v}
+             for entry in payload["trees"] for u, v in entry["edges"]]
+    _emit(payload, args.format, args.out, "\n".join(blocks) + "\n",
+          _csv(edges, ("key", "u", "v")))
     return 0
 
 

@@ -29,14 +29,15 @@ MAX_INPUT_VERTICES = 500
 # of the budgets, not at them. During a solve the stack, decompose_stack's
 # scaled copy, the kernel's working copy and its temporaries are live at once:
 # 16 graphs of 40 vertices at 5 p, one frame of eight full stacks of 0.41 MB,
-# peak at 3.4 MB under tracemalloc. Each stack's edge and weight arrays are
-# built with that stack and dropped before it is solved. The frame's own state
-# grows with its entries: one boolean adjacency block per stack (the structure
-# columns are read from it), the spectra, and the columns of the checks.
-# verify --corpus all at 5 p is 344,736 entries, one frame of 14 stacks, and
-# run_suite's tracemalloc peak is 2.0, 2.5, 3.8 and 6.7 MB at stack budgets of
-# 2^14, 2^15, 2^16 and 2^17 entries (3.3 MB with frames cut at 2^16 entries
-# too, six of them).
+# peak at 3.4 MB under tracemalloc. Each stack's edge, weight and edge-sum
+# arrays are built with that stack and dropped before it is solved. The
+# frame's own state grows with its entries: one boolean adjacency block per
+# stack (every structure column, n, m and the degree-based indices included,
+# is read from it), the spectra, and the columns of the checks; it holds no
+# object per graph. verify --corpus all at 5 p is 344,736 entries, one frame
+# of 14 stacks, and run_suite's tracemalloc peak is 2.0, 2.4, 3.8 and 6.6 MB
+# at stack budgets of 2^14, 2^15, 2^16 and 2^17 entries (3.3 MB with frames
+# cut at 2^16 entries too, six of them).
 SUITE_FRAME_ENTRIES = 2 ** 19
 SUITE_CHUNK_ENTRIES = 2 ** 16
 

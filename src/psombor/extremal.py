@@ -449,8 +449,7 @@ class TreeExtremesReport:
                 and self.min_unique and self.max_unique)
 
 
-def verify_tree_extremes(n: int, p: float,
-                         catalog: TreeCatalog | None = None) -> TreeExtremesReport:
+def verify_tree_extremes(n: int, p: float) -> TreeExtremesReport:
     """The trees on n vertices with the least and the greatest spectral
     radius; the path should attain the unique minimum and the star the
     unique maximum (established for p >= 1). A radius is unique when every
@@ -460,11 +459,7 @@ def verify_tree_extremes(n: int, p: float,
     Every tree is bounded from its level sequence and only the trees that
     the bounds cannot rule out are keyed and solved (_tree_extremes); a tree
     ruled out is never solved, so it cannot raise EigenConvergenceError.
-    catalog, when given, must be enumerate_trees(n) (no degree filter); it is
-    checked and not read, since the pass builds no catalog.
     """
-    if catalog is not None and (catalog.n != n or catalog.max_degree is not None):
-        raise ValueError(f"catalog must hold every tree on {n} vertices")
     return _tree_extremes(n, [p])[0]
 
 

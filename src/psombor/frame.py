@@ -3,13 +3,13 @@
 A Frame has the (graph, p) rows of a run of graphs, as bounds.contexts
 builds it, and gives one 1-D array per quantity: n, m, p, SO_p, the moments
 N2-N4, degrees, radii, energies, inertias, structural predicates and so on.
-contexts sets the values it computes itself (SO_p, the variance, N2-N4);
-the others are computed for every row on first read: spectral ones from the
-arrays of the stacks the rows were solved in, and the p-independent
-structure of each graph and of its complement (degrees, common neighbours,
-distances, components, bipartition) in NumPy from the one adjacency block
-that contexts keeps per stack, with no per-graph traversal and no
-complement Graph. A check evaluates once per frame.
+Every column comes from one of three places: the values contexts sets
+(SO_p, the variance, N2-N4, the subdivision energy), the arrays of the
+stacks the rows were solved in (_SPECTRAL), or the one boolean adjacency
+block per stack that contexts keeps (_STRUCTURE: the p-independent
+structure of each graph and of its complement, in NumPy, with no per-graph
+traversal and no complement Graph). The last two are computed for every
+row on first read. A check evaluates once per frame.
 
 The helpers below reproduce Python's scalar arithmetic bit for bit. + - * /
 and sqrt are correctly rounded in NumPy too, but on SIMD paths np.power and
@@ -17,9 +17,11 @@ np.exp need not match libm's pow and exp (over 200,000 random arguments on
 an AVX-512 x86-64 machine, np.power(x, y) differed from x ** y in 10,765
 cases and np.exp from math.exp in 9,309). So powers with a float base or a
 non-integer exponent and exp() run per row in Python (each, power, exp), or
-once per distinct p (Frame.pow2). Where Python raises and NumPy would
-return inf or NaN (a zero divisor, a negative sqrt, an overflowing power or
-exp), the helpers raise the same exception.
+once per distinct p (Frame.pow2). Float sums add left to right from 0, as
+invariants._left_sum does (upper_sums), never by np.sum's pairwise rule.
+Where Python raises and NumPy would return inf or NaN (a zero divisor, a
+negative sqrt, an overflowing power or exp), the helpers raise the same
+exception.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 import numpy as np
 
 from . import config
-from .invariants import _abs_product, _left_sum, first_zagreb, isi_index, randic_index
+from .invariants import _abs_product, _left_sum
 from .spectral import cluster_starts
 
 EXP_LIMIT = config.ESTRADA_EXP_LIMIT
@@ -76,22 +78,22 @@ _SPECTRAL = {
     "energy_c": lambda x, comp, **_: abs(x.eigenvalues[comp]).sum(axis=1),
     "mu1": lambda x, adj, **_: x.eigenvalues[adj, 0],
 }
-# Columns read per graph from its GraphContext.
-_GRAPH = {
-    "n": lambda gc: gc.g.n,
-    "m": lambda gc: gc.g.m,
-    "has_edge": lambda gc: gc.g.m >= 1,
-    "edgeless": lambda gc: gc.g.m == 0,
-    "m1": lambda gc: first_zagreb(gc.g),
-    "randic": lambda gc: randic_index(gc.g),
-    "isi": lambda gc: isi_index(gc.g),
-}
 # Columns read per graph from the adjacency blocks of the stacks (_structure).
 _STRUCTURE = frozenset((
-    "dmin", "dmax", "min_degree_positive", "t_min", "t_max", "avg_degree", "diameter",
-    "connected", "connected2", "regular", "bipartite", "part1", "part2", "components",
-    "complete", "complete_bipartite", "balanced_complete_bipartite",
-    "regular_complete_multipartite", "regular_c4_free", "complement_term"))
+    "n", "m", "has_edge", "edgeless", "m1", "isi", "randic", "dmin", "dmax",
+    "min_degree_positive", "t_min", "t_max", "avg_degree", "diameter", "connected",
+    "connected2", "regular", "bipartite", "part1", "part2", "components", "complete",
+    "complete_bipartite", "balanced_complete_bipartite", "regular_complete_multipartite",
+    "regular_c4_free", "complement_term"))
+
+
+def upper_sums(x: np.ndarray) -> np.ndarray:
+    """The sum of the row-major upper triangle of each (n, n) matrix of x, the
+    edges() order where x holds per-edge terms: added left to right from 0
+    as _left_sum adds (np.cumsum adds in order, np.sum pairwise)."""
+    n = x.shape[-1]
+    terms = np.triu(x, 1).reshape(*x.shape[:-2], n * n)
+    return np.cumsum(terms, axis=-1, out=terms)[..., -1]
 
 
 def _distances(a: np.ndarray) -> np.ndarray:
@@ -110,18 +112,22 @@ def _distances(a: np.ndarray) -> np.ndarray:
 def _structure(a: np.ndarray) -> dict:
     """The _STRUCTURE columns of the graphs of a (count, n, n) boolean
     adjacency block (n >= 1), one value per graph, equal in value and dtype
-    to what structure_stats and the graphs predicates give: from the
-    degrees, A A (common neighbours; small integers, so exact in any
-    summation order) and the distances of each graph and of its complement.
-    Depths from each component's smallest vertex 2-colour it as
-    _component_depths does. complement_term is Python's sum (whose float
-    algorithm differs across Python versions) of a term per component of
+    to what Graph, structure_stats, the graphs predicates and the invariants
+    give (ISI, Randic and the complement term as floats even without edges):
+    from the degrees, A A (common neighbours; small integers, so exact in
+    any summation order) and the distances of each graph and of its
+    complement. Depths from each component's smallest vertex 2-colour it as
+    _component_depths does. complement_term adds a term per component of
     the complement, in order of smallest vertex."""
     count, n, _ = a.shape
     vertices = np.arange(n)
     deg = a.sum(axis=2)
     m = deg.sum(axis=1) // 2
     dmin, dmax = deg.min(axis=1), deg.max(axis=1)
+    product = deg[:, :, None] * deg[:, None, :]   # d_u d_v, read only at the edges
+    with np.errstate(divide="ignore", invalid="ignore"):
+        isi = np.where(a, product / (deg[:, :, None] + deg[:, None, :]), 0.0)
+        randic = np.where(a, 1.0 / np.sqrt(product), 0.0)
     x = a.astype(float)
     common = x @ x
     t_min = np.where(m > 0, np.where(a, common, math.inf).min(axis=(1, 2)), 0)
@@ -151,6 +157,13 @@ def _structure(a: np.ndarray) -> dict:
     terms = np.where(first, edges * (size - 1 - top) / size, 0.0)
     regular = dmin == dmax
     return {
+        "n": np.full(count, n),
+        "m": m,
+        "has_edge": m >= 1,
+        "edgeless": m == 0,
+        "m1": (deg * deg).sum(axis=1).astype(float),
+        "isi": upper_sums(isi),
+        "randic": upper_sums(randic),
         "dmin": dmin,
         "dmax": dmax,
         "min_degree_positive": dmin >= 1,
@@ -173,24 +186,24 @@ def _structure(a: np.ndarray) -> dict:
         "regular_complete_multipartite": (regular & connected & (n >= 2)
                                           & (cdeg[:, 0] == size - 1).all(axis=1)),
         "regular_c4_free": regular & c4_free,
-        "complement_term": np.array([sum(row) for row in terms.tolist()]),
+        "complement_term": _left_sum(terms.T),
     }
 
 
 class Frame:
     """The (graph, p) rows of graphs with vertices, graph by graph and p by p
-    within each: one 1-D array per quantity (_SPECTRAL, _GRAPH, _STRUCTURE
-    and the columns given), computed for every row on first read. graphs
-    and graph_ids hold each graph's GraphContext and id, and graph_index and
-    p_index give each row's graph and its p in p_values. stacks holds
-    (Spectra, rows, s, lap, comp, adj) per solved stack: the rows it holds
-    and their S_p, L_p, complement S_p and adjacency members. blocks holds
-    (members, adjacency) per stack: the indices in graphs of its graphs and
-    their (count, n, n) boolean adjacency matrices. take(mask)
-    gives a frame of the rows in mask, whose columns index this one's.
-    Reading a moment not given raises OverflowError: some row's moments left
-    the float range. Reads of the Estrada index are marked in the root
-    frame's read, for its overflow warning."""
+    within each: one 1-D array per quantity (_SPECTRAL, _STRUCTURE and the
+    columns given), computed for every row on first read. graphs and
+    graph_ids hold each Graph and its id, and graph_index and p_index give
+    each row's graph and its p in p_values. stacks holds (Spectra, rows, s,
+    lap, comp, adj) per solved stack: the rows it holds and their S_p, L_p,
+    complement S_p and adjacency members. blocks holds (members, adjacency)
+    per stack: the indices in graphs of its graphs and their (count, n, n)
+    boolean adjacency matrices. take(mask) gives a frame of the rows in
+    mask, whose columns index this one's. Reading a moment not given raises
+    OverflowError: some row's moments left the float range. Reads of the
+    Estrada index are marked in the root frame's read, for its overflow
+    warning."""
 
     def __init__(self, graphs, graph_ids, p_values, holds_tol, stacks=(), blocks=(),
                  root=None, rows=None, **columns):
@@ -216,8 +229,6 @@ class Frame:
     def __getattr__(self, name):
         if self._parent is not None:
             column = getattr(self._parent, name)[self._rows]
-        elif name in _GRAPH:
-            column = np.array([_GRAPH[name](gc) for gc in self.graphs])[self.graph_index]
         elif name in _STRUCTURE:
             # Every _STRUCTURE column at once: they share each block's distances.
             per_graph = {}
@@ -245,11 +256,6 @@ class Frame:
         rows = np.flatnonzero(mask)
         return Frame(self.graphs, self.graph_ids, self.p_values, self.holds_tol,
                      root=self._root, rows=rows if self._rows is None else self._rows[rows])
-
-    @property
-    def graph(self) -> list:
-        """The GraphContext of each row."""
-        return [self.graphs[i] for i in self.graph_index.tolist()]
 
     def where(self, mask, evaluate):
         """evaluate(the frame of the rows in mask) as (values, mask): a bound

@@ -22,8 +22,8 @@ from psombor.bounds import (
     OUTCOMES,
     BoundReport,
     Check,
-    GraphContext,
     _chunks,
+    _complement_parts,
     _evaluate,
     _violation_payload,
     all_checks,
@@ -268,17 +268,16 @@ THM4_12 = next(check for check in CHECKS if check.id == "thm4.12")
 THM4_12_P = (-1000.0, -1.0, 0.05, 0.5, 2.0, 1000.0)
 
 
-def _graph_context(g):
-    """The GraphContext of g, with its adjacency spectrum, from contexts()."""
-    return contexts([("g", g)], (1.0,)).graphs[0]
-
-
-def _adjacency_eigenvalues(gc):
-    return gc.spectra.eigenvalues[gc.member]
+def _subdivision(g):
+    """(the subdivision energy contexts() gives g, the adjacency spectrum it
+    gives it from)."""
+    f = contexts([("g", g)], (1.0,))
+    x, *_, adj = f.stacks[0]
+    return f.subdivision_energy[0], x.eigenvalues[adj[0]]
 
 
 def _rows(f, check):
-    """(graph id, GraphContext, p, the BoundReport of check) per row of f."""
+    """(graph id, graph, p, the BoundReport of check) per row of f."""
     report = _evaluate(check, f)[2]
     for r in range(f.size):
         i, b = f.graph_index[r], f.p_index[r]
@@ -297,8 +296,8 @@ def test_thm4_12_scaled_adjacency_energy_matches_per_p_solve(regular_all):
     # reference solves of S_p(S(G)) small (up to the K8 subdivision).
     graphs = [(gid, g) for gid, g in regular_all if g.n + g.m <= 36]
     assert "K5" in {gid for gid, _ in graphs}
-    for gid, gc, p, rep in _rows(contexts(graphs, THM4_12_P), THM4_12):
-        expected = graph_energy(sombor_decomposition(subdivision(gc.g), p))
+    for gid, g, p, rep in _rows(contexts(graphs, THM4_12_P), THM4_12):
+        expected = graph_energy(sombor_decomposition(subdivision(g), p))
         assert rep.value == pytest.approx(expected, rel=1e-14, abs=0), (gid, p)
 
 
@@ -308,10 +307,10 @@ def test_subdivision_energy_matches_closed_form(regular_all):
     # sqrt of a rounded zero is ~1e-8 on a bipartite G.
     assert len(regular_all) == 23
     for gid, g in regular_all:
-        gc = _graph_context(g)
+        energy, lams = _subdivision(g)
         k = structure_stats(g).max_degree
-        closed = 2.0 * sum(math.sqrt(max(0.0, k + lam)) for lam in _adjacency_eigenvalues(gc))
-        assert gc.subdivision_energy == pytest.approx(closed, rel=1e-7), gid
+        closed = 2.0 * sum(math.sqrt(max(0.0, k + lam)) for lam in lams)
+        assert energy == pytest.approx(closed, rel=1e-7), gid
 
 
 def _union(*graphs):
@@ -346,8 +345,7 @@ def test_subdivision_energy_matches_the_subdivision_solve(regular_all):
     assert {"K9", "K10", "K5,5"} <= {gid for gid, _ in regular_all}
     for gid, g in regular_all + REGULAR_UNIONS:
         expected = graph_energy(adjacency_decomposition(subdivision(g)))
-        assert _graph_context(g).subdivision_energy == pytest.approx(
-            expected, rel=1e-14, abs=0), gid
+        assert _subdivision(g)[0] == pytest.approx(expected, rel=1e-14, abs=0), gid
 
 
 @pytest.mark.parametrize("gid, g", REGULAR_UNIONS, ids=[gid for gid, _ in REGULAR_UNIONS])
@@ -358,8 +356,11 @@ def test_thm4_12_on_disconnected_regular_graphs_matches_per_p_solve(gid, g):
 
 
 def test_subdivision_energy_needs_a_regular_graph():
-    with pytest.raises(ValueError):
-        GraphContext(path_graph(3)).subdivision_energy
+    # NaN where thm4.12 does not apply: a graph that is not regular or has no
+    # edges.
+    graphs = [("P3", path_graph(3)), ("5K1", Graph(5)), ("C4", cycle_graph(4))]
+    energy = contexts(graphs, (1.0, 2.0)).subdivision_energy
+    assert np.isnan(energy[:4]).all() and np.isfinite(energy[4:]).all()
 
 
 def _stack_shapes(frames, k):
@@ -397,7 +398,7 @@ def test_suite_reads_every_spectrum_from_the_batch(monkeypatch, regular_all):
         monkeypatch.setattr(cls, "__init__", counted)
 
     monkeypatch.setattr(spectral, "jacobi_sweeps_batch", counting_batch)
-    for cls in (GraphContext, bounds.Frame, SpectralDecomposition):
+    for cls in (bounds.Frame, SpectralDecomposition):
         counting_init(cls)
     graphs, p_values = build_corpus("all"), (-1.0, 2.0)
     rep = run_suite(graphs, p_values=p_values, corpus_name="x")
@@ -409,12 +410,12 @@ def test_suite_reads_every_spectrum_from_the_batch(monkeypatch, regular_all):
     frames = _chunks(graphs, len(p_values), config.SUITE_FRAME_ENTRIES)
     assert len(frames) == 1
     assert stacks == _stack_shapes(frames, len(p_values))
-    # One context per graph, none for a complement, and one frame: no object
-    # per (graph, p), not even a view of one of its spectra.
-    assert built == {"GraphContext": len(graphs), "Frame": len(frames)}
-    # Calls without a context build their own through the same batch, also
+    # One frame: no object per graph or per (graph, p), not even a view of
+    # one of its spectra.
+    assert built == {"Frame": len(frames)}
+    # Calls without a frame build their own through the same batch, also
     # for thm5.9.1 with two complement parts to choose C1 from.
-    assert len(GraphContext(K1_JOIN_K23).complement_parts) == 2
+    assert len(_complement_parts(K1_JOIN_K23)) == 2
     for g in (K1_JOIN_K23, cycle_graph(5), Graph(1)):
         for run in (all_checks, check_moment_index_bounds, check_laplacian_bounds,
                     check_radius_bounds, check_energy_estrada_bounds, check_nordhaus_gaddum):
@@ -440,7 +441,7 @@ K1_JOIN_K23, WHEEL5 = _join_k1(complete_bipartite_graph(2, 3)), _join_k1(cycle_g
     (WHEEL5, 2.0, 21.010131504638522),
 ], ids=["K1+K2,3-p2", "K1+K2,3-p-1", "wheel-p2"])
 def test_thm5_9_1_takes_c1_with_the_largest_radius(g, p, upper):
-    assert len(GraphContext(g).complement_parts) == 2
+    assert len(_complement_parts(g)) == 2
     rep = by_id(check_nordhaus_gaddum(g, p), "thm5.9.1")
     assert rep.upper == upper and rep.holds
 
@@ -453,12 +454,11 @@ def test_thm4_12_identity_on_regular_circulants(g, p):
     stats = structure_stats(g)
     assert stats.is_regular and g.m >= 1
     k = stats.max_degree
-    gc = _graph_context(g)
+    energy, lams = _subdivision(g)
     direct = graph_energy(sombor_decomposition(subdivision(g), p))
-    assert direct == pytest.approx(edge_weight(2, k, p) * gc.subdivision_energy,
-                                   rel=1e-12, abs=0)
-    closed = 2.0 * sum(math.sqrt(max(0.0, k + lam)) for lam in _adjacency_eigenvalues(gc))
-    assert gc.subdivision_energy == pytest.approx(closed, rel=1e-7)
+    assert direct == pytest.approx(edge_weight(2, k, p) * energy, rel=1e-12, abs=0)
+    closed = 2.0 * sum(math.sqrt(max(0.0, k + lam)) for lam in lams)
+    assert energy == pytest.approx(closed, rel=1e-7)
 
 
 def test_lem5_4_equality_on_c4():
@@ -890,14 +890,12 @@ def test_contexts_match_the_scalar_decompositions():
     f = contexts(graphs, P_GRID)
     assert [(f.graph_ids[i], f.p_values[b]) for i, b in zip(f.graph_index, f.p_index)] == [
         (graph_id, p) for graph_id, _ in graphs for p in P_GRID]
-    assert [gc.g for gc in f.graphs] == [g for _, g in graphs]
+    assert f.graphs == [g for _, g in graphs]
     seen = []
     for x, rows, *members in f.stacks:
         for r, (s, lap, comp, adj) in zip(rows.tolist(), zip(*(m.tolist() for m in members))):
             i = f.graph_index[r]
-            graph_id, g, p = f.graph_ids[i], f.graphs[i].g, f.p_values[f.p_index[r]]
-            # The graph's adjacency member is the one its every row reads.
-            assert (f.graphs[i].spectra, f.graphs[i].member) == (x, adj), (graph_id, p)
+            graph_id, g, p = f.graph_ids[i], f.graphs[i], f.p_values[f.p_index[r]]
             assert (_bits(x.member(adj, "adjacency", None))
                     == _bits(adjacency_decomposition(g))), graph_id
             assert _bits(x.member(s, "p_sombor", p)) == _bits(sombor_decomposition(g, p)), (
@@ -951,12 +949,12 @@ def test_suite_builds_no_matrix_and_one_weight_per_degree_pair(monkeypatch):
     assert rep.graphs_checked == len(graphs)
     assert calls == {}
     # One call per distinct degree pair of a frame's graphs and complements,
-    # plus thm4.12's two on each regular graph with edges, at each p.
+    # plus thm4.12's one on each regular graph with edges, at each p.
     frames = _frames(graphs, len(P_GRID))
     assert len(frames) > 1
     expected = sum(len(set().union(*(_degree_pairs(g) | _degree_pairs(complement(g))
                                      for _, g in frame))) for frame in frames)
-    expected += sum(2 * (structure_stats(g).is_regular and g.m >= 1) for _, g in graphs)
+    expected += sum(structure_stats(g).is_regular and g.m >= 1 for _, g in graphs)
     assert weights == dict.fromkeys(P_GRID, expected)
 
 
@@ -1083,10 +1081,10 @@ def test_suite_work_on_all_at_five_p_is_pinned(monkeypatch):
 
 
 def test_suite_walks_graphs_only_where_a_check_needs_them(monkeypatch):
-    # The structure columns come from the stacks' adjacency blocks. Only
-    # thm4.12's subdivision energy reads structure_stats, of the regular
-    # graphs with edges, and only thm5.9.1's choice of C1 builds complements,
-    # of the graphs with deg_max = n - 1: once per graph, under either name.
+    # The structure columns come from the stacks' adjacency blocks, so no
+    # structure_stats runs, and only thm5.9.1's choice of C1 builds
+    # complements, of the graphs with deg_max = n - 1: once per graph, under
+    # either name.
     import psombor.graphs as graphs_module
 
     seen = {"structure_stats": [], "complement": []}
@@ -1097,11 +1095,9 @@ def test_suite_walks_graphs_only_where_a_check_needs_them(monkeypatch):
         for module in (bounds, graphs_module):
             monkeypatch.setattr(module, name, counted)
     graphs = build_corpus("all")
-    regular = [g for _, g in graphs if g.m >= 1 and min(g.degrees) == max(g.degrees)]
     full = [g for _, g in graphs if max(g.degrees) == g.n - 1]
-    assert (len(regular), len(full)) == (23, 45)
     assert run_suite(graphs, P_GRID).ok
-    assert sorted(map(id, seen["structure_stats"])) == sorted(map(id, regular))
+    assert (len(seen["structure_stats"]), len(seen["complement"])) == (0, 45)
     assert sorted(map(id, seen["complement"])) == sorted(map(id, full))
 
 
@@ -1233,6 +1229,17 @@ def test_pinned_digests_hold_under_a_compensated_sum(monkeypatch):
     test_suite_violation_payloads_are_pinned()
     for corpus in WIDE_P_DIGESTS:
         test_suite_output_digest_is_pinned_over_wide_p(corpus)
+
+
+def test_complement_term_holds_under_a_compensated_sum(monkeypatch):
+    # thm5.10's term over a complement of three components with edges, whose
+    # last bit a compensated sum changes: the frame adds left to right.
+    g = complement(_union(Graph(5, [(0, 1), (0, 3), (1, 4), (2, 3), (2, 4)]),
+                          Graph(5, [(0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]),
+                          Graph(5, [(0, 2), (1, 4), (2, 3), (3, 4)])))
+    monkeypatch.setattr("psombor.frame.sum", _compensated_sum, raising=False)
+    term = contexts([("g", g)], (2.0,)).complement_term[0]
+    assert float(term).hex() == "0x1.3333333333334p+2"
 
 
 @pytest.mark.parametrize("name, g", [

@@ -428,8 +428,9 @@ def test_csv_rows_are_the_json_records(name, p4_file, capsys):
 
 
 # sha256 of the table and CSV outputs, recorded before both were rendered
-# from the JSON records. None of them sums floats in Python, whose rounding
-# changed in Python 3.12, so the pins hold on every supported Python.
+# from the JSON records. Every float sum behind them adds left to right
+# (invariants._left_sum), not by builtin sum, whose rounding changed in
+# Python 3.12, so the pins hold on every supported Python.
 PINNED_OUTPUTS = {
     ("verify", "table"): "b38bd0592314b2a7aa74de919e6cd8346c3b364be498b354bec058add1f94b15",
     ("verify", "csv"): "9776b062319209bacff6fd5267d784bdd0d46c15abb7bfee58a1065c7a50e07a",
@@ -447,6 +448,31 @@ def test_table_and_csv_outputs_are_pinned(name, fmt, capsys):
     assert run(COMMANDS[name] + ["--format", fmt]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED_OUTPUTS[name, fmt]
+
+
+# sha256 of every format of the other three commands: spectrum's Estrada
+# sums and indices, and the regression moments of regress and reproduce.
+PINNED_SUM_OUTPUTS = {
+    ("spectrum", "json"): "fa63636598d9bc70c28253d615649dac490c9fa22fafead842319fcdbd6fa8d9",
+    ("spectrum", "table"): "017a1e51593157fc7aa929b2f0a46a86ea5cc6f0f0c660ccddf4a135e371dfdf",
+    ("spectrum", "csv"): "1f2b491a9f456815c1b11afcc22fee13766a324cbb5218933e7e7c08620bf0b9",
+    ("regress", "json"): "f692bf75fddcbced7131d9debb5c76cd3eea673b998df6f89a5010a1a547ce46",
+    ("regress", "table"): "9dd509f2228db1a4172727968760baf9fec42ae378b3ebb47b6d927273604e39",
+    ("regress", "csv"): "c8ef088bd3a2333f582b66bafaa9cab60f268c787d06dfecbf4a42d9ab47791d",
+    ("reproduce", "json"): "6163320b6e2f1522fb2b26f6f2470e4a2e1f4cb5bd6151d7b8f928c39136b218",
+    ("reproduce", "table"): "ce90d80dd4a21f97bf56a559ea2b889bbaef0815043e97b75d7761e347cc01f9",
+    ("reproduce", "csv"): "bbfc4454f5f9e386674b0fb6d1277ce0b2b4566b40386efb609f356307eb3581",
+}
+
+
+@pytest.mark.filterwarnings("ignore:spectral radius too large for exp")
+@pytest.mark.parametrize("name, fmt", list(PINNED_SUM_OUTPUTS))
+def test_spectrum_regress_and_reproduce_outputs_are_pinned(name, fmt, p4_file, capsys):
+    # reproduce exits 2 for the octane table's row-9 erratum
+    argv = COMMANDS[name] + (["--input", p4_file] if name == "spectrum" else [])
+    assert run(argv + ["--format", fmt]) == (2 if name == "reproduce" else 0)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_SUM_OUTPUTS[name, fmt]
 
 
 def test_console_entry_point():

@@ -409,9 +409,8 @@ def test_path_and_star_flags_match_their_keys(n):
     # star, also at the negative p where the star is not the maximum
     path_key = tree_canonical_key(path_graph(n))
     star_key = tree_canonical_key(star_graph(n))
-    catalog = enumerate_trees(n)
     for p in (-1000.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 1000.0):
-        report = verify_tree_extremes(n, p, catalog)
+        report = verify_tree_extremes(n, p)
         assert report.min_is_path == (report.min_key == path_key)
         assert report.max_is_star == (report.max_key == star_key)
 
@@ -521,12 +520,9 @@ def test_repeated_shifts_reach_star():
     assert sorted(g.degrees) == [1] * 5 + [5]
 
 
-def test_tree_extremes_reuses_a_given_catalog():
+def test_tree_extremes_equal_the_extremes_over_the_catalog():
+    # the public call builds no catalog, and reports what every tree's
+    # radius in enumerate_trees gives
     catalog = enumerate_trees(8)
-    for p in (1.0, 2.0):
-        given = verify_tree_extremes(8, p, catalog)
-        assert given == verify_tree_extremes(8, p)
-    with pytest.raises(ValueError):
-        verify_tree_extremes(9, 2.0, catalog)
-    with pytest.raises(ValueError):
-        verify_tree_extremes(8, 2.0, enumerate_trees(8, max_degree=3))
+    for p, radii in zip((1.0, 2.0), bipartite_radii(catalog.trees, (1.0, 2.0))):
+        assert verify_tree_extremes(8, p) == _plain_extremes(catalog, p, radii)

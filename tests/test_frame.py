@@ -1,8 +1,8 @@
 """The frame's helpers give what Python's scalar arithmetic gives, row by row:
 the same values (NaN, signed zeros and infinities included) and the same
 exceptions. Its spectral columns give what each row's own decompositions
-gave, and its structure columns what structure_stats and the graphs
-predicates give for each graph."""
+gave, and its structure columns what Graph, structure_stats, the graphs
+predicates and the invariants give for each graph."""
 
 import math
 
@@ -29,6 +29,7 @@ from psombor.graphs import (
     random_gnm,
     structure_stats,
 )
+from psombor.invariants import _left_sum, first_zagreb, isi_index, randic_index
 
 NAN, INF = math.nan, math.inf
 P_GRID = (-1.0, 0.5, 1.0, 2.0, 3.0)
@@ -162,14 +163,22 @@ def test_spectral_columns_equal_the_per_member_formulas():
 
 def _old_structure(g):
     """Each structure column of one graph by the per-graph formula it had,
-    from structure_stats and the graphs predicates. complement_term is a
-    float even where the graph's complement has no edges (Python's empty sum
-    is the int 0): the column is float64 in every frame."""
+    from Graph, structure_stats, the graphs predicates and the invariants.
+    ISI, Randic and complement_term are floats even where the graph or its
+    complement has no edges (the empty sum is the int 0): those columns are
+    float64 in every frame."""
     stats = structure_stats(g)
     h = complement(g)
     parts = [induced_subgraph(h, comp) for comp in connected_components(h) if len(comp) > 1]
     part1, part2 = stats.bipartition_sizes or (0, 0)
     return {
+        "n": g.n,
+        "m": g.m,
+        "has_edge": g.m >= 1,
+        "edgeless": g.m == 0,
+        "m1": first_zagreb(g),
+        "isi": float(isi_index(g)),
+        "randic": float(randic_index(g)),
         "dmin": stats.min_degree,
         "dmax": stats.max_degree,
         "min_degree_positive": stats.min_degree >= 1,
@@ -189,7 +198,8 @@ def _old_structure(g):
         "balanced_complete_bipartite": is_balanced_complete_bipartite(g),
         "regular_complete_multipartite": stats.is_regular and is_complete_multipartite(g),
         "regular_c4_free": stats.is_regular and is_c4_free(g),
-        "complement_term": float(sum(x.m * (x.n - 1 - max(x.degrees)) / x.n for x in parts)),
+        "complement_term": float(_left_sum(x.m * (x.n - 1 - max(x.degrees)) / x.n
+                                           for x in parts)),
     }
 
 
