@@ -36,12 +36,9 @@ from .frame import minimum as _min, power as _pow, sqrt as _sqrt, upper_sums
 from .graphs import (
     Graph,
     bipartite_component_count,
-    complement,
     complete_bipartite_graph,
     complete_graph,
-    connected_components,
     cycle_graph,
-    induced_subgraph,
     path_graph,
     random_connected_gnm,
     structure_stats,  # not called here: perfbench's tracer patches bounds.structure_stats
@@ -49,10 +46,8 @@ from .graphs import (
 from .invariants import _left_sum, _warn_exp_overflow
 from .spectral import (
     _by_size,
-    build_sombor_matrix,
     decompose_stack,
     edge_weight,
-    eigen_decompose_many,
 )
 
 OUTCOMES = ("pass", "fail", "na", "observe_pass", "observe_fail")
@@ -286,34 +281,10 @@ def _thm5_7(f):
     return f.energy, None, a + _sqrt(_max(0.0, inner))
 
 
-def _complement_parts(g: Graph) -> list[Graph]:
-    """The components of g's complement that have edges, by smallest vertex."""
-    h = complement(g)
-    return [induced_subgraph(h, comp) for comp in connected_components(h) if len(comp) > 1]
-
-
-def _c1_term(parts, p, root):
-    """2^(1/p) deg_max sqrt(2 m - deg_min (n - 1 - deg_max) - deg_max) of C1,
-    the complement part with the largest radius (0 without parts)."""
-    if not parts:
-        return 0.0
-    # C1 is a choice only among two or more; index keeps the first of a tie.
-    c1 = parts[0]
-    if len(parts) > 1:
-        radii = [dec.radius for dec in eigen_decompose_many(
-            [(build_sombor_matrix(h, p), "p_sombor", p) for h in parts])]
-        c1 = parts[radii.index(max(radii))]
-    dmin, dmax = min(c1.degrees), max(c1.degrees)
-    inner = 2 * c1.m - dmin * (c1.n - 1 - dmax) - dmax
-    return root * dmax * math.sqrt(max(0.0, inner))
-
-
 def _thm5_9_1(f):
     n, root = f.n, f.root
     first = root * (n - 1) * _sqrt(_max(0.0, 2 * f.m - n + 1))
-    index = f.graph_index.tolist()
-    parts = {i: _complement_parts(f.graphs[i]) for i in set(index)}
-    return f.xi1_sum, None, first + _each(_c1_term, [parts[i] for i in index], f.p, root)
+    return f.xi1_sum, None, first + root * f.c1_dmax * _sqrt(_max(0.0, f.c1_inner))
 
 
 def _thm5_9_2(f):

@@ -8,8 +8,11 @@ Every column comes from one of three places: the values contexts sets
 stacks the rows were solved in (_SPECTRAL), or the one boolean adjacency
 block per stack that contexts keeps (_STRUCTURE: the p-independent
 structure of each graph and of its complement, in NumPy, with no per-graph
-traversal and no complement Graph). The last two are computed for every
-row on first read. A check evaluates once per frame.
+traversal and no complement Graph). thm5.9.1's C1 columns read both a
+stack and its block: a per-vertex value of the complement's components,
+at the vertex where the complement S_p's top eigenvalue ended. The last
+two are computed for every row on first read. A check evaluates once per
+frame.
 
 The helpers below reproduce Python's scalar arithmetic bit for bit. + - * /
 and sqrt are correctly rounded in NumPy too, but on SIMD paths np.power and
@@ -78,13 +81,14 @@ _SPECTRAL = {
     "energy_c": lambda x, comp, **_: abs(x.eigenvalues[comp]).sum(axis=1),
     "mu1": lambda x, adj, **_: x.eigenvalues[adj, 0],
 }
-# Columns read per graph from the adjacency blocks of the stacks (_structure).
+# Columns read per graph from the adjacency blocks of the stacks (_structure);
+# c1_dmax and c1_inner per row, at the vertex of C1 (Frame.__getattr__).
 _STRUCTURE = frozenset((
     "n", "m", "has_edge", "edgeless", "m1", "isi", "randic", "dmin", "dmax",
     "min_degree_positive", "t_min", "t_max", "avg_degree", "diameter", "connected",
     "connected2", "regular", "bipartite", "part1", "part2", "components", "complete",
     "complete_bipartite", "balanced_complete_bipartite", "regular_complete_multipartite",
-    "regular_c4_free", "complement_term"))
+    "regular_c4_free", "complement_term", "c1_dmax", "c1_inner"))
 
 
 def upper_sums(x: np.ndarray) -> np.ndarray:
@@ -118,7 +122,8 @@ def _structure(a: np.ndarray) -> dict:
     any summation order) and the distances of each graph and of its
     complement. Depths from each component's smallest vertex 2-colour it as
     _component_depths does. complement_term adds a term per component of
-    the complement, in order of smallest vertex."""
+    the complement, in order of smallest vertex. c1_dmax and c1_inner have
+    a value per vertex, (count, n), of its component of the complement."""
     count, n, _ = a.shape
     vertices = np.arange(n)
     deg = a.sum(axis=2)
@@ -154,6 +159,7 @@ def _structure(a: np.ndarray) -> dict:
     first = creach.argmax(axis=2) == vertices
     edges = (creach * cdeg).sum(axis=2) // 2
     top = np.where(creach, cdeg, 0).max(axis=2)
+    low = np.where(creach, cdeg, n).min(axis=2)
     terms = np.where(first, edges * (size - 1 - top) / size, 0.0)
     regular = dmin == dmax
     return {
@@ -187,6 +193,10 @@ def _structure(a: np.ndarray) -> dict:
                                           & (cdeg[:, 0] == size - 1).all(axis=1)),
         "regular_c4_free": regular & c4_free,
         "complement_term": _left_sum(terms.T),
+        # per vertex, of its complement component C: thm5.9.1's deg_max(C)
+        # and 2 m(C) - deg_min(C) (n(C) - 1 - deg_max(C)) - deg_max(C)
+        "c1_dmax": top,
+        "c1_inner": 2 * edges - low * (size - 1 - top) - top,
     }
 
 
@@ -198,12 +208,12 @@ class Frame:
     each row's graph and its p in p_values. stacks holds (Spectra, rows, s,
     lap, comp, adj) per solved stack: the rows it holds and their S_p, L_p,
     complement S_p and adjacency members. blocks holds (members, adjacency)
-    per stack: the indices in graphs of its graphs and their (count, n, n)
-    boolean adjacency matrices. take(mask) gives a frame of the rows in
-    mask, whose columns index this one's. Reading a moment not given raises
-    OverflowError: some row's moments left the float range. Reads of the
-    Estrada index are marked in the root frame's read, for its overflow
-    warning."""
+    per stack, in the same order: the indices in graphs of its graphs and
+    their (count, n, n) boolean adjacency matrices. take(mask) gives a frame
+    of the rows in mask, whose columns index this one's. Reading a moment
+    not given raises OverflowError: some row's moments left the float range.
+    Reads of the Estrada index are marked in the root frame's read, for its
+    overflow warning."""
 
     def __init__(self, graphs, graph_ids, p_values, holds_tol, stacks=(), blocks=(),
                  root=None, rows=None, **columns):
@@ -230,14 +240,17 @@ class Frame:
         if self._parent is not None:
             column = getattr(self._parent, name)[self._rows]
         elif name in _STRUCTURE:
-            # Every _STRUCTURE column at once: they share each block's distances.
-            per_graph = {}
-            for members, block in self.blocks:
+            # Every _STRUCTURE column at once: they share each block's
+            # distances. A per-vertex column is read, in each row, at C1's
+            # vertex, where the complement S_p's top eigenvalue ended.
+            k = len(self.p_values)
+            for (members, block), (x, rows, _, _, comp, _) in zip(self.blocks, self.stacks):
+                c1 = x.order[comp, 0].reshape(len(members), k)
                 for key, values in _structure(block).items():
-                    per_graph.setdefault(key, np.empty(len(self.graphs), values.dtype))
-                    per_graph[key][members] = values
-            for key, values in per_graph.items():
-                setattr(self, key, values[self.graph_index])
+                    values = (np.take_along_axis(values, c1, axis=1) if values.ndim == 2
+                              else np.repeat(values, k))
+                    column = vars(self).setdefault(key, np.empty(self.size, values.dtype))
+                    column[rows] = values.ravel()
             return vars(self)[name]
         elif name in _SPECTRAL:
             parts = [(rows, _SPECTRAL[name](x, s=s, lap=lap, comp=comp, adj=adj))

@@ -1,9 +1,11 @@
 """Simple undirected graphs: construction, generators, transforms, statistics.
 
 Vertices are the contiguous ids 0..n-1. Graphs are immutable after
-construction and safe to share; every structural quantity used elsewhere
-(degrees, bridges, diameter, bipartition, common-neighbour counts) is
-computed here. Components, distances and 2-colourings all come from one
+construction and safe to share. The per-graph structural quantities
+(degrees, bridges, diameter, bipartition, common-neighbour counts) are
+computed here; verify reads the same quantities of whole blocks of graphs
+from their adjacency matrices (psombor.frame), with these functions as the
+oracle. Components, distances and 2-colourings all come from one
 breadth-first search, _bfs; bridges from a depth-first low-link search.
 """
 

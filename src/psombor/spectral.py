@@ -156,7 +156,11 @@ class SpectralDecomposition:
 @dataclass
 class Spectra:
     """The spectra of a stack of B matrices, row i for member i; member(i,
-    kind, p) views one as a SpectralDecomposition of that kind and p."""
+    kind, p) views one as a SpectralDecomposition of that kind and p.
+    order[i, j] is the diagonal position where member i's j-th eigenvalue
+    ended. The kernel never rotates an exact zero a_pq, so a member that is
+    block-diagonal up to a permutation stays so, and each eigenvalue ends at
+    a position of the block it belongs to."""
 
     eigenvalues: np.ndarray               # (B, n), descending
     eigenvectors: np.ndarray | None       # (B, n, n)
@@ -165,6 +169,7 @@ class Spectra:
     sweeps: np.ndarray
     scale: np.ndarray
     norm: np.ndarray
+    order: np.ndarray                     # (B, n)
 
     def member(self, i: int, kind: str, p: float | None) -> SpectralDecomposition:
         vectors = None if self.eigenvectors is None else self.eigenvectors[i]
@@ -234,8 +239,10 @@ def decompose_stack(stack: np.ndarray, want_vectors: bool = False) -> Spectra:
     2^-e to put its largest |entry| in [1/2, 1) (exact, and the squares of
     tiny entries cannot underflow); eigenvalues, residual and norm are scaled
     back. With eigenvectors, each must have ||M v - lambda v|| <=
-    VECTOR_RESIDUAL_FACTOR * scale, where scale is max(1, ||M||_F). An
-    empty stack has empty spectra.
+    VECTOR_RESIDUAL_FACTOR * scale, where scale is max(1, ||M||_F). The
+    eigenvalues are the diagonal sorted by a stable sort, which puts the
+    first position of tied values first, and order keeps those positions.
+    An empty stack has empty spectra.
     """
     b, n = stack.shape[:2]
     flat = stack.reshape(b, n * n)
@@ -279,7 +286,7 @@ def decompose_stack(stack: np.ndarray, want_vectors: bool = False) -> Spectra:
     n_pos = (eigenvalues > zero_tol).sum(axis=1)
     n_neg = (eigenvalues < -zero_tol).sum(axis=1)
     inertia = np.stack((n_pos, n - n_pos - n_neg, n_neg), axis=1)
-    return Spectra(eigenvalues, vectors, inertia, residual, sweeps, scale, true_norm)
+    return Spectra(eigenvalues, vectors, inertia, residual, sweeps, scale, true_norm, order)
 
 
 def eigen_decompose(matrix: np.ndarray, want_vectors: bool = False,

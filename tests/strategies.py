@@ -86,6 +86,16 @@ def unions(draw, max_parts: int = 3) -> Graph:
     return _shuffled_union(draw, parts)
 
 
+@st.composite
+def k1_joins(draw, max_parts: int = 4) -> Graph:
+    """K1 joined to a graph whose complement is K1 and 2..max_parts graphs
+    on at most 5 vertices, vertices shuffled: the complement of their union."""
+    from psombor.graphs import complement
+
+    parts = [Graph(1)] + [draw(graphs(5)) for _ in range(draw(st.integers(2, max_parts)))]
+    return complement(_shuffled_union(draw, parts))
+
+
 def _shuffled_union(draw, parts) -> Graph:
     """The disjoint union of parts, its vertices relabelled by a drawn
     permutation."""

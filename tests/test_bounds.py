@@ -7,13 +7,14 @@ import json
 import math
 import operator
 import pkgutil
+import random
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from strategies import circulants, nonzero_p
+from strategies import circulants, k1_joins, nonzero_p
 
 import psombor
 from psombor import bounds, config
@@ -23,7 +24,6 @@ from psombor.bounds import (
     BoundReport,
     Check,
     _chunks,
-    _complement_parts,
     _evaluate,
     _violation_payload,
     all_checks,
@@ -46,7 +46,9 @@ from psombor.graphs import (
     complement,
     complete_bipartite_graph,
     complete_graph,
+    connected_components,
     cycle_graph,
+    induced_subgraph,
     path_graph,
     random_connected_gnm,
     star_graph,
@@ -413,14 +415,22 @@ def test_suite_reads_every_spectrum_from_the_batch(monkeypatch, regular_all):
     # One frame: no object per graph or per (graph, p), not even a view of
     # one of its spectra.
     assert built == {"Frame": len(frames)}
-    # Calls without a frame build their own through the same batch, also
-    # for thm5.9.1 with two complement parts to choose C1 from.
-    assert len(_complement_parts(K1_JOIN_K23)) == 2
+    # Calls without a frame build their own through the same batch: one
+    # kernel call per stack, also for thm5.9.1 with two complement parts to
+    # choose C1 from.
     for g in (K1_JOIN_K23, cycle_graph(5), Graph(1)):
         for run in (all_checks, check_moment_index_bounds, check_laplacian_bounds,
                     check_radius_bounds, check_energy_estrada_bounds, check_nordhaus_gaddum):
             assert run(g, 2.0)
+    assert _parts_with_edges(K1_JOIN_K23) == 2
+    stacks.clear()
     assert by_id(all_checks(K1_JOIN_K23, 2.0), "thm5.9.1").applicable
+    assert stacks == _stack_shapes([[("g", K1_JOIN_K23)]], 1) == [(6, 6, 4)]
+
+
+def _parts_with_edges(g):
+    """The number of components of g's complement that have edges."""
+    return sum(len(c) > 1 for c in connected_components(complement(g)))
 
 
 def _join_k1(g):
@@ -441,9 +451,40 @@ K1_JOIN_K23, WHEEL5 = _join_k1(complete_bipartite_graph(2, 3)), _join_k1(cycle_g
     (WHEEL5, 2.0, 21.010131504638522),
 ], ids=["K1+K2,3-p2", "K1+K2,3-p-1", "wheel-p2"])
 def test_thm5_9_1_takes_c1_with_the_largest_radius(g, p, upper):
-    assert len(_complement_parts(g)) == 2
+    assert _parts_with_edges(g) == 2
     rep = by_id(check_nordhaus_gaddum(g, p), "thm5.9.1")
     assert rep.upper == upper and rep.holds
+
+
+def _thm5_9_1_upper_per_part(g, p):
+    """thm5.9.1's upper bound by solving each complement component with
+    edges on its own: the complement, its components as induced subgraphs,
+    one solve per part and C1 the first part with the largest radius."""
+    h = complement(g)
+    parts = [induced_subgraph(h, c) for c in connected_components(h) if len(c) > 1]
+    root = 2.0 ** (1.0 / p)
+    upper = root * (g.n - 1) * math.sqrt(max(0.0, 2 * g.m - g.n + 1))
+    if not parts:
+        return upper + 0.0
+    radii = [sombor_decomposition(part, p).radius for part in parts]
+    c1 = parts[radii.index(max(radii))]
+    dmin, dmax = min(c1.degrees), max(c1.degrees)
+    return upper + root * dmax * math.sqrt(max(0.0, 2 * c1.m - dmin * (c1.n - 1 - dmax) - dmax))
+
+
+C1_P = (-3.0, -1.0, -0.5, 0.5, 1.0, 2.0, 7.5)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(k1_joins())
+def test_thm5_9_1_c1_equals_the_per_part_choice(g):
+    # The frame takes C1 where the complement S_p's top eigenvalue ended in
+    # the one solve of the stack; solving each part on its own picks the
+    # same part, or a tied one with the same bound, to the bit.
+    f = contexts([("g", g)], C1_P)
+    report = _evaluate(next(c for c in CHECKS if c.id == "thm5.9.1"), f)[2]
+    for r, p in enumerate(C1_P):
+        assert report(r).upper == _thm5_9_1_upper_per_part(g, p), p
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=20)
@@ -1038,6 +1079,45 @@ def test_suite_violation_payloads_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == VIOLATIONS_DIGEST
 
 
+def _multi_part_corpus(count: int = 40):
+    """K1+K2,3, the wheel K1+C4 and seeded K1-joins whose complements are K1
+    and 2-4 connected G(n, m) parts on 2-4 vertices, relabelled: the
+    corpora above never have two complement components with edges, so this
+    one is where thm5.9.1 chooses C1."""
+    out = [("K1+K2,3", K1_JOIN_K23), ("W5", WHEEL5)]
+    for i in range(count):
+        rng = random.Random(i)
+        parts = [Graph(1)]
+        for _ in range(rng.randint(2, 4)):
+            n = rng.randint(2, 4)
+            parts.append(random_connected_gnm(n, rng.randint(n - 1, n * (n - 1) // 2),
+                                              rng.randrange(2**32)))
+        union = _union(*parts)
+        label = list(range(union.n))
+        rng.shuffle(label)
+        out.append((f"join{i}", complement(Graph(union.n, [(label[u], label[v])
+                                                           for u, v in union.edges()]))))
+    return out
+
+
+# run_suite(_multi_part_corpus()) at p = -1, 2, with the default tolerance
+# and with holds_tol = -1, whose violation payloads carry every thm5.9.1 upper.
+MULTI_PART_DIGESTS = {
+    None: "929334c5c9813180e6cc4596e1a5080b8c8eebf01e7827f9b91ae1a26e6f4d12",
+    -1.0: "65e1e75d21ff32b9515dadd1e88dc0e520aa2466bc05ee5fb328e2a3d4dfeb61",
+}
+
+
+@pytest.mark.parametrize("holds_tol", sorted(MULTI_PART_DIGESTS, key=str))
+def test_suite_digest_on_multi_part_complements_is_pinned(holds_tol):
+    graphs = _multi_part_corpus()
+    assert all(_parts_with_edges(g) >= 2 for _, g in graphs)
+    rep = run_suite(graphs, p_values=(-1.0, 2.0), holds_tol=holds_tol, corpus_name="joins")
+    assert rep.counts["thm5.9.1"]["pass" if holds_tol is None else "fail"] == 2 * len(graphs)
+    text = json.dumps(rep.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == MULTI_PART_DIGESTS[holds_tol]
+
+
 def test_suite_evaluates_each_check_once_per_chunk(monkeypatch):
     # The 3,871 violations above are read from their checks' evaluations of
     # the frame: no flagged row is evaluated again.
@@ -1080,25 +1160,26 @@ def test_suite_work_on_all_at_five_p_is_pinned(monkeypatch):
     assert stacks == _stack_shapes([graphs], len(P_GRID))
 
 
-def test_suite_walks_graphs_only_where_a_check_needs_them(monkeypatch):
-    # The structure columns come from the stacks' adjacency blocks, so no
-    # structure_stats runs, and only thm5.9.1's choice of C1 builds
-    # complements, of the graphs with deg_max = n - 1: once per graph, under
-    # either name.
+def test_suite_builds_no_complement_and_no_structure_stats(monkeypatch):
+    # The structure columns, thm5.9.1's C1 among them, come from the stacks'
+    # adjacency blocks and spectra: no graph is walked, under any name a
+    # psombor module holds the two functions by.
     import psombor.graphs as graphs_module
 
+    modules = [importlib.import_module(f"psombor.{info.name}")
+               for info in pkgutil.iter_modules(psombor.__path__) if info.name != "__main__"]
     seen = {"structure_stats": [], "complement": []}
     for name, calls in seen.items():
-        def counted(g, fn=getattr(graphs_module, name), calls=calls):
+        fn = getattr(graphs_module, name)
+
+        def counted(g, fn=fn, calls=calls):
             calls.append(g)
             return fn(g)
-        for module in (bounds, graphs_module):
-            monkeypatch.setattr(module, name, counted)
-    graphs = build_corpus("all")
-    full = [g for _, g in graphs if max(g.degrees) == g.n - 1]
-    assert run_suite(graphs, P_GRID).ok
-    assert (len(seen["structure_stats"]), len(seen["complement"])) == (0, 45)
-    assert sorted(map(id, seen["complement"])) == sorted(map(id, full))
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    assert run_suite(build_corpus("all"), P_GRID).ok
+    assert (len(seen["structure_stats"]), len(seen["complement"])) == (0, 0)
 
 
 def test_suite_judges_a_raising_frame_again_by_halves(monkeypatch):

@@ -2,7 +2,8 @@
 the same values (NaN, signed zeros and infinities included) and the same
 exceptions. Its spectral columns give what each row's own decompositions
 gave, and its structure columns what Graph, structure_stats, the graphs
-predicates and the invariants give for each graph."""
+predicates and the invariants give for each graph (thm5.9.1's C1 columns:
+what solving each complement component on its own gives, at each p)."""
 
 import math
 
@@ -30,6 +31,7 @@ from psombor.graphs import (
     structure_stats,
 )
 from psombor.invariants import _left_sum, first_zagreb, isi_index, randic_index
+from psombor.spectral import sombor_decomposition
 
 NAN, INF = math.nan, math.inf
 P_GRID = (-1.0, 0.5, 1.0, 2.0, 3.0)
@@ -161,16 +163,30 @@ def test_spectral_columns_equal_the_per_member_formulas():
         assert column.tobytes() == expected.tobytes(), name
 
 
+def _c1(parts, p):
+    """thm5.9.1's deg_max and 2 m - deg_min (n - 1 - deg_max) - deg_max of
+    C1, the first complement part with edges of the largest radius at p (0
+    and 0 without parts)."""
+    if not parts:
+        return 0, 0
+    radii = [sombor_decomposition(x, p).radius for x in parts]
+    x = parts[radii.index(max(radii))]
+    dmin, dmax = min(x.degrees), max(x.degrees)
+    return dmax, 2 * x.m - dmin * (x.n - 1 - dmax) - dmax
+
+
 def _old_structure(g):
     """Each structure column of one graph by the per-graph formula it had,
-    from Graph, structure_stats, the graphs predicates and the invariants.
-    ISI, Randic and complement_term are floats even where the graph or its
-    complement has no edges (the empty sum is the int 0): those columns are
-    float64 in every frame."""
+    from Graph, structure_stats, the graphs predicates and the invariants;
+    the C1 columns, one value per p of P_GRID, by solving each complement
+    part on its own. ISI, Randic and complement_term are floats even where
+    the graph or its complement has no edges (the empty sum is the int 0):
+    those columns are float64 in every frame."""
     stats = structure_stats(g)
     h = complement(g)
     parts = [induced_subgraph(h, comp) for comp in connected_components(h) if len(comp) > 1]
     part1, part2 = stats.bipartition_sizes or (0, 0)
+    c1 = [_c1(parts, p) for p in P_GRID]
     return {
         "n": g.n,
         "m": g.m,
@@ -200,6 +216,8 @@ def _old_structure(g):
         "regular_c4_free": stats.is_regular and is_c4_free(g),
         "complement_term": float(_left_sum(x.m * (x.n - 1 - max(x.degrees)) / x.n
                                            for x in parts)),
+        "c1_dmax": [dmax for dmax, _ in c1],
+        "c1_inner": [inner for _, inner in c1],
     }
 
 
@@ -208,7 +226,9 @@ def _assert_structure_columns_are_the_oracle(graphs):
     rows = [_old_structure(g) for _, g in graphs]
     assert set(rows[0]) == _STRUCTURE
     for name in sorted(_STRUCTURE):
-        expected = np.array([row[name] for row in rows])[frame.graph_index]
+        expected = np.array([row[name] for row in rows])
+        # a C1 column has a value per row, graph by graph and p by p
+        expected = expected.ravel() if expected.ndim == 2 else expected[frame.graph_index]
         column = getattr(frame, name)
         assert column.dtype == expected.dtype, name
         assert column.tobytes() == expected.tobytes(), name

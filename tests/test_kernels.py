@@ -85,6 +85,37 @@ def test_batch_keeps_signed_zeros_of_skipped_rotations():
     assert stack[0, 0, 1] == 1.0 and stack[1, 1, 1] == 2.0
 
 
+def test_block_diagonal_members_stay_block_diagonal():
+    # Random symmetric members, each block-diagonal in 2-4 blocks up to a
+    # random permutation: every a_pq between two blocks is exactly 0, so the
+    # kernel skips its rotation and no rotation within a block moves it. The
+    # top eigenvalue then ends at a position of the block whose own solve has
+    # the largest radius, wherever that block is clear of the others.
+    from psombor.spectral import decompose_stack
+
+    rng = np.random.default_rng(38)
+    members = clear = 0
+    for n in (3, 5, 8, 12):
+        labels = [rng.permutation(np.arange(n) % rng.integers(2, min(n, 4) + 1))
+                  for _ in range(75)]
+        same = np.stack([label[:, None] == label[None, :] for label in labels])
+        mats = [np.where(s, _random_symmetric(rng, n), 0.0) for s in same]
+        stack = np.stack(mats, axis=-1)
+        backend.jacobi_sweeps_batch(stack, _thresholds(mats), 100)
+        assert (stack.transpose(2, 0, 1)[~same] == 0.0).all()
+        top = decompose_stack(np.stack(mats)).order[:, 0]
+        for m, label, t in zip(mats, labels, top.tolist()):
+            blocks = np.unique(label)
+            radii = np.array([eigen_decompose(m[np.ix_(label == b, label == b)]).radius
+                              for b in blocks])
+            first, second = np.sort(radii)[::-1][:2]
+            if first - second > 1e-9 * np.abs(radii).max():
+                assert label[t] == blocks[radii.argmax()]
+                clear += 1
+            members += 1
+    assert members == 300 and clear > 250
+
+
 def test_batch_matches_scalar_on_huge_theta_branch():
     # The first round's pair (p, q) sees theta = 1 / (2e-160) > 1e150, while
     # the entry coupling the third index keeps the off-diagonal norm above
