@@ -17,9 +17,10 @@ p form one stack (_gram_stacks). Power-of-two scaling keeps the radii finite
 and relatively accurate where the full S_p would overflow its norm or sink
 below the solver's absolute threshold (tiny |p|). bipartite_radii, and so
 the ranking, solves every member; the extremality check bounds every radius
-from the level sequences, by Collatz-Wielandt ratios of S_p^2, and keys and
-solves only the trees the bounds cannot rule out. The path and the star are
-recognised by their maximum degree, 2 and n - 1.
+from the level sequences, by Collatz-Wielandt ratios and Rayleigh quotients
+of S_p^2, runs each further power step only on the trees still in play, and
+keys and solves only the trees the bounds cannot rule out. The path and the
+star are recognised by their maximum degree, 2 and n - 1.
 """
 
 from __future__ import annotations
@@ -350,12 +351,14 @@ def bipartite_radii(graphs, p_values) -> list[list[float]]:
 # ---------------------------------------------------------------------------
 # extremality of the spectral radius over trees
 
-# Power steps x <- S(S x) / max, from x = 1, before the Collatz-Wielandt
-# ratios of S_p^2 are read. They change how many trees are keyed and solved,
-# never a result. Trees kept per p by trees --n 12 --verify-extremes --p 1,2,3:
-# 472-532 with 0 steps (the bounds are row sums of S_p^2), 113 with 1, 33-34
-# with 2, 10 with 3, 4-5 with 4, 2-3 with 5, and from 6 on the path and the
-# star alone: 6 members in 2 kernel calls (6 rows and 1).
+# The most power steps x <- S(S x) / max after the bounds read at x = 1. Each
+# step multiplies only the (tree, p) members still in play, and the steps
+# stop once one rules out no member. They change how many trees are keyed and
+# solved, never a result. At n = 12, p = 1, 2, 3 the bounds at x = 1 keep 10,
+# 3 and 2 trees (532, 504 and 472 on the Collatz-Wielandt ratios alone), one
+# step leaves the path and the star, and the next rules out nothing: S_p
+# multiplies 1,653, 1,653, 15, 15, 6 and 6 members (23,142 with 6 steps on
+# every member), and the kernel solves 6 in 2 calls (6 rows and 1).
 _POWER_STEPS = 6
 # An extreme radius is unique when every other is more than this times the
 # maximum radius away (the radii are accurate relative to their size).
@@ -369,12 +372,24 @@ _BOUND_SLACK = 1e-9
 
 def _tree_radius_bounds(levels: np.ndarray, p_values) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi), each (T, P): lo <= radius <= hi for each tree of a (T, n)
-    stack of level sequences at each p, before any solve. Each (tree, p) is
-    scaled by 2^-e as in _scaled_grams. S_p^2 is nonnegative with Perron root
-    xi_1^2, so for any positive x, min_i (S^2 x)_i / x_i <= xi_1^2 <= max_i
-    (S^2 x)_i / x_i (Collatz, Math. Z. 48, 1942; Wielandt, Math. Z. 52, 1950).
-    x comes from _POWER_STEPS steps x <- S(S x) / max; every tree vertex has
-    a neighbour, so x stays positive. A bound beyond the float range is inf.
+    stack of level sequences at each p, before any solve. Each (tree, p)
+    member is scaled by 2^-e as in _scaled_grams. S_p^2 is nonnegative with
+    Perron root xi_1^2, so for any positive x, min_i (S^2 x)_i / x_i <=
+    xi_1^2 <= max_i (S^2 x)_i / x_i (Collatz, Math. Z. 48, 1942; Wielandt,
+    Math. Z. 52, 1950). S_p is symmetric, so the Rayleigh quotient
+    x^T S^2 x / x^T x = ||S x||^2 / ||x||^2 is at most xi_1^2 too (Horn &
+    Johnson, Matrix Analysis, 2nd ed., Thm 4.2.2), from the S x computed on
+    the way to S^2 x. lo takes the larger of the two lower bounds, and each
+    member keeps its best bounds over the steps.
+
+    Every member is bounded at x = 1 first. Then up to _POWER_STEPS steps
+    x <- S(S x) / max run on the members still in play, those that
+    _extreme_candidates keeps on every member's best bounds so far, and they
+    stop once a step rules out no member. Bounds only tighten, so min(hi) and
+    the gap (which grows with max(hi)) only fall and max(lo) only rises: a
+    member ruled out stays ruled out, and its last bounds stay valid. Every
+    tree vertex has a neighbour, so x stays positive. A bound beyond the
+    float range is inf.
     """
     k, (t, n) = len(p_values), levels.shape
     trees = np.arange(t)
@@ -389,25 +404,40 @@ def _tree_radius_bounds(levels: np.ndarray, p_values) -> tuple[np.ndarray, np.nd
     a, b = degree[:, 1:], degree.ravel()[up]
     pairs, pair = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
     table = np.array([[edge_weight(*divmod(d, n), p) for d in pairs.tolist()] for p in p_values])
-    weights = table.reshape(k, len(pairs))[:, pair.reshape(t, n - 1)]  # (P, T, n - 1)
-    e = np.frexp(weights.max(axis=2))[1]
-    weights = np.ldexp(weights, -e[:, :, None]).reshape(k * t, n - 1)
-    up = (np.arange(k)[:, None, None] * (t * n) + up).reshape(k * t, n - 1)
+    # member-last from here: member i k + j is tree i at p_values[j], and row
+    # v - 1 of weights and up holds v's edge up, up as the flat index of its
+    # parent in an (n, members) array
+    weights = table.reshape(k, len(pairs)).T[pair.reshape(t, n - 1).T].reshape(n - 1, t * k)
+    e = np.frexp(weights.max(axis=0))[1]
+    weights = np.ldexp(weights, -e)
+    up = np.repeat(parent[:, 1:].T * (t * k), k, axis=1) + np.arange(t * k)
 
     def s_times(x):
         # (S x)_v: w_v x_parent(v) over v's edge up, plus w_c x_c over each child c
-        y = np.bincount(up.ravel(), (weights * x[:, 1:]).ravel(), x.size).reshape(x.shape)
-        y[:, 1:] += weights * x.ravel()[up]
+        y = np.bincount(up.ravel(), (weights * x[1:]).ravel(), x.size).reshape(x.shape)
+        y[1:] += weights * x.ravel()[up]
         return y
 
-    x = np.ones((k * t, n))
-    for _ in range(_POWER_STEPS):
-        x = s_times(s_times(x))
-        x /= x.max(axis=1, keepdims=True)
-    ratios = (s_times(s_times(x)) / x).reshape(k, t, n)
-    with np.errstate(over="ignore"):
-        return (np.ldexp(np.sqrt(ratios.min(axis=2)), e).T,
-                np.ldexp(np.sqrt(ratios.max(axis=2)), e).T)
+    lo2, hi2 = np.zeros(t * k), np.full(t * k, np.inf)  # the best scaled xi_1^2 bounds
+    members, x = np.arange(t * k), np.ones((n, t * k))  # the members still in play
+    for step in range(_POWER_STEPS + 1):
+        y = s_times(x)
+        z = s_times(y)
+        ratios = z / x
+        rayleigh = np.einsum("ij,ij->j", y, y) / np.einsum("ij,ij->j", x, x)
+        lo2[members] = np.maximum(lo2[members], np.maximum(ratios.min(axis=0), rayleigh))
+        hi2[members] = np.minimum(hi2[members], ratios.max(axis=0))
+        with np.errstate(over="ignore"):
+            lo, hi = (np.ldexp(np.sqrt(b), e).reshape(t, k) for b in (lo2, hi2))
+        if step == _POWER_STEPS:
+            break
+        keep = _extreme_candidates(lo, hi).ravel()[members]
+        if keep.all():
+            break
+        count, members, x, weights = len(members), members[keep], z[:, keep], weights[:, keep]
+        up = up[:, keep] // count * len(members) + np.arange(len(members))  # // count: parent
+        x /= x.max(axis=0)
+    return lo, hi
 
 
 def _extreme_candidates(lo, hi) -> np.ndarray:

@@ -51,8 +51,9 @@ def edge_weight(di: int, dj: int, p: float) -> float:
     (large |p|), the scaled form M (1 + (m/M)^p)^(1/p) is used instead, with M
     the larger degree for p > 0 and the smaller for p < 0. OverflowError
     remains only when the weight itself leaves the normal float range: at tiny
-    positive p above it (inf once 1/p does, at subnormal p), at tiny negative
-    p below it (inaccurate or 0).
+    positive p above it (from about p = 1/1024 down; inf once 1/p is, at
+    subnormal p), at tiny negative p below it (inaccurate or 0). Its message
+    says which, never the errno of a float power that overflowed.
     """
     if p == 0:
         raise ValueError("p must be nonzero")
@@ -65,7 +66,10 @@ def edge_weight(di: int, dj: int, p: float) -> float:
     except (OverflowError, ZeroDivisionError):
         pass
     big, small = (max(di, dj), min(di, dj)) if p > 0 else (min(di, dj), max(di, dj))
-    w = big * (1.0 + (small / big) ** p) ** (1.0 / p)
+    try:
+        w = big * (1.0 + (small / big) ** p) ** (1.0 / p)
+    except OverflowError:  # float ** raises where it would round to inf
+        w = math.inf
     if w < sys.float_info.min:
         raise OverflowError("an edge weight of S_p underflows the float range")
     if not math.isfinite(w):

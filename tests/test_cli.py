@@ -769,14 +769,18 @@ def test_underflowing_edge_weight_is_one_clean_error(args, p4_file, capsys):
 
 
 
-@pytest.mark.parametrize("p", ("1e-320", "5e-324"))
+@pytest.mark.parametrize("p", ("1e-320", "5e-324", "1e-300", "1e-5", "1e-4"))
 @pytest.mark.parametrize("args", (["trees", "--n", "8", "--verify-extremes"],
+                                  ["trees", "--n", "12", "--verify-extremes"],
                                   ["spectrum", "--input", "P4"],
-                                  ["verify", "--corpus", "special"]),
-                         ids=["trees", "spectrum", "verify"])
+                                  ["verify", "--corpus", "special"],
+                                  ["verify", "--corpus", "trees"]),
+                         ids=["trees", "trees12", "spectrum", "verify", "verify-trees"])
 def test_subnormal_p_is_one_clean_range_error(args, p, p4_file, capsys):
-    # 1/p overflows to inf, so every weight 2^(1/p) (d_i d_j)^(1/2) is inf:
-    # an error line, not inf radii or a complaint about the matrix entries
+    # Below about p = 1/1024 every weight, at least 2^(1/p) (d_i d_j)^(1/2), is
+    # beyond the float range, and at subnormal p 1/p is inf itself: an error
+    # line, not inf radii, a complaint about the matrix entries or the bare
+    # errno of a float power that overflowed
     args = [p4_file if a == "P4" else a for a in args]
     assert run(args + [f"--p={p}"]) == 1
     captured = capsys.readouterr()

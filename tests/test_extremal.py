@@ -296,10 +296,11 @@ def _plain_extremes(catalog, p, radii) -> extremal.TreeExtremesReport:
         max_unique=len(order) < 2 or radii[hi] - radii[order[-2]] > gap)
 
 
-@pytest.mark.parametrize("power_steps", [extremal._POWER_STEPS, 0])
+@pytest.mark.parametrize("power_steps", [extremal._POWER_STEPS, 0, 1])
 def test_tree_extremes_match_the_extremes_of_every_radius(power_steps, monkeypatch):
     # the trees the bounds rule out change no field: with no power step the
-    # bounds are row sums and hundreds of trees per p stay candidates
+    # bounds are the step-0 ones, from x = 1, and more trees per p stay
+    # candidates; with one step the members still in play are multiplied once
     monkeypatch.setattr(extremal, "_POWER_STEPS", power_steps)
     for n in range(2, 13):
         catalog = enumerate_trees(n)
@@ -327,6 +328,31 @@ def test_radius_bounds_hold_on_every_tree():
         assert lo.shape == hi.shape == radii.shape == (FREE_TREE_COUNTS[n - 1], len(EXTREMES_P))
         assert np.isfinite(lo).all() and np.isfinite(hi).all()
         assert (lo * (1 - slack) <= radii).all() and (radii <= hi * (1 + slack)).all(), n
+
+
+def test_step_zero_bounds_keep_few_trees(monkeypatch):
+    # a work count, not a result: from x = 1 the Collatz-Wielandt minimum
+    # alone (the least row sum of S_p^2) keeps 532, 504 and 472 of the 551
+    # trees; with the Rayleigh quotient ||S 1||^2 / n as lower bound too, 10,
+    # 3 and 2 are left at p = 1, 2, 3
+    monkeypatch.setattr(extremal, "_POWER_STEPS", 0)
+    sequences = np.array(list(extremal._free_tree_level_sequences(12)))
+    kept = extremal._extreme_candidates(*extremal._tree_radius_bounds(sequences, [1, 2, 3]))
+    assert kept.sum(axis=0).tolist() == [10, 3, 2]
+
+
+def test_star_step_zero_bounds_are_its_radius(monkeypatch):
+    # every edge of the star has one weight w, so S^2 1 = (n - 1) w^2 1 and
+    # ||S 1||^2 / n = (n - 1) w^2 = xi_1^2: both bounds are exact from x = 1
+    monkeypatch.setattr(extremal, "_POWER_STEPS", 0)
+    slack = extremal._BOUND_SLACK
+    for n in range(3, 13):
+        sequences = list(extremal._free_tree_level_sequences(n))
+        star = sequences.index([1] + [2] * (n - 1))
+        lo, hi = extremal._tree_radius_bounds(np.array(sequences), EXTREMES_P)
+        radii = np.array(bipartite_radii([star_graph(n)], EXTREMES_P))[:, 0]
+        assert (abs(lo[star] - radii) <= slack * radii).all(), n
+        assert (abs(hi[star] - radii) <= slack * radii).all(), n
 
 
 def test_trees_whose_bounds_are_not_finite_stay_candidates():
